@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
+	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -104,24 +106,63 @@ func (a *ADC) Quantize(v float64) float64 {
 
 // Analog runs the analog front end at the given instants — aperture jitter,
 // gain, offset, input-referred noise — without quantization, writing the
-// held voltages into out (len(out) must be >= len(times)). It consumes the
-// converter's random streams in index order, so successive calls must cover
-// ascending, non-overlapping index ranges on one goroutine: this is the
-// producer stage of the streaming capture pipeline, which owns exactly that
-// ordering.
+// held voltages into out (len(out) must be >= len(times)). The converter's
+// random stream is consumed on the calling goroutine in index order (sample
+// i's jitter draw, then its noise draw), exactly as a serial front end
+// would; only the signal evaluations fan out over the par pool, which the
+// sig.Signal purity contract permits. The held values are therefore
+// bit-identical at any worker count. Successive calls continue the random
+// stream, so a capture split across calls must cover ascending,
+// non-overlapping index ranges on one goroutine.
 func (a *ADC) Analog(x sig.Signal, times, out []float64) {
-	for i, t := range times {
-		te := t
-		if a.cfg.JitterRMS > 0 {
-			te += a.cfg.JitterRMS * a.rng.NormFloat64()
-		}
-		v := a.cfg.Gain*x.At(te) + a.cfg.Offset
-		if a.cfg.NoiseRMS > 0 {
-			v += a.cfg.NoiseRMS * a.rng.NormFloat64()
-		}
-		out[i] = v
+	n := len(times)
+	out = out[:n]
+	jitter, noise := a.cfg.JitterRMS > 0, a.cfg.NoiseRMS > 0
+	te := times
+	if jitter {
+		buf := getScratch(n)
+		defer putScratch(buf)
+		te = buf
 	}
+	// Serial draws. Each noise draw is parked in its output slot until the
+	// evaluation below folds it in.
+	for i, t := range times {
+		if jitter {
+			te[i] = t + a.cfg.JitterRMS*a.rng.NormFloat64()
+		}
+		if noise {
+			out[i] = a.rng.NormFloat64()
+		}
+	}
+	par.ForChunks(n, analogChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := a.cfg.Gain*x.At(te[i]) + a.cfg.Offset
+			if noise {
+				v += a.cfg.NoiseRMS * out[i]
+			}
+			out[i] = v
+		}
+	})
 }
+
+// analogChunk is the sample count per pool task of Analog: a paper-size
+// capture (~1-2k samples) splits into enough tasks that the workers finish
+// together, while a task still costs far more than its dispatch.
+const analogChunk = 64
+
+// scratchPool recycles the jittered-instant buffers of Analog: every
+// capture of a campaign needs one per channel, and Analog overwrites each
+// element before reading it.
+var scratchPool sync.Pool // *[]float64
+
+func getScratch(n int) []float64 {
+	if p, _ := scratchPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]float64, n)
+}
+
+func putScratch(buf []float64) { scratchPool.Put(&buf) }
 
 // Sample acquires the signal at the given instants, applying aperture
 // jitter, gain, offset, noise and quantization. The instants themselves are

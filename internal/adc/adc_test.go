@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dsp"
+	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -309,6 +310,36 @@ func TestAnalogThenQuantizeMatchesSample(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: split path %g != Sample %g", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAnalogWorkerInvariance: Analog draws jitter then noise per index on
+// the calling goroutine and fans only x.At out, so its held values equal a
+// one-index-at-a-time reference bit for bit at every pool width.
+func TestAnalogWorkerInvariance(t *testing.T) {
+	cfg := Config{Gain: 0.97, Offset: -2e-3, JitterRMS: 3e-12, NoiseRMS: 1e-3, Seed: 5}
+	tone := &sig.Tone{Amp: 1, Freq: 31e6}
+	times := sig.UniformTimes(0, 1e-8, 1000)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	want := make([]float64, len(times))
+	for i, t := range times {
+		te := t
+		te += cfg.JitterRMS * rng.NormFloat64()
+		v := cfg.Gain*tone.At(te) + cfg.Offset
+		v += cfg.NoiseRMS * rng.NormFloat64()
+		want[i] = v
+	}
+	for _, w := range []int{1, 2, 8} {
+		prev := par.SetWorkers(w)
+		a, _ := New(cfg)
+		got := make([]float64, len(times))
+		a.Analog(tone, times, got)
+		par.SetWorkers(prev)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d sample %d: %g != serial %g", w, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -75,12 +75,6 @@ type Config struct {
 	CaptureLen int
 	// CaptureStart is the nominal first sampling instant.
 	CaptureStart float64
-	// StreamChunk sets the acquisition pipeline chunk size in samples
-	// (0 = 256): the analog front end overlaps with quantization and int16
-	// packing on chunk boundaries (see tiadc.Config.StreamChunk). Captures —
-	// and therefore every downstream estimate and measurement — are
-	// bit-identical at every chunk size. TI.StreamChunk, when set, wins.
-	StreamChunk int
 	// CalibrateMismatch enables the background gain/offset calibration of
 	// the two channels before reconstruction (paper Section III / [16]).
 	CalibrateMismatch bool
@@ -288,11 +282,7 @@ func New(cfg Config) (*BIST, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiCfg := c.TI
-	if tiCfg.StreamChunk == 0 {
-		tiCfg.StreamChunk = c.StreamChunk
-	}
-	ti, err := tiadc.New(tiCfg)
+	ti, err := tiadc.New(c.TI)
 	if err != nil {
 		return nil, err
 	}

@@ -206,9 +206,8 @@ func Convolve(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	n := len(a) + len(b) - 1
-	if len(a)*len(b) <= 4096 { // direct is faster and exact for small sizes
-		out := make([]float64, n)
+	if len(a)*len(b) <= directConvMax {
+		out := make([]float64, len(a)+len(b)-1)
 		for i, av := range a {
 			for j, bv := range b {
 				out[i+j] += av * bv
@@ -216,18 +215,28 @@ func Convolve(a, b []float64) []float64 {
 		}
 		return out
 	}
+	return fftConvolve(a, len(b), func(fwd *Plan) []complex128 { return padSpectrum(fwd, b) })
+}
+
+// directConvMax is the largest len(a)*len(b) Convolve evaluates directly:
+// below it the direct sum is faster, and exact.
+const directConvMax = 4096
+
+// fftConvolve is Convolve's fast path for a and a second operand of length
+// nb whose forward spectrum spec supplies at the transform size fwd.Len().
+// Filter passes a cached spectrum of its taps; either way the operand
+// spectrum is the same transform of the same zero-padded vector, so the
+// result does not depend on where the spectrum came from.
+func fftConvolve(a []float64, nb int, spec func(fwd *Plan) []complex128) []float64 {
+	n := len(a) + nb - 1
 	m := NextPowerOfTwo(n)
 	fa := make([]complex128, m)
-	fb := make([]complex128, m)
 	for i, v := range a {
 		fa[i] = complex(v, 0)
 	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
 	fwd := PlanFFT(m)
 	fwd.Execute(fa)
-	fwd.Execute(fb)
+	fb := spec(fwd)
 	for i := range fa {
 		fa[i] *= fb[i]
 	}
@@ -238,6 +247,16 @@ func Convolve(a, b []float64) []float64 {
 		out[i] = real(fa[i]) * scale
 	}
 	return out
+}
+
+// padSpectrum returns the forward transform of b zero-padded to fwd.Len().
+func padSpectrum(fwd *Plan, b []float64) []complex128 {
+	fb := make([]complex128, fwd.Len())
+	for i, v := range b {
+		fb[i] = complex(v, 0)
+	}
+	fwd.Execute(fb)
+	return fb
 }
 
 // MaxAbs returns the maximum magnitude of the complex vector, or 0 for an

@@ -3,11 +3,42 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/par"
 )
 
 // FIR is a finite impulse response filter described by its tap vector.
+// Use it by pointer: it carries a concurrency-safe cache.
 type FIR struct {
 	Taps []float64
+	// spectra caches the forward FFT of the zero-padded taps per transform
+	// size (int -> *tapSpectrum) for Filter's fast path, so a shared filter
+	// applied to many same-length inputs transforms its taps once. Each
+	// entry keeps the taps it was computed from and is rebuilt if Taps has
+	// since been edited.
+	spectra sync.Map
+}
+
+// tapSpectrum is one cached tap transform and the taps it came from.
+type tapSpectrum struct {
+	taps []float64
+	spec []complex128
+}
+
+// tapSpectrum returns the forward transform of the zero-padded taps at the
+// plan's size, from the cache when the taps are unchanged. Concurrent
+// misses compute the same values, so whichever entry lands is correct.
+func (f *FIR) tapSpectrum(fwd *Plan) []complex128 {
+	if v, ok := f.spectra.Load(fwd.Len()); ok {
+		if ts := v.(*tapSpectrum); slices.Equal(ts.taps, f.Taps) {
+			return ts.spec
+		}
+	}
+	ts := &tapSpectrum{taps: slices.Clone(f.Taps), spec: padSpectrum(fwd, f.Taps)}
+	f.spectra.Store(fwd.Len(), ts)
+	return ts.spec
 }
 
 // DesignLowpass designs a linear-phase lowpass FIR by the windowed-sinc
@@ -73,7 +104,12 @@ func (f *FIR) GroupDelay() float64 { return float64(len(f.Taps)-1) / 2 }
 // Filter convolves x with the filter and returns the "same"-length output,
 // aligned so that out[n] corresponds to x[n] delayed by the group delay.
 func (f *FIR) Filter(x []float64) []float64 {
-	full := Convolve(x, f.Taps)
+	var full []float64
+	if len(x)*len(f.Taps) <= directConvMax {
+		full = Convolve(x, f.Taps)
+	} else {
+		full = fftConvolve(x, len(f.Taps), f.tapSpectrum)
+	}
 	d := (len(f.Taps) - 1) / 2
 	out := make([]float64, len(x))
 	copy(out, full[d:d+len(x)])
@@ -81,7 +117,8 @@ func (f *FIR) Filter(x []float64) []float64 {
 }
 
 // FilterComplex applies the real-tap filter independently to the real and
-// imaginary parts of x ("same" alignment as Filter).
+// imaginary parts of x ("same" alignment as Filter). The two halves are
+// independent, so they are filtered concurrently on the par pool.
 func (f *FIR) FilterComplex(x []complex128) []complex128 {
 	re := make([]float64, len(x))
 	im := make([]float64, len(x))
@@ -89,8 +126,14 @@ func (f *FIR) FilterComplex(x []complex128) []complex128 {
 		re[i] = real(v)
 		im[i] = imag(v)
 	}
-	fr := f.Filter(re)
-	fi := f.Filter(im)
+	var fr, fi []float64
+	par.For(2, func(i int) {
+		if i == 0 {
+			fr = f.Filter(re)
+		} else {
+			fi = f.Filter(im)
+		}
+	})
 	out := make([]complex128, len(x))
 	for i := range out {
 		out[i] = complex(fr[i], fi[i])

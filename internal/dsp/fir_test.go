@@ -1,9 +1,13 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 func TestDesignLowpassResponse(t *testing.T) {
@@ -146,5 +150,60 @@ func TestMagnitudeDBClamp(t *testing.T) {
 	f := &FIR{Taps: []float64{0}}
 	if db := f.MagnitudeDB(0.1); db != -400 {
 		t.Errorf("zero filter magnitude %g, want clamp at -400", db)
+	}
+}
+
+// TestFilterTapSpectrumCache: Filter's cached tap transform is the same
+// transform Convolve computes, so outputs match the uncached path bit for
+// bit on a miss, on a hit, after the taps are edited in place, and from
+// concurrent callers; the cache makes exactly Convolve's plan lookups.
+func TestFilterTapSpectrumCache(t *testing.T) {
+	f, err := DesignLowpass(91, 0.45/4, KaiserWin, KaiserBeta(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	x := make([]float64, 8192)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	uncached := func() []float64 {
+		full := Convolve(x, f.Taps)
+		d := (len(f.Taps) - 1) / 2
+		return full[d : d+len(x)]
+	}
+	check := func(label string, got []float64) {
+		t.Helper()
+		want := uncached()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sample %d: %g != uncached %g", label, i, got[i], want[i])
+			}
+		}
+	}
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	hits, misses := obs.C("dsp.plan.hits"), obs.C("dsp.plan.misses")
+	lookups := func(fn func()) int64 {
+		h := hits.Value() + misses.Value()
+		fn()
+		return hits.Value() + misses.Value() - h
+	}
+	var miss, hit []float64
+	nMiss := lookups(func() { miss = f.Filter(x) })
+	nHit := lookups(func() { hit = f.Filter(x) })
+	nConv := lookups(func() { Convolve(x, f.Taps) })
+	if nMiss != nConv || nHit != nConv {
+		t.Errorf("plan lookups: filter miss %d, hit %d, convolve %d", nMiss, nHit, nConv)
+	}
+	check("miss", miss)
+	check("hit", hit)
+	f.Taps[7] *= 1.5
+	check("edited taps", f.Filter(x))
+	outs := make([][]float64, 8)
+	defer par.SetWorkers(par.SetWorkers(8))
+	par.For(len(outs), func(i int) { outs[i] = f.Filter(x) })
+	for i, o := range outs {
+		check(fmt.Sprintf("concurrent caller %d", i), o)
 	}
 }

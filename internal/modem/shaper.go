@@ -3,6 +3,8 @@ package modem
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // ShapedEnvelope is the continuous complex envelope of a pulse-shaped symbol
@@ -89,10 +91,19 @@ func (s *ShapedEnvelope) AvgPower(nPts int) float64 {
 		t1 = t0 + s.Duration()
 	}
 	dt := (t1 - t0) / float64(nPts)
+	// The probes are independent, so they fan out over the par pool; the
+	// fold stays serial in index order, keeping the estimate bit-identical
+	// at any worker count.
+	pw := make([]float64, nPts)
+	par.ForChunks(nPts, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := s.At(t0 + (float64(i)+0.5)*dt)
+			pw[i] = real(v)*real(v) + imag(v)*imag(v)
+		}
+	})
 	p := 0.0
-	for i := 0; i < nPts; i++ {
-		v := s.At(t0 + (float64(i)+0.5)*dt)
-		p += real(v)*real(v) + imag(v)*imag(v)
+	for _, v := range pw {
+		p += v
 	}
 	return p / float64(nPts)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"repro/internal/par"
 )
 
 func TestShapedEnvelopeZeroISIWithRC(t *testing.T) {
@@ -82,6 +84,43 @@ func TestSetAvgPower(t *testing.T) {
 	z.SetAvgPower(1, 128)
 	if z.Gain != 1 {
 		t.Error("zero-power envelope should leave gain at 1")
+	}
+}
+
+// TestSetAvgPowerWorkerInvariance: the power probes fan out over the pool
+// but fold serially in index order, so the normalisation gain equals a
+// one-probe-at-a-time reference bit for bit at every pool width (cyclic
+// stream and finite burst).
+func TestSetAvgPowerWorkerInvariance(t *testing.T) {
+	p, _ := NewSRRC(100e-9, 0.5, 8)
+	for _, cyclic := range []bool{true, false} {
+		env, err := NewShapedEnvelope(QAM16.RandomSymbols(128, 5), p, cyclic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const nPts = 4096
+		ts := p.SymbolPeriod()
+		t0, t1 := 0.0, float64(len(env.Symbols))*ts
+		if !cyclic {
+			t0 = -float64(p.SpanSymbols()) * ts
+			t1 = t0 + env.Duration()
+		}
+		dt := (t1 - t0) / nPts
+		acc := 0.0
+		for i := 0; i < nPts; i++ {
+			v := env.At(t0 + (float64(i)+0.5)*dt)
+			acc += real(v)*real(v) + imag(v)*imag(v)
+		}
+		want := math.Sqrt(0.5 / (acc / nPts))
+		for _, w := range []int{1, 2, 8} {
+			prev := par.SetWorkers(w)
+			env.SetAvgPower(0.5, nPts)
+			par.SetWorkers(prev)
+			if env.Gain != want {
+				t.Errorf("cyclic=%v workers=%d: gain %.17g != serial fold %.17g",
+					cyclic, w, env.Gain, want)
+			}
+		}
 	}
 }
 

@@ -32,12 +32,6 @@ var (
 	mForTasks  = obs.C("par.for.tasks")
 	mForInline = obs.C("par.for.inline")
 	mActive    = obs.G("par.workers.active")
-	// Stream instruments: pipeline activations and chunk hand-offs. These
-	// are deliberately separate counters from par.for.* so the curated
-	// deterministic metrics snapshot is unaffected by how a stage is
-	// chunked.
-	mStreamCalls  = obs.C("par.stream.calls")
-	mStreamChunks = obs.C("par.stream.chunks")
 )
 
 // workerOverride holds the SetWorkers value; 0 means "use the default".
@@ -298,206 +292,6 @@ func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// splitRanges partitions [0, n) into at most w contiguous ranges of
-// near-equal length (the first n%w ranges are one longer). The split is a
-// pure function of (n, w), so a blocked dispatch is deterministic for a
-// fixed worker count; callers needing worker-count invariance must make
-// each range's RESULT independent of the split, which is exactly what the
-// blocked reconstruction kernel guarantees (per-index outputs, serial
-// index-order fold).
-func splitRanges(n, w int) [][2]int {
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	base, rem := n/w, n%w
-	out := make([][2]int, 0, w)
-	lo := 0
-	for g := 0; g < w; g++ {
-		hi := lo + base
-		if g < rem {
-			hi++
-		}
-		if hi > lo {
-			out = append(out, [2]int{lo, hi})
-		}
-		lo = hi
-	}
-	return out
-}
-
-// ForRanges calls fn(lo, hi) for a set of contiguous ranges that exactly
-// cover [0, n), using at most Workers() goroutines (one range per pool
-// slot). It is the blocked-dispatch sibling of For: the counters account
-// the same work volume as For(n, ...) — one call, n tasks — because the
-// unit of useful work is the item, not the block. With one worker (or one
-// item) the single range runs inline. A panic in any fn is re-raised in
-// the caller after the remaining workers drain.
-func ForRanges(n int, fn func(lo, hi int)) {
-	mForCalls.Inc()
-	mForTasks.Add(int64(n))
-	if n <= 0 {
-		return
-	}
-	ranges := splitRanges(n, Workers())
-	if len(ranges) <= 1 {
-		mForInline.Inc()
-		fn(0, n)
-		return
-	}
-	var (
-		panicMu sync.Mutex
-		panicV  any
-	)
-	var wg sync.WaitGroup
-	for _, rg := range ranges {
-		wg.Add(1)
-		go func(lo, hi int) {
-			mActive.Add(1)
-			defer mActive.Add(-1)
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			fn(lo, hi)
-		}(rg[0], rg[1])
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(fmt.Sprintf("par: worker panic: %v", panicV))
-	}
-}
-
-// ForRangesCtx is ForRanges with trace attribution: each pool slot runs
-// under a "par.worker" span on its own display row and each range under a
-// "par.task" child span carrying its bounds. With tracing disabled it is
-// exactly ForRanges. Like all par.* spans, these are excluded from the
-// normalized golden trace form (assignment is scheduling-dependent).
-func ForRangesCtx(tc trace.Ctx, n int, fn func(lo, hi int)) {
-	if !trace.Enabled() {
-		ForRanges(n, fn)
-		return
-	}
-	mForCalls.Inc()
-	mForTasks.Add(int64(n))
-	if n <= 0 {
-		return
-	}
-	runRange := func(wc trace.Ctx, lo, hi int) {
-		sp := trace.Start(wc, tnTask)
-		sp.SetInt("lo", int64(lo))
-		sp.SetInt("hi", int64(hi))
-		defer sp.End()
-		fn(lo, hi)
-	}
-	ranges := splitRanges(n, Workers())
-	if len(ranges) <= 1 {
-		mForInline.Inc()
-		ws := trace.StartOnTrack("par.worker.00", tc, tnWorker)
-		runRange(ws.Ctx(), 0, n)
-		ws.End()
-		return
-	}
-	var (
-		panicMu sync.Mutex
-		panicV  any
-	)
-	var wg sync.WaitGroup
-	for slot, rg := range ranges {
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			mActive.Add(1)
-			defer mActive.Add(-1)
-			defer wg.Done()
-			ws := trace.StartOnTrack(fmt.Sprintf("par.worker.%02d", slot), tc, tnWorker)
-			defer ws.End()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			runRange(ws.Ctx(), lo, hi)
-		}(slot, rg[0], rg[1])
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(fmt.Sprintf("par: worker panic: %v", panicV))
-	}
-}
-
-// Stream drives a bounded two-stage pipeline over [0, n): produce(lo, hi)
-// runs on the calling goroutine in ascending index order — stage 1 keeps
-// ownership of any sequential state, such as an ADC jitter RNG stream —
-// and every completed chunk is handed through a channel of capacity depth
-// to a single consumer goroutine that runs consume(lo, hi) strictly in the
-// same order (stage 2). The two stages therefore overlap on chunk
-// boundaries while each stage still observes exactly the serial order, so
-// any computation whose per-index results are independent of chunking is
-// bit-identical to the barrier formulation at every (chunk, depth)
-// setting; that is the determinism contract the streaming tests pin.
-//
-// chunk <= 0 selects 256 items, depth <= 0 a two-chunk buffer. n <= 0 is a
-// no-op. Panics in either stage propagate to the caller after the pipeline
-// drains (the consumer never blocks the producer on failure).
-func Stream(n, chunk, depth int, produce, consume func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 256
-	}
-	if depth <= 0 {
-		depth = 2
-	}
-	mStreamCalls.Inc()
-	ch := make(chan [2]int, depth)
-	done := make(chan struct{})
-	var consPanic any
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				consPanic = r
-				for range ch { // keep draining so the producer never blocks
-				}
-			}
-		}()
-		for rg := range ch {
-			consume(rg[0], rg[1])
-		}
-	}()
-	func() {
-		defer func() {
-			close(ch)
-			<-done
-		}()
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			produce(lo, hi)
-			mStreamChunks.Inc()
-			ch <- [2]int{lo, hi}
-		}
-	}()
-	if consPanic != nil {
-		panic(fmt.Sprintf("par: stream consumer panic: %v", consPanic))
-	}
 }
 
 // MapErr evaluates fn over [0, n) on the pool. It returns the results in

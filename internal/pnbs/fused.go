@@ -1,6 +1,10 @@
 package pnbs
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/par"
+)
 
 // This file implements the reassociated fused evaluation path of the Eq. (6)
 // reconstructor: the estimate-stage hot kernel behind skew.Cost. Unlike
@@ -84,11 +88,18 @@ func (p *fusedPrep) matches(ts []float64) bool {
 	return true
 }
 
-// buildFusedPrep contracts the prompt-channel tap folds. The tap geometry
-// (n0, clamping, dt0 accumulation by repeated subtraction) mirrors At; the
-// trig is evaluated by direct Sincos per tap — prepare runs once per
-// (capture, instants) and its accuracy feeds every candidate, where the
-// cost fold's cancellation amplifies prep error by ~1e6: a phasor
+// fusedPrepChunk is the instant count per pool task of buildFusedPrep. A
+// row costs ~60 taps of four Sincos pairs, so a cost block of a few hundred
+// instants still splits into enough tasks to balance the pool.
+const fusedPrepChunk = 16
+
+// buildFusedPrep contracts the prompt-channel tap folds. The rows are
+// independent per instant, so they are built over the par pool; each row's
+// tap fold stays serial, so the tables are identical at any worker count.
+// The tap geometry (n0, clamping, dt0 accumulation by repeated subtraction)
+// mirrors At; the trig is evaluated by direct Sincos per tap — prepare runs
+// once per (capture, instants) and its accuracy feeds every candidate,
+// where the cost fold's cancellation amplifies prep error by ~1e6: a phasor
 // recurrence here (tried) costs ~4e-9 on the cost and busts the 1e-9
 // oracle contract.
 func (r *Reconstructor) buildFusedPrep(ts []float64) *fusedPrep {
@@ -98,50 +109,52 @@ func (r *Reconstructor) buildFusedPrep(ts []float64) *fusedPrep {
 		ts:   append([]float64(nil), ts...),
 		rows: make([]fusedRow, len(ts)),
 	}
-	for i, t := range ts {
-		row := &p.rows[i]
-		n0 := int(math.Round((t - r.t0) / r.tStep))
-		nLo := n0 - h
-		if nLo < 0 {
-			nLo = 0
-		}
-		nHi := n0 + h
-		if nHi > len(r.ch0)-1 {
-			nHi = len(r.ch0) - 1
-		}
-		if nLo > nHi {
-			continue // out-of-capture instant: the fused value is 0
-		}
-		row.nLo = int32(nLo)
-		row.cnt = int32(nHi - nLo + 1)
-		row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
-		dt0 := t - r.t0 - float64(nLo)*r.tStep
-		for n := nLo; n <= nHi; n++ {
-			if w := r.window(dt0); w != 0 {
-				cw := r.ch0[n] * w
-				if math.Abs(dt0) < fusedTaylorEps {
-					// Series limit of (cos(a·dt)−cos(b·dt))/dt and
-					// (sin(a·dt)−sin(b·dt))/dt, matching DiffCosOverT's
-					// expansion to the same order.
-					row.pc0 += cw * dt0 * 0.5 * (k.b0*k.b0 - k.a0*k.a0)
-					row.ps0 += cw * (k.a0 - k.b0)
-					row.pc1 += cw * dt0 * 0.5 * (k.b1*k.b1 - k.a1*k.a1)
-					row.ps1 += cw * (k.a1 - k.b1)
-				} else {
-					inv := cw / dt0
-					sA, cA := math.Sincos(k.a0 * dt0)
-					sB, cB := math.Sincos(k.b0 * dt0)
-					row.pc0 += (cA - cB) * inv
-					row.ps0 += (sA - sB) * inv
-					sA, cA = math.Sincos(k.a1 * dt0)
-					sB, cB = math.Sincos(k.b1 * dt0)
-					row.pc1 += (cA - cB) * inv
-					row.ps1 += (sA - sB) * inv
-				}
+	par.ForChunks(len(ts), fusedPrepChunk, func(lo, hi int) {
+		for i, t := range ts[lo:hi] {
+			row := &p.rows[lo+i]
+			n0 := int(math.Round((t - r.t0) / r.tStep))
+			nLo := n0 - h
+			if nLo < 0 {
+				nLo = 0
 			}
-			dt0 -= r.tStep
+			nHi := n0 + h
+			if nHi > len(r.ch0)-1 {
+				nHi = len(r.ch0) - 1
+			}
+			if nLo > nHi {
+				continue // out-of-capture instant: the fused value is 0
+			}
+			row.nLo = int32(nLo)
+			row.cnt = int32(nHi - nLo + 1)
+			row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
+			dt0 := t - r.t0 - float64(nLo)*r.tStep
+			for n := nLo; n <= nHi; n++ {
+				if w := r.window(dt0); w != 0 {
+					cw := r.ch0[n] * w
+					if math.Abs(dt0) < fusedTaylorEps {
+						// Series limit of (cos(a·dt)−cos(b·dt))/dt and
+						// (sin(a·dt)−sin(b·dt))/dt, matching DiffCosOverT's
+						// expansion to the same order.
+						row.pc0 += cw * dt0 * 0.5 * (k.b0*k.b0 - k.a0*k.a0)
+						row.ps0 += cw * (k.a0 - k.b0)
+						row.pc1 += cw * dt0 * 0.5 * (k.b1*k.b1 - k.a1*k.a1)
+						row.ps1 += cw * (k.a1 - k.b1)
+					} else {
+						inv := cw / dt0
+						sA, cA := math.Sincos(k.a0 * dt0)
+						sB, cB := math.Sincos(k.b0 * dt0)
+						row.pc0 += (cA - cB) * inv
+						row.ps0 += (sA - sB) * inv
+						sA, cA = math.Sincos(k.a1 * dt0)
+						sB, cB = math.Sincos(k.b1 * dt0)
+						row.pc1 += (cA - cB) * inv
+						row.ps1 += (sA - sB) * inv
+					}
+				}
+				dt0 -= r.tStep
+			}
 		}
-	}
+	})
 	return p
 }
 

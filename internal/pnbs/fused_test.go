@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // fusedTol checks |a-b| against the reassociation budget: 1e-9 relative
@@ -199,6 +201,41 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 		// are exact, which the skew worker-invariance tests pin bitwise.
 		if !fusedClose(acc, whole) {
 			t.Fatalf("chunk=%d: %.17g vs whole %.17g", chunk, acc, whole)
+		}
+	}
+}
+
+// TestFusedPrepWorkerInvariance: the prepared rows are built one instant
+// per task over the pool, each with its own serial tap fold, so the tables
+// are identical at every pool width — including out-of-capture rows and a
+// Taylor-branch instant on a sample point.
+func TestFusedPrepWorkerInvariance(t *testing.T) {
+	band := Band{FLow: 955e6, B: 90e6}
+	d := 180e-12
+	ch0, ch1 := toneCapture(band, d, 220)
+	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := r.ValidRange()
+	rng := rand.New(rand.NewSource(9))
+	ts := make([]float64, 301)
+	for i := range ts {
+		ts[i] = lo + (hi-lo)*rng.Float64()
+	}
+	ts[0] = lo - 400*r.tStep
+	ts[1] = r.t0 + 57*r.tStep
+	build := func(w int) *fusedPrep {
+		defer par.SetWorkers(par.SetWorkers(w))
+		return r.buildFusedPrep(ts)
+	}
+	ref := build(1)
+	for _, w := range []int{2, 8} {
+		p := build(w)
+		for i := range ref.rows {
+			if p.rows[i] != ref.rows[i] {
+				t.Fatalf("workers=%d row %d: %+v != serial %+v", w, i, p.rows[i], ref.rows[i])
+			}
 		}
 	}
 }

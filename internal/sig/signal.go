@@ -6,15 +6,28 @@
 // models, which must "explicitly simulate each carrier cycle".
 package sig
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/par"
+)
 
 // Signal is a real-valued continuous-time waveform.
+//
+// Concurrency contract: At must be a pure function of t and safe for
+// concurrent use. The acquisition front end (adc.ADC.Analog), SampleAt and
+// the reference spectrum fan evaluations of one signal out over the par
+// pool and rely on getting the serial values back bit for bit. Stateful
+// models draw their randomness at construction, never inside At.
 type Signal interface {
 	// At returns the instantaneous value at time t (seconds).
 	At(t float64) float64
 }
 
-// Envelope is a complex baseband (lowpass-equivalent) waveform.
+// Envelope is a complex baseband (lowpass-equivalent) waveform. It carries
+// the same concurrency contract as Signal: At is a pure function of t,
+// safe for concurrent use, and every wrapper built on an Envelope keeps
+// that property.
 type Envelope interface {
 	// At returns the complex envelope at time t (seconds).
 	At(t float64) complex128
@@ -120,14 +133,22 @@ func DelayEnv(x Envelope, tau float64) Envelope {
 // Zero is the all-zero signal.
 var Zero Signal = SignalFunc(func(float64) float64 { return 0 })
 
-// SampleAt evaluates a signal at each time in ts.
+// SampleAt evaluates a signal at each time in ts. The evaluations fan out
+// over the par pool (see the Signal concurrency contract); each lands in
+// its own slot, so the result is identical at any worker count.
 func SampleAt(x Signal, ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	for i, t := range ts {
-		out[i] = x.At(t)
-	}
+	par.ForChunks(len(ts), sampleChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = x.At(ts[i])
+		}
+	})
 	return out
 }
+
+// sampleChunk is the instant count per pool task of SampleAt: small enough
+// that the few hundred instants of a fidelity check balance across workers.
+const sampleChunk = 32
 
 // SampleEnvAt evaluates an envelope at each time in ts.
 func SampleEnvAt(x Envelope, ts []float64) []complex128 {

@@ -21,7 +21,7 @@ func poolConfig() Config {
 // recycling: a released buffer is poisoned with NaN before it reenters the
 // pool, and a fresh sampler's first capture — which will pick the poisoned
 // buffers up — must still be bit-identical to a capture that never touched
-// the pool. The capture pipeline writes every element it hands out, so no
+// the pool. The capture writes every element it hands out, so no
 // poison (i.e. no stale sample of a previous unit) can leak through.
 func TestCapturePoolPoisonedBufferNoLeak(t *testing.T) {
 	tone := &sig.Tone{Amp: 0.7, Freq: 13e6}

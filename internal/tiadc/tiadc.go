@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/adc"
-	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -22,7 +21,7 @@ import (
 // channel buffers dominated its steady-state allocation rate. Buffers are
 // handed back via Capture.Release once nothing aliases them; a pooled
 // buffer is fully overwritten by the next capture (every index in
-// [0, n) is written by the pipeline), so reuse cannot leak one capture's
+// [0, n) is written by the capture), so reuse cannot leak one capture's
 // samples into the next — the poisoned-pool test pins that.
 var (
 	valsPool sync.Pool // *[]float64
@@ -95,12 +94,6 @@ type Config struct {
 	ClockJitterRMS float64
 	// Seed drives the shared clock jitter stream.
 	Seed int64
-	// StreamChunk is the acquisition pipeline chunk size in samples
-	// (0 = 256): the analog front end (stage 1, which owns the jitter and
-	// noise random streams and therefore runs serially) overlaps with
-	// quantization and int16 packing (stage 2) on chunk boundaries.
-	// Captured values are bit-identical at every chunk size.
-	StreamChunk int
 }
 
 // TIADC is the assembled sampler.
@@ -121,9 +114,6 @@ func New(cfg Config) (*TIADC, error) {
 	}
 	if cfg.ClockJitterRMS < 0 {
 		return nil, fmt.Errorf("tiadc: negative clock jitter")
-	}
-	if cfg.StreamChunk < 0 {
-		return nil, fmt.Errorf("tiadc: negative stream chunk %d", cfg.StreamChunk)
 	}
 	a0, err := adc.New(cfg.Ch0)
 	if err != nil {
@@ -222,8 +212,8 @@ func (ti *TIADC) Capture(x sig.Signal, period, nominalD, t0 float64, n int) (*Ca
 	}
 	t0s := c0.Times(0, n)
 	t1s := c1.Times(0, n)
-	ch0, raw0 := captureChannel(ti.a0, x, t0s, ti.cfg.StreamChunk)
-	ch1, raw1 := captureChannel(ti.a1, x, t1s, ti.cfg.StreamChunk)
+	ch0, raw0 := captureChannel(ti.a0, x, t0s)
+	ch1, raw1 := captureChannel(ti.a1, x, t1s)
 	return &Capture{
 		T:        period,
 		NominalD: nominalD,
@@ -236,38 +226,27 @@ func (ti *TIADC) Capture(x sig.Signal, period, nominalD, t0 float64, n int) (*Ca
 	}, nil
 }
 
-// captureChannel drives one converter through the bounded two-stage
-// acquisition pipeline: the producer runs the analog front end serially in
-// index order (it owns the converter's jitter and noise random streams),
-// and the consumer digitizes each completed chunk — through the packed
-// int16 capture memory when the converter supports it — while the producer
-// holds the next one. Both stages observe the exact serial order, so the
-// result is bit-identical to sampling then quantizing the whole capture at
-// once, at every chunk size and pipeline depth (the streaming tests and the
-// unchanged goldens pin this).
-func captureChannel(a *adc.ADC, x sig.Signal, times []float64, chunk int) (vals []float64, raw []int16) {
+// captureChannel runs one converter over the instants and digitizes the
+// held values, through the packed int16 capture memory when the converter
+// supports it. The analog front end draws its random stream serially and
+// evaluates the signal over the par pool (see adc.ADC.Analog), so the
+// capture — Raw codes included — is bit-identical at any worker count.
+func captureChannel(a *adc.ADC, x sig.Signal, times []float64) (vals []float64, raw []int16) {
 	n := len(times)
 	vals = getVals(n)
-	if a.Int16Capable() {
-		raw = getRaw(n)
+	a.Analog(x, times, vals)
+	if !a.Int16Capable() {
+		for i, v := range vals {
+			vals[i] = a.Quantize(v)
+		}
+		return vals, nil
 	}
-	par.Stream(n, chunk, 0,
-		func(lo, hi int) {
-			a.Analog(x, times[lo:hi], vals[lo:hi])
-		},
-		func(lo, hi int) {
-			if raw != nil {
-				for i := lo; i < hi; i++ {
-					c := a.EncodeInt16(vals[i])
-					raw[i] = c
-					vals[i] = a.DecodeInt16(c)
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				vals[i] = a.Quantize(vals[i])
-			}
-		})
+	raw = getRaw(n)
+	for i, v := range vals {
+		c := a.EncodeInt16(v)
+		raw[i] = c
+		vals[i] = a.DecodeInt16(c)
+	}
 	return vals, raw
 }
 

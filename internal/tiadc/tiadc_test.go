@@ -2,9 +2,11 @@ package tiadc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adc"
+	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -158,9 +160,9 @@ func TestChannelAccessor(t *testing.T) {
 	}
 }
 
-// streamTestConfig is a representative impaired two-channel setup for the
-// streaming-capture determinism tests.
-func streamTestConfig(chunk int) Config {
+// captureTestConfig is a representative impaired two-channel setup for the
+// capture determinism tests.
+func captureTestConfig() Config {
 	return Config{
 		Ch0: adc.Config{Bits: 10, FullScale: 1.5, JitterRMS: 3e-12,
 			NoiseRMS: 1e-3, Seed: 11},
@@ -169,42 +171,48 @@ func streamTestConfig(chunk int) Config {
 		DCDE:           DCDE{Min: 0, Max: 1e-9, Bias: 0.4e-12},
 		ClockJitterRMS: 3e-12,
 		Seed:           7,
-		StreamChunk:    chunk,
 	}
 }
 
-func TestCaptureStreamChunkInvariance(t *testing.T) {
-	tone := &sig.Tone{Amp: 1, Freq: 13e6}
-	var ref *Capture
-	for _, chunk := range []int{0, 1, 7, 64, 5000} {
-		ti, err := New(streamTestConfig(chunk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ti.Capture(tone, 1e-8, 180e-12, 1e-7, 900)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Raw0 == nil || c.Raw1 == nil {
-			t.Fatalf("chunk=%d: 10-bit capture must fill the int16 buffers", chunk)
-		}
-		if ref == nil {
-			ref = c
-			continue
-		}
+// captureAtWorkers acquires one capture on a fresh sampler with the pool
+// width set to w.
+func captureAtWorkers(t *testing.T, cfg Config, w, n int) *Capture {
+	t.Helper()
+	defer par.SetWorkers(par.SetWorkers(w))
+	ti, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ti.Capture(&sig.Tone{Amp: 1, Freq: 13e6}, 1e-8, 180e-12, 1e-7, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCaptureWorkerInvariance: the front end draws its random stream
+// serially and fans only the signal evaluations out, so the floats and the
+// packed int16 codes of a capture are bit-identical at every pool width.
+func TestCaptureWorkerInvariance(t *testing.T) {
+	ref := captureAtWorkers(t, captureTestConfig(), 1, 900)
+	if ref.Raw0 == nil || ref.Raw1 == nil {
+		t.Fatal("10-bit capture must fill the int16 buffers")
+	}
+	for _, w := range []int{2, 8} {
+		c := captureAtWorkers(t, captureTestConfig(), w, 900)
 		for i := range c.Ch0 {
 			if c.Ch0[i] != ref.Ch0[i] || c.Ch1[i] != ref.Ch1[i] {
-				t.Fatalf("chunk=%d sample %d: floats differ from chunk=0 capture", chunk, i)
+				t.Fatalf("workers=%d sample %d: floats differ from the serial capture", w, i)
 			}
 			if c.Raw0[i] != ref.Raw0[i] || c.Raw1[i] != ref.Raw1[i] {
-				t.Fatalf("chunk=%d sample %d: raw codes differ from chunk=0 capture", chunk, i)
+				t.Fatalf("workers=%d sample %d: raw codes differ from the serial capture", w, i)
 			}
 		}
 	}
 }
 
 func TestCaptureRawDecodesToFloats(t *testing.T) {
-	ti, err := New(streamTestConfig(32))
+	ti, err := New(captureTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,60 +233,69 @@ func TestCaptureRawDecodesToFloats(t *testing.T) {
 	}
 }
 
-func TestCaptureStreamMatchesDirectSampleOracle(t *testing.T) {
-	// The streamed capture must be bit-identical to the serial reference:
-	// clock times drawn up front, then each channel sampled and quantized in
-	// one pass (the seed implementation this pipeline replaced).
-	cfg := streamTestConfig(17)
-	ti, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// serialChannel is the one-sample-at-a-time reference front end: per index,
+// draw the jitter, evaluate the signal, draw the noise, quantize.
+func serialChannel(cfg adc.Config, x sig.Signal, times []float64) []float64 {
+	a, _ := adc.New(cfg)
+	gain := cfg.Gain
+	if gain == 0 {
+		gain = 1
 	}
-	tone := &sig.Tone{Amp: 1, Freq: 13e6}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	out := make([]float64, len(times))
+	for i, t := range times {
+		te := t
+		if cfg.JitterRMS > 0 {
+			te += cfg.JitterRMS * rng.NormFloat64()
+		}
+		v := gain*x.At(te) + cfg.Offset
+		if cfg.NoiseRMS > 0 {
+			v += cfg.NoiseRMS * rng.NormFloat64()
+		}
+		out[i] = a.Quantize(v)
+	}
+	return out
+}
+
+func TestCaptureStreamMatchesDirectSampleOracle(t *testing.T) {
+	// The captured sample stream, acquired with the evaluations fanned over
+	// eight workers, must be bit-identical to the serial reference: clock
+	// times drawn up front, then each channel sampled and quantized one
+	// index at a time.
+	cfg := captureTestConfig()
 	period, d, t0 := 1e-8, 180e-12, 1e-7
 	n := 400
-	c, err := ti.Capture(tone, period, d, t0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference path with fresh converters and clocks at the same seeds.
-	a0, _ := adc.New(cfg.Ch0)
-	a1, _ := adc.New(cfg.Ch1)
+	c := captureAtWorkers(t, cfg, 8, n)
+	tone := &sig.Tone{Amp: 1, Freq: 13e6}
 	seedBase := cfg.Seed + 1*7919 // first acquisition on a fresh TIADC
 	c0, _ := adc.NewClock(period, t0, cfg.ClockJitterRMS, seedBase)
 	c1, _ := adc.NewClock(period, t0+c.ActualD, cfg.ClockJitterRMS, seedBase+1)
-	want0 := a0.Sample(tone, c0.Times(0, n))
-	want1 := a1.Sample(tone, c1.Times(0, n))
+	want0 := serialChannel(cfg.Ch0, tone, c0.Times(0, n))
+	want1 := serialChannel(cfg.Ch1, tone, c1.Times(0, n))
+	if c.ActualD != d+cfg.DCDE.Bias {
+		t.Fatalf("actual delay %g", c.ActualD)
+	}
 	for i := range want0 {
 		if c.Ch0[i] != want0[i] || c.Ch1[i] != want1[i] {
-			t.Fatalf("sample %d: streamed capture differs from serial oracle", i)
+			t.Fatalf("sample %d: capture differs from serial oracle", i)
 		}
 	}
 }
 
 func TestCaptureFloatFallbackWithoutQuantizer(t *testing.T) {
 	// Ideal (unquantized) channels cannot use the int16 memory: Raw stays
-	// nil and the float path must still be chunk-invariant.
-	mk := func(chunk int) *Capture {
-		ti, err := New(Config{DCDE: DCDE{Min: 0, Max: 1e-9},
-			ClockJitterRMS: 3e-12, Seed: 5, StreamChunk: chunk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ti.Capture(&sig.Tone{Amp: 1, Freq: 13e6}, 1e-8, 180e-12, 1e-7, 333)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a := mk(3)
-	b := mk(256)
+	// nil and the float path must still be worker-count invariant.
+	cfg := Config{DCDE: DCDE{Min: 0, Max: 1e-9}, ClockJitterRMS: 3e-12, Seed: 5,
+		Ch0: adc.Config{JitterRMS: 2e-12, NoiseRMS: 1e-3, Seed: 1},
+		Ch1: adc.Config{JitterRMS: 2e-12, NoiseRMS: 1e-3, Seed: 2}}
+	a := captureAtWorkers(t, cfg, 1, 333)
+	b := captureAtWorkers(t, cfg, 8, 333)
 	if a.Raw0 != nil || a.Raw1 != nil {
 		t.Fatal("ideal channels must not allocate raw buffers")
 	}
 	for i := range a.Ch0 {
 		if a.Ch0[i] != b.Ch0[i] || a.Ch1[i] != b.Ch1[i] {
-			t.Fatalf("sample %d: float fallback not chunk-invariant", i)
+			t.Fatalf("sample %d: float fallback not worker-count invariant", i)
 		}
 	}
 }
