@@ -215,43 +215,6 @@ func benchRecon(b *testing.B, halfTaps int) {
 func BenchmarkReconstructorAt61Taps(b *testing.B)  { benchRecon(b, 30) }
 func BenchmarkReconstructorAt121Taps(b *testing.B) { benchRecon(b, 60) }
 
-// benchReconBlock measures the blocked batch path over a sorted instant
-// block (ns/op is per instant, directly comparable to benchRecon): the
-// delay-independent tables are prepared once and reused across candidate
-// delays, which is the LMS hot-loop shape.
-func benchReconBlock(b *testing.B, halfTaps int) {
-	band := pnbs.Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
-	tt := band.T()
-	n := 512
-	ch0 := make([]float64, n)
-	ch1 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ch0[i] = math.Cos(2 * math.Pi * 1e9 * float64(i) * tt)
-		ch1[i] = math.Cos(2 * math.Pi * 1e9 * (float64(i)*tt + d))
-	}
-	r, err := pnbs.NewReconstructor(band, d, 0, ch0, ch1, pnbs.Options{HalfTaps: halfTaps})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lo, hi := r.ValidRange()
-	const nt = 300
-	ts := make([]float64, nt)
-	for i := range ts {
-		ts[i] = lo + float64(i)/(nt-1)*(hi-lo)
-	}
-	dst := make([]float64, nt)
-	r.AtBlock(ts, dst) // build the per-instant tables outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += nt {
-		r.AtBlock(ts, dst)
-	}
-}
-
-func BenchmarkAtBlock61Taps(b *testing.B)  { benchReconBlock(b, 30) }
-func BenchmarkAtBlock121Taps(b *testing.B) { benchReconBlock(b, 60) }
-
 // BenchmarkEnvelopeGrid measures the measure stage's fused per-phase grid
 // path (ns/op per grid point at 8x oversampling).
 func BenchmarkEnvelopeGrid(b *testing.B) {
@@ -306,44 +269,6 @@ func BenchmarkCostEvaluation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ce.Cost(180e-12 + float64(i%7)*1e-12); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCostBatch measures the multi-candidate batched evaluation (the
-// CostCurve / bracket-scan shape): ns/op is for the whole 16-candidate
-// batch, directly comparable to 16x BenchmarkCostEvaluation's ns/op. The
-// batch shares the delay-independent fused tables across candidates.
-func BenchmarkCostBatch(b *testing.B) {
-	bandB := pnbs.Band{FLow: 955e6, B: 90e6}
-	bandB1 := skew.HalfRateBand(bandB)
-	d := 180e-12
-	mk := func(band pnbs.Band, t0 float64, n int) skew.SampleSet {
-		tt := band.T()
-		ch0 := make([]float64, n)
-		ch1 := make([]float64, n)
-		for i := 0; i < n; i++ {
-			ch0[i] = math.Cos(2 * math.Pi * 1.003e9 * (t0 + float64(i)*tt))
-			ch1[i] = math.Cos(2 * math.Pi * 1.003e9 * (t0 + float64(i)*tt + d))
-		}
-		return skew.SampleSet{Band: band, T0: t0, Ch0: ch0, Ch1: ch1}
-	}
-	setB := mk(bandB, 0, 300)
-	setB1 := mk(bandB1, -400e-9, 180)
-	times := skew.RandomTimes(500e-9, 1600e-9, 300, 1)
-	ce, err := skew.NewCostEvaluator(setB, setB1, times, pnbs.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dHats := make([]float64, 16)
-	for i := range dHats {
-		dHats[i] = 100e-12 + float64(i)*12e-12
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ce.CostBatch(dHats); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -606,22 +531,6 @@ func BenchmarkCPMEnvelopeEval(b *testing.B) {
 		acc += c.At(float64(i) * 1.37e-8)
 	}
 	_ = acc
-}
-
-func BenchmarkResampler(b *testing.B) {
-	r, err := dsp.NewResampler(3, 2, 12, 70)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = math.Sin(0.05 * float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Apply(x)
-	}
 }
 
 // Helpers keeping the benchmark imports tidy.

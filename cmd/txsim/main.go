@@ -128,7 +128,7 @@ func run(args []string, out, diag io.Writer) error {
 
 // sampleEnvelope evaluates the envelope on the uniform grid i/fs into the
 // caller's buffer — the same write-into idiom as pnbs.AtTimesInto /
-// EnvelopeInto, so repeated invocations (sweep scripts calling run() in a
+// EnvelopeGridInto, so repeated invocations (sweep scripts calling run() in a
 // loop) can reuse one buffer and the fan-out itself never allocates.
 func sampleEnvelope(env sig.Envelope, fs float64, out []complex128) {
 	par.For(len(out), func(i int) {

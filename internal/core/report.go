@@ -41,6 +41,29 @@ var (
 	tnADCCheck    = trace.Intern("core.stage.adccheck")
 )
 
+// stageTimer times one pipeline stage into both instruments at once: the
+// stage's latency histogram and its trace span open together and close
+// together, so the metrics and the timeline always cover the same work.
+type stageTimer struct {
+	hist obs.Span
+	span trace.Span
+}
+
+// startStage opens the histogram timer, then the trace span under parent.
+func startStage(parent trace.Ctx, h *obs.Histogram, name trace.NameID) stageTimer {
+	hist := h.Start()
+	return stageTimer{hist: hist, span: trace.Start(parent, name)}
+}
+
+// Ctx returns the context the stage's child spans start from.
+func (st *stageTimer) Ctx() trace.Ctx { return st.span.Ctx() }
+
+// End closes the trace span, then records the histogram sample.
+func (st *stageTimer) End() {
+	st.span.End()
+	st.hist.End()
+}
+
 // ComputeBudget estimates the arithmetic work of one BIST execution — the
 // quantity behind the paper's remark that the technique "is more suitable
 // for an offline implementation". Counts are analytic (derived from the
@@ -155,10 +178,8 @@ func (b *BIST) Run() (*Report, error) {
 func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	c := b.cfg
 	mRuns.Inc()
-	total := hRunTotal.Start()
-	defer total.End()
-	run := trace.Start(tc, tnRun)
-	run.SetAttr("scenario", b.tx.Describe())
+	run := startStage(tc, hRunTotal, tnRun)
+	run.span.SetAttr("scenario", b.tx.Describe())
 	defer run.End()
 	rep := &Report{
 		Scenario: b.tx.Describe(),
@@ -184,11 +205,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	}
 
 	// 1-2. Acquire the PA output nonuniformly at both rates.
-	spAcq := hStageAcquire.Start()
-	tAcq := trace.Start(run.Ctx(), tnAcquire)
+	acq := startStage(run.Ctx(), hStageAcquire, tnAcquire)
 	setB, setB1, caps, actualD, err := b.acquire()
-	tAcq.End()
-	spAcq.End()
+	acq.End()
 	if err != nil {
 		return nil, err
 	}
@@ -202,11 +221,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	rep.DActual = actualD
 
 	// 3. Identify the channel delay (Algorithm 1).
-	spEst := hStageEstim.Start()
-	tEst := trace.Start(run.Ctx(), tnEstimate)
-	res, ce, err := b.estimate(tEst.Ctx(), setB, setB1)
-	tEst.End()
-	spEst.End()
+	est := startStage(run.Ctx(), hStageEstim, tnEstimate)
+	res, ce, err := b.estimate(est.Ctx(), setB, setB1)
+	est.End()
 	if err != nil {
 		return nil, err
 	}
@@ -214,26 +231,21 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	rep.LMS = res
 
 	// 4. Reconstruct the bandpass waveform with the estimated delay.
-	spRec := hStageRecon.Start()
-	tRec := trace.Start(run.Ctx(), tnReconstruct)
+	recon := startStage(run.Ctx(), hStageRecon, tnReconstruct)
 	rec, err := b.Reconstructor(setB, res.DHat)
+	if err == nil {
+		// Ground-truth fidelity at the evaluation instants.
+		got := rec.AtTimes(ce.Times())
+		want := sig.SampleAt(b.tx.Output(), ce.Times())
+		rep.ReconRelErr = dsp.RelRMSError(got, want)
+	}
+	recon.End()
 	if err != nil {
-		tRec.End()
-		spRec.End()
 		return nil, err
 	}
-	// Ground-truth fidelity at the evaluation instants.
-	truth := b.tx.Output()
-	got := rec.AtTimes(ce.Times())
-	want := sig.SampleAt(truth, ce.Times())
-	rep.ReconRelErr = dsp.RelRMSError(got, want)
-	tRec.End()
-	spRec.End()
 
-	spMeas := hStageMeasure.Start()
-	defer spMeas.End()
-	tMeas := trace.Start(run.Ctx(), tnMeasure)
-	defer tMeas.End()
+	meas := startStage(run.Ctx(), hStageMeasure, tnMeasure)
+	defer meas.End()
 
 	// 5. Spectral measurements.
 	if c.Mask != nil {
@@ -260,7 +272,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 			rep.ACPRHighDB = v
 		}
 		// Reference: the same measurement directly on the Tx envelope.
-		refSpec, err := b.referencePSD(tMeas.Ctx())
+		refSpec, err := b.referencePSD(meas.Ctx())
 		if err == nil {
 			if refRep, err := mask.Check(c.Mask, refSpec, c.Fc); err == nil {
 				rep.RefMask = refRep

@@ -47,7 +47,7 @@ type UnitResult struct {
 	Unit   int
 	Pass   bool
 	SkewPS float64
-	// WorstMarginDB is the mask margin (when a mask ran).
+	// WorstMarginDB is the mask margin (when a mask ran; 0 otherwise).
 	WorstMarginDB float64
 }
 
@@ -57,7 +57,8 @@ type YieldReport struct {
 	Passes int
 	// Yield is Passes / len(Units).
 	Yield float64
-	// WorstSkewPS and WorstMarginDB summarise the tails.
+	// WorstSkewPS and WorstMarginDB summarise the tails. WorstMarginDB is
+	// taken over the units with a mask verdict, and is 0 when none has one.
 	WorstSkewPS   float64
 	WorstMarginDB float64
 }
@@ -123,6 +124,7 @@ func RunYield(base Config, spread ProcessSpread, nUnits int, seed int64) (*Yield
 		return nil, fmt.Errorf("core: yield run needs at least one unit")
 	}
 	units := make([]UnitResult, nUnits)
+	hasMargin := make([]bool, nUnits)
 	err := par.ForErr(nUnits, func(u int) error {
 		b, err := New(unitConfig(base, spread, seed, u))
 		if err != nil {
@@ -134,7 +136,7 @@ func RunYield(base Config, spread ProcessSpread, nUnits int, seed int64) (*Yield
 		}
 		ur := UnitResult{Unit: u, Pass: r.Pass, SkewPS: r.SkewErrPS()}
 		if r.Mask != nil {
-			ur.WorstMarginDB = r.Mask.WorstMarginDB
+			ur.WorstMarginDB, hasMargin[u] = r.Mask.WorstMarginDB, true
 		}
 		units[u] = ur
 		return nil
@@ -142,11 +144,12 @@ func RunYield(base Config, spread ProcessSpread, nUnits int, seed int64) (*Yield
 	if err != nil {
 		return nil, err
 	}
-	rep := &YieldReport{WorstMarginDB: 1e9}
+	rep := &YieldReport{}
+	haveWorst := false
 	for u := 0; u < nUnits; u++ {
 		ur := units[u]
-		if ur.WorstMarginDB != 0 && ur.WorstMarginDB < rep.WorstMarginDB {
-			rep.WorstMarginDB = ur.WorstMarginDB
+		if hasMargin[u] && (!haveWorst || ur.WorstMarginDB < rep.WorstMarginDB) {
+			rep.WorstMarginDB, haveWorst = ur.WorstMarginDB, true
 		}
 		if ur.SkewPS > rep.WorstSkewPS {
 			rep.WorstSkewPS = ur.SkewPS

@@ -105,3 +105,23 @@ func TestYieldDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestYieldWithoutMaskHasNoMarginSentinel: with no mask configured no unit
+// has a verdict, so the lot's worst margin stays at its 0 "none" value
+// instead of leaking the search's start value.
+func TestYieldWithoutMaskHasNoMarginSentinel(t *testing.T) {
+	base := fastScenario()
+	base.Mask = nil
+	rep, err := RunYield(base, TypicalSpread(), 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WorstMarginDB != 0 {
+		t.Fatalf("worst margin %g dB with no mask verdict, want 0", rep.WorstMarginDB)
+	}
+	for _, u := range rep.Units {
+		if u.WorstMarginDB != 0 {
+			t.Fatalf("unit %d margin %g dB with no mask verdict", u.Unit, u.WorstMarginDB)
+		}
+	}
+}

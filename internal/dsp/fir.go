@@ -62,25 +62,6 @@ func DesignLowpass(numTaps int, cutoff float64, w WindowType, beta float64) (*FI
 	return f, nil
 }
 
-// DesignBandpass designs a linear-phase bandpass FIR with -6 dB edges f1 < f2
-// (cycles/sample) by spectral subtraction of two windowed-sinc lowpasses.
-func DesignBandpass(numTaps int, f1, f2 float64, w WindowType, beta float64) (*FIR, error) {
-	if numTaps < 1 {
-		return nil, fmt.Errorf("dsp: DesignBandpass: numTaps %d < 1", numTaps)
-	}
-	if !(0 < f1 && f1 < f2 && f2 < 0.5) {
-		return nil, fmt.Errorf("dsp: DesignBandpass: need 0 < f1 < f2 < 0.5, got %g, %g", f1, f2)
-	}
-	win := Window(w, numTaps, beta)
-	taps := make([]float64, numTaps)
-	mid := float64(numTaps-1) / 2
-	for i := range taps {
-		d := float64(i) - mid
-		taps[i] = (2*f2*Sinc(2*f2*d) - 2*f1*Sinc(2*f1*d)) * win[i]
-	}
-	return &FIR{Taps: taps}, nil
-}
-
 // normalizeDC scales the taps for unity gain at DC.
 func (f *FIR) normalizeDC() {
 	s := 0.0

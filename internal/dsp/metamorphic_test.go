@@ -102,68 +102,3 @@ func TestFFTConjugateSymmetryAllLengths(t *testing.T) {
 		}
 	}
 }
-
-// TestResampleIdentity: the L == M resampler must be the identity to within
-// sinc rounding — its prototype collapses to a near-unit impulse (sin(pi k)
-// leaves ~1e-17 residue off-centre).
-func TestResampleIdentity(t *testing.T) {
-	r, err := NewResampler(1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(105))
-	x := make([]float64, 257)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := r.Apply(x)
-	if len(y) != len(x) {
-		t.Fatalf("identity resampler changed length: %d -> %d", len(x), len(y))
-	}
-	for i := range y {
-		if math.Abs(y[i]-x[i]) > 1e-12*(1+math.Abs(x[i])) {
-			t.Fatalf("identity resampler altered sample %d: %g -> %g", i, x[i], y[i])
-		}
-	}
-	// The reduction path must behave the same: 3/3 == 1/1.
-	r33, err := NewResampler(3, 3, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r33.L != 1 || r33.M != 1 {
-		t.Errorf("3/3 not reduced: L=%d M=%d", r33.L, r33.M)
-	}
-}
-
-// TestResampleRoundTripBandlimited: upsampling by 2 then decimating by 2
-// must return a bandlimited signal to itself within the prototype's
-// stopband leakage, away from the edges.
-func TestResampleRoundTripBandlimited(t *testing.T) {
-	up, err := NewResampler(2, 1, 16, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down, err := NewResampler(1, 2, 16, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 400
-	x := make([]float64, n)
-	for i := range x {
-		tv := float64(i)
-		x[i] = math.Sin(2*math.Pi*0.04*tv) + 0.5*math.Cos(2*math.Pi*0.11*tv+0.3)
-	}
-	y := down.Apply(up.Apply(x))
-	if len(y) < n {
-		t.Fatalf("roundtrip shortened signal: %d -> %d", n, len(y))
-	}
-	worst := 0.0
-	for i := n / 4; i < 3*n/4; i++ { // interior: clear of kernel edge effects
-		if d := math.Abs(y[i] - x[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 2e-3 {
-		t.Errorf("roundtrip interior error %g exceeds 2e-3", worst)
-	}
-}

@@ -248,28 +248,3 @@ func TestRealFFTOddAndEmpty(t *testing.T) {
 		t.Errorf("odd RealFFTHalf DC %v, want 2", h[0])
 	}
 }
-
-func TestAnalyticSignalFFTRecoversSignalAndQuadrature(t *testing.T) {
-	// A pure cosine over an integer number of cycles: the analytic signal
-	// must be exp(i phi) — real part the input, imaginary part the sine.
-	for _, n := range []int{128, 125} { // even (real plan) and odd (fallback)
-		x := make([]float64, n)
-		cycles := 7.0
-		for i := range x {
-			x[i] = math.Cos(2 * math.Pi * cycles * float64(i) / float64(n))
-		}
-		z := AnalyticSignalFFT(x)
-		for i := range x {
-			wantIm := math.Sin(2 * math.Pi * cycles * float64(i) / float64(n))
-			if math.Abs(real(z[i])-x[i]) > 1e-10 {
-				t.Fatalf("n=%d: real part off at %d: %g vs %g", n, i, real(z[i]), x[i])
-			}
-			if math.Abs(imag(z[i])-wantIm) > 1e-10 {
-				t.Fatalf("n=%d: quadrature off at %d: %g vs %g", n, i, imag(z[i]), wantIm)
-			}
-		}
-	}
-	if AnalyticSignalFFT(nil) != nil {
-		t.Error("empty input should give nil")
-	}
-}

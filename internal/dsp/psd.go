@@ -271,8 +271,3 @@ func WelchReal(x []float64, fs float64, cfg WelchConfig) (*Spectrum, error) {
 	})
 	return spectrumFromPSD(psd, fs, 0), nil
 }
-
-// Periodogram is the single-segment special case of Welch.
-func Periodogram(x []complex128, fs, centre float64, win WindowType, beta float64) (*Spectrum, error) {
-	return WelchComplex(x, fs, centre, WelchConfig{SegmentLen: len(x), Win: win, Beta: beta})
-}

@@ -88,22 +88,6 @@ func TestWelchErrors(t *testing.T) {
 	}
 }
 
-func TestPeriodogramCentreShift(t *testing.T) {
-	n := 1024
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(1, 0) // DC only
-	}
-	spec, err := Periodogram(x, 1e6, 2e9, Hann, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fpk := spec.PeakBin()
-	if math.Abs(fpk-2e9) > spec.BinWidth {
-		t.Errorf("centre-shifted DC peak at %g, want 2e9", fpk)
-	}
-}
-
 func TestSpectrumHelpers(t *testing.T) {
 	s := &Spectrum{
 		Freqs:    []float64{-1, 0, 1},

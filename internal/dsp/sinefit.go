@@ -49,55 +49,3 @@ func SineFit3(t, x []float64, f float64) (amp, phase, offset float64, err error)
 	offset = sol[2]
 	return amp, phase, offset, nil
 }
-
-// SineFit4 refines frequency as well (four-parameter fit) by Newton
-// iterations around an initial frequency guess f0. Returns the refined
-// frequency along with amplitude, phase and offset.
-func SineFit4(t, x []float64, f0 float64, iters int) (f, amp, phase, offset float64, err error) {
-	f = f0
-	if iters < 1 {
-		iters = 1
-	}
-	for it := 0; it < iters; it++ {
-		w := 2 * math.Pi * f
-		// Linearised model: x ~ a cos(wt) + b sin(wt) + c + dw * t *
-		// (-a sin(wt) + b cos(wt)); solve 4x4 for (a, b, c, dw').
-		amp, phase, offset, err = SineFit3(t, x, f)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		a0 := amp * math.Cos(phase)
-		b0 := -amp * math.Sin(phase)
-		var m [4][4]float64
-		var rhs [4]float64
-		for i := range t {
-			c := math.Cos(w * t[i])
-			s := math.Sin(w * t[i])
-			g := t[i] * (-a0*s + b0*c) // d/dw of the model
-			row := [4]float64{c, s, 1, g}
-			res := x[i]
-			for r := 0; r < 4; r++ {
-				for q := 0; q < 4; q++ {
-					m[r][q] += row[r] * row[q]
-				}
-				rhs[r] += res * row[r]
-			}
-		}
-		mm := make([][]float64, 4)
-		bb := make([]float64, 4)
-		for r := 0; r < 4; r++ {
-			mm[r] = append([]float64(nil), m[r][:]...)
-			bb[r] = rhs[r]
-		}
-		sol, ok := SolveLinear(mm, bb)
-		if !ok {
-			return 0, 0, 0, 0, fmt.Errorf("dsp: SineFit4: singular system at iteration %d", it)
-		}
-		dw := sol[3]
-		f += dw / (2 * math.Pi)
-		amp = math.Hypot(sol[0], sol[1])
-		phase = math.Atan2(-sol[1], sol[0])
-		offset = sol[2]
-	}
-	return f, amp, phase, offset, nil
-}

@@ -198,28 +198,6 @@ func TestSineFit3Errors(t *testing.T) {
 	}
 }
 
-func TestSineFit4RefinesFrequency(t *testing.T) {
-	f0 := 1e6
-	fTrue := 1.0003e6
-	n := 2000
-	ts := make([]float64, n)
-	xs := make([]float64, n)
-	for i := range ts {
-		ts[i] = float64(i) * 1e-8
-		xs[i] = math.Cos(2 * math.Pi * fTrue * ts[i])
-	}
-	f, amp, _, _, err := SineFit4(ts, xs, f0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f-fTrue) > 1 { // within 1 Hz
-		t.Errorf("refined f = %g, want %g", f, fTrue)
-	}
-	if math.Abs(amp-1) > 1e-6 {
-		t.Errorf("amp = %g", amp)
-	}
-}
-
 func TestSolveLinearComplexRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -147,33 +147,3 @@ func KaiserOrder(attenDB, transWidth float64) int {
 	}
 	return int(math.Ceil(n))
 }
-
-// CoherentGain is the mean of the window coefficients; dividing a windowed
-// DFT magnitude by n*CoherentGain recovers tone amplitudes.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
-}
-
-// NoiseBandwidth returns the equivalent noise bandwidth of the window in
-// bins: N * sum(w^2) / sum(w)^2. Used to normalise Welch PSD estimates.
-func NoiseBandwidth(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var s, s2 float64
-	for _, v := range w {
-		s += v
-		s2 += v * v
-	}
-	if s == 0 {
-		return 0
-	}
-	return float64(len(w)) * s2 / (s * s)
-}

@@ -141,23 +141,6 @@ func TestKaiserOrderMonotonic(t *testing.T) {
 	KaiserOrder(60, 0)
 }
 
-func TestCoherentGainAndNoiseBandwidth(t *testing.T) {
-	rect := Window(Rectangular, 64, 0)
-	if g := CoherentGain(rect); math.Abs(g-1) > 1e-12 {
-		t.Errorf("rect coherent gain = %g", g)
-	}
-	if nb := NoiseBandwidth(rect); math.Abs(nb-1) > 1e-12 {
-		t.Errorf("rect noise bandwidth = %g", nb)
-	}
-	hann := Window(Hann, 4096, 0)
-	if nb := NoiseBandwidth(hann); math.Abs(nb-1.5) > 0.01 {
-		t.Errorf("hann noise bandwidth = %g, want ~1.5", nb)
-	}
-	if CoherentGain(nil) != 0 || NoiseBandwidth(nil) != 0 {
-		t.Error("empty window edge cases")
-	}
-}
-
 func TestWindowTypeString(t *testing.T) {
 	if Rectangular.String() != "rectangular" || KaiserWin.String() != "kaiser" {
 		t.Error("WindowType.String mismatch")

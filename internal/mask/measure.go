@@ -2,8 +2,6 @@ package mask
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/dsp"
 )
@@ -53,65 +51,4 @@ func OccupiedBandwidth(spec *dsp.Spectrum, fraction float64) (obw, centre float6
 		hi = lo
 	}
 	return hi - lo, centroid, nil
-}
-
-// SpectralFlatness returns the ratio of geometric to arithmetic mean of the
-// PSD over [f1, f2] (1 = perfectly flat, smaller = peaky). OFDM occupied
-// bands score near 1; a tone scores near 0.
-func SpectralFlatness(spec *dsp.Spectrum, f1, f2 float64) (float64, error) {
-	if spec == nil || spec.Len() == 0 {
-		return 0, fmt.Errorf("mask: flatness: empty spectrum")
-	}
-	if f1 > f2 {
-		f1, f2 = f2, f1
-	}
-	var logSum, sum float64
-	n := 0
-	for i, f := range spec.Freqs {
-		if f < f1 || f > f2 {
-			continue
-		}
-		p := spec.PSD[i]
-		if p <= 0 {
-			p = 1e-300
-		}
-		logSum += math.Log(p)
-		sum += p
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("mask: flatness: no bins in [%g, %g]", f1, f2)
-	}
-	geo := math.Exp(logSum / float64(n))
-	ari := sum / float64(n)
-	if ari == 0 {
-		return 0, nil
-	}
-	return geo / ari, nil
-}
-
-// PercentileLevel returns the given percentile (0..100) of the PSD values
-// in [f1, f2], useful for robust noise-floor estimation under spurs.
-func PercentileLevel(spec *dsp.Spectrum, f1, f2, percentile float64) (float64, error) {
-	if spec == nil || spec.Len() == 0 {
-		return 0, fmt.Errorf("mask: percentile: empty spectrum")
-	}
-	if percentile < 0 || percentile > 100 {
-		return 0, fmt.Errorf("mask: percentile %g outside [0, 100]", percentile)
-	}
-	if f1 > f2 {
-		f1, f2 = f2, f1
-	}
-	var vals []float64
-	for i, f := range spec.Freqs {
-		if f >= f1 && f <= f2 {
-			vals = append(vals, spec.PSD[i])
-		}
-	}
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("mask: percentile: no bins in [%g, %g]", f1, f2)
-	}
-	sort.Float64s(vals)
-	idx := int(percentile / 100 * float64(len(vals)-1))
-	return vals[idx], nil
 }

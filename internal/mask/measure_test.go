@@ -58,62 +58,3 @@ func TestOccupiedBandwidthValidation(t *testing.T) {
 		t.Error("zero power must fail")
 	}
 }
-
-func TestSpectralFlatness(t *testing.T) {
-	flat := rectSpectrum(0, 10e6, 10e6, 50e3) // whole span in-band
-	v, err := SpectralFlatness(flat, -4e6, 4e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v < 0.99 {
-		t.Errorf("flat band flatness %g", v)
-	}
-	// A peaky spectrum scores low.
-	peaky := rectSpectrum(0, 10e6, 10e6, 50e3)
-	for i := range peaky.PSD {
-		peaky.PSD[i] = 1e-9
-	}
-	peaky.PSD[len(peaky.PSD)/2] = 1
-	v2, err := SpectralFlatness(peaky, -4e6, 4e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 > 0.1 {
-		t.Errorf("peaky flatness %g", v2)
-	}
-	if _, err := SpectralFlatness(flat, 20e6, 30e6); err == nil {
-		t.Error("empty range must fail")
-	}
-	if _, err := SpectralFlatness(nil, 0, 1); err == nil {
-		t.Error("nil spectrum must fail")
-	}
-	// Swapped bounds accepted.
-	if _, err := SpectralFlatness(flat, 4e6, -4e6); err != nil {
-		t.Error("swapped bounds should work")
-	}
-}
-
-func TestPercentileLevel(t *testing.T) {
-	spec := rectSpectrum(0, 4e6, 10e6, 50e3)
-	// Median over the whole span: floor (most bins are out of band).
-	med, err := PercentileLevel(spec, -5e6, 5e6, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med > 1e-6 {
-		t.Errorf("median %g should be the floor", med)
-	}
-	hi, _ := PercentileLevel(spec, -5e6, 5e6, 100)
-	if hi != 1 {
-		t.Errorf("p100 %g", hi)
-	}
-	if _, err := PercentileLevel(spec, -5e6, 5e6, 150); err == nil {
-		t.Error("percentile > 100 must fail")
-	}
-	if _, err := PercentileLevel(spec, 20e6, 30e6, 50); err == nil {
-		t.Error("empty range must fail")
-	}
-	if _, err := PercentileLevel(nil, 0, 1, 50); err == nil {
-		t.Error("nil spectrum must fail")
-	}
-}

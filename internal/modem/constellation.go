@@ -180,58 +180,3 @@ func grayToBinary(g int) int {
 	}
 	return b
 }
-
-// Pi4DQPSK encodes bits differentially with pi/4-DQPSK phase transitions
-// {±pi/4, ±3pi/4}. It returns the transmitted symbol sequence starting from
-// phase 0. Bit pairs are consumed MSB first.
-func Pi4DQPSK(bits []int) ([]complex128, error) {
-	if len(bits)%2 != 0 {
-		return nil, fmt.Errorf("modem: pi/4-DQPSK needs an even bit count, got %d", len(bits))
-	}
-	// Gray-coded dibit -> phase increment.
-	incr := map[int]float64{
-		0b00: math.Pi / 4,
-		0b01: 3 * math.Pi / 4,
-		0b11: -3 * math.Pi / 4,
-		0b10: -math.Pi / 4,
-	}
-	out := make([]complex128, 0, len(bits)/2)
-	phase := 0.0
-	for i := 0; i < len(bits); i += 2 {
-		d := bits[i]<<1 | bits[i+1]
-		phase += incr[d]
-		s, c := math.Sincos(phase)
-		out = append(out, complex(c, s))
-	}
-	return out, nil
-}
-
-// DemapPi4DQPSK differentially decodes a pi/4-DQPSK symbol sequence back to
-// bits (the inverse of Pi4DQPSK, tolerant of a common phase rotation since
-// only phase DIFFERENCES carry information).
-func DemapPi4DQPSK(symbols []complex128) ([]int, error) {
-	if len(symbols) == 0 {
-		return nil, fmt.Errorf("modem: pi/4-DQPSK demap of empty input")
-	}
-	out := make([]int, 0, 2*len(symbols))
-	prev := complex(1, 0)
-	for _, s := range symbols {
-		d := s * cmplx.Conj(prev)
-		prev = s
-		dphi := math.Atan2(imag(d), real(d))
-		// Slice to the nearest legal increment {+-pi/4, +-3pi/4}.
-		var bits [2]int
-		switch {
-		case dphi >= 0 && dphi < math.Pi/2:
-			bits = [2]int{0, 0} // +pi/4
-		case dphi >= math.Pi/2:
-			bits = [2]int{0, 1} // +3pi/4
-		case dphi < 0 && dphi >= -math.Pi/2:
-			bits = [2]int{1, 0} // -pi/4
-		default:
-			bits = [2]int{1, 1} // -3pi/4
-		}
-		out = append(out, bits[0], bits[1])
-	}
-	return out, nil
-}

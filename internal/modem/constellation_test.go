@@ -150,73 +150,3 @@ func TestByName(t *testing.T) {
 		t.Error("unknown name must error")
 	}
 }
-
-func TestPi4DQPSK(t *testing.T) {
-	syms, err := Pi4DQPSK([]int{0, 0, 0, 1, 1, 1, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syms) != 4 {
-		t.Fatalf("got %d symbols", len(syms))
-	}
-	for i, s := range syms {
-		if math.Abs(cmplx.Abs(s)-1) > 1e-12 {
-			t.Errorf("symbol %d not unit magnitude", i)
-		}
-	}
-	// First dibit 00 -> +pi/4.
-	if d := math.Abs(math.Atan2(imag(syms[0]), real(syms[0])) - math.Pi/4); d > 1e-12 {
-		t.Errorf("first phase off by %g", d)
-	}
-	// Each transition must be one of +-pi/4, +-3pi/4 (never 0 or pi):
-	// the pi/4-DQPSK envelope therefore never crosses the origin.
-	prev := complex(1, 0)
-	for _, s := range syms {
-		dphi := math.Atan2(imag(s/prev), real(s/prev))
-		ad := math.Abs(dphi)
-		if math.Abs(ad-math.Pi/4) > 1e-9 && math.Abs(ad-3*math.Pi/4) > 1e-9 {
-			t.Errorf("illegal transition %g", dphi)
-		}
-		prev = s
-	}
-	if _, err := Pi4DQPSK([]int{1}); err == nil {
-		t.Error("odd bits must error")
-	}
-}
-
-func TestPi4DQPSKRoundTrip(t *testing.T) {
-	bits := []int{0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1}
-	syms, err := Pi4DQPSK(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DemapPi4DQPSK(syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bits {
-		if back[i] != bits[i] {
-			t.Fatalf("bit %d: %d != %d", i, back[i], bits[i])
-		}
-	}
-	// Rotation invariance: differential decoding survives a common phase.
-	rot := cmplx.Exp(complex(0, 0.7))
-	rotated := make([]complex128, len(syms))
-	for i, s := range syms {
-		rotated[i] = s * rot
-	}
-	// The first symbol's difference is taken against the unrotated origin,
-	// so skip it and compare the rest.
-	back2, err := DemapPi4DQPSK(rotated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i < len(bits); i++ {
-		if back2[i] != bits[i] {
-			t.Fatalf("rotated bit %d: %d != %d", i, back2[i], bits[i])
-		}
-	}
-	if _, err := DemapPi4DQPSK(nil); err == nil {
-		t.Error("empty must fail")
-	}
-}

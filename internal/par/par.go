@@ -3,7 +3,7 @@
 // the skew/pnbs hot path (dual-rate cost, reconstruction instants) and by
 // every experiment runner with independent sweep points, traces, or units.
 //
-// Determinism contract: For/Map/MapErr assign results by index, so the
+// Determinism contract: For/MapErr assign results by index, so the
 // output of a call never depends on goroutine scheduling or on the worker
 // count. Callers that reduce (e.g. the cost function's mean square) write
 // per-index partials and fold them serially in index order, which keeps
@@ -74,7 +74,7 @@ func parseWorkersEnv(s string) (n int, warn string) {
 // Both SetWorkers and the BIST_WORKERS env path enforce it.
 const maxWorkers = 1024
 
-// Workers returns the pool width used by For/Map: the SetWorkers (or
+// Workers returns the pool width used by For/MapErr: the SetWorkers (or
 // BIST_WORKERS) override if present, else min(GOMAXPROCS, NumCPU).
 func Workers() int {
 	if n := workerOverride.Load(); n > 0 {
@@ -109,54 +109,89 @@ func SetWorkers(n int) int {
 // item) it runs inline with no goroutine overhead. A panic in any fn is
 // re-raised in the caller after the remaining workers drain.
 func For(n int, fn func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	mForCalls.Inc()
-	mForTasks.Add(int64(n))
+	w := account(n, n)
 	if w <= 1 {
-		mForInline.Inc()
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var (
-		next    atomic.Int64
-		abort   atomic.Bool
-		panicMu sync.Mutex
-		panicV  any
-	)
-	var wg sync.WaitGroup
+	run(n, w, func(_ int, p *pool) {
+		for i, ok := p.claim(); ok; i, ok = p.claim() {
+			fn(i)
+		}
+	})
+}
+
+// account records one fan-out of n items in the pool counters and returns
+// the number of workers to start for its parts independently claimable
+// pieces (the items themselves, or ForChunks' chunks). A result of at most
+// one means the caller runs the pieces inline, which is counted as such.
+// A negative n counts as zero items, so par.for.tasks never decreases.
+func account(n, parts int) int {
+	mForCalls.Inc()
+	mForTasks.Add(int64(max(n, 0)))
+	w := min(Workers(), parts)
+	if w <= 1 {
+		mForInline.Inc()
+	}
+	return w
+}
+
+// pool is the state the workers of one fan-out share: a work-stealing
+// claim counter over [0, tasks) and the first panic any task raised.
+type pool struct {
+	tasks  int
+	next   atomic.Int64
+	abort  atomic.Bool
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	panicV any
+}
+
+// claim hands out the next unclaimed task index; ok is false once every
+// task is claimed or a worker has panicked.
+func (p *pool) claim() (k int, ok bool) {
+	if p.abort.Load() {
+		return 0, false
+	}
+	k = int(p.next.Add(1)) - 1
+	return k, k < p.tasks
+}
+
+// capture is deferred by every worker: it keeps the first panic and stops
+// further claims, so the remaining workers drain quickly.
+func (p *pool) capture() {
+	if r := recover(); r != nil {
+		p.mu.Lock()
+		if p.panicV == nil {
+			p.panicV = r
+		}
+		p.mu.Unlock()
+		p.abort.Store(true)
+	}
+}
+
+// run is the one scheduling loop behind For, ForCtx and ForChunks: it
+// starts w goroutines, each running worker(slot, p) to claim and execute
+// tasks of [0, tasks) until none remain, and returns when all have
+// finished. A panic in any worker is re-raised in the caller after the
+// others drain.
+func run(tasks, w int, worker func(slot int, p *pool)) {
+	p := &pool{tasks: tasks}
+	p.wg.Add(w)
 	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
+		go func(slot int) {
 			mActive.Add(1)
 			defer mActive.Add(-1)
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-					abort.Store(true)
-				}
-			}()
-			for !abort.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+			defer p.wg.Done()
+			defer p.capture()
+			worker(slot, p)
+		}(g)
 	}
-	wg.Wait()
-	if panicV != nil {
-		panic(fmt.Sprintf("par: worker panic: %v", panicV))
+	p.wg.Wait()
+	if p.panicV != nil {
+		panic(fmt.Sprintf("par: worker panic: %v", p.panicV))
 	}
 }
 
@@ -185,25 +220,19 @@ func ForCtx(tc trace.Ctx, n int, fn func(i int)) {
 	forTraced(tc, n, func(_ trace.Ctx, i int) { fn(i) })
 }
 
-// forTraced mirrors For's pool loop with span instrumentation; fn receives
-// the "par.task" span's context so callees can nest their own spans on the
-// worker's display row. It is a separate body (rather than a hook inside
-// For) so the untraced path keeps its exact allocation profile.
+// forTraced is For with span instrumentation; fn receives the "par.task"
+// span's context so callees can nest their own spans on the worker's
+// display row. It is a separate entry (rather than a hook inside For) so
+// the untraced path keeps its exact allocation profile.
 func forTraced(tc trace.Ctx, n int, fn func(taskCtx trace.Ctx, i int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	mForCalls.Inc()
-	mForTasks.Add(int64(n))
 	runTask := func(wc trace.Ctx, i int) {
 		sp := trace.Start(wc, tnTask)
 		sp.SetInt("i", int64(i))
 		defer sp.End()
 		fn(sp.Ctx(), i)
 	}
+	w := account(n, n)
 	if w <= 1 {
-		mForInline.Inc()
 		ws := trace.StartOnTrack("par.worker.00", tc, tnWorker)
 		wc := ws.Ctx()
 		for i := 0; i < n; i++ {
@@ -212,45 +241,14 @@ func forTraced(tc trace.Ctx, n int, fn func(taskCtx trace.Ctx, i int)) {
 		ws.End()
 		return
 	}
-	var (
-		next    atomic.Int64
-		abort   atomic.Bool
-		panicMu sync.Mutex
-		panicV  any
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(slot int) {
-			mActive.Add(1)
-			defer mActive.Add(-1)
-			defer wg.Done()
-			ws := trace.StartOnTrack(fmt.Sprintf("par.worker.%02d", slot), tc, tnWorker)
-			defer ws.End()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-					abort.Store(true)
-				}
-			}()
-			wc := ws.Ctx()
-			for !abort.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				runTask(wc, i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(fmt.Sprintf("par: worker panic: %v", panicV))
-	}
+	run(n, w, func(slot int, p *pool) {
+		ws := trace.StartOnTrack(fmt.Sprintf("par.worker.%02d", slot), tc, tnWorker)
+		defer ws.End()
+		wc := ws.Ctx()
+		for i, ok := p.claim(); ok; i, ok = p.claim() {
+			runTask(wc, i)
+		}
+	})
 }
 
 // MapErrCtx is MapErr with trace attribution (see ForCtx). fn receives the
@@ -284,14 +282,6 @@ func ForErr(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Map evaluates fn over [0, n) on the pool and returns the results in
-// index order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
 }
 
 // MapErr evaluates fn over [0, n) on the pool. It returns the results in

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestWorkersBounds(t *testing.T) {
@@ -30,8 +32,11 @@ func TestWorkersBounds(t *testing.T) {
 func TestMapDeterministicOrdering(t *testing.T) {
 	for _, w := range []int{1, 2, 7} {
 		prev := SetWorkers(w)
-		got := Map(100, func(i int) int { return i * i })
+		got, err := MapErr(100, func(i int) (int, error) { return i * i, nil })
 		SetWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, v, i*i)
@@ -67,25 +72,39 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForPanicPropagation(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		prev := SetWorkers(w)
-		func() {
-			defer SetWorkers(prev)
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: panic not propagated", w)
-				}
-				if w > 1 && !strings.Contains(fmt.Sprint(r), "boom") {
-					t.Fatalf("workers=%d: panic value lost: %v", w, r)
-				}
-			}()
+	fanOuts := map[string]func(){
+		"For": func() {
 			For(50, func(i int) {
 				if i == 13 {
 					panic("boom")
 				}
 			})
-		}()
+		},
+		"ForChunks": func() {
+			ForChunks(500, 16, func(lo, _ int) {
+				if lo == 160 {
+					panic("boom")
+				}
+			})
+		},
+	}
+	for name, fanOut := range fanOuts {
+		for _, w := range []int{1, 4} {
+			prev := SetWorkers(w)
+			func() {
+				defer SetWorkers(prev)
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s workers=%d: panic not propagated", name, w)
+					}
+					if w > 1 && !strings.Contains(fmt.Sprint(r), "boom") {
+						t.Fatalf("%s workers=%d: panic value lost: %v", name, w, r)
+					}
+				}()
+				fanOut()
+			}()
+		}
 	}
 }
 
@@ -130,10 +149,55 @@ func TestMapErr(t *testing.T) {
 }
 
 func TestForZeroAndNegativeN(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	calls0, tasks0, inline0 := mForCalls.Value(), mForTasks.Value(), mForInline.Value()
 	calls := 0
 	For(0, func(int) { calls++ })
 	For(-3, func(int) { calls++ })
+	ForChunks(0, 16, func(int, int) { calls++ })
+	ForChunks(-3, 16, func(int, int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("fn called %d times for empty ranges", calls)
+	}
+	// par.for.tasks is exported as a Prometheus counter: an empty or
+	// negative range adds no tasks and must never make it go down.
+	if d := mForTasks.Value() - tasks0; d != 0 {
+		t.Errorf("par.for.tasks moved by %d for empty ranges, want 0", d)
+	}
+	if d := mForCalls.Value() - calls0; d != 4 {
+		t.Errorf("par.for.calls moved by %d, want 4", d)
+	}
+	if d := mForInline.Value() - inline0; d != 4 {
+		t.Errorf("par.for.inline moved by %d, want 4 (empty ranges run inline)", d)
+	}
+}
+
+// TestForChunksFixedBoundaries pins ForChunks' contract: every chunk runs
+// exactly once with bounds that depend only on (n, chunk), at any worker
+// count, and each call counts n tasks.
+func TestForChunksFixedBoundaries(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	const n, chunk = 1000, 64
+	for _, w := range []int{1, 2, 7} {
+		prev := SetWorkers(w)
+		tasks0 := mForTasks.Value()
+		seen := make([]atomic.Int64, (n+chunk-1)/chunk)
+		ForChunks(n, chunk, func(lo, hi int) {
+			if lo%chunk != 0 || hi != min(lo+chunk, n) {
+				t.Errorf("workers=%d: chunk [%d, %d) off the fixed grid", w, lo, hi)
+			}
+			seen[lo/chunk].Add(1)
+		})
+		SetWorkers(prev)
+		for ci := range seen {
+			if c := seen[ci].Load(); c != 1 {
+				t.Fatalf("workers=%d: chunk %d ran %d times", w, ci, c)
+			}
+		}
+		if d := mForTasks.Value() - tasks0; d != n {
+			t.Errorf("workers=%d: par.for.tasks moved by %d, want %d", w, d, n)
+		}
 	}
 }

@@ -17,10 +17,9 @@ import (
 // costs a single dot product of the 2h+1 coefficient pairs against the
 // capture, with no window, kernel, or trigonometric work in the loop.
 //
-// Unlike AtBlock (whose results are pinned bit-for-bit by the estimate
-// goldens), the grid path feeds tolerance-checked spectral measurements,
-// so it evaluates the kernel directly through Kernel.S — the atReference
-// form — and agrees with At to reassociated rounding (~1e-12 relative).
+// The grid path feeds tolerance-checked spectral measurements, so it
+// evaluates the kernel directly through Kernel.S — the atReference form —
+// and agrees with At to reassociated rounding (~1e-12 relative).
 // Instants whose tap span is clamped at the capture edges, or that do not
 // land on the expected uniform pattern, fall back to At per instant.
 
@@ -115,27 +114,14 @@ func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
 	return acc
 }
 
-// AtGridInto evaluates the reconstruction on the uniform grid
-// t_i = t0 + i/fs for i < len(out), through the fused per-phase tables
-// when the grid is commensurate with the capture rate and through At
-// otherwise. The instants fan out over the par pool exactly like
-// AtTimesInto, so the observability counters see the same work.
-func (r *Reconstructor) AtGridInto(t0, fs float64, out []float64) {
-	g := r.gridFor(t0, fs)
-	par.For(len(out), func(i int) {
-		t := t0 + float64(i)/fs
-		if g != nil {
-			out[i] = g.at(r, i, t)
-		} else {
-			out[i] = r.At(t)
-		}
-	})
-}
-
 // EnvelopeGridInto evaluates the complex envelope around fc on the uniform
 // grid t_i = t0 + i/fs for i < len(out), by instantaneous analytic mixing
-// of the grid-path reconstruction (see Envelope). It is the zero-alloc,
-// table-driven form of EnvelopeInto for the measure stage's grids.
+// of the reconstruction: out[i] = 2·x(t_i)·exp(-i2π·fc·t_i). The caller
+// lowpasses or decimates the result (the 2fc image is attenuated by the
+// subsequent PSD windowing or filtering). x comes from the fused per-phase
+// tables when fs is an integer multiple of the capture rate and from At
+// otherwise; the instants fan out over the par pool and the call is
+// allocation-free once the tables are built.
 func (r *Reconstructor) EnvelopeGridInto(fc, t0, fs float64, out []complex128) {
 	g := r.gridFor(t0, fs)
 	par.For(len(out), func(i int) {

@@ -1,0 +1,230 @@
+package pnbs
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand"
+	"testing"
+)
+
+// mixAt is the inline oracle of the grid path: the per-instant At
+// reconstruction mixed down around fc, 2·At(t)·exp(-i2π·fc·t).
+func mixAt(r *Reconstructor, fc, t float64) complex128 {
+	v := r.At(t)
+	s, c := math.Sincos(2 * math.Pi * fc * t)
+	return complex(2*v*c, -2*v*s)
+}
+
+// gridVsAt evaluates EnvelopeGridInto on n points of the grid t0 + i/fs
+// and returns it with the oracle values and their peak magnitude.
+func gridVsAt(r *Reconstructor, fc, t0, fs float64, n int) (got, want []complex128, peak float64) {
+	got = make([]complex128, n)
+	r.EnvelopeGridInto(fc, t0, fs, got)
+	want = make([]complex128, n)
+	for i := range want {
+		want[i] = mixAt(r, fc, t0+float64(i)/fs)
+		peak = math.Max(peak, cmplx.Abs(want[i]))
+	}
+	return got, want, peak
+}
+
+// noisyCapture is toneCapture roughened with seeded uniform noise, so the
+// per-phase tables are checked against data that is not a smooth tone.
+func noisyCapture(band Band, d float64, n int, seed int64) (ch0, ch1 []float64) {
+	ch0, ch1 = toneCapture(band, d, n)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range ch0 {
+		ch0[i] += 0.1 * (2*rng.Float64() - 1)
+		ch1[i] += 0.1 * (2*rng.Float64() - 1)
+	}
+	return ch0, ch1
+}
+
+// TestEnvelopeGridMatchesAt pins the measure stage's production path
+// (EnvelopeGridInto over the gridPrep tables) against the inline mix of
+// the per-instant At oracle, at the DESIGN §5f tier of 1e-9 relative to
+// the peak.
+func TestEnvelopeGridMatchesAt(t *testing.T) {
+	band := paperBand()
+	fc := band.Fc()
+	const tol = 1e-9
+
+	t.Run("commensurate", func(t *testing.T) {
+		for _, d := range []float64{120e-12, 180.8e-12, 240e-12} {
+			ch0, ch1 := noisyCapture(band, d, 260, 7)
+			r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, _ := r.ValidRange()
+			for _, over := range []int{1, 2, 4, 8} {
+				fs := float64(over) * band.B
+				for _, off := range []float64{0, 0.37, 0.81} {
+					t0 := lo + off/fs
+					got, want, peak := gridVsAt(r, fc, t0, fs, 150*over)
+					g := r.grid.Load()
+					if g == nil || g.over != over || g.t0 != t0 || g.d != d {
+						t.Fatalf("d=%g over=%d off=%g: grid tables not built for this grid", d, over, off)
+					}
+					for i := range got {
+						if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
+							t.Fatalf("d=%g over=%d off=%g i=%d: grid %v vs At %v (err %g, peak %g)",
+								d, over, off, i, got[i], want[i], e, peak)
+						}
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("capture edges", func(t *testing.T) {
+		d := 180e-12
+		ch0, ch1 := noisyCapture(band, d, 120, 11)
+		r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The grid starts before the capture and runs past its end, so
+		// the first and last instants have a clamped tap span and fall
+		// back to At: those must equal the oracle bit for bit.
+		const over = 4
+		fs := over * band.B
+		t0 := -10 * r.tStep
+		n := over * 140
+		got, want, peak := gridVsAt(r, fc, t0, fs, n)
+		h := r.opt.HalfTaps
+		clamped := 0
+		for i := range got {
+			tv := t0 + float64(i)/fs
+			n0 := int(math.Round((tv - r.t0) / r.tStep))
+			if n0-h < 0 || n0+h >= len(ch0) {
+				clamped++
+				if got[i] != want[i] {
+					t.Fatalf("clamped i=%d t=%g: grid %v != At %v", i, tv, got[i], want[i])
+				}
+			} else if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
+				t.Fatalf("interior i=%d: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
+			}
+		}
+		if clamped == 0 || clamped == n {
+			t.Fatalf("%d of %d instants clamped: the grid does not straddle the capture edges", clamped, n)
+		}
+	})
+
+	t.Run("incommensurate rate", func(t *testing.T) {
+		d := 180e-12
+		ch0, ch1 := noisyCapture(band, d, 200, 13)
+		r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, _ := r.ValidRange()
+		fs := 3.7 * band.B // not an integer multiple of the capture rate
+		got, want, _ := gridVsAt(r, fc, lo, fs, 300)
+		if g := r.grid.Load(); g != nil {
+			t.Fatalf("grid tables built for an incommensurate rate (over=%d)", g.over)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("i=%d: grid %v != At %v on the per-instant fallback", i, got[i], want[i])
+			}
+		}
+	})
+
+	t.Run("retune invalidates", func(t *testing.T) {
+		ch0, ch1 := noisyCapture(band, 180e-12, 260, 17)
+		r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, _ := r.ValidRange()
+		fs := 4 * band.B
+		before, _, _ := gridVsAt(r, fc, lo, fs, 600)
+		if err := r.Retune(240e-12); err != nil {
+			t.Fatal(err)
+		}
+		got, want, peak := gridVsAt(r, fc, lo, fs, 600)
+		if g := r.grid.Load(); g == nil || g.d != 240e-12 {
+			t.Fatal("grid tables not rebuilt at the retuned delay")
+		}
+		moved := false
+		for i := range got {
+			if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
+				t.Fatalf("i=%d after Retune: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
+			}
+			moved = moved || cmplx.Abs(got[i]-before[i]) > tol*peak
+		}
+		if !moved {
+			t.Fatal("retuned grid equals the grid at the old delay: stale tables")
+		}
+	})
+}
+
+// absAt is the conditioning scale of At(t): the sum of the magnitudes of
+// its tap terms, which bounds the rounding of any reassociated evaluation.
+func absAt(r *Reconstructor, t float64) float64 {
+	n0 := int(math.Round((t - r.t0) / r.tStep))
+	h := r.opt.HalfTaps
+	d := r.kern.D()
+	acc := 0.0
+	for n := n0 - h; n <= n0+h; n++ {
+		if n < 0 || n >= len(r.ch0) {
+			continue
+		}
+		tn := r.t0 + float64(n)*r.tStep
+		acc += math.Abs(r.ch0[n]*r.kern.S(t-tn)*r.window(t-tn)) +
+			math.Abs(r.ch1[n]*r.kern.S(tn+d-t)*r.window(tn+d-t))
+	}
+	return acc
+}
+
+// FuzzEnvelopeGridVsAt differentially fuzzes the grid path against the
+// inline mix of At on fuzzed delays, grid offsets, oversampling factors
+// and capture contents. Grids run inside, across and outside the capture,
+// so the table path, the clamped-edge fallback and the empty-support
+// zeros are all reached; the bound is 1e-9 of the conditioning scale.
+func FuzzEnvelopeGridVsAt(f *testing.F) {
+	f.Add(0.36, 0.5, uint8(4), int64(1))
+	f.Add(0.9, 0.0, uint8(1), int64(2))   // grid starting on a sample point
+	f.Add(0.36, -1.5, uint8(8), int64(3)) // grid outside the valid range
+	f.Add(0.123, 0.77, uint8(3), int64(4))
+	f.Add(0.5, 0.25, uint8(2), int64(5))
+	f.Fuzz(func(t *testing.T, dFrac, tFrac float64, over uint8, seed int64) {
+		if math.IsNaN(dFrac) || math.IsInf(dFrac, 0) || math.IsNaN(tFrac) || math.IsInf(tFrac, 0) {
+			t.Skip()
+		}
+		band := Band{FLow: 955e6, B: 90e6}
+		maxD := 2 / band.B
+		d := math.Remainder(dFrac, 2) * maxD / 2
+		rng := rand.New(rand.NewSource(seed))
+		n := 72
+		ch0 := make([]float64, n)
+		ch1 := make([]float64, n)
+		for i := range ch0 {
+			ch0[i] = 2*rng.Float64() - 1
+			ch1[i] = 2*rng.Float64() - 1
+		}
+		r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{HalfTaps: 6})
+		if err != nil {
+			t.Skip() // infeasible delay
+		}
+		fs := float64(1+over%8) * band.B
+		span := float64(n) * r.tStep
+		// Fold tFrac into [-0.5, 1.5] spans: inside, edges, and outside.
+		t0 := (math.Remainder(tFrac, 2) - 0.25) * span
+		got := make([]complex128, 33)
+		r.EnvelopeGridInto(band.Fc(), t0, fs, got)
+		scale := 0.0
+		for i := range got {
+			scale = math.Max(scale, 2*absAt(r, t0+float64(i)/fs))
+		}
+		for i := range got {
+			tv := t0 + float64(i)/fs
+			want := mixAt(r, band.Fc(), tv)
+			if e := cmplx.Abs(got[i] - want); e > 1e-9*scale {
+				t.Fatalf("d=%g fs=%g t=%g: grid %v vs At %v (err %g, scale %g)",
+					d, fs, tv, got[i], want, e, scale)
+			}
+		}
+	})
+}

@@ -343,7 +343,8 @@ func TestReconstructorEnvelopeDownconversion(t *testing.T) {
 	for i := range ts {
 		ts[i] = lo + float64(i)*tt/4 // 4x oversampled envelope grid
 	}
-	env := r.Envelope(b.Fc(), ts)
+	env := make([]complex128, len(ts))
+	r.EnvelopeGridInto(b.Fc(), lo, 4*b.B, env)
 	// Windowed DTFT of the envelope: the desired complex tone sits at +fb
 	// with amplitude ~1; the 2fc image aliases far out of band.
 	phasor := func(f float64) float64 {

@@ -59,19 +59,16 @@ type Reconstructor struct {
 	// second (delayed-channel) kernel term, whose phase advances the other
 	// way across taps. They depend only on the band, like rot*.
 	cjA0, cjB0, cjA1, cjB1 complex128
-	// block caches the per-instant tables of the batch evaluation path
-	// (AtBlock); see block.go. The tables are delay-independent, so they
-	// survive Retune; the pointer is atomic so concurrent AtBlock callers
-	// on a shared reconstructor stay race-free. The slot itself is held by
-	// pointer so Clone can share one cache across a pool of retuned copies.
-	block *atomic.Pointer[blockPrep]
 	// fused caches the contracted tables of the reassociated fused path
-	// (AtBlockFused/CostFused); see fused.go. Delay-independent and shared
-	// across clones, like block.
+	// (AtBlockFused/CostFused); see fused.go. The tables are delay-
+	// independent, so they survive Retune; the pointer is atomic so
+	// concurrent callers on a shared reconstructor stay race-free. The slot
+	// itself is held by pointer so Clone can share one cache across a pool
+	// of retuned copies.
 	fused *atomic.Pointer[fusedPrep]
 	// grid caches the fused per-phase coefficient tables of the uniform-
-	// grid path (AtGridInto/EnvelopeGridInto); see grid.go. These fold the
-	// delay in, so a Retune invalidates them (checked by value).
+	// grid path (EnvelopeGridInto); see grid.go. These fold the delay in,
+	// so a Retune invalidates them (checked by value).
 	grid atomic.Pointer[gridPrep]
 }
 
@@ -101,7 +98,6 @@ func NewReconstructor(band Band, dEst, t0 float64, ch0, ch1 []float64, opt Optio
 		ch1:      ch1,
 		opt:      o,
 		winScale: 1 / (float64(o.HalfTaps+1) * band.T()),
-		block:    new(atomic.Pointer[blockPrep]),
 		fused:    new(atomic.Pointer[fusedPrep]),
 	}
 	if o.KaiserBeta > 0 {
@@ -129,15 +125,15 @@ func (r *Reconstructor) Retune(dHat float64) error {
 
 // Clone returns an independent reconstructor over the same capture, retuned
 // to dHat. The clone has its own kernel (so Retune on one never disturbs
-// another) but SHARES the delay-independent prepared-table caches (block and
-// fused) with the original and all its clones: the first member of the
-// family to prepare an instant block publishes the tables for everyone.
+// another) but SHARES the delay-independent fused-table cache with the
+// original and all its clones: the first member of the family to prepare
+// an instant block publishes the tables for everyone.
 // This is what lets a pool of per-candidate evaluator workers amortize one
 // table build across arbitrarily many candidate delays. Sharing is safe
 // because the prepared tables are immutable and validated by instant-set
 // value match on every use; concurrent preparation of different instant
 // sets merely thrashes the cache, it never corrupts a result. The
-// delay-dependent grid cache (AtGridInto) is deliberately NOT shared.
+// delay-dependent grid cache (EnvelopeGridInto) is deliberately NOT shared.
 func (r *Reconstructor) Clone(dHat float64) (*Reconstructor, error) {
 	kern, err := NewKernel(r.kern.band, dHat)
 	if err != nil {
@@ -160,7 +156,6 @@ func (r *Reconstructor) Clone(dHat float64) (*Reconstructor, error) {
 		cjB0:     r.cjB0,
 		cjA1:     r.cjA1,
 		cjB1:     r.cjB1,
-		block:    r.block,
 		fused:    r.fused,
 	}
 	return c, nil
@@ -317,26 +312,5 @@ func (r *Reconstructor) AtTimes(ts []float64) []float64 {
 func (r *Reconstructor) AtTimesInto(ts []float64, out []float64) {
 	par.For(len(ts), func(i int) {
 		out[i] = r.At(ts[i])
-	})
-}
-
-// Envelope returns the complex envelope of the reconstruction around fc
-// evaluated at the given instants, by instantaneous analytic mixing. The
-// caller should lowpass/decimate the result (the 2fc image is attenuated by
-// subsequent PSD windowing or filtering).
-func (r *Reconstructor) Envelope(fc float64, ts []float64) []complex128 {
-	out := make([]complex128, len(ts))
-	r.EnvelopeInto(fc, ts, out)
-	return out
-}
-
-// EnvelopeInto is Envelope writing into a caller-provided buffer (len(out)
-// must be >= len(ts)).
-func (r *Reconstructor) EnvelopeInto(fc float64, ts []float64, out []complex128) {
-	par.For(len(ts), func(i int) {
-		t := ts[i]
-		v := r.At(t)
-		s, c := math.Sincos(2 * math.Pi * fc * t)
-		out[i] = complex(2*v*c, -2*v*s)
 	})
 }

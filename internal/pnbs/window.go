@@ -82,7 +82,7 @@ func newWindowLUT(beta float64) *windowLUT {
 // four neighbours are fetched through a single length-4 sub-slice: one
 // bounds check instead of four, with the interpolation arithmetic itself
 // untouched (its exact operation sequence is pinned by the bit-identity
-// contract of At/AtBlock).
+// contract of At).
 func (l *windowLUT) at(y float64) float64 {
 	p := y * l.inv
 	i := int(p)

@@ -49,45 +49,3 @@ func (n *BandNoise) At(t float64) float64 {
 	}
 	return v
 }
-
-// ComplexBandNoise is the baseband (complex envelope) counterpart of
-// BandNoise: circularly symmetric noise over [-bw/2, +bw/2].
-type ComplexBandNoise struct {
-	freqs  []float64
-	amps   []float64
-	phases []float64
-}
-
-// NewComplexBandNoise creates circular complex noise of total power power
-// (E[|z|^2]) uniformly spread over [-bw/2, bw/2].
-func NewComplexBandNoise(bw, power float64, nTones int, seed int64) *ComplexBandNoise {
-	if nTones < 1 {
-		nTones = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := &ComplexBandNoise{
-		freqs:  make([]float64, nTones),
-		amps:   make([]float64, nTones),
-		phases: make([]float64, nTones),
-	}
-	amp := math.Sqrt(power / float64(nTones))
-	df := bw / float64(nTones)
-	for i := 0; i < nTones; i++ {
-		n.freqs[i] = -bw/2 + (float64(i)+rng.Float64())*df
-		n.amps[i] = amp
-		n.phases[i] = 2 * math.Pi * rng.Float64()
-	}
-	return n
-}
-
-// At implements Envelope.
-func (n *ComplexBandNoise) At(t float64) complex128 {
-	var vr, vi float64
-	for i, f := range n.freqs {
-		ph := 2*math.Pi*f*t + n.phases[i]
-		s, c := math.Sincos(ph)
-		vr += n.amps[i] * c
-		vi += n.amps[i] * s
-	}
-	return complex(vr, vi)
-}

@@ -51,36 +51,6 @@ func TestBandNoiseMinTones(t *testing.T) {
 	}
 }
 
-func TestComplexBandNoiseCircularAndPower(t *testing.T) {
-	power := 2.0
-	n := NewComplexBandNoise(20e6, power, 300, 99)
-	fs := 80e6
-	ns := 1 << 14
-	var pwr, re2, im2 float64
-	for i := 0; i < ns; i++ {
-		v := n.At(float64(i) / fs)
-		pwr += real(v)*real(v) + imag(v)*imag(v)
-		re2 += real(v) * real(v)
-		im2 += imag(v) * imag(v)
-	}
-	pwr /= float64(ns)
-	if math.Abs(pwr-power) > 0.15*power {
-		t.Errorf("complex noise power %g, want ~%g", pwr, power)
-	}
-	// Circular symmetry: I and Q powers roughly equal.
-	if r := re2 / im2; r < 0.7 || r > 1.4 {
-		t.Errorf("I/Q power ratio %g", r)
-	}
-}
-
-func TestComplexBandNoiseDeterministic(t *testing.T) {
-	a := NewComplexBandNoise(1e6, 1, 0, 3) // also exercises nTones clamp
-	b := NewComplexBandNoise(1e6, 1, 0, 3)
-	if a.At(2e-6) != b.At(2e-6) {
-		t.Error("same seed must reproduce")
-	}
-}
-
 func TestPRBSProperties(t *testing.T) {
 	for _, order := range []uint{7, 9, 15} {
 		p, err := NewPRBS(order, 1)

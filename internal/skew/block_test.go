@@ -90,48 +90,3 @@ func TestCostFusedPrepSurvivesRetune(t *testing.T) {
 		}
 	}
 }
-
-// TestCostBatchMatchesLoopOfCost pins the batching contract: CostBatch
-// shares table setup across candidates but performs the exact per-candidate
-// computation Cost does (same fixed chunks, same chunk-order fold), so the
-// batch must equal a loop of Cost calls bit for bit — at any worker count.
-func TestCostBatchMatchesLoopOfCost(t *testing.T) {
-	ce := paperEvaluator(t, 180e-12)
-	dHats := []float64{60e-12, 110e-12, 180e-12, 230e-12, 310e-12, 390e-12}
-	want := make([]float64, len(dHats))
-	for i, d := range dHats {
-		v, err := ce.Cost(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
-	}
-	for _, w := range []int{1, 2, 8} {
-		prev := par.SetWorkers(w)
-		got, err := ce.CostBatch(dHats)
-		par.SetWorkers(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d candidate %d (dHat=%g): batch %.17g != Cost %.17g",
-					w, i, dHats[i], got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestCostBatchPropagatesForbiddenDelay: a candidate on a forbidden delay
-// (Eq. 3) fails the whole batch deterministically.
-func TestCostBatchPropagatesForbiddenDelay(t *testing.T) {
-	ce := paperEvaluator(t, 180e-12)
-	if _, err := ce.CostBatch([]float64{180e-12, 0}); err == nil {
-		t.Fatal("batch with a zero-delay candidate did not fail")
-	}
-	// Empty batch is a no-op.
-	out, err := ce.CostBatch(nil)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: %v, %v", out, err)
-	}
-}

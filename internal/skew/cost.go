@@ -97,7 +97,7 @@ type CostEvaluator struct {
 	// instead of rebuilding kernels and phasor tables, so the LMS hot loop
 	// runs allocation-free. A pool rather than a single pair keeps Cost
 	// safe to call from concurrent goroutines (parallel sweep points,
-	// parallel LMS traces, CostBatch candidates) without serialising them.
+	// parallel LMS traces) without serialising them.
 	workers sync.Pool // *costWorker
 	// protoB/protoB1 are the template reconstructor pair every fresh pool
 	// worker is cloned from. Clones share the delay-independent prepared
@@ -239,48 +239,6 @@ func foldChunks(partials []float64, n int) float64 {
 		acc += p
 	}
 	return acc / float64(n)
-}
-
-// CostBatch evaluates the objective at every candidate delay, amortizing
-// the delay-independent table setup across the batch: candidates fan out
-// over the par pool, each on a pooled worker whose reconstructor pair
-// shares the one contracted-table build (Clone semantics), and each
-// candidate's chunks run inline in chunk order. The per-candidate partials
-// and fold are the exact computation Cost performs, so
-// CostBatch(ds)[i] == Cost(ds[i]) bit for bit (the equivalence test pins
-// it). A candidate at a forbidden delay fails the whole batch with that
-// candidate's error (lowest index wins, deterministically).
-func (c *CostEvaluator) CostBatch(dHats []float64) ([]float64, error) {
-	out := make([]float64, len(dHats))
-	if len(dHats) == 0 {
-		return out, nil
-	}
-	mCostEvals.Add(int64(len(dHats)))
-	err := par.ForErr(len(dHats), func(i int) error {
-		w, err := c.worker(dHats[i])
-		if err != nil {
-			mCostErrors.Inc()
-			return err
-		}
-		defer c.workers.Put(w)
-		n := len(c.times)
-		partials := w.chunkStorage(n)
-		w.rB.PrepareFused(c.times)
-		w.rB1.PrepareFused(c.times)
-		for lo := 0; lo < n; lo += costChunk {
-			hi := lo + costChunk
-			if hi > n {
-				hi = n
-			}
-			partials[lo/costChunk] = pnbs.CostFused(w.rB, w.rB1, c.times, lo, hi)
-		}
-		out[i] = foldChunks(partials, n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // costSerial is the single-threaded, rebuild-everything, per-instant At

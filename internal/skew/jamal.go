@@ -132,44 +132,3 @@ func SineTestFrequency(band pnbs.Band, b, faTarget float64) (float64, error) {
 	}
 	return 0, fmt.Errorf("skew: no in-band tone aliases to %g Hz at rate %g", faTarget, b)
 }
-
-// EstimateSineUnknownFreq relaxes the known-frequency requirement of the
-// sine-fit baseline: a coarse RF frequency guess (within ~B/(4N) of the
-// truth after aliasing) is refined with a four-parameter fit before the
-// phase-reference estimate. It still requires a sinusoidal stimulus — the
-// structural limitation the LMS technique removes — but tolerates
-// synthesizer offset.
-func EstimateSineUnknownFreq(cfg SineEstimateConfig, f0Guess float64, ch0, ch1 []float64) (dHat, f0Refined float64, err error) {
-	if f0Guess <= 0 || cfg.B <= 0 {
-		return 0, 0, fmt.Errorf("skew: unknown-freq estimator needs positive guess/B")
-	}
-	if len(ch0) != len(ch1) || len(ch0) < 16 {
-		return 0, 0, fmt.Errorf("skew: unknown-freq estimator needs matched captures of >= 16 samples")
-	}
-	fa, inverted := AliasedFrequency(f0Guess, cfg.B)
-	if fa < 1e-3*cfg.B || fa > 0.4999*cfg.B {
-		return 0, 0, fmt.Errorf("skew: guessed alias %g too close to 0 or B/2", fa)
-	}
-	t := 1 / cfg.B
-	ts := make([]float64, len(ch0))
-	for i := range ts {
-		ts[i] = float64(i) * t
-	}
-	faRef, _, _, _, err := dsp.SineFit4(ts, ch0, fa, 6)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Map the refined alias back to RF around the guess.
-	dAlias := faRef - fa
-	if inverted {
-		dAlias = -dAlias
-	}
-	f0 := f0Guess + dAlias
-	refined := cfg
-	refined.F0 = f0
-	d, err := EstimateSine(refined, ch0, ch1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return d, f0, nil
-}

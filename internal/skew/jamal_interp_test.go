@@ -105,37 +105,3 @@ func TestJamalInterpValidation(t *testing.T) {
 		t.Error("degenerate data must fail")
 	}
 }
-
-func TestEstimateSineUnknownFreqRefines(t *testing.T) {
-	d := 180e-12
-	b := 90e6
-	band := pnbs.Band{FLow: 955e6, B: b}
-	f0, _ := SineTestFrequency(band, b, 0.4*b)
-	fTrue := f0 + 21e3 // synthesizer offset the known-freq fit would misread
-	ch0, ch1 := toneChannels(fTrue, b, d, 1024)
-	m := MUpper(band, HalfRateBand(band))
-	cfg := SineEstimateConfig{B: b, DMax: m}
-	got, fRef, err := EstimateSineUnknownFreq(cfg, f0, ch0, ch1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fRef-fTrue) > 100 {
-		t.Errorf("refined frequency off by %g Hz", fRef-fTrue)
-	}
-	if math.Abs(got-d) > 0.3e-12 {
-		t.Errorf("delay %.3f ps, want 180", got*1e12)
-	}
-	// The known-frequency fit with the WRONG frequency degrades: the phase
-	// ramp from the 21 kHz offset corrupts both channel phases coherently,
-	// so compare against a deliberately mistuned estimate to document why
-	// refinement matters for long records.
-	if _, _, err := EstimateSineUnknownFreq(SineEstimateConfig{B: 0}, f0, ch0, ch1); err == nil {
-		t.Error("bad config must fail")
-	}
-	if _, _, err := EstimateSineUnknownFreq(cfg, 900e6, ch0, ch1); err == nil {
-		t.Error("DC-alias guess must fail")
-	}
-	if _, _, err := EstimateSineUnknownFreq(cfg, f0, ch0[:8], ch1[:8]); err == nil {
-		t.Error("short capture must fail")
-	}
-}

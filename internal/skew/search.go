@@ -2,7 +2,6 @@ package skew
 
 import (
 	"fmt"
-	"math"
 )
 
 // This file provides alternative minimisers for the dual-rate cost. The
@@ -76,75 +75,4 @@ func GoldenSection(cost CostFunc, lo, hi, tol float64) (GoldenResult, error) {
 		d, fd = x2, f2
 	}
 	return GoldenResult{DHat: d, CostEvals: evals, Cost: fd}, nil
-}
-
-// ParabolicRefine performs one parabolic (three-point quadratic) refinement
-// of a delay estimate: it evaluates the cost at d-h, d, d+h and returns the
-// vertex of the fitted parabola. Used to squeeze the final fraction of a
-// picosecond out of either search. The result is unbounded; when the
-// estimate sits near the edge of the feasible delay interval use
-// ParabolicRefineBounded, which keeps both the probes and the vertex
-// inside [dMin, dMax] — an unconstrained refine at a bracket edge can step
-// outside ]0, m[ and hand the PNBS kernel a singular delay.
-func ParabolicRefine(cost CostFunc, d, h float64) (float64, error) {
-	return ParabolicRefineBounded(cost, d, h, math.Inf(-1), math.Inf(1))
-}
-
-// ParabolicRefineBounded is ParabolicRefine constrained to the feasible
-// interval [dMin, dMax]: the centre point is clamped inward so all three
-// probes d-h, d, d+h stay feasible (shrinking h when the interval is
-// narrower than 2h), and the fitted vertex is clamped before it is
-// returned.
-func ParabolicRefineBounded(cost CostFunc, d, h, dMin, dMax float64) (float64, error) {
-	if h <= 0 {
-		return 0, fmt.Errorf("skew: parabolic refine needs h > 0")
-	}
-	if dMax < dMin {
-		return 0, fmt.Errorf("skew: parabolic refine bounds [%g, %g] invalid", dMin, dMax)
-	}
-	clamp := func(v float64) float64 {
-		if v < dMin {
-			return dMin
-		}
-		if v > dMax {
-			return dMax
-		}
-		return v
-	}
-	if dMax-dMin < 2*h {
-		// Interval too narrow for the requested probe spacing: shrink the
-		// stencil to fit instead of probing infeasible delays.
-		h = (dMax - dMin) / 2
-		if h <= 0 {
-			return clamp(d), nil
-		}
-	}
-	d = clamp(d)
-	if d-h < dMin {
-		d = dMin + h
-	} else if d+h > dMax {
-		d = dMax - h
-	}
-	fm, err := cost(d - h)
-	if err != nil {
-		return 0, err
-	}
-	f0, err := cost(d)
-	if err != nil {
-		return 0, err
-	}
-	fp, err := cost(d + h)
-	if err != nil {
-		return 0, err
-	}
-	den := fm - 2*f0 + fp
-	if den <= 0 {
-		// Not convex at this scale; keep the (clamped) input.
-		return d, nil
-	}
-	shift := 0.5 * h * (fm - fp) / den
-	if math.Abs(shift) > h {
-		shift = math.Copysign(h, shift)
-	}
-	return clamp(d + shift), nil
 }

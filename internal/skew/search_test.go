@@ -1,7 +1,6 @@
 package skew
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -48,40 +47,6 @@ func TestGoldenSectionMatchesLMSOnPaperCost(t *testing.T) {
 	// tens of cost evaluations; neither should be pathological.
 	if gold.CostEvals > 120 || lms.CostEvals > 200 {
 		t.Errorf("excessive evals: golden %d, LMS %d", gold.CostEvals, lms.CostEvals)
-	}
-}
-
-func TestParabolicRefineImprovesEstimate(t *testing.T) {
-	// Smooth quartic-ish bowl with a known vertex.
-	cost := func(d float64) (float64, error) {
-		x := d - 2.5
-		return x*x + 0.1*x*x*x*x, nil
-	}
-	got, err := ParabolicRefine(cost, 2.45, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.5) > 5e-3 {
-		t.Errorf("refined to %g", got)
-	}
-	if _, err := ParabolicRefine(cost, 1, 0); err == nil {
-		t.Error("h=0 must fail")
-	}
-	// Concave region: refinement must not move.
-	conc := func(d float64) (float64, error) { return -d * d, nil }
-	if got, _ := ParabolicRefine(conc, 1, 0.1); got != 1 {
-		t.Errorf("concave case moved to %g", got)
-	}
-	// Shift clamping: an extreme asymmetry cannot jump more than h.
-	steep := func(d float64) (float64, error) {
-		if d < 1 {
-			return 100, nil
-		}
-		return d, nil
-	}
-	got, _ = ParabolicRefine(steep, 1.05, 0.1)
-	if math.Abs(got-1.05) > 0.1+1e-12 {
-		t.Errorf("shift not clamped: %g", got)
 	}
 }
 
@@ -135,66 +100,6 @@ func TestCostCurveSinglePoint(t *testing.T) {
 	ds, costs = CostCurve(ce, m/1000, m*0.999, 0)
 	if len(ds) != 0 || len(costs) != 0 {
 		t.Errorf("nPts=0 returned %d/%d points", len(ds), len(costs))
-	}
-}
-
-// Regression for the unclamped parabolic vertex: refining at the edge of
-// the feasible interval must neither probe nor return an infeasible delay
-// (outside ]0, m[ the PNBS kernel is singular; here the cost errors to
-// emulate that).
-func TestParabolicRefineBounded(t *testing.T) {
-	lo, hi := 1.0, 2.0
-	mkCost := func(vertex float64) CostFunc {
-		return func(d float64) (float64, error) {
-			if d < lo || d > hi {
-				return 0, fmt.Errorf("infeasible delay %g", d)
-			}
-			return (d - vertex) * (d - vertex), nil
-		}
-	}
-	// Centre at the lower edge: the d-h probe would be infeasible without
-	// the inward clamp.
-	got, err := ParabolicRefineBounded(mkCost(1.5), lo, 0.1, lo, hi)
-	if err != nil {
-		t.Fatalf("edge refine: %v", err)
-	}
-	if got < lo || got > hi {
-		t.Errorf("refined delay %g outside [%g, %g]", got, lo, hi)
-	}
-	// Steeply asymmetric cost pushing the vertex below lo: the result must
-	// be clamped to the interval, not extrapolated past it.
-	desc := func(d float64) (float64, error) {
-		if d < lo || d > hi {
-			return 0, fmt.Errorf("infeasible delay %g", d)
-		}
-		return d * d, nil // minimum far below lo
-	}
-	got, err = ParabolicRefineBounded(desc, lo+0.1, 0.1, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < lo || got > hi {
-		t.Errorf("vertex not clamped: %g", got)
-	}
-	// Interval narrower than 2h: the stencil must shrink to fit.
-	got, err = ParabolicRefineBounded(mkCost(1.05), 1.0, 0.5, 1.0, 1.1)
-	if err != nil {
-		t.Fatalf("narrow interval: %v", err)
-	}
-	if got < 1.0 || got > 1.1 {
-		t.Errorf("narrow-interval result %g outside bounds", got)
-	}
-	// Invalid bounds rejected.
-	if _, err := ParabolicRefineBounded(mkCost(1.5), 1.5, 0.1, 2, 1); err == nil {
-		t.Error("inverted bounds must fail")
-	}
-	// Unbounded wrapper unchanged: same vertex as before on a smooth bowl.
-	gotU, err := ParabolicRefine(mkCost(1.5), 1.45, 0.06)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotU-1.5) > 1e-9 {
-		t.Errorf("unbounded refine moved to %g", gotU)
 	}
 }
 
