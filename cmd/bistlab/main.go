@@ -71,7 +71,7 @@ func run(w io.Writer, args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the structured result as JSON instead of text")
 	campaignPath := fs.String("campaign", "", "coverage-campaign grid JSON file (\"default\" or empty = built-in reference grid); implies the campaign experiment when no name is given")
 	metrics := fs.Bool("metrics", false, "collect runtime metrics and append a per-run metrics block to the report")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/vars on this address for the run's duration (implies -metrics)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /metrics.prom on this address for the run's duration (implies -metrics)")
 	pprofFlag := fs.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr (net/http/pprof)")
 	traceOut := fs.String("trace", "", "record a hierarchical trace and write Chrome trace-event JSON (Perfetto-loadable) to this file; - writes to stdout")
 	traceNorm := fs.String("trace-normalized", "", "also write the normalized (timestamp-free, worker-count-invariant) span tree to this file; - writes to stdout")
@@ -273,9 +273,7 @@ func writeArtifact(w io.Writer, path string, emitFn func(io.Writer) error) error
 // emitMetricsBlock appends the per-run metrics snapshot to the report: a
 // delimited section in text mode, a second canonical-JSON document (JSON
 // lines style) after the result in -json mode. Counters are deltas since
-// the start of the invocation (the registry is reset before the run), so
-// piping the output into a BENCH_*.json trajectory carries cost-eval and
-// cache-traffic counts alongside ns/op.
+// the start of the invocation (the registry is reset before the run).
 func emitMetricsBlock(w io.Writer, jsonOut bool) error {
 	b, err := obs.MarshalSnapshot()
 	if err != nil {

@@ -52,14 +52,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("counter not visible over HTTP: %v", snap.Counters)
 	}
 
-	code, body = get(t, "http://"+srv.Addr()+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	if !strings.Contains(string(body), `"bist"`) {
-		t.Error("expvar view missing the bist variable")
-	}
-
 	// pprof was not requested: the mux must not expose it.
 	code, _ = get(t, "http://"+srv.Addr()+"/debug/pprof/")
 	if code == http.StatusOK {
@@ -185,8 +177,5 @@ func TestPprofMuxServesAllHandlers(t *testing.T) {
 	}
 	if snap.Counters["test.pprof.mux"] != 1 {
 		t.Errorf("counter not visible with pprof enabled: %v", snap.Counters)
-	}
-	if code, _ := get(t, "http://"+srv.Addr()+"/debug/vars"); code != http.StatusOK {
-		t.Errorf("/debug/vars status %d with pprof enabled", code)
 	}
 }

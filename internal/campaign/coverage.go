@@ -135,27 +135,6 @@ func cellSeed(gridSeed int64, specCanon []byte, fault string) int64 {
 	return int64(h.Sum64() ^ uint64(gridSeed))
 }
 
-// baseConfig mirrors the experiments runner's scaling: the paper scenario
-// with captures, estimation grid and PSD shrunk proportionally (floored at
-// the sizes below which the estimator is not credible).
-func baseConfig(scale float64) core.Config {
-	c := core.PaperScenario()
-	c.CaptureLen = int(2200 * scale)
-	if c.CaptureLen < 700 {
-		c.CaptureLen = 700
-	}
-	c.NTimes = int(300 * scale)
-	if c.NTimes < 60 {
-		c.NTimes = 60
-	}
-	c.PSDLen = int(2048 * scale)
-	if c.PSDLen < 512 {
-		c.PSDLen = 512
-	}
-	c.SegLen = c.PSDLen / 4
-	return c
-}
-
 // Run expands the grid into (stimulus, fault, unit) cells, runs every cell
 // through the full BIST over the par pool, and folds the results into the
 // detection matrix. It is the batch convenience over the incremental

@@ -93,7 +93,7 @@ func NewPlan(g Grid) (*Plan, error) {
 			faults = append(faults, f)
 		}
 	}
-	p := &Plan{Grid: g, base: baseConfig(g.Scale), spread: core.TypicalSpread()}
+	p := &Plan{Grid: g, base: core.ScaleAcquisition(core.PaperScenario(), g.Scale), spread: core.TypicalSpread()}
 	for _, s := range g.Stimuli {
 		canon, err := s.MarshalCanonical()
 		if err != nil {

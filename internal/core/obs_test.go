@@ -103,54 +103,67 @@ func curatedMetrics(s *obs.Snapshot) map[string]int64 {
 // A BIST run's deterministic metrics must be identical at any worker count
 // and from run to run — the same bit-invariance contract the pipeline
 // results already honour, extended to the instrumentation — and are pinned
-// to a committed golden vector.
+// to a committed golden vector. Two inputs: the fast test scenario and the
+// paper-size unit, whose golden pins the work one BIST unit costs (cost
+// evaluations, dispatched tasks, plan-cache traffic) exactly, so a work
+// regression fails here rather than hiding in wall-clock noise.
 func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)
-	run := func() {
-		t.Helper()
-		b, err := New(fastScenario())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the process-wide plan cache with collection off, so the measured
-	// runs see a steady-state cache (all hits) regardless of which tests
-	// ran first.
-	run()
+	for _, tc := range []struct {
+		name, golden string
+		cfg          Config
+	}{
+		{"fast", "testdata/golden/metrics.json", fastScenario()},
+		{"paper", "testdata/golden/metrics_paper.json", PaperScenario()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				t.Helper()
+				b, err := New(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the process-wide plan cache with collection off, so the
+			// measured runs see a steady-state cache (all hits) regardless
+			// of which tests ran first.
+			run()
 
-	var first []byte
-	var last map[string]int64
-	for _, w := range []int{1, 4} {
-		prevW := par.SetWorkers(w)
-		obs.Enable()
-		obs.Reset()
-		run()
-		obs.Disable()
-		par.SetWorkers(prevW)
-		cur := curatedMetrics(obs.Default().Snapshot())
-		enc, err := testkit.MarshalCanonical(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = enc
-		} else if !bytes.Equal(first, enc) {
-			t.Errorf("metrics snapshot differs between worker counts:\nworkers=1:\n%s\nworkers=%d:\n%s", first, w, enc)
-		}
-		last = cur
+			var first []byte
+			var last map[string]int64
+			for _, w := range []int{1, 4} {
+				prevW := par.SetWorkers(w)
+				obs.Enable()
+				obs.Reset()
+				run()
+				obs.Disable()
+				par.SetWorkers(prevW)
+				cur := curatedMetrics(obs.Default().Snapshot())
+				enc, err := testkit.MarshalCanonical(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = enc
+				} else if !bytes.Equal(first, enc) {
+					t.Errorf("metrics snapshot differs between worker counts:\nworkers=1:\n%s\nworkers=%d:\n%s", first, w, enc)
+				}
+				last = cur
+			}
+			if last["dsp.plan.misses"] != 0 {
+				t.Errorf("steady-state run missed the plan cache %d times", last["dsp.plan.misses"])
+			}
+			if last["skew.cost.evals"] == 0 || last["par.for.calls"] == 0 {
+				t.Error("curated snapshot recorded no work")
+			}
+			// Exact integers: zero tolerance.
+			testkit.Golden(t, tc.golden, last, testkit.Options{})
+		})
 	}
-	if last["dsp.plan.misses"] != 0 {
-		t.Errorf("steady-state run missed the plan cache %d times", last["dsp.plan.misses"])
-	}
-	if last["skew.cost.evals"] == 0 || last["par.for.calls"] == 0 {
-		t.Error("curated snapshot recorded no work")
-	}
-	// Exact integers: zero tolerance.
-	testkit.Golden(t, "testdata/golden/metrics.json", last, testkit.Options{})
 }
 
 // Enabling metrics must not change a single output bit of the pipeline.

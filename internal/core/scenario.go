@@ -44,6 +44,18 @@ func PaperScenario() Config {
 	}
 }
 
+// ScaleAcquisition shrinks c's capture, estimation grid and PSD in
+// proportion to scale (1 keeps the paper sizes), floored at the sizes below
+// which the estimator is not credible. The experiments and campaign
+// runners share it so a given scale means the same unit everywhere.
+func ScaleAcquisition(c Config, scale float64) Config {
+	c.CaptureLen = max(int(2200*scale), 700)
+	c.NTimes = max(int(300*scale), 60)
+	c.PSDLen = max(int(2048*scale), 512)
+	c.SegLen = c.PSDLen / 4
+	return c
+}
+
 // MultistandardScenarios returns a set of waveform/carrier configurations
 // demonstrating the flexibility claim of Section II-B: the same BIST
 // hardware covers every configuration at the minimal per-channel rate, with

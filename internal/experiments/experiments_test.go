@@ -82,7 +82,7 @@ func TestRunFig6Convergence(t *testing.T) {
 			t.Errorf("D0 %.0f ps: error %.3f ps", tr.D0*1e12,
 				math.Abs(tr.Result.DHat-r.DTrue)*1e12)
 		}
-		if tr.Result.Iterations >= 25 {
+		if tr.Result.Iterations >= 20 {
 			t.Errorf("D0 %.0f ps: %d iterations (paper: < 20)", tr.D0*1e12, tr.Result.Iterations)
 		}
 	}

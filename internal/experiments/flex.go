@@ -42,19 +42,11 @@ func RunFlex(scale float64) (*FlexResult, error) {
 	}
 	res := &FlexResult{}
 	for _, cfg := range core.MultistandardScenarios() {
-		cfg.CaptureLen = int(2200 * scale)
-		if cfg.CaptureLen < 700 {
-			cfg.CaptureLen = 700
-		}
+		cfg = core.ScaleAcquisition(cfg, scale)
 		// The empirical cost minimum wanders as 1/sqrt(NTimes); higher
 		// carriers are more sensitive (Eq. 4), so never go below the
 		// paper's N = 300 here.
 		cfg.NTimes = 300
-		cfg.PSDLen = int(2048 * scale)
-		if cfg.PSDLen < 512 {
-			cfg.PSDLen = 512
-		}
-		cfg.SegLen = cfg.PSDLen / 4
 		b, err := core.New(cfg)
 		if err != nil {
 			return nil, err

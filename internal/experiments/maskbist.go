@@ -33,26 +33,9 @@ func RunMaskBIST(scale float64) (*MaskBISTResult, error) {
 	if scale <= 0 || scale > 1 {
 		scale = 1
 	}
-	mk := func() core.Config {
-		c := core.PaperScenario()
-		c.CaptureLen = int(2200 * scale)
-		if c.CaptureLen < 700 {
-			c.CaptureLen = 700
-		}
-		c.NTimes = int(300 * scale)
-		if c.NTimes < 60 {
-			c.NTimes = 60
-		}
-		c.PSDLen = int(2048 * scale)
-		if c.PSDLen < 512 {
-			c.PSDLen = 512
-		}
-		c.SegLen = c.PSDLen / 4
-		return c
-	}
 	res := &MaskBISTResult{}
 	run := func(unit string, shouldFail bool, mutate func(*core.Config)) error {
-		cfg := mk()
+		cfg := core.ScaleAcquisition(core.PaperScenario(), scale)
 		if mutate != nil {
 			mutate(&cfg)
 		}

@@ -28,17 +28,9 @@ func RunYieldExperiment(nUnits int, scale float64) (*YieldResult, error) {
 	if scale <= 0 || scale > 1 {
 		scale = 0.5
 	}
-	base := core.PaperScenario()
-	base.CaptureLen = int(2200 * scale)
-	if base.CaptureLen < 900 {
-		base.CaptureLen = 900
-	}
+	base := core.ScaleAcquisition(core.PaperScenario(), scale)
+	base.CaptureLen = max(base.CaptureLen, 900)
 	base.NTimes = 150
-	base.PSDLen = int(2048 * scale)
-	if base.PSDLen < 512 {
-		base.PSDLen = 512
-	}
-	base.SegLen = base.PSDLen / 4
 	base.IRRTest = true
 
 	marginal := core.TypicalSpread()

@@ -13,7 +13,7 @@ import (
 )
 
 // Handler returns the fleet's HTTP surface on top of the standard
-// observability mux (so /metrics and /debug/vars come for free, pprof when
+// observability mux (so /metrics and /metrics.prom come for free, pprof when
 // asked):
 //
 //	POST /campaigns                submit a Spec; 201 on admit, 200 if the

@@ -9,11 +9,9 @@ package httpx
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -68,25 +66,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Shutdown; Close is the test/teardown path.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// publishOnce guards the expvar registration: expvar.Publish panics on a
-// duplicate name, and one process may start several servers (tests, a
-// metrics endpoint next to a fleet endpoint).
-var publishOnce sync.Once
-
 // ObsMux returns the standard observability mux: /metrics serves the
-// canonical-JSON snapshot of the default obs registry, /debug/vars the
-// expvar view of the same data (plus the stdlib memstats/cmdline vars),
-// and — only when requested — /debug/pprof. A private mux is used instead
-// of http.DefaultServeMux precisely so importing net/http/pprof does not
-// unconditionally expose profiling.
+// canonical-JSON snapshot of the default obs registry, /metrics.prom the
+// Prometheus exposition of the same registry, and — only when requested —
+// /debug/pprof. A private mux is used instead of http.DefaultServeMux
+// precisely so importing net/http/pprof does not unconditionally expose
+// profiling.
 func ObsMux(withPprof bool) *http.ServeMux {
-	publishOnce.Do(func() {
-		expvar.Publish("bist", expvar.Func(obs.ExpvarFunc()))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", MetricsHandler)
 	mux.HandleFunc("/metrics.prom", PromHandler)
-	mux.Handle("/debug/vars", expvar.Handler())
 	if withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

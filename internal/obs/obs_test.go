@@ -255,22 +255,6 @@ func TestMarshalSnapshotDeterministic(t *testing.T) {
 	})
 }
 
-func TestExpvarFuncReturnsSnapshot(t *testing.T) {
-	withEnabled(t, true, func() {
-		Reset()
-		C("ev.x").Inc()
-		v := ExpvarFunc()()
-		s, ok := v.(*Snapshot)
-		if !ok {
-			t.Fatalf("expvar value is %T", v)
-		}
-		if s.Counters["ev.x"] != 1 {
-			t.Errorf("expvar snapshot %v", s.Counters)
-		}
-		Reset()
-	})
-}
-
 func TestCounterNamesSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b")

@@ -139,7 +139,7 @@ func TestLMSConvergesFromPaperStarts(t *testing.T) {
 				d0, res.DHat*1e12, math.Abs(res.DHat-d)*1e12)
 		}
 		// Paper: convergence in < 20 iterations every time.
-		if res.Iterations >= 25 {
+		if res.Iterations >= 20 {
 			t.Errorf("d0 = %g: %d iterations", d0, res.Iterations)
 		}
 		if len(res.CostHistory) == 0 || len(res.DHistory) != len(res.CostHistory) {
