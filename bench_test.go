@@ -98,7 +98,7 @@ func BenchmarkCostEvaluation(b *testing.B) {
 
 // BenchmarkCampaignGrid measures the stimulus-coverage campaign per cell
 // (2 stimuli x 4 rows x 1 unit = 8 full BIST executions per op) with the
-// memoized stimulus payloads and pooled capture/grid buffers warm — the
+// memoized stimulus payloads and normalisation gains warm — the
 // per-unit cost a million-DUT campaign pays at steady state.
 func BenchmarkCampaignGrid(b *testing.B) {
 	g := campaign.Grid{

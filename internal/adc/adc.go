@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sig"
@@ -120,9 +119,7 @@ func (a *ADC) Analog(x sig.Signal, times, out []float64) {
 	jitter, noise := a.cfg.JitterRMS > 0, a.cfg.NoiseRMS > 0
 	te := times
 	if jitter {
-		buf := getScratch(n)
-		defer putScratch(buf)
-		te = buf
+		te = make([]float64, n)
 	}
 	// Serial draws. Each noise draw is parked in its output slot until the
 	// evaluation below folds it in.
@@ -150,20 +147,6 @@ func (a *ADC) Analog(x sig.Signal, times, out []float64) {
 // together, while a task still costs far more than its dispatch.
 const analogChunk = 64
 
-// scratchPool recycles the jittered-instant buffers of Analog: every
-// capture of a campaign needs one per channel, and Analog overwrites each
-// element before reading it.
-var scratchPool sync.Pool // *[]float64
-
-func getScratch(n int) []float64 {
-	if p, _ := scratchPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putScratch(buf []float64) { scratchPool.Put(&buf) }
-
 // Sample acquires the signal at the given instants, applying aperture
 // jitter, gain, offset, noise and quantization. The instants themselves are
 // the requested (nominal) times; the jitter perturbs the actual acquisition.
@@ -174,41 +157,6 @@ func (a *ADC) Sample(x sig.Signal, times []float64) []float64 {
 		out[i] = a.Quantize(v)
 	}
 	return out
-}
-
-// Int16Capable reports whether this converter's output fits the packed
-// fixed-point capture format: a mid-rise quantizer emits codes at odd
-// half-LSB multiples, so twice the code is an odd integer — representable
-// in an int16 for up to 15 bits — provided no static-nonlinearity profile
-// shifts the reconstruction levels off the uniform grid. The paper's 10-bit
-// converters qualify with room to spare.
-func (a *ADC) Int16Capable() bool {
-	return a.cfg.Bits > 0 && a.cfg.Bits <= 15 && a.cfg.NL == nil
-}
-
-// EncodeInt16 quantizes an analog value to the packed code 2*code (an odd
-// integer; the clipping matches Quantize). Only valid for an Int16Capable
-// converter.
-func (a *ADC) EncodeInt16(v float64) int16 {
-	lsb := a.LSB()
-	half := float64(int64(1) << uint(a.cfg.Bits-1))
-	code := math.Floor(v/lsb) + 0.5
-	if code > half-0.5 {
-		code = half - 0.5
-	}
-	if code < -half+0.5 {
-		code = -half + 0.5
-	}
-	return int16(2 * code)
-}
-
-// DecodeInt16 maps a packed code back to the reconstructed analog level.
-// Halving the code is exact and the final multiply is the same operation
-// Quantize performs, so DecodeInt16(EncodeInt16(v)) == Quantize(v)
-// bit-for-bit — the property that lets the fixed-point capture buffer feed
-// the float64 reconstruction pipeline with unchanged goldens.
-func (a *ADC) DecodeInt16(c int16) float64 {
-	return float64(c) / 2 * a.LSB()
 }
 
 // SNRIdealDB returns the ideal quantization SNR 6.02 N + 1.76 dB for a

@@ -247,49 +247,6 @@ func TestNLValidation(t *testing.T) {
 	}
 }
 
-func TestInt16CodecMatchesQuantizeExactly(t *testing.T) {
-	for _, bits := range []int{4, 10, 15} {
-		a, err := New(Config{Bits: bits, FullScale: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Int16Capable() {
-			t.Fatalf("%d-bit NL-free converter must be int16 capable", bits)
-		}
-		rng := rand.New(rand.NewSource(int64(bits)))
-		for i := 0; i < 20000; i++ {
-			// Cover the rails and beyond (clipping) as well as the core range.
-			v := (rng.Float64() - 0.5) * 3
-			c := a.EncodeInt16(v)
-			if c&1 == 0 {
-				t.Fatalf("bits=%d v=%g: packed code %d must be odd", bits, v, c)
-			}
-			if got, want := a.DecodeInt16(c), a.Quantize(v); got != want {
-				t.Fatalf("bits=%d v=%g: decode %g != quantize %g", bits, v, got, want)
-			}
-		}
-		// Exact rails.
-		for _, v := range []float64{-1, 1, -1e9, 1e9, 0} {
-			if got, want := a.DecodeInt16(a.EncodeInt16(v)), a.Quantize(v); got != want {
-				t.Fatalf("bits=%d rail v=%g: decode %g != quantize %g", bits, v, got, want)
-			}
-		}
-	}
-}
-
-func TestInt16CapableGate(t *testing.T) {
-	if a, _ := New(Config{}); a.Int16Capable() {
-		t.Error("ideal (unquantized) converter must not be int16 capable")
-	}
-	if a, _ := New(Config{Bits: 16, FullScale: 1}); a.Int16Capable() {
-		t.Error("16-bit converter must not be int16 capable (codes overflow)")
-	}
-	nl := &StaticNL{INL: make([]float64, 1<<4)}
-	if a, _ := New(Config{Bits: 4, FullScale: 1, NL: nl}); a.Int16Capable() {
-		t.Error("static-NL converter must not be int16 capable")
-	}
-}
-
 func TestAnalogThenQuantizeMatchesSample(t *testing.T) {
 	cfg := Config{Bits: 10, FullScale: 1.5, Gain: 1.02, Offset: 3e-3,
 		JitterRMS: 3e-12, NoiseRMS: 1e-3, Seed: 99}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/par"
@@ -160,16 +159,6 @@ func (g Grid) Run() (*DetectionMatrix, error) {
 		return nil, perr
 	}
 	return p.Fold(cells), nil
-}
-
-// runUnit executes one device through the BIST, converting panics-by-
-// construction into errors the cell accounting absorbs.
-func runUnit(cfg core.Config, tc trace.Ctx) (*core.Report, error) {
-	b, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return b.RunCtx(tc)
 }
 
 // fold sorts the cells and computes the two marginals and the escape list.

@@ -145,7 +145,11 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 		if err != nil {
 			return CellResult{}, fmt.Errorf("campaign: cell %s/%s: %w", job.Stimulus.Name, job.Fault.Name, err)
 		}
-		rep, runErr := runUnit(cfg, sp.Ctx())
+		var rep *core.Report
+		b, runErr := core.New(cfg)
+		if runErr == nil {
+			rep, runErr = b.RunCtx(sp.Ctx())
+		}
 		mUnits.Inc()
 		v := UnitVerdict{Stimulus: cell.Stimulus, Fault: cell.Fault, Unit: u}
 		if runErr != nil {

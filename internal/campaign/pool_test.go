@@ -7,13 +7,13 @@ import (
 	"repro/internal/par"
 )
 
-// TestCampaignAllocsFlatAcrossWorkers pins the buffer-recycling contract
-// end to end: once the stimulus memo, gain cache and acquisition pools are
-// warm, the heap growth of one grid run must not scale with the worker
-// count — widening the pool only changes how many pooled buffers are in
-// flight at once, not how many are allocated per run. A regression that
-// drops Release (or re-expands the stimulus per cell) shows up as a
-// worker-proportional or grossly inflated byte count.
+// TestCampaignAllocsFlatAcrossWorkers pins the shared-cache contract end
+// to end: once the stimulus memo and gain cache are warm, the heap growth
+// of one grid run must not scale with the worker count — widening the pool
+// only changes how many units are in flight at once, not how much each
+// allocates. A regression that re-expands the stimulus or re-derives the
+// gain per cell (or per worker) shows up as a worker-proportional or
+// grossly inflated byte count.
 func TestCampaignAllocsFlatAcrossWorkers(t *testing.T) {
 	g := tinyGrid()
 	run := func() {
@@ -34,11 +34,11 @@ func TestCampaignAllocsFlatAcrossWorkers(t *testing.T) {
 	a1 := measure(1)
 	for _, w := range []int{2, 8} {
 		aw := measure(w)
-		// A GC between the ReadMemStats pair can drain the pools and force
-		// a refill, so allow slack; the regression signature (per-cell
+		// A GC between the ReadMemStats pair can drain the FFT scratch and
+		// reconstructor pools and force a refill, so allow slack; the regression signature (per-cell
 		// buffers reallocated every run) costs several multiples.
 		if float64(aw) > 2*float64(a1)+1<<20 {
-			t.Fatalf("workers=%d allocates %d bytes per run vs %d at workers=1; pooling is not holding", w, aw, a1)
+			t.Fatalf("workers=%d allocates %d bytes per run vs %d at workers=1; the shared caches are not holding", w, aw, a1)
 		}
 	}
 }

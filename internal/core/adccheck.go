@@ -62,6 +62,5 @@ func (b *BIST) RunADCCheck() (*ADCCheckResult, error) {
 		res.SNDRdB[i] = dt.SNDRdB
 		res.ENOB[i] = dt.ENOB
 	}
-	cap0.Release() // the result holds scalars only
 	return res, nil
 }

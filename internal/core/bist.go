@@ -310,57 +310,44 @@ func (b *BIST) opt() pnbs.Options {
 }
 
 // acquire captures the Tx output at rates B and B/2 with the shared DCDE
-// setting and returns the two sample sets plus the backing captures. The
-// sample sets alias the captures' channel buffers: the caller owns the
-// captures and may Release them once every downstream consumer (cost
-// evaluator, reconstructor) is dead, returning the buffers to the
-// acquisition pool for the next unit.
-func (b *BIST) acquire() (setB, setB1 skew.SampleSet, caps [2]*tiadc.Capture, actualD float64, err error) {
+// setting and returns the two sample sets.
+func (b *BIST) acquire() (setB, setB1 skew.SampleSet, actualD float64, err error) {
 	c := b.cfg
 	out := b.tx.Output()
 	t := 1 / c.B
 	capB, err := b.ti.Capture(out, t, c.NominalD, c.CaptureStart, c.CaptureLen)
 	if err != nil {
-		return setB, setB1, caps, 0, fmt.Errorf("core: rate-B capture: %w", err)
+		return setB, setB1, 0, fmt.Errorf("core: rate-B capture: %w", err)
 	}
 	t1 := 2 * t
 	n1 := c.CaptureLen/2 + 2*c.HalfTaps + 4
 	t01 := c.CaptureStart - float64(2*c.HalfTaps)*t1/2
 	capB1, err := b.ti.Capture(out, t1, c.NominalD, t01, n1)
 	if err != nil {
-		capB.Release()
-		return setB, setB1, caps, 0, fmt.Errorf("core: rate-B/2 capture: %w", err)
+		return setB, setB1, 0, fmt.Errorf("core: rate-B/2 capture: %w", err)
 	}
 	if c.CalibrateMismatch {
 		if capB, err = calibrated(capB); err != nil {
-			capB1.Release()
-			return setB, setB1, caps, 0, fmt.Errorf("core: rate-B calibration: %w", err)
+			return setB, setB1, 0, fmt.Errorf("core: rate-B calibration: %w", err)
 		}
 		if capB1, err = calibrated(capB1); err != nil {
-			capB.Release()
-			return setB, setB1, caps, 0, fmt.Errorf("core: rate-B/2 calibration: %w", err)
+			return setB, setB1, 0, fmt.Errorf("core: rate-B/2 calibration: %w", err)
 		}
 	}
 	setB = skew.SampleSet{Band: b.band, T0: capB.T0, Ch0: capB.Ch0, Ch1: capB.Ch1}
 	setB1 = skew.SampleSet{Band: skew.HalfRateBand(b.band), T0: capB1.T0,
 		Ch0: capB1.Ch0, Ch1: capB1.Ch1}
-	return setB, setB1, [2]*tiadc.Capture{capB, capB1}, capB.ActualD, nil
+	return setB, setB1, capB.ActualD, nil
 }
 
 // calibrated runs the background gain/offset mismatch estimation and
-// correction on a capture. The corrected copy owns fresh channel buffers,
-// so the raw capture is released back to the acquisition pool here.
+// correction on a capture.
 func calibrated(c *tiadc.Capture) (*tiadc.Capture, error) {
 	m, err := tiadc.EstimateMismatch(c)
 	if err != nil {
 		return nil, err
 	}
-	cc, err := m.Corrected(c)
-	if err != nil {
-		return nil, err
-	}
-	c.Release()
-	return cc, nil
+	return m.Corrected(c)
 }
 
 // estimate runs Algorithm 1 on the acquired sets under the estimate
@@ -423,7 +410,7 @@ func (b *BIST) envelopeGrid(r *pnbs.Reconstructor, n int) (env []complex128, fsE
 	// PSD, EVM, IRR all land here) so repeated measurements on one BIST
 	// stay allocation-free on the hot path.
 	if cap(b.gridBuf) < n*over {
-		b.gridBuf = getGridBuf(n * over)
+		b.gridBuf = make([]complex128, n*over)
 	}
 	raw := b.gridBuf[:n*over]
 	r.EnvelopeGridInto(b.cfg.Fc, t0, fsHi, raw)
@@ -452,32 +439,6 @@ func decimLowpass(over int) (*dsp.FIR, error) {
 }
 
 var lowpassCache sync.Map // int (oversampling factor) -> *dsp.FIR
-
-// gridBufPool recycles the oversampled-envelope scratch across BIST
-// instances: a campaign builds one BIST per (stimulus, fault, unit) cell,
-// and the grid scratch (PSDLen x oversampling complex samples) was the
-// measure stage's dominant allocation. EnvelopeGridInto overwrites every
-// element of the slice it is handed, so reuse is value-neutral.
-var gridBufPool sync.Pool // *[]complex128
-
-func getGridBuf(n int) []complex128 {
-	if p, _ := gridBufPool.Get().(*[]complex128); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]complex128, n)
-}
-
-// releaseScratch hands the measure-stage grid scratch back to the shared
-// pool. Safe whenever no envelope grid evaluation is in flight: the
-// decimated envelopes handed to the measurements are fresh slices, never
-// views into the scratch.
-func (b *BIST) releaseScratch() {
-	if b.gridBuf != nil {
-		buf := b.gridBuf
-		gridBufPool.Put(&buf)
-		b.gridBuf = nil
-	}
-}
 
 // gainKey identifies one deterministic test waveform for the normalisation
 // gain cache in New: every field that influences the generated symbols, the

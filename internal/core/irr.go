@@ -43,9 +43,6 @@ func (b *BIST) RunIRRTest(dHat float64) (irrDB, loLeakDBc float64, err error) {
 		return 0, 0, err
 	}
 	env, fsEnv, _, err := b.envelopeGrid(rec, gridN)
-	// The decimated envelope is a fresh slice and rec is not used past this
-	// point, so the tone capture's buffers can rejoin the acquisition pool.
-	cap0.Release()
 	if err != nil {
 		return 0, 0, err
 	}

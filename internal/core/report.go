@@ -206,18 +206,11 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 
 	// 1-2. Acquire the PA output nonuniformly at both rates.
 	acq := startStage(run.Ctx(), hStageAcquire, tnAcquire)
-	setB, setB1, caps, actualD, err := b.acquire()
+	setB, setB1, actualD, err := b.acquire()
 	acq.End()
 	if err != nil {
 		return nil, err
 	}
-	// The report aliases nothing from the acquisition, and the evaluator
-	// and reconstructors built below die with this call — so the capture
-	// buffers and the measure-stage scratch go back to their pools on every
-	// exit path, keeping a campaign's steady-state allocation rate flat.
-	defer caps[0].Release()
-	defer caps[1].Release()
-	defer b.releaseScratch()
 	rep.DActual = actualD
 
 	// 3. Identify the channel delay (Algorithm 1).

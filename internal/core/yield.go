@@ -63,12 +63,14 @@ type YieldReport struct {
 	WorstMarginDB float64
 }
 
-// unitConfig derives unit u's impairment draw. Each unit owns an RNG
+// UnitConfig derives unit u's impairment draw. Each unit owns an RNG
 // seeded from the lot seed plus its index (splitmix-style mixing keeps
 // neighbouring seeds decorrelated), so the draw depends only on (seed, u):
 // reproducible at any worker count, stable under lot resizing, and free of
-// shared state across goroutines.
-func unitConfig(base Config, spread ProcessSpread, seed int64, u int) Config {
+// shared state across goroutines. RunYield and the campaign grid share it,
+// so a lot sharded over the pool — or resumed from any unit index — derives
+// bit-identical device configurations.
+func UnitConfig(base Config, spread ProcessSpread, seed int64, u int) Config {
 	rng := rand.New(rand.NewSource(mixSeed(seed, int64(u))))
 	cfg := base
 	cfg.Seed = base.Seed + int64(u)
@@ -95,14 +97,6 @@ func unitConfig(base Config, spread ProcessSpread, seed int64, u int) Config {
 	return cfg
 }
 
-// UnitConfig exposes the per-unit impairment draw to campaign code: the
-// same SplitMix64 contract RunYield uses, so a coverage grid sharded over
-// the pool at any worker count — or resumed from any unit index — derives
-// bit-identical device configurations.
-func UnitConfig(base Config, spread ProcessSpread, seed int64, u int) Config {
-	return unitConfig(base, spread, seed, u)
-}
-
 // mixSeed combines the lot seed with a unit index via the SplitMix64
 // finaliser, so that consecutive (seed, u) pairs land far apart in the
 // generator's state space.
@@ -126,7 +120,7 @@ func RunYield(base Config, spread ProcessSpread, nUnits int, seed int64) (*Yield
 	units := make([]UnitResult, nUnits)
 	hasMargin := make([]bool, nUnits)
 	err := par.ForErr(nUnits, func(u int) error {
-		b, err := New(unitConfig(base, spread, seed, u))
+		b, err := New(UnitConfig(base, spread, seed, u))
 		if err != nil {
 			return fmt.Errorf("core: yield unit %d: %w", u, err)
 		}

@@ -48,10 +48,10 @@ func seedBytes(vals ...float64) []byte {
 // arbitrary inputs of arbitrary length, covering both the radix-2 and the
 // Bluestein path.
 func FuzzFFTRoundtrip(f *testing.F) {
-	f.Add(seedBytes(1, 0, -1, 0, 0.5, -0.25, 3, 3))                  // length 4: radix-2
-	f.Add(seedBytes(1, 2, 3, 4, 5, 6))                               // length 3: Bluestein
+	f.Add(seedBytes(1, 0, -1, 0, 0.5, -0.25, 3, 3))                 // length 4: radix-2
+	f.Add(seedBytes(1, 2, 3, 4, 5, 6))                              // length 3: Bluestein
 	f.Add(seedBytes(0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8, 1)) // length 4 + spare
-	f.Add(seedBytes(math.Inf(1), math.NaN(), 1e300, -1e-300))        // sanitizer path
+	f.Add(seedBytes(math.Inf(1), math.NaN(), 1e300, -1e-300))       // sanitizer path
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := complexFromFloats(floatsFromBytes(data, 128))
 		if len(x) == 0 {

@@ -5,7 +5,9 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/dsp"
 	"repro/internal/pnbs"
+	"repro/internal/sig"
 	"repro/internal/skew"
 )
 
@@ -99,23 +101,11 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 			return err
 		}
 		times := ce.Times()
-		truth := make([]float64, len(times))
-		out := tx.Output()
-		for i, tv := range times {
-			truth[i] = out.At(tv)
-		}
-		got := rec.AtTimes(times)
-		var num, den float64
-		for i := range got {
-			d := got[i] - truth[i]
-			num += d * d
-			den += truth[i] * truth[i]
-		}
 		res.Rows = append(res.Rows, AblateRow{
 			Param:     param,
 			Value:     value,
 			SkewErrPS: math.Abs(r.DHat-actualD) * 1e12,
-			ReconErr:  math.Sqrt(num / den),
+			ReconErr:  dsp.RelRMSError(rec.AtTimes(times), sig.SampleAt(tx.Output(), times)),
 			CostEvals: r.CostEvals,
 			Iters:     r.Iterations,
 		})

@@ -656,24 +656,35 @@ func (s *Server) checkpointPath(c *Campaign) string {
 
 // writeCheckpoint persists the current completed-cell set atomically
 // (write-to-temp, rename) so a kill mid-write can never leave a truncated
-// checkpoint that a resume would trust.
+// checkpoint that a resume would trust. A failed write leaves the previous
+// checkpoint in place, the campaign runs on, and a fleet.checkpoint.error
+// event names the failing stage (marshal, write or rename).
 func (s *Server) writeCheckpoint(c *Campaign) {
 	if s.cfg.CheckpointDir == "" {
 		return
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	fail := func(stage string, err error) {
+		eventlog.Emit("fleet.checkpoint.error",
+			slog.String("campaign", c.ID),
+			slog.String("stage", stage),
+			slog.String("error", err.Error()))
+	}
 	b, err := c.Checkpoint().MarshalCanonical()
 	if err != nil {
+		fail("marshal", err)
 		return
 	}
 	path := s.checkpointPath(c)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		fail("write", err)
 		return
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
+		fail("rename", err)
 		return
 	}
 	mCkptWrites.Inc()

@@ -7,15 +7,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs/eventlog"
 )
 
 func testContext(d time.Duration) (context.Context, context.CancelFunc) {
@@ -325,6 +328,75 @@ func TestResumeFromCheckpointByteIdentity(t *testing.T) {
 	c.mu.Unlock()
 	if !bytes.Equal(got, want) {
 		t.Error("resumed matrix differs from single-process bytes")
+	}
+}
+
+// lockedBuffer is an io.Writer whose contents can be read while event
+// emitters on other goroutines may still write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCheckpointWriteFailureEmitsEvent: a checkpoint that cannot be
+// written is reported as a fleet.checkpoint.error event, and the campaign
+// still finishes with the single-process bytes. A directory squatting on
+// the temp file's name makes every WriteFile fail while loadCheckpoint
+// still finds no checkpoint.
+func TestCheckpointWriteFailureEmitsEvent(t *testing.T) {
+	g := fleetGrid()
+	want := singleProcessMatrix(t, g)
+	spec := Spec{Name: "ckpt-fail", Grid: g}
+	id, err := campaignID(spec, Shard{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, id+".ckpt.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var log lockedBuffer
+	defer eventlog.Set(eventlog.Set(slog.New(eventlog.NewJSONHandler(&log))))
+
+	s := newTestServer(t, Config{CheckpointDir: dir})
+	c := submitAndWait(t, s, spec)
+	c.mu.Lock()
+	got := c.matrix
+	c.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Error("matrix with failing checkpoints differs from single-process bytes")
+	}
+
+	writeErrs := 0
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		if ev["event"] != "fleet.checkpoint.error" {
+			continue
+		}
+		if ev["campaign"] != id || ev["error"] == "" {
+			t.Errorf("checkpoint error event lacks campaign/error: %s", line)
+		}
+		if ev["stage"] == "write" {
+			writeErrs++
+		}
+	}
+	if writeErrs == 0 {
+		t.Errorf("no stage=write fleet.checkpoint.error event in:\n%s", log.String())
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 // must evaluate bit-identically to one built from scratch at the target
 // delay — the contract the LMS hot loop depends on.
 func FuzzReconstructRetune(f *testing.F) {
-	f.Add(0.36, 0.42, int64(1))   // two nearby valid delays
-	f.Add(0.36, -0.36, int64(2))  // sign flip
-	f.Add(0.5, 0.0, int64(3))     // retune to zero: must be rejected
-	f.Add(0.9, 0.25, int64(4))    // large step, LMS-style
-	f.Add(-0.7, 0.33, int64(5))   // negative origin
+	f.Add(0.36, 0.42, int64(1))  // two nearby valid delays
+	f.Add(0.36, -0.36, int64(2)) // sign flip
+	f.Add(0.5, 0.0, int64(3))    // retune to zero: must be rejected
+	f.Add(0.9, 0.25, int64(4))   // large step, LMS-style
+	f.Add(-0.7, 0.33, int64(5))  // negative origin
 	f.Add(0.123, 0.1234, int64(6))
 	f.Fuzz(func(t *testing.T, d1Frac, d2Frac float64, seed int64) {
 		if math.IsNaN(d1Frac) || math.IsInf(d1Frac, 0) || math.IsNaN(d2Frac) || math.IsInf(d2Frac, 0) {

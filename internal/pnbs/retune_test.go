@@ -121,7 +121,7 @@ func TestNegativeKaiserBetaIsRectangular(t *testing.T) {
 		t.Fatal("negative beta must disable the taper")
 	}
 	// Inside the support the rectangular taper is exactly 1, outside 0.
-	h := (float64(rect.opt.HalfTaps+1)) * band.T()
+	h := (float64(rect.opt.HalfTaps + 1)) * band.T()
 	for _, frac := range []float64{0, 0.3, 0.9, 0.999} {
 		if w := rect.window(frac * h); w != 1 {
 			t.Errorf("window(%.3f support) = %g, want 1", frac, w)

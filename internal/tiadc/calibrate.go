@@ -66,8 +66,8 @@ func (m Mismatch) Corrected(c *Capture) (*Capture, error) {
 		NominalD: c.NominalD,
 		ActualD:  c.ActualD,
 		T0:       c.T0,
-		Ch0:      getVals(len(c.Ch0)),
-		Ch1:      getVals(len(c.Ch1)),
+		Ch0:      make([]float64, len(c.Ch0)),
+		Ch1:      make([]float64, len(c.Ch1)),
 	}
 	for i, v := range c.Ch0 {
 		out.Ch0[i] = v - m.Offset0

@@ -9,38 +9,10 @@ package tiadc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/adc"
 	"repro/internal/sig"
 )
-
-// The acquisition buffer pools recycle per-channel sample and code buffers
-// across captures: a fault-matrix campaign acquires two captures per unit
-// across thousands of (stimulus, fault, unit) cells, and the ~KB-to-MB
-// channel buffers dominated its steady-state allocation rate. Buffers are
-// handed back via Capture.Release once nothing aliases them; a pooled
-// buffer is fully overwritten by the next capture (every index in
-// [0, n) is written by the capture), so reuse cannot leak one capture's
-// samples into the next — the poisoned-pool test pins that.
-var (
-	valsPool sync.Pool // *[]float64
-	rawPool  sync.Pool // *[]int16
-)
-
-func getVals(n int) []float64 {
-	if p, _ := valsPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func getRaw(n int) []int16 {
-	if p, _ := rawPool.Get().(*[]int16); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int16, n)
-}
 
 // DCDE is a digitally controlled delay element with a settable range,
 // a step (delay DAC resolution) and a static bias representing the analog
@@ -140,43 +112,10 @@ type Capture struct {
 	T0 float64
 	// Ch0 and Ch1 hold the captured (quantized) sample values.
 	Ch0, Ch1 []float64
-	// Raw0 and Raw1 hold the packed fixed-point codes (twice the mid-rise
-	// code, an odd integer — see adc.EncodeInt16) when the corresponding
-	// converter is Int16Capable, mirroring the hardware's 10-bit capture
-	// memory; Ch0/Ch1 are then exactly the decoded codes. A nil slice means
-	// that channel needed the float path (ideal, >15-bit, or static-NL
-	// converters).
-	Raw0, Raw1 []int16
 }
 
 // N returns the per-channel sample count.
 func (c *Capture) N() int { return len(c.Ch0) }
-
-// Release hands the capture's channel buffers back to the shared
-// acquisition pools and clears the fields. Call it only once nothing
-// aliases the slices anymore (sample sets, reconstructors and evaluators
-// built from this capture must all be dead); after Release the capture
-// reads as empty. Releasing is optional — an unreleased capture is simply
-// garbage collected.
-func (c *Capture) Release() {
-	if c == nil {
-		return
-	}
-	for _, ch := range []*[]float64{&c.Ch0, &c.Ch1} {
-		if *ch != nil {
-			buf := *ch
-			valsPool.Put(&buf)
-			*ch = nil
-		}
-	}
-	for _, rw := range []*[]int16{&c.Raw0, &c.Raw1} {
-		if *rw != nil {
-			buf := *rw
-			rawPool.Put(&buf)
-			*rw = nil
-		}
-	}
-}
 
 // Times0 returns the nominal channel-0 sampling instants.
 func (c *Capture) Times0() []float64 { return sig.UniformTimes(c.T0, c.T, len(c.Ch0)) }
@@ -210,44 +149,14 @@ func (ti *TIADC) Capture(x sig.Signal, period, nominalD, t0 float64, n int) (*Ca
 	if err != nil {
 		return nil, err
 	}
-	t0s := c0.Times(0, n)
-	t1s := c1.Times(0, n)
-	ch0, raw0 := captureChannel(ti.a0, x, t0s)
-	ch1, raw1 := captureChannel(ti.a1, x, t1s)
 	return &Capture{
 		T:        period,
 		NominalD: nominalD,
 		ActualD:  actualD,
 		T0:       t0,
-		Ch0:      ch0,
-		Ch1:      ch1,
-		Raw0:     raw0,
-		Raw1:     raw1,
+		Ch0:      ti.a0.Sample(x, c0.Times(0, n)),
+		Ch1:      ti.a1.Sample(x, c1.Times(0, n)),
 	}, nil
-}
-
-// captureChannel runs one converter over the instants and digitizes the
-// held values, through the packed int16 capture memory when the converter
-// supports it. The analog front end draws its random stream serially and
-// evaluates the signal over the par pool (see adc.ADC.Analog), so the
-// capture — Raw codes included — is bit-identical at any worker count.
-func captureChannel(a *adc.ADC, x sig.Signal, times []float64) (vals []float64, raw []int16) {
-	n := len(times)
-	vals = getVals(n)
-	a.Analog(x, times, vals)
-	if !a.Int16Capable() {
-		for i, v := range vals {
-			vals[i] = a.Quantize(v)
-		}
-		return vals, nil
-	}
-	raw = getRaw(n)
-	for i, v := range vals {
-		c := a.EncodeInt16(v)
-		raw[i] = c
-		vals[i] = a.DecodeInt16(c)
-	}
-	return vals, raw
 }
 
 // Channel returns the underlying converter models (0 or 1) for inspection.

@@ -191,44 +191,16 @@ func captureAtWorkers(t *testing.T, cfg Config, w, n int) *Capture {
 }
 
 // TestCaptureWorkerInvariance: the front end draws its random stream
-// serially and fans only the signal evaluations out, so the floats and the
-// packed int16 codes of a capture are bit-identical at every pool width.
+// serially and fans only the signal evaluations out, so a capture is
+// bit-identical at every pool width.
 func TestCaptureWorkerInvariance(t *testing.T) {
 	ref := captureAtWorkers(t, captureTestConfig(), 1, 900)
-	if ref.Raw0 == nil || ref.Raw1 == nil {
-		t.Fatal("10-bit capture must fill the int16 buffers")
-	}
 	for _, w := range []int{2, 8} {
 		c := captureAtWorkers(t, captureTestConfig(), w, 900)
 		for i := range c.Ch0 {
 			if c.Ch0[i] != ref.Ch0[i] || c.Ch1[i] != ref.Ch1[i] {
 				t.Fatalf("workers=%d sample %d: floats differ from the serial capture", w, i)
 			}
-			if c.Raw0[i] != ref.Raw0[i] || c.Raw1[i] != ref.Raw1[i] {
-				t.Fatalf("workers=%d sample %d: raw codes differ from the serial capture", w, i)
-			}
-		}
-	}
-}
-
-func TestCaptureRawDecodesToFloats(t *testing.T) {
-	ti, err := New(captureTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tone := &sig.Tone{Amp: 1, Freq: 13e6}
-	c, err := ti.Capture(tone, 1e-8, 180e-12, 1e-7, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a0, _ := ti.Channel(0)
-	a1, _ := ti.Channel(1)
-	for i := range c.Ch0 {
-		if got := a0.DecodeInt16(c.Raw0[i]); got != c.Ch0[i] {
-			t.Fatalf("ch0 sample %d: decoded %g != stored %g", i, got, c.Ch0[i])
-		}
-		if got := a1.DecodeInt16(c.Raw1[i]); got != c.Ch1[i] {
-			t.Fatalf("ch1 sample %d: decoded %g != stored %g", i, got, c.Ch1[i])
 		}
 	}
 }
@@ -283,19 +255,16 @@ func TestCaptureStreamMatchesDirectSampleOracle(t *testing.T) {
 }
 
 func TestCaptureFloatFallbackWithoutQuantizer(t *testing.T) {
-	// Ideal (unquantized) channels cannot use the int16 memory: Raw stays
-	// nil and the float path must still be worker-count invariant.
+	// Ideal (unquantized) channels skip quantization; the capture must
+	// still be worker-count invariant.
 	cfg := Config{DCDE: DCDE{Min: 0, Max: 1e-9}, ClockJitterRMS: 3e-12, Seed: 5,
 		Ch0: adc.Config{JitterRMS: 2e-12, NoiseRMS: 1e-3, Seed: 1},
 		Ch1: adc.Config{JitterRMS: 2e-12, NoiseRMS: 1e-3, Seed: 2}}
 	a := captureAtWorkers(t, cfg, 1, 333)
 	b := captureAtWorkers(t, cfg, 8, 333)
-	if a.Raw0 != nil || a.Raw1 != nil {
-		t.Fatal("ideal channels must not allocate raw buffers")
-	}
 	for i := range a.Ch0 {
 		if a.Ch0[i] != b.Ch0[i] || a.Ch1[i] != b.Ch1[i] {
-			t.Fatalf("sample %d: float fallback not worker-count invariant", i)
+			t.Fatalf("sample %d: unquantized capture not worker-count invariant", i)
 		}
 	}
 }
