@@ -42,58 +42,64 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "bistd:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bistd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8077", "listen address (server mode)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (lets scripts use -addr :0)")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables durability")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "completed cells between checkpoint writes")
-		shardSpec  = flag.String("shard", "0/1", "this process's cell partition, as i/n")
-		queueDepth = flag.Int("queue", 16, "campaign admission queue depth")
-		workers    = flag.Int("workers", 0, "cell worker count (0: BIST_WORKERS or GOMAXPROCS)")
-		withPprof  = flag.Bool("pprof", false, "expose /debug/pprof")
-		drainSecs  = flag.Int("drain", 30, "seconds to wait for in-flight cells on shutdown")
-		logJSON    = flag.Bool("log-json", false, "emit the event log as canonical JSON lines instead of text")
-		watchdogIv = flag.Duration("watchdog-interval", time.Second, "fleet health sampling interval (0 disables the watchdog)")
+		addr       = fs.String("addr", ":8077", "listen address (server mode)")
+		addrFile   = fs.String("addr-file", "", "write the bound address to this file once listening (lets scripts use -addr :0)")
+		ckptDir    = fs.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables durability")
+		ckptEvery  = fs.Int("checkpoint-every", 1, "completed cells between checkpoint writes")
+		shardSpec  = fs.String("shard", "0/1", "this process's cell partition, as i/n")
+		queueDepth = fs.Int("queue", 16, "campaign admission queue depth")
+		workers    = fs.Int("workers", 0, "cell worker count (0: BIST_WORKERS or GOMAXPROCS)")
+		withPprof  = fs.Bool("pprof", false, "expose /debug/pprof")
+		drainSecs  = fs.Int("drain", 30, "seconds to wait for in-flight cells on shutdown")
+		logJSON    = fs.Bool("log-json", false, "emit the event log as canonical JSON lines instead of text")
+		watchdogIv = fs.Duration("watchdog-interval", time.Second, "fleet health sampling interval (0 disables the watchdog)")
 
-		submit  = flag.String("submit", "", "client mode: grid JSON file to run against -server")
-		server  = flag.String("server", "http://127.0.0.1:8077", "client mode: bistd base URL")
-		name    = flag.String("name", "", "client mode: campaign label")
-		doTrace = flag.Bool("trace", false, "client mode: request a Perfetto trace")
-		quiet   = flag.Bool("quiet", false, "client mode: suppress the event stream on stderr")
-		timeout = flag.Duration("timeout", 10*time.Minute, "client mode: overall deadline")
+		submit  = fs.String("submit", "", "client mode: grid JSON file to run against -server")
+		server  = fs.String("server", "http://127.0.0.1:8077", "client mode: bistd base URL")
+		name    = fs.String("name", "", "client mode: campaign label")
+		doTrace = fs.Bool("trace", false, "client mode: request a Perfetto trace")
+		quiet   = fs.Bool("quiet", false, "client mode: suppress the event stream on stderr")
+		timeout = fs.Duration("timeout", 10*time.Minute, "client mode: overall deadline")
 
-		merge    = flag.Bool("merge", false, "merge mode: fold shard checkpoint files (args) into the full matrix")
-		gridFile = flag.String("grid", "", "merge mode: grid JSON the checkpoints belong to")
+		merge    = fs.Bool("merge", false, "merge mode: fold shard checkpoint files (args) into the full matrix")
+		gridFile = fs.String("grid", "", "merge mode: grid JSON the checkpoints belong to")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	obs.Enable()
 	// Every lifecycle message goes through the structured event log; the
 	// stream lands on stderr as slog text by default, canonical JSON with
 	// -log-json (one compact object per line, fixed key order).
 	if *logJSON {
-		eventlog.Set(slog.New(eventlog.NewJSONHandler(os.Stderr)))
+		eventlog.Set(slog.New(eventlog.NewJSONHandler(stderr)))
 	} else {
-		eventlog.Set(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+		eventlog.Set(slog.New(slog.NewTextHandler(stderr, nil)))
 	}
 
-	var err error
 	switch {
 	case *merge:
-		err = runMerge(*gridFile, flag.Args())
+		return runMerge(stdout, *gridFile, fs.Args())
 	case *submit != "":
-		err = runClient(*server, *submit, *name, *doTrace, *quiet, *timeout)
+		return runClient(stdout, stderr, *server, *submit, *name, *doTrace, *quiet, *timeout)
 	default:
-		err = runServer(serverOpts{
+		return runServer(serverOpts{
 			addr: *addr, addrFile: *addrFile,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 			shard: *shardSpec, queueDepth: *queueDepth, workers: *workers,
 			withPprof: *withPprof, drain: time.Duration(*drainSecs) * time.Second,
 			watchdog: *watchdogIv,
 		})
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bistd:", err)
-		os.Exit(1)
 	}
 }
 
@@ -175,7 +181,7 @@ func orNone(s string) string {
 // runClient submits one grid and runs it to completion: POST the spec,
 // relay the NDJSON stream to stderr, and print the final canonical matrix
 // to stdout. Exit is non-zero unless the campaign reaches "done".
-func runClient(base, gridPath, name string, doTrace, quiet bool, timeout time.Duration) error {
+func runClient(stdout, stderr io.Writer, base, gridPath, name string, doTrace, quiet bool, timeout time.Duration) error {
 	gridData, err := os.ReadFile(gridPath)
 	if err != nil {
 		return err
@@ -202,7 +208,7 @@ func runClient(base, gridPath, name string, doTrace, quiet bool, timeout time.Du
 		slog.String("campaign", st.ID),
 		slog.String("state", st.State))
 
-	final, err := followStream(ctx, base, st.ID, quiet)
+	final, err := followStream(ctx, stderr, base, st.ID, quiet)
 	if err != nil {
 		return err
 	}
@@ -213,7 +219,7 @@ func runClient(base, gridPath, name string, doTrace, quiet bool, timeout time.Du
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(matrix)
+	_, err = stdout.Write(matrix)
 	return err
 }
 
@@ -244,7 +250,7 @@ func postSpec(ctx context.Context, base string, body []byte) (fleet.Status, erro
 
 // followStream relays the campaign's NDJSON events until the stream ends,
 // returning the last state event seen.
-func followStream(ctx context.Context, base, id string, quiet bool) (fleet.Status, error) {
+func followStream(ctx context.Context, stderr io.Writer, base, id string, quiet bool) (fleet.Status, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/campaigns/"+id+"/stream", nil)
 	if err != nil {
 		return fleet.Status{}, err
@@ -263,7 +269,7 @@ func followStream(ctx context.Context, base, id string, quiet bool) (fleet.Statu
 	for sc.Scan() {
 		line := sc.Bytes()
 		if !quiet {
-			fmt.Fprintf(os.Stderr, "%s\n", line)
+			fmt.Fprintf(stderr, "%s\n", line)
 		}
 		var ev struct {
 			Type   string
@@ -302,7 +308,7 @@ func getBody(ctx context.Context, url string) ([]byte, error) {
 // runMerge folds shard checkpoint files into the full detection matrix on
 // stdout. Refuses gaps and overlaps — the merge must cover every cell of
 // the grid exactly once to claim byte-identity with a single-process run.
-func runMerge(gridPath string, ckptPaths []string) error {
+func runMerge(stdout io.Writer, gridPath string, ckptPaths []string) error {
 	if gridPath == "" {
 		return fmt.Errorf("merge: -grid is required")
 	}
@@ -337,6 +343,6 @@ func runMerge(gridPath string, ckptPaths []string) error {
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(b)
+	_, err = stdout.Write(b)
 	return err
 }

@@ -40,23 +40,10 @@ func TestMetricsCostEvalCounterMatchesLMS(t *testing.T) {
 	if snap.Counters["core.bist.runs"] != 1 {
 		t.Errorf("run counter %d", snap.Counters["core.bist.runs"])
 	}
-	// The pool must have recycled: far fewer fresh builds than evaluations
-	// means the zero-alloc Retune path is actually running. Logical
-	// evaluations split exactly into kernel evaluations (each acquiring a
-	// pooled worker) and LMS memo hits (repeated candidates, no kernel
-	// work).
-	news := snap.Counters["skew.cost.pool.news"]
-	gets := snap.Counters["skew.cost.pool.gets"]
-	hits := snap.Counters["skew.lms.memo.hits"]
-	if news+gets+hits != int64(rep.LMS.CostEvals) {
-		t.Errorf("pool gets %d + news %d + memo hits %d != cost evals %d",
-			gets, news, hits, rep.LMS.CostEvals)
-	}
-	if hits == 0 {
-		t.Error("descent revisited no candidates: memo instrumentation dead")
-	}
-	if news >= int64(rep.LMS.CostEvals)/2 {
-		t.Errorf("pool not recycling: %d fresh builds for %d evals", news, rep.LMS.CostEvals)
+	// Some logical evaluations are LMS memo hits (repeated candidates, no
+	// kernel work); the rest run the kernel.
+	if hits := snap.Counters["skew.lms.memo.hits"]; hits == 0 || hits >= int64(rep.LMS.CostEvals) {
+		t.Errorf("memo hits %d of %d cost evals: memo instrumentation dead", hits, rep.LMS.CostEvals)
 	}
 	// Stage latency histograms saw exactly one run each.
 	for _, stage := range []string{"acquire", "estimate", "reconstruct", "measure", "total"} {
@@ -75,9 +62,8 @@ func TestMetricsCostEvalCounterMatchesLMS(t *testing.T) {
 // curatedMetrics extracts the deterministic slice of a snapshot: counters
 // whose totals are fixed by the configuration (work dispatched, cache
 // traffic, objective evaluations) plus stage-histogram observation counts.
-// Deliberately excluded: wall-clock sums, worker occupancy, inline-run
-// counts, and sync.Pool recycling stats — all legitimately scheduling- or
-// GC-dependent.
+// Deliberately excluded: wall-clock sums, worker occupancy and inline-run
+// counts — all legitimately scheduling-dependent.
 func curatedMetrics(s *obs.Snapshot) map[string]int64 {
 	out := make(map[string]int64)
 	for _, name := range []string{

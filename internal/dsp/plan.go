@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -87,18 +86,11 @@ var (
 	mPlanBuilds = obs.C("dsp.plan.builds")
 )
 
-// Trace instruments: plan builds appear as spans on a shared "dsp.plan"
-// display track (they are the one-off trigonometry a capture should show
-// as cold-start cost, not steady-state work), and cache traffic streams
-// onto cumulative hit/build counter tracks. The cumulative counts reset
-// per recording (they count only while one is active), so a capture reads
-// "N hits since the recording started". All of it is behind the trace
-// gate; the hit path's only added cost when disabled is one atomic load.
-var (
-	tnPlanBuild     = trace.Intern("dsp.plan.build")
-	tracePlanHits   atomic.Int64
-	tracePlanBuilds atomic.Int64
-)
+// tnPlanBuild names the plan-build trace span: builds appear on a shared
+// "dsp.plan" display track (they are the one-off trigonometry a capture
+// should show as cold-start cost, not steady-state work). Cache traffic is
+// counted once, by the dsp.plan.* registry counters.
+var tnPlanBuild = trace.Intern("dsp.plan.build")
 
 // planSizeName labels a per-size cache counter: dsp.plan.<what>.<n>.<dir>.
 func planSizeName(what string, n int, inverse bool) string {
@@ -125,9 +117,6 @@ func cachedPlan(n int, inverse bool) *Plan {
 		ent := e.(*planEntry)
 		mPlanHits.Inc()
 		ent.hits.Inc()
-		if trace.Enabled() {
-			trace.Counter(trace.Root, "dsp.plan.hits", float64(tracePlanHits.Add(1)))
-		}
 		return ent.p
 	}
 	mPlanMisses.Inc()
@@ -136,9 +125,6 @@ func cachedPlan(n int, inverse bool) *Plan {
 	sp.SetInt("n", int64(n))
 	p := NewPlan(n, inverse)
 	sp.End()
-	if trace.Enabled() {
-		trace.Counter(trace.Root, "dsp.plan.builds", float64(tracePlanBuilds.Add(1)))
-	}
 	mPlanBuilds.Inc()
 	obs.C(planSizeName("builds", n, inverse)).Inc()
 	ent := &planEntry{p: p, hits: obs.C(planSizeName("hits", n, inverse))}

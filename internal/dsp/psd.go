@@ -156,19 +156,6 @@ func welchAverage(n, segs int, fs, winPow float64, periodogram func(seg int, pow
 	return acc
 }
 
-// complexScratch is a fixed-size free list of complex work buffers shared
-// by the concurrent segment workers: cap buffers are preallocated in one
-// backing array, so a Welch call performs a constant number of allocations
-// regardless of segment count.
-func complexScratch(n, count int) chan []complex128 {
-	free := make(chan []complex128, count)
-	backing := make([]complex128, n*count)
-	for i := 0; i < count; i++ {
-		free <- backing[i*n : (i+1)*n]
-	}
-	return free
-}
-
 // spectrumFromPSD shifts the natural-order two-sided PSD and builds the
 // ascending frequency axis around centre.
 func spectrumFromPSD(psd []float64, fs, centre float64) *Spectrum {
@@ -186,10 +173,9 @@ func spectrumFromPSD(psd []float64, fs, centre float64) *Spectrum {
 // sampled at fs. centre shifts the frequency axis (pass the carrier to plot
 // an RF-referred spectrum). The result is fftshifted so frequencies ascend.
 //
-// Segments transform through a cached Plan and fan out over the par worker
-// pool; the estimate is bit-identical at any worker count (see
-// welchAverage) and the call allocates O(1) buffers beyond the returned
-// Spectrum.
+// Segments transform through a cached Plan, each in its own buffer, and
+// fan out over the par worker pool; the estimate is bit-identical at any
+// worker count (see welchAverage).
 func WelchComplex(x []complex128, fs, centre float64, cfg WelchConfig) (*Spectrum, error) {
 	win, winPow, step, segs, err := welchParams(len(x), cfg)
 	if err != nil {
@@ -197,13 +183,8 @@ func WelchComplex(x []complex128, fs, centre float64, cfg WelchConfig) (*Spectru
 	}
 	n := cfg.SegmentLen
 	plan := PlanFFT(n)
-	nw := par.Workers()
-	if nw > segs {
-		nw = segs
-	}
-	free := complexScratch(n, nw)
 	psd := welchAverage(n, segs, fs, winPow, func(s int, pow []float64) {
-		buf := <-free
+		buf := make([]complex128, n)
 		start := s * step
 		for i := 0; i < n; i++ {
 			buf[i] = x[start+i] * complex(win[i], 0)
@@ -213,7 +194,6 @@ func WelchComplex(x []complex128, fs, centre float64, cfg WelchConfig) (*Spectru
 			re, im := real(v), imag(v)
 			pow[i] = re*re + im*im
 		}
-		free <- buf
 	})
 	return spectrumFromPSD(psd, fs, centre), nil
 }
@@ -238,22 +218,9 @@ func WelchReal(x []float64, fs float64, cfg WelchConfig) (*Spectrum, error) {
 	}
 	plan := PlanRealFFT(n)
 	h := n / 2
-	nw := par.Workers()
-	if nw > segs {
-		nw = segs
-	}
-	// Each worker slot needs a real windowed segment and a half-spectrum
-	// output; both come from fixed free lists so the allocation count stays
-	// constant.
-	freeRe := make(chan []float64, nw)
-	reBacking := make([]float64, n*nw)
-	for i := 0; i < nw; i++ {
-		freeRe <- reBacking[i*n : (i+1)*n]
-	}
-	freeHalf := complexScratch(h+1, nw)
 	psd := welchAverage(n, segs, fs, winPow, func(s int, pow []float64) {
-		buf := <-freeRe
-		half := <-freeHalf
+		buf := make([]float64, n)
+		half := make([]complex128, h+1)
 		start := s * step
 		for i := 0; i < n; i++ {
 			buf[i] = x[start+i] * win[i]
@@ -266,8 +233,6 @@ func WelchReal(x []float64, fs float64, cfg WelchConfig) (*Spectrum, error) {
 		for k := 1; k < h; k++ {
 			pow[n-k] = pow[k]
 		}
-		freeRe <- buf
-		freeHalf <- half
 	})
 	return spectrumFromPSD(psd, fs, 0), nil
 }

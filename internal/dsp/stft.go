@@ -45,18 +45,13 @@ func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 		sg.Freqs[i] = (float64(i) - float64(segLen)/2) * df
 	}
 	plan := PlanFFT(segLen)
-	nw := par.Workers()
-	if nw > nCols {
-		nw = nCols
-	}
-	free := complexScratch(segLen, nw)
 	rows := make([]float64, nCols*segLen)
 	// shift maps the natural bin order to the centred axis: row[i] is the
 	// power of spectrum bin (shift+i) mod segLen, the in-place equivalent
 	// of FFTShift.
 	shift := (segLen + 1) / 2
 	par.For(nCols, func(c int) {
-		buf := <-free
+		buf := make([]complex128, segLen)
 		start := c * hop
 		sg.Times[c] = (float64(start) + float64(segLen)/2) / fs
 		for i := 0; i < segLen; i++ {
@@ -70,7 +65,6 @@ func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 			row[i] = PowerDB(re*re + im*im)
 		}
 		sg.PowerDB[c] = row
-		free <- buf
 	})
 	return sg, nil
 }

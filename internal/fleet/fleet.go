@@ -19,6 +19,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,20 +331,14 @@ func (s *Server) Submit(spec Spec) (*Campaign, bool, error) {
 	if err := s.loadCheckpoint(c); err != nil {
 		// A bad checkpoint must not silently discard completed work or
 		// poison the matrix: refuse the submission.
-		s.mu.Lock()
-		delete(s.camps, id)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
+		s.forget(id)
 		return nil, false, err
 	}
 
 	select {
 	case s.admit <- c:
 	default:
-		s.mu.Lock()
-		delete(s.camps, id)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
+		s.forget(id)
 		if eventlog.On() {
 			eventlog.Emit("fleet.admit.reject",
 				slog.String("campaign", id),
@@ -364,6 +359,16 @@ func (s *Server) Submit(spec Spec) (*Campaign, bool, error) {
 	}
 	c.emitState()
 	return c, true, nil
+}
+
+// forget unregisters a refused campaign. A concurrent Submit may have
+// registered another campaign since this one, so its own ID is removed,
+// not the last one.
+func (s *Server) forget(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.camps, id)
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 }
 
 // resumedCount reads the checkpoint-resumed cell count.

@@ -565,3 +565,77 @@ func TestAdmissionQueueBounded(t *testing.T) {
 		t.Log("admission queue drained faster than the test submitted; bound not exercised")
 	}
 }
+
+// TestConcurrentRefusalsKeepAdmissionOrder submits many specs at once,
+// some refused for a poisoned checkpoint and some for a full admission
+// queue. A refusal must unregister only its own campaign: every accepted
+// campaign appears in Statuses exactly once and no refused one does. The
+// interleaving is up to the scheduler, so the scenario runs several rounds.
+func TestConcurrentRefusalsKeepAdmissionOrder(t *testing.T) {
+	const n = 96
+	poison := []byte(`{"GridHash":"deadbeefdeadbeef","ShardIndex":0,"ShardCount":1,"Cells":[]}`)
+	for round := 0; round < 4; round++ {
+		dir := t.TempDir()
+		s := newTestServer(t, Config{CheckpointDir: dir, QueueDepth: n / 2})
+		specs := make([]Spec, n)
+		for i := range specs {
+			specs[i] = Spec{Name: fmt.Sprintf("r%d-c%02d", round, i), Grid: fleetGrid()}
+			if i%3 == 0 {
+				id, err := campaignID(specs[i], s.cfg.Shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, id+".ckpt.json"), poison, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var (
+			wg                   sync.WaitGroup
+			mu                   sync.Mutex
+			accepted             = map[string]bool{}
+			poisoned, queueFulls int
+		)
+		for _, sp := range specs {
+			sp := sp
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, _, err := s.Submit(sp)
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+					accepted[c.ID] = true
+				case err == errQueueFull:
+					queueFulls++
+				case strings.Contains(err.Error(), "hash"):
+					poisoned++
+				default:
+					t.Errorf("%s: unexpected submit error: %v", sp.Name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if poisoned != n/3 {
+			t.Errorf("round %d: %d poisoned submissions refused, want %d", round, poisoned, n/3)
+		}
+		if queueFulls == 0 {
+			t.Logf("round %d: admission queue never filled; only the checkpoint refusals were exercised", round)
+		}
+		seen := map[string]int{}
+		for _, st := range s.Statuses() {
+			seen[st.ID]++
+		}
+		for id := range accepted {
+			if seen[id] != 1 {
+				t.Errorf("round %d: accepted campaign %s listed %d times in Statuses", round, id, seen[id])
+			}
+		}
+		for id, k := range seen {
+			if !accepted[id] {
+				t.Errorf("round %d: refused campaign %s listed %d times in Statuses", round, id, k)
+			}
+		}
+	}
+}

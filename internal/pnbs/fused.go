@@ -25,7 +25,7 @@ import (
 //
 // per phase pair (a0,b0) and (a1,b1), and the per-candidate evaluation is
 // just (pc·cot φ + ps)/(2πB) — only cot φ0 and cot φ1 depend on the delay,
-// the same two-phase observation the kernel's Retune exploits. Taps with
+// the same two-phase observation that makes a Clone cheap. Taps with
 // |dt0| below the dsp.DiffCosOverT Taylor threshold contribute their series
 // limit (pc term dt·(b²−a²)/2, ps term (a−b)), which is linear in cot φ in
 // exactly the same way, so the contraction survives the removable
@@ -66,9 +66,8 @@ type fusedRow struct {
 }
 
 // fusedPrep is the immutable prepared form of one instant block for the
-// fused path. It is delay-independent, so it survives Retune and is shared
-// across every candidate delay (and, via Reconstructor.Clone, across pooled
-// evaluator workers).
+// fused path. It is delay-independent, so Reconstructor.Clone shares it
+// across every candidate delay.
 type fusedPrep struct {
 	ts   []float64
 	rows []fusedRow
@@ -161,7 +160,7 @@ func (r *Reconstructor) buildFusedPrep(ts []float64) *fusedPrep {
 // PrepareFused ensures the fused delay-independent tables for this instant
 // block are built, reusing the cached tables when the instants are
 // value-equal to the previous block. The cache slot is shared with every
-// Clone of this reconstructor, so pooled evaluator workers build the tables
+// Clone of this reconstructor, so the per-candidate clones build the tables
 // once between them; a racing double-build is a pure function of the same
 // inputs and therefore publishes identical tables.
 func (r *Reconstructor) PrepareFused(ts []float64) {
@@ -355,8 +354,8 @@ func (r *Reconstructor) AtBlockFused(ts []float64, dst []float64) {
 // is a pure function of (captures, candidate delays, ts[lo:hi]) —
 // independent of how the caller chunks [0, n) or how many workers evaluate
 // the chunks — so folding fixed-size chunk partials in chunk order is
-// bit-identical at any worker count. Both reconstructors must already be
-// retuned to the same candidate delay.
+// bit-identical at any worker count. Both reconstructors must be built at
+// the same candidate delay.
 func CostFused(rB, rB1 *Reconstructor, ts []float64, lo, hi int) float64 {
 	eB := rB.fusedEvalCtx(ts)
 	eB1 := rB1.fusedEvalCtx(ts)

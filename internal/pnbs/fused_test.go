@@ -66,7 +66,7 @@ func TestAtBlockFusedMatchesAt(t *testing.T) {
 }
 
 // TestAtBlockFusedPrepSurvivesRetune: the contracted tables are delay
-// independent, so a Retune must reuse them and evaluate bit-identically to
+// independent, so a Clone at a new candidate delay must reuse them and evaluate bit-identically to
 // a reconstructor freshly built at the new delay (which builds its own
 // tables from the same inputs).
 func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
@@ -85,11 +85,12 @@ func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
 	warm := make([]float64, len(ts))
 	r.AtBlockFused(ts, warm) // builds the tables at d = 180 ps
 	for _, d := range []float64{120e-12, 240e-12, 180e-12} {
-		if err := r.Retune(d); err != nil {
+		c, err := r.Clone(d)
+		if err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, len(ts))
-		r.AtBlockFused(ts, got) // must hit the cached tables
+		c.AtBlockFused(ts, got) // must hit the cached tables
 		fresh, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +99,7 @@ func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
 		fresh.AtBlockFused(ts, want)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("d=%g i=%d: retuned fused %.17g != fresh build %.17g", d, i, got[i], want[i])
+				t.Fatalf("d=%g i=%d: cloned fused %.17g != fresh build %.17g", d, i, got[i], want[i])
 			}
 		}
 	}
@@ -134,7 +135,7 @@ func TestCloneSharesFusedTables(t *testing.T) {
 	if r.fused.Load() != c.fused.Load() {
 		t.Fatal("clone preparation did not publish to the original")
 	}
-	// The clone is retuned, the original is not.
+	// The clone is at its own delay, the original keeps its own.
 	if c.Kernel().D() != 240e-12 || r.Kernel().D() != 180e-12 {
 		t.Fatalf("delays: clone %g, original %g", c.Kernel().D(), r.Kernel().D())
 	}

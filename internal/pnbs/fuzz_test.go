@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// FuzzReconstructRetune differentially tests Retune against fresh
+// FuzzReconstructClone differentially tests Clone against fresh
 // construction on fuzzed delay pairs: both must agree on which delays are
-// feasible (Eq. 3), and on every feasible pair the retuned reconstructor
-// must evaluate bit-identically to one built from scratch at the target
+// feasible (Eq. 3), and on every feasible pair the clone must evaluate
+// bit-identically to a reconstructor built from scratch at the target
 // delay — the contract the LMS hot loop depends on.
-func FuzzReconstructRetune(f *testing.F) {
+func FuzzReconstructClone(f *testing.F) {
 	f.Add(0.36, 0.42, int64(1))  // two nearby valid delays
 	f.Add(0.36, -0.36, int64(2)) // sign flip
-	f.Add(0.5, 0.0, int64(3))    // retune to zero: must be rejected
+	f.Add(0.5, 0.0, int64(3))    // clone at zero: must be rejected
 	f.Add(0.9, 0.25, int64(4))   // large step, LMS-style
 	f.Add(-0.7, 0.33, int64(5))  // negative origin
 	f.Add(0.123, 0.1234, int64(6))
@@ -41,27 +41,27 @@ func FuzzReconstructRetune(f *testing.F) {
 
 		r, err := NewReconstructor(band, d1, 0, ch0, ch1, opt)
 		if err != nil {
-			// d1 infeasible: nothing to retune from.
+			// d1 infeasible: nothing to clone from.
 			t.Skip()
 		}
 		fresh, freshErr := NewReconstructor(band, d2, 0, ch0, ch1, opt)
-		retuneErr := r.Retune(d2)
-		if (freshErr == nil) != (retuneErr == nil) {
-			t.Fatalf("feasibility disagreement at d2=%g: fresh err %v, retune err %v",
-				d2, freshErr, retuneErr)
+		c, cloneErr := r.Clone(d2)
+		if (freshErr == nil) != (cloneErr == nil) {
+			t.Fatalf("feasibility disagreement at d2=%g: fresh err %v, clone err %v",
+				d2, freshErr, cloneErr)
 		}
-		if retuneErr != nil {
-			// Failed retune must leave the reconstructor at d1.
+		if cloneErr != nil {
+			// A failed clone must leave the template at d1.
 			if got := r.Kernel().D(); got != d1 {
-				t.Fatalf("failed retune moved D: %g, want %g", got, d1)
+				t.Fatalf("failed clone moved D: %g, want %g", got, d1)
 			}
 			return
 		}
 		lo, hi := fresh.ValidRange()
 		for i := 0; i < 25; i++ {
 			tv := lo + (hi-lo)*float64(i)/24
-			if a, b := r.At(tv), fresh.At(tv); a != b {
-				t.Fatalf("d1=%g d2=%g t=%g: retuned %g != fresh %g", d1, d2, tv, a, b)
+			if a, b := c.At(tv), fresh.At(tv); a != b {
+				t.Fatalf("d1=%g d2=%g t=%g: cloned %g != fresh %g", d1, d2, tv, a, b)
 			}
 		}
 	})

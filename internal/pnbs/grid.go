@@ -23,11 +23,11 @@ import (
 // Instants whose tap span is clamped at the capture edges, or that do not
 // land on the expected uniform pattern, fall back to At per instant.
 
-// gridPrep holds the fused per-phase coefficient tables for one
-// (t0, fs, d) uniform grid.
+// gridPrep holds the fused per-phase coefficient tables for one (t0, fs)
+// uniform grid at the reconstructor's delay.
 type gridPrep struct {
-	t0, fs, d float64
-	over      int
+	t0, fs float64
+	over   int
 	// n0Base[p] is the tap-center capture index of grid instant p; instant
 	// i = q*over + p has center n0Base[p] + q.
 	n0Base []int
@@ -49,7 +49,7 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	nt := 2*h + 1
 	d := k.D()
 	g := &gridPrep{
-		t0: t0, fs: fs, d: d, over: over,
+		t0: t0, fs: fs, over: over,
 		n0Base: make([]int, over),
 		a0:     make([]float64, over*nt),
 		a1:     make([]float64, over*nt),
@@ -75,11 +75,12 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	return g
 }
 
-// gridFor returns the cached tables for this (t0, fs) grid at the current
-// delay, rebuilding on a miss (a Retune changes d and so invalidates). A
-// nil return means the grid is incommensurate with the capture rate.
+// gridFor returns the cached tables for this (t0, fs) grid, rebuilding on
+// a miss. The delay is fixed for the reconstructor's lifetime, so it is
+// not part of the key. A nil return means the grid is incommensurate with
+// the capture rate.
 func (r *Reconstructor) gridFor(t0, fs float64) *gridPrep {
-	if g := r.grid.Load(); g != nil && g.t0 == t0 && g.fs == fs && g.d == r.kern.D() {
+	if g := r.grid.Load(); g != nil && g.t0 == t0 && g.fs == fs {
 		return g
 	}
 	g := r.buildGridPrep(t0, fs)

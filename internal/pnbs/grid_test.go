@@ -63,7 +63,7 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 					t0 := lo + off/fs
 					got, want, peak := gridVsAt(r, fc, t0, fs, 150*over)
 					g := r.grid.Load()
-					if g == nil || g.over != over || g.t0 != t0 || g.d != d {
+					if g == nil || g.over != over || g.t0 != t0 {
 						t.Fatalf("d=%g over=%d off=%g: grid tables not built for this grid", d, over, off)
 					}
 					for i := range got {
@@ -131,7 +131,7 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		}
 	})
 
-	t.Run("retune invalidates", func(t *testing.T) {
+	t.Run("a clone builds its grid at its own delay", func(t *testing.T) {
 		ch0, ch1 := noisyCapture(band, 180e-12, 260, 17)
 		r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
 		if err != nil {
@@ -140,22 +140,23 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		lo, _ := r.ValidRange()
 		fs := 4 * band.B
 		before, _, _ := gridVsAt(r, fc, lo, fs, 600)
-		if err := r.Retune(240e-12); err != nil {
+		c, err := r.Clone(240e-12)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, want, peak := gridVsAt(r, fc, lo, fs, 600)
-		if g := r.grid.Load(); g == nil || g.d != 240e-12 {
-			t.Fatal("grid tables not rebuilt at the retuned delay")
+		got, want, peak := gridVsAt(c, fc, lo, fs, 600)
+		if g := c.grid.Load(); g == nil || g == r.grid.Load() {
+			t.Fatal("grid tables not built at the clone's delay")
 		}
 		moved := false
 		for i := range got {
 			if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
-				t.Fatalf("i=%d after Retune: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
+				t.Fatalf("i=%d on the clone: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
 			}
 			moved = moved || cmplx.Abs(got[i]-before[i]) > tol*peak
 		}
 		if !moved {
-			t.Fatal("retuned grid equals the grid at the old delay: stale tables")
+			t.Fatal("clone's grid equals the grid at the original delay: stale tables")
 		}
 	})
 }

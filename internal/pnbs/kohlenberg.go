@@ -105,45 +105,39 @@ func NewKernel(band Band, d float64) (*Kernel, error) {
 	kp := band.KPlus()
 	fl := band.FLow
 	bw := band.B
-	krn := &Kernel{
+	if d == 0 {
+		return nil, fmt.Errorf("pnbs: delay D must be nonzero")
+	}
+	// Only phi0/phi1 and their sines depend on D; the angular rates and the
+	// band geometry do not.
+	phi0 := float64(k) * math.Pi * bw * d
+	phi1 := float64(kp) * math.Pi * bw * d
+	sin0 := math.Sin(phi0)
+	sin1 := math.Sin(phi1)
+	s0Zero := band.IntegerPositioned()
+	if !s0Zero && math.Abs(sin0) < MinSinMargin {
+		return nil, fmt.Errorf("pnbs: D = %g violates Eq. (3a): D ~ nT/k (sin(k pi B D) = %g)",
+			d, sin0)
+	}
+	if math.Abs(sin1) < MinSinMargin {
+		return nil, fmt.Errorf("pnbs: D = %g violates Eq. (3b): D ~ nT/(k+1) (sin(k+ pi B D) = %g)",
+			d, sin1)
+	}
+	return &Kernel{
 		band:   band,
+		d:      d,
 		k:      k,
 		kp:     kp,
+		phi0:   phi0,
+		phi1:   phi1,
+		sin0:   sin0,
+		sin1:   sin1,
 		a0:     2 * math.Pi * (float64(k)*bw - fl),
 		b0:     2 * math.Pi * fl,
 		a1:     2 * math.Pi * (fl + bw),
 		b1:     2 * math.Pi * (float64(k)*bw - fl),
-		s0Zero: band.IntegerPositioned(),
-	}
-	if err := krn.retune(d); err != nil {
-		return nil, err
-	}
-	return krn, nil
-}
-
-// retune swaps the delay in place. Only phi0/phi1 and their sines depend
-// on D — the angular rates and the band geometry do not — so a retune is a
-// handful of multiplies and two sines, with zero allocation. On a
-// stability violation (Eq. 3) the kernel keeps its previous delay.
-func (k *Kernel) retune(d float64) error {
-	if d == 0 {
-		return fmt.Errorf("pnbs: delay D must be nonzero")
-	}
-	bw := k.band.B
-	phi0 := float64(k.k) * math.Pi * bw * d
-	phi1 := float64(k.kp) * math.Pi * bw * d
-	sin0 := math.Sin(phi0)
-	sin1 := math.Sin(phi1)
-	if !k.s0Zero && math.Abs(sin0) < MinSinMargin {
-		return fmt.Errorf("pnbs: D = %g violates Eq. (3a): D ~ nT/k (sin(k pi B D) = %g)",
-			d, sin0)
-	}
-	if math.Abs(sin1) < MinSinMargin {
-		return fmt.Errorf("pnbs: D = %g violates Eq. (3b): D ~ nT/(k+1) (sin(k+ pi B D) = %g)",
-			d, sin1)
-	}
-	k.d, k.phi0, k.phi1, k.sin0, k.sin1 = d, phi0, phi1, sin0, sin1
-	return nil
+		s0Zero: s0Zero,
+	}, nil
 }
 
 // Band returns the kernel's band.

@@ -53,7 +53,7 @@ type Reconstructor struct {
 	// Tap-to-tap phasor rotations exp(-i a T) for the four kernel cosine
 	// terms: evaluating s() across consecutive taps then needs complex
 	// multiplies instead of Sincos calls (the LMS hot path). The rotation
-	// angles depend only on the band, so Retune leaves them untouched.
+	// angles depend only on the band, so Clone shares them.
 	rotA0, rotB0, rotA1, rotB1 complex128
 	// cjA0..cjB1 are the conjugate rotations exp(+i a T) used by the
 	// second (delayed-channel) kernel term, whose phase advances the other
@@ -61,14 +61,13 @@ type Reconstructor struct {
 	cjA0, cjB0, cjA1, cjB1 complex128
 	// fused caches the contracted tables of the reassociated fused path
 	// (AtBlockFused/CostFused); see fused.go. The tables are delay-
-	// independent, so they survive Retune; the pointer is atomic so
-	// concurrent callers on a shared reconstructor stay race-free. The slot
-	// itself is held by pointer so Clone can share one cache across a pool
-	// of retuned copies.
+	// independent; the pointer is atomic so concurrent callers on a shared
+	// reconstructor stay race-free. The slot itself is held by pointer so
+	// Clone can share one cache across every candidate delay.
 	fused *atomic.Pointer[fusedPrep]
 	// grid caches the fused per-phase coefficient tables of the uniform-
 	// grid path (EnvelopeGridInto); see grid.go. These fold the delay in,
-	// so a Retune invalidates them (checked by value).
+	// so each reconstructor (and each clone) keeps its own.
 	grid atomic.Pointer[gridPrep]
 }
 
@@ -113,27 +112,19 @@ func NewReconstructor(band Band, dEst, t0 float64, ch0, ch1 []float64, opt Optio
 	return r, nil
 }
 
-// Retune swaps the candidate delay D-hat into the reconstructor in place:
-// only the delay-dependent kernel phases are recomputed — the capture, the
-// window table, and the band-derived phasor rotations are reused, so the
-// LMS hot loop re-evaluates the cost at a new candidate without a single
-// allocation. On error (a forbidden delay violating Eq. (3)) the
-// reconstructor is left unchanged at its previous, valid delay.
-func (r *Reconstructor) Retune(dHat float64) error {
-	return r.kern.retune(dHat)
-}
-
-// Clone returns an independent reconstructor over the same capture, retuned
-// to dHat. The clone has its own kernel (so Retune on one never disturbs
-// another) but SHARES the delay-independent fused-table cache with the
-// original and all its clones: the first member of the family to prepare
-// an instant block publishes the tables for everyone.
-// This is what lets a pool of per-candidate evaluator workers amortize one
-// table build across arbitrarily many candidate delays. Sharing is safe
-// because the prepared tables are immutable and validated by instant-set
-// value match on every use; concurrent preparation of different instant
-// sets merely thrashes the cache, it never corrupts a result. The
-// delay-dependent grid cache (EnvelopeGridInto) is deliberately NOT shared.
+// Clone returns a reconstructor over the same capture at delay dHat. A
+// reconstructor is immutable once built, so a candidate delay is always a
+// new value: the clone gets its own kernel (two sines and a few
+// multiplies) and reuses the capture, the window table and the
+// band-derived phasor rotations. It also SHARES the delay-independent
+// fused-table cache with the original and all its clones: the first member
+// of the family to prepare an instant block publishes the tables for
+// everyone, so one table build serves every candidate delay of the LMS
+// search. Sharing is safe because the prepared tables are immutable and
+// validated by instant-set value match on every use; concurrent
+// preparation of different instant sets merely thrashes the cache, it
+// never corrupts a result. The delay-dependent grid cache
+// (EnvelopeGridInto) is deliberately NOT shared.
 func (r *Reconstructor) Clone(dHat float64) (*Reconstructor, error) {
 	kern, err := NewKernel(r.kern.band, dHat)
 	if err != nil {

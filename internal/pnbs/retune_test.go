@@ -54,17 +54,21 @@ func TestWindowLUTSharedAcrossReconstructors(t *testing.T) {
 	}
 }
 
+// Retuning a reconstructor to a candidate delay is a Clone: the clone must
+// evaluate bit-identically to a fresh build, and a rejected delay must
+// leave the template untouched.
 func TestRetuneMatchesFreshReconstructor(t *testing.T) {
 	band := Band{FLow: 955e6, B: 90e6}
 	d := 180e-12
 	ch0, ch1 := toneCapture(band, d, 300)
-	retuned, err := NewReconstructor(band, 120e-12, 0, ch0, ch1, Options{})
+	tmpl, err := NewReconstructor(band, 120e-12, 0, ch0, ch1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dHat := range []float64{180e-12, 95e-12, 260e-12, -250e-12} {
-		if err := retuned.Retune(dHat); err != nil {
-			t.Fatalf("retune to %g: %v", dHat, err)
+		cloned, err := tmpl.Clone(dHat)
+		if err != nil {
+			t.Fatalf("clone at %g: %v", dHat, err)
 		}
 		fresh, err := NewReconstructor(band, dHat, 0, ch0, ch1, Options{})
 		if err != nil {
@@ -73,13 +77,13 @@ func TestRetuneMatchesFreshReconstructor(t *testing.T) {
 		lo, hi := fresh.ValidRange()
 		for i := 0; i < 200; i++ {
 			tv := lo + (hi-lo)*float64(i)/199
-			a, b := retuned.At(tv), fresh.At(tv)
+			a, b := cloned.At(tv), fresh.At(tv)
 			if a != b {
-				t.Fatalf("dHat %g, t %g: retuned %g != fresh %g", dHat, tv, a, b)
+				t.Fatalf("dHat %g, t %g: cloned %g != fresh %g", dHat, tv, a, b)
 			}
 		}
-		if retuned.Kernel().D() != dHat {
-			t.Fatalf("kernel reports D %g after retune to %g", retuned.Kernel().D(), dHat)
+		if cloned.Kernel().D() != dHat {
+			t.Fatalf("kernel reports D %g for a clone at %g", cloned.Kernel().D(), dHat)
 		}
 	}
 }
@@ -95,17 +99,17 @@ func TestRetuneRejectsForbiddenDelayAndKeepsState(t *testing.T) {
 	lo, hi := r.ValidRange()
 	tv := (lo + hi) / 2
 	before := r.At(tv)
-	if err := r.Retune(band.T() / float64(band.K())); err == nil {
+	if _, err := r.Clone(band.T() / float64(band.K())); err == nil {
 		t.Fatal("forbidden delay accepted")
 	}
-	if err := r.Retune(0); err == nil {
+	if _, err := r.Clone(0); err == nil {
 		t.Fatal("zero delay accepted")
 	}
 	if got := r.At(tv); got != before {
-		t.Fatalf("failed retune changed state: %g vs %g", got, before)
+		t.Fatalf("failed clone changed state: %g vs %g", got, before)
 	}
 	if r.Kernel().D() != d {
-		t.Fatalf("failed retune changed D: %g", r.Kernel().D())
+		t.Fatalf("failed clone changed D: %g", r.Kernel().D())
 	}
 }
 

@@ -3,7 +3,9 @@ package skew
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/pnbs"
 )
 
 // TestCostFusedBitIdenticalAcrossWorkers pins the worker-count-invariance
@@ -57,19 +59,20 @@ func TestCostFusedMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestCostFusedPrepSurvivesRetune drives one pooled worker through many
+// TestCostFusedPrepSurvivesRetune drives one evaluator through many
 // candidate delays: the first evaluation builds the contracted tables,
-// every later one must reuse them through Retune (the tables are delay
-// independent). Bit-equality with a FRESH evaluator's first evaluation at
-// the same delay proves the reuse is exact — the retuned tables are the
-// very floats a from-scratch build produces — and the serial oracle bounds
-// the absolute accuracy at each stop.
+// every later one must reuse them through its per-candidate Clone pair
+// (the tables are delay independent). Bit-equality with a FRESH
+// evaluator's first evaluation at the same delay proves the reuse is
+// exact — the shared tables are the very floats a from-scratch build
+// produces — and the serial oracle bounds the absolute accuracy at each
+// stop.
 func TestCostFusedPrepSurvivesRetune(t *testing.T) {
 	ce := paperEvaluator(t, 180e-12)
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	for _, dHat := range []float64{100e-12, 180e-12, 260e-12, 180e-12, 100e-12} {
-		got, err := ce.Cost(dHat) // pooled: same worker, Retune between calls
+		got, err := ce.Cost(dHat) // same evaluator: shared tables, fresh clones
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,14 +82,65 @@ func TestCostFusedPrepSurvivesRetune(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("dHat=%g: retuned worker %.17g != fresh build %.17g", dHat, got, want)
+			t.Fatalf("dHat=%g: reused tables %.17g != fresh build %.17g", dHat, got, want)
 		}
 		ref, err := ce.costSerial(dHat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rd := relDiff(got, ref); rd > 1e-9 {
-			t.Fatalf("dHat=%g: retuned %.17g vs serial oracle %.17g (rel %g)", dHat, got, ref, rd)
+			t.Fatalf("dHat=%g: reused tables %.17g vs serial oracle %.17g (rel %g)", dHat, got, ref, rd)
 		}
+	}
+}
+
+// TestNewCostEvaluatorRejectsShortCapture: the template reconstructor pair
+// is built at construction, so a capture too short for the filter support
+// is refused there, not on the first Cost.
+func TestNewCostEvaluatorRejectsShortCapture(t *testing.T) {
+	bandB, bandB1 := paperBands()
+	opt := pnbs.Options{HalfTaps: 30}
+	times := []float64{1e-6}
+	for _, tc := range []struct {
+		name    string
+		nB, nB1 int
+	}{
+		{"rate-B capture", opt.HalfTaps, 130},
+		{"rate-B1 capture", 220, opt.HalfTaps},
+	} {
+		setB := idealSet(bandB, 0, 180e-12, tc.nB)
+		setB1 := idealSet(bandB1, -300e-9, 180e-12, tc.nB1)
+		if _, err := NewCostEvaluator(setB, setB1, times, opt); err == nil {
+			t.Errorf("%s of %d samples (< HalfTaps+1) accepted", tc.name, opt.HalfTaps)
+		}
+	}
+}
+
+// TestCostForbiddenDelayCountsErrorAndLeavesNoState: a candidate delay
+// violating Eq. (3) fails and increments skew.cost.errors; the next valid
+// candidate then evaluates to the very bits a fresh evaluator produces.
+func TestCostForbiddenDelayCountsErrorAndLeavesNoState(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	bandB, _ := paperBands()
+	ce := paperEvaluator(t, 180e-12)
+	errs := obs.C("skew.cost.errors")
+	before := errs.Value()
+	if _, err := ce.Cost(bandB.T() / float64(bandB.K())); err == nil {
+		t.Fatal("forbidden delay accepted")
+	}
+	if got := errs.Value() - before; got != 1 {
+		t.Fatalf("skew.cost.errors moved by %d, want 1", got)
+	}
+	got, err := ce.Cost(200e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := paperEvaluator(t, 180e-12).Cost(200e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("cost after a rejected candidate %.17g != fresh evaluator %.17g", got, want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -23,12 +22,8 @@ import (
 var (
 	mCostEvals  = obs.C("skew.cost.evals")
 	mCostErrors = obs.C("skew.cost.errors")
-	mPoolGets   = obs.C("skew.cost.pool.gets")
-	mPoolNews   = obs.C("skew.cost.pool.news")
-	mRetunes    = obs.C("skew.cost.retunes")
 	// mMemoHits counts descent evaluations served from the LMS candidate
-	// memo: logical evaluations that did no kernel work, so pool gets +
-	// news + memo hits = cost evals exactly.
+	// memo: logical evaluations that did no kernel work.
 	mMemoHits = obs.C("skew.lms.memo.hits")
 )
 
@@ -92,20 +87,13 @@ type CostEvaluator struct {
 	setB1 SampleSet
 	times []float64
 	opt   pnbs.Options
-	// workers recycles reconstructor pairs (plus per-chunk partial storage)
-	// across Cost calls: a candidate delay is swapped in with Retune
-	// instead of rebuilding kernels and phasor tables, so the LMS hot loop
-	// runs allocation-free. A pool rather than a single pair keeps Cost
-	// safe to call from concurrent goroutines (parallel sweep points,
-	// parallel LMS traces) without serialising them.
-	workers sync.Pool // *costWorker
-	// protoB/protoB1 are the template reconstructor pair every fresh pool
-	// worker is cloned from. Clones share the delay-independent prepared
-	// tables (pnbs.Reconstructor.Clone), so the fused-path contraction is
-	// built once per capture and amortized across all candidates and all
-	// concurrent workers.
-	protoMu         sync.Mutex
-	protoB, protoB1 *pnbs.Reconstructor
+	// rB/rB1 are the immutable template reconstructor pair, built at each
+	// band's OptimalD. Every candidate delay is evaluated on a fresh Clone
+	// pair; clones share the delay-independent prepared tables
+	// (pnbs.Reconstructor.Clone), so the fused-path contraction is built
+	// once per capture and amortized across all candidates and all
+	// concurrent callers.
+	rB, rB1 *pnbs.Reconstructor
 }
 
 // costChunk is the fixed instant-chunk size of the fused cost fold. It is a
@@ -113,67 +101,10 @@ type CostEvaluator struct {
 // sums and their chunk-order fold are bit-identical at any pool size.
 const costChunk = 16
 
-// costWorker is one reusable evaluation context: a retunable reconstructor
-// pair plus the per-chunk partials of the fused residual fold.
-type costWorker struct {
-	rB, rB1  *pnbs.Reconstructor
-	partials []float64
-}
-
-// worker returns a pooled evaluation context retuned to dHat, cloning a
-// fresh one from the template pair only when the pool is empty.
-func (c *CostEvaluator) worker(dHat float64) (*costWorker, error) {
-	if v := c.workers.Get(); v != nil {
-		w := v.(*costWorker)
-		mPoolGets.Inc()
-		mRetunes.Add(2)
-		if err := w.rB.Retune(dHat); err != nil {
-			c.workers.Put(w)
-			return nil, err
-		}
-		if err := w.rB1.Retune(dHat); err != nil {
-			c.workers.Put(w)
-			return nil, err
-		}
-		return w, nil
-	}
-	mPoolNews.Inc()
-	pB, pB1, err := c.proto(dHat)
-	if err != nil {
-		return nil, err
-	}
-	rB, err := pB.Clone(dHat)
-	if err != nil {
-		return nil, err
-	}
-	rB1, err := pB1.Clone(dHat)
-	if err != nil {
-		return nil, err
-	}
-	return &costWorker{rB: rB, rB1: rB1}, nil
-}
-
-// proto returns the template reconstructor pair, building it on first use.
-func (c *CostEvaluator) proto(dHat float64) (*pnbs.Reconstructor, *pnbs.Reconstructor, error) {
-	c.protoMu.Lock()
-	defer c.protoMu.Unlock()
-	if c.protoB == nil {
-		rB, err := pnbs.NewReconstructor(c.setB.Band, dHat, c.setB.T0, c.setB.Ch0, c.setB.Ch1, c.opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		rB1, err := pnbs.NewReconstructor(c.setB1.Band, dHat, c.setB1.T0, c.setB1.Ch0, c.setB1.Ch1, c.opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.protoB, c.protoB1 = rB, rB1
-	}
-	return c.protoB, c.protoB1, nil
-}
-
-// NewCostEvaluator validates the two captures and the evaluation instants.
-// The instants must lie inside the valid reconstruction range of both sets;
-// use EvalWindow/RandomTimes to generate them.
+// NewCostEvaluator validates the two captures and the evaluation instants
+// and builds the template reconstructor pair. The instants must lie inside
+// the valid reconstruction range of both sets; use EvalWindow/RandomTimes
+// to generate them.
 func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) (*CostEvaluator, error) {
 	if err := CheckUniqueness(setB.Band, setB1.Band); err != nil {
 		return nil, err
@@ -184,7 +115,25 @@ func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) 
 	if len(setB.Ch0) != len(setB.Ch1) || len(setB1.Ch0) != len(setB1.Ch1) {
 		return nil, fmt.Errorf("skew: channel length mismatch")
 	}
-	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt}, nil
+	rB, rB1, err := templatePair(setB, setB1, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt, rB: rB, rB1: rB1}, nil
+}
+
+// templatePair builds the reconstructor pair of the two captures at each
+// band's OptimalD.
+func templatePair(setB, setB1 SampleSet, opt pnbs.Options) (rB, rB1 *pnbs.Reconstructor, err error) {
+	rB, err = pnbs.NewReconstructor(setB.Band, setB.Band.OptimalD(), setB.T0, setB.Ch0, setB.Ch1, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	rB1, err = pnbs.NewReconstructor(setB1.Band, setB1.Band.OptimalD(), setB1.T0, setB1.Ch0, setB1.Ch1, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rB, rB1, nil
 }
 
 // Times returns the evaluation instants.
@@ -194,41 +143,35 @@ func (c *CostEvaluator) Times() []float64 { return c.times }
 func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 
 // Cost evaluates the Eq. (7) objective at the candidate delay dHat through
-// the fused reassociated kernel (pnbs.CostFused): both reconstructors share
-// delay-independent contracted tables (built once per capture, surviving
-// Retune and shared across pooled workers via Clone), fixed-size instant
-// chunks fan out over the par pool, and the per-chunk residual partials are
-// folded serially in chunk order. The chunk boundaries never depend on the
-// worker count, so the result is bit-identical at any pool size; against
-// the per-instant serial oracle (costSerial) the fused value agrees to
-// <= 1e-9 relative — reassociated, not bit-identical (the documented
-// estimate-stage tolerance contract). Cost is safe for concurrent use.
+// the fused reassociated kernel (pnbs.CostFused): the candidate's Clone
+// pair shares the template's delay-independent contracted tables (built
+// once per capture), fixed-size instant chunks fan out over the par pool,
+// and the per-chunk residual partials are folded serially in chunk order.
+// The chunk boundaries never depend on the worker count, so the result is
+// bit-identical at any pool size; against the per-instant serial oracle
+// (costSerial) the fused value agrees to <= 1e-9 relative — reassociated,
+// not bit-identical (the documented estimate-stage tolerance contract).
+// Cost is safe for concurrent use.
 func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	mCostEvals.Inc()
-	w, err := c.worker(dHat)
+	rB, err := c.rB.Clone(dHat)
 	if err != nil {
 		mCostErrors.Inc()
 		return 0, err
 	}
-	defer c.workers.Put(w)
+	rB1, err := c.rB1.Clone(dHat)
+	if err != nil {
+		mCostErrors.Inc()
+		return 0, err
+	}
 	n := len(c.times)
-	partials := w.chunkStorage(n)
-	w.rB.PrepareFused(c.times)
-	w.rB1.PrepareFused(c.times)
+	partials := make([]float64, (n+costChunk-1)/costChunk)
+	rB.PrepareFused(c.times)
+	rB1.PrepareFused(c.times)
 	par.ForChunks(n, costChunk, func(lo, hi int) {
-		partials[lo/costChunk] = pnbs.CostFused(w.rB, w.rB1, c.times, lo, hi)
+		partials[lo/costChunk] = pnbs.CostFused(rB, rB1, c.times, lo, hi)
 	})
 	return foldChunks(partials, n), nil
-}
-
-// chunkStorage returns the worker's per-chunk partial buffer sized for n
-// instants.
-func (w *costWorker) chunkStorage(n int) []float64 {
-	nc := (n + costChunk - 1) / costChunk
-	if cap(w.partials) < nc {
-		w.partials = make([]float64, nc)
-	}
-	return w.partials[:nc]
 }
 
 // foldChunks folds the per-chunk partials serially in chunk order — the one
@@ -266,11 +209,7 @@ func (c *CostEvaluator) costSerial(dHat float64) (float64, error) {
 // EvalWindow returns the time interval over which both captures support
 // full-filter reconstruction (intersection of the two valid ranges).
 func EvalWindow(setB, setB1 SampleSet, opt pnbs.Options) (lo, hi float64, err error) {
-	rB, err := pnbs.NewReconstructor(setB.Band, setB.Band.OptimalD(), setB.T0, setB.Ch0, setB.Ch1, opt)
-	if err != nil {
-		return 0, 0, err
-	}
-	rB1, err := pnbs.NewReconstructor(setB1.Band, setB1.Band.OptimalD(), setB1.T0, setB1.Ch0, setB1.Ch1, opt)
+	rB, rB1, err := templatePair(setB, setB1, opt)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -19,7 +19,7 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestCostParallelMatchesSerialReference is the differential guarantee of
-// the acceptance criteria: the pooled + Retune + parallel fused Cost path
+// the acceptance criteria: the per-candidate Clone + parallel fused Cost path
 // must agree with the seed's rebuild-everything serial path to 1e-9
 // relative (the estimate-stage tolerance contract; observed agreement is
 // ~1e-12), at every pool size.
@@ -48,9 +48,8 @@ func TestCostParallelMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestCostRepeatedCallsIdentical: the pooled path must be a pure function
-// of dHat — worker recycling (Retune of a previously used pair) cannot
-// leak state between candidate delays.
+// TestCostRepeatedCallsIdentical: Cost must be a pure function of dHat —
+// the shared table cache cannot leak state between candidate delays.
 func TestCostRepeatedCallsIdentical(t *testing.T) {
 	ce := paperEvaluator(t, 180e-12)
 	first := make(map[float64]float64)
@@ -61,7 +60,7 @@ func TestCostRepeatedCallsIdentical(t *testing.T) {
 		}
 		first[dHat] = v
 	}
-	// Revisit in a different order, twice, after the pool is warm.
+	// Revisit in a different order, twice, after the tables are warm.
 	for i := 0; i < 2; i++ {
 		for _, dHat := range []float64{300e-12, 100e-12, 180e-12} {
 			v, err := ce.Cost(dHat)
