@@ -148,7 +148,7 @@ func runServer(o serverOpts) error {
 		}
 	}
 	if o.watchdog > 0 {
-		fs.StartWatchdog(fleet.WatchdogConfig{Interval: o.watchdog})
+		fs.StartWatchdog(o.watchdog)
 	}
 	eventlog.Emit("bistd.listening",
 		slog.String("addr", hs.Addr()),

@@ -143,10 +143,7 @@ func run(args []string, out io.Writer) (int, error) {
 		cfg.IRRTest = cfg.IRRTest || fc.IRRTest
 		cfg.EVMTest = cfg.EVMTest || fc.EVMTest
 		if fc.Scale > 0 && fc.Scale < 1 {
-			cfg.CaptureLen = int(float64(cfg.CaptureLen) * fc.Scale)
-			cfg.NTimes = int(float64(cfg.NTimes) * fc.Scale)
-			cfg.PSDLen = int(float64(cfg.PSDLen) * fc.Scale)
-			cfg.SegLen = cfg.PSDLen / 4
+			cfg = core.ScaleAcquisition(cfg, fc.Scale)
 		}
 		if fc.Fault != "" {
 			f, err := core.FaultByName(fc.Fault)

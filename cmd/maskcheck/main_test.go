@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,5 +100,23 @@ func TestCustomMaskInvalid(t *testing.T) {
 	cfg := writeConfig(t, `{"customMask": {"channelBwHz": 0, "refBwHz": 1, "points": []}}`)
 	if _, err := run([]string{"-config", cfg}, &bytes.Buffer{}); err == nil {
 		t.Error("invalid custom mask must fail")
+	}
+}
+
+// TestScaleUsesSharedRule: "scale" shrinks the acquisition through
+// core.ScaleAcquisition, so the PSD scales too and every size keeps its
+// floor (at 0.1 the PSD grid is the 512-point floor, not 10% of 2048).
+func TestScaleUsesSharedRule(t *testing.T) {
+	cfg := writeConfig(t, `{"scale": 0.1}`)
+	var out bytes.Buffer
+	if _, err := run([]string{"-config", cfg, "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep struct{ Compute struct{ PSDSamples int } }
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Compute.PSDSamples != 512 {
+		t.Errorf("PSDSamples = %d at scale 0.1, want 512", rep.Compute.PSDSamples)
 	}
 }

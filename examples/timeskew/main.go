@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/obs/trace"
 	"repro/internal/skew"
 )
 
@@ -46,7 +47,7 @@ func run(w io.Writer) error {
 
 	// Run Algorithm 1 from wildly wrong starting guesses.
 	for _, d0 := range []float64{50e-12, 100e-12, 350e-12, 400e-12} {
-		res, err := skew.Estimate(ce, d0, skew.LMSConfig{Mu0: 1e-12})
+		res, err := skew.EstimateLMS(trace.Root, ce.Cost, d0, ce.M())
 		if err != nil {
 			return err
 		}

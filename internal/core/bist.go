@@ -36,8 +36,6 @@ type Config struct {
 	SymbolRate float64
 	// RollOff is the SRRC roll-off (paper: 0.5).
 	RollOff float64
-	// PulseSpan is the one-sided SRRC span in symbols (0 = 8).
-	PulseSpan int
 	// NumSymbols is the cyclic symbol-stream length (0 = 128).
 	NumSymbols int
 	// Seed drives symbol generation.
@@ -89,8 +87,6 @@ type Config struct {
 	NTimes int
 	// TimesSeed seeds the random evaluation instants.
 	TimesSeed int64
-	// LMS configures Algorithm 1 (zero value = defaults).
-	LMS skew.LMSConfig
 	// D0 is the initial delay estimate (0 = NominalD).
 	D0 float64
 
@@ -105,10 +101,6 @@ type Config struct {
 	// IRRTest enables the single-sideband tone test measuring image
 	// rejection and LO leakage through the reconstruction path.
 	IRRTest bool
-	// MinIRRDB is the image-rejection pass threshold (0 = 30 dB).
-	MinIRRDB float64
-	// MaxLOLeakDBc is the LO-leakage pass threshold (0 = -30 dBc).
-	MaxLOLeakDBc float64
 	// MinChannelPower, when positive, requires at least this in-channel
 	// power (V^2) — catches dead-gain faults.
 	MinChannelPower float64
@@ -117,21 +109,29 @@ type Config struct {
 	EVMTest bool
 	// MaxEVMPercent is the EVM pass threshold (0 = 8 %).
 	MaxEVMPercent float64
-	// EVMSymbols is the demodulated symbol count (0 = 48).
-	EVMSymbols int
 	// ADCCheck enables the converter instrument pre-check.
 	ADCCheck bool
-	// MinADCSNDRdB is the per-channel SNDR floor for the pre-check
-	// (0 = 30 dB; the healthy ceiling is jitter-limited around 34 dB).
-	MinADCSNDRdB float64
 }
+
+// Fixed test parameters. The thresholds are floats so the failure strings
+// format them with %.1f.
+const (
+	// pulseSpan is the one-sided SRRC span of the test waveform in symbols.
+	pulseSpan = 8
+	// minIRRDB is the image-rejection pass threshold.
+	minIRRDB = 30.0
+	// maxLOLeakDBc is the LO-leakage pass threshold.
+	maxLOLeakDBc = -30.0
+	// evmSymbols is the demodulated symbol count of the EVM sub-test.
+	evmSymbols = 48
+	// minADCSNDRdB is the per-channel SNDR floor of the ADC pre-check; the
+	// healthy ceiling is jitter-limited around 34 dB.
+	minADCSNDRdB = 30.0
+)
 
 func (c Config) withDefaults() Config {
 	if c.Constellation == "" {
 		c.Constellation = "QPSK"
-	}
-	if c.PulseSpan == 0 {
-		c.PulseSpan = 8
 	}
 	if c.NumSymbols == 0 {
 		c.NumSymbols = 128
@@ -163,20 +163,8 @@ func (c Config) withDefaults() Config {
 	if c.SegLen == 0 {
 		c.SegLen = 512
 	}
-	if c.MinIRRDB == 0 {
-		c.MinIRRDB = 30
-	}
-	if c.MaxLOLeakDBc == 0 {
-		c.MaxLOLeakDBc = -30
-	}
 	if c.MaxEVMPercent == 0 {
 		c.MaxEVMPercent = 8
-	}
-	if c.EVMSymbols == 0 {
-		c.EVMSymbols = 48
-	}
-	if c.MinADCSNDRdB == 0 {
-		c.MinADCSNDRdB = 30
 	}
 	// The PSD grid must fit inside the reconstruction's valid range
 	// (capture minus the filter half-support on each side).
@@ -236,7 +224,7 @@ func New(cfg Config) (*BIST, error) {
 		if err != nil {
 			return nil, err
 		}
-		pulse, err := modem.NewSRRC(1/c.SymbolRate, c.RollOff, c.PulseSpan)
+		pulse, err := modem.NewSRRC(1/c.SymbolRate, c.RollOff, pulseSpan)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +246,7 @@ func New(cfg Config) (*BIST, error) {
 		// estimate would.
 		key := gainKey{
 			constellation: c.Constellation, numSymbols: len(syms),
-			symbolRate: c.SymbolRate, rollOff: c.RollOff, pulseSpan: c.PulseSpan,
+			symbolRate: c.SymbolRate, rollOff: c.RollOff,
 			power: c.BasebandPower,
 		}
 		if c.Symbols != nil {
@@ -364,7 +352,7 @@ func (b *BIST) estimate(tc trace.Ctx, setB, setB1 skew.SampleSet) (skew.LMSResul
 	if err != nil {
 		return skew.LMSResult{}, nil, err
 	}
-	res, err := skew.EstimateCtx(tc, ce, b.cfg.D0, b.cfg.LMS)
+	res, err := skew.EstimateLMS(tc, ce.Cost, b.cfg.D0, ce.M())
 	if err != nil {
 		return skew.LMSResult{}, nil, err
 	}
@@ -451,7 +439,6 @@ type gainKey struct {
 	symHash       uint64
 	symbolRate    float64
 	rollOff       float64
-	pulseSpan     int
 	power         float64
 }
 

@@ -196,10 +196,10 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 		rep.ADCChecked = true
 		rep.ADC = chk
 		for i, sndr := range chk.SNDRdB {
-			if sndr < c.MinADCSNDRdB {
+			if sndr < minADCSNDRdB {
 				rep.Failures = append(rep.Failures,
 					fmt.Sprintf("ADC channel %d SNDR %.1f dB below instrument floor %.1f dB",
-						i, sndr, c.MinADCSNDRdB))
+						i, sndr, minADCSNDRdB))
 			}
 		}
 	}
@@ -284,7 +284,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 
 	// 6. Modulation quality through the reconstruction path.
 	if c.EVMTest {
-		evm, err := b.RunEVMTest(rec, c.EVMSymbols)
+		evm, err := b.RunEVMTest(rec, evmSymbols)
 		if err != nil {
 			return nil, err
 		}
@@ -305,13 +305,13 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 		rep.IRRTested = true
 		rep.IRRMeasuredDB = irr
 		rep.LOLeakageDBc = leak
-		if irr < c.MinIRRDB {
+		if irr < minIRRDB {
 			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("image rejection %.1f dB below minimum %.1f dB", irr, c.MinIRRDB))
+				fmt.Sprintf("image rejection %.1f dB below minimum %.1f dB", irr, minIRRDB))
 		}
-		if leak > c.MaxLOLeakDBc {
+		if leak > maxLOLeakDBc {
 			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("LO leakage %.1f dBc above limit %.1f dBc", leak, c.MaxLOLeakDBc))
+				fmt.Sprintf("LO leakage %.1f dBc above limit %.1f dBc", leak, maxLOLeakDBc))
 		}
 	}
 

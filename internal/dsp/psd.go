@@ -80,22 +80,16 @@ func (s *Spectrum) PeakBin() (idx int, freq float64) {
 	return idx, freq
 }
 
-// WelchConfig configures Welch's averaged-periodogram PSD estimator.
+// WelchConfig configures Welch's averaged-periodogram PSD estimator. The
+// taper is always Hann and consecutive segments overlap by half a segment.
 type WelchConfig struct {
 	// SegmentLen is the per-segment FFT length (power of two recommended).
 	SegmentLen int
-	// Overlap is the number of samples shared by consecutive segments
-	// (typically SegmentLen/2).
-	Overlap int
-	// Win selects the taper; Beta is the Kaiser parameter when Win is
-	// KaiserWin.
-	Win  WindowType
-	Beta float64
 }
 
-// DefaultWelch returns a sensible configuration: Hann window, 50 % overlap.
+// DefaultWelch returns the configuration for a segment length.
 func DefaultWelch(segmentLen int) WelchConfig {
-	return WelchConfig{SegmentLen: segmentLen, Overlap: segmentLen / 2, Win: Hann}
+	return WelchConfig{SegmentLen: segmentLen}
 }
 
 // welchParams validates a Welch configuration against the input length and
@@ -108,14 +102,11 @@ func welchParams(inputLen int, cfg WelchConfig) (win []float64, winPow float64, 
 	if inputLen < n {
 		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: input length %d < segment %d", inputLen, n)
 	}
-	if cfg.Overlap < 0 || cfg.Overlap >= n {
-		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: overlap %d outside [0, %d)", cfg.Overlap, n)
-	}
-	win = Window(cfg.Win, n, cfg.Beta)
+	win = Window(Hann, n, 0)
 	for _, w := range win {
 		winPow += w * w
 	}
-	step = n - cfg.Overlap
+	step = n - n/2
 	segs = (inputLen-n)/step + 1
 	if segs == 0 {
 		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: no complete segments")

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/dsp"
+	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 	"repro/internal/sig"
 	"repro/internal/skew"
@@ -90,7 +91,7 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 		if err != nil {
 			return err
 		}
-		r, err := skew.Estimate(ce, 100e-12, skew.LMSConfig{Mu0: 1e-12})
+		r, err := skew.EstimateLMS(trace.Root, ce.Cost, 100e-12, ce.M())
 		if err != nil {
 			return err
 		}
@@ -156,7 +157,7 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lms, err := skew.Estimate(ce, 100e-12, skew.LMSConfig{Mu0: 1e-12})
+	lms, err := skew.EstimateLMS(trace.Root, ce.Cost, 100e-12, ce.M())
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/obs/trace"
 	"repro/internal/skew"
 )
 
@@ -66,7 +67,7 @@ func RunAveraging(ks []int) (*AveragingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := skew.EstimateMulti(mc, 100e-12, skew.LMSConfig{Mu0: 1e-12})
+		r, err := skew.EstimateLMS(trace.Root, mc.Cost, 100e-12, mc.M())
 		if err != nil {
 			return nil, err
 		}

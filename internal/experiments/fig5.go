@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/obs/trace"
 	"repro/internal/skew"
 )
 
@@ -44,7 +45,7 @@ func RunFig5(s PaperSetup, dLo, dHi float64, nPts, nB int) (*Fig5Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	ds, costs := skew.CostCurve(ce, dLo, dHi, nPts)
+	ds, costs := skew.CostCurve(trace.Root, ce, dLo, dHi, nPts)
 	res := &Fig5Result{DHats: ds, Costs: costs, DTrue: actualD}
 	best := 0
 	for i, c := range costs {

@@ -55,7 +55,7 @@ func RunFig6(s PaperSetup, starts []float64, nB int) (*Fig6Result, error) {
 	sp.SetInt("starts", int64(len(starts)))
 	traces, err := par.MapErrCtx(sp.Ctx(), len(starts), func(taskCtx trace.Ctx, i int) (Fig6Trace, error) {
 		d0 := starts[i]
-		r, err := skew.EstimateCtx(taskCtx, ce, d0, skew.LMSConfig{Mu0: 1e-12})
+		r, err := skew.EstimateLMS(taskCtx, ce.Cost, d0, ce.M())
 		if err != nil {
 			return Fig6Trace{}, fmt.Errorf("experiments: LMS from %g: %w", d0, err)
 		}

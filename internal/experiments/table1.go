@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/dsp"
+	"repro/internal/obs/trace"
 	"repro/internal/par"
 	"repro/internal/pnbs"
 	"repro/internal/rf"
@@ -90,7 +91,7 @@ func RunTable1(s PaperSetup, nB int) (*Table1Result, error) {
 		if i >= len(fracs) {
 			// LMS technique on the shared (concurrency-safe) evaluator.
 			d0 := d0s[i-len(fracs)]
-			r, err := skew.Estimate(ce, d0, skew.LMSConfig{Mu0: 1e-12})
+			r, err := skew.EstimateLMS(trace.Root, ce.Cost, d0, ce.M())
 			if err != nil {
 				return unit{}, err
 			}

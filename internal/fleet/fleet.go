@@ -242,11 +242,13 @@ type Server struct {
 
 	// Health sampling state. draining flips the moment Shutdown begins so
 	// /healthz turns away traffic before the drain completes; running and
-	// lastCkptNanos are the watchdog's progress signals; watchdog is the
-	// sampler itself, when one was started.
+	// lastCkptNanos are the watchdog's progress signals; ckptFailing is
+	// set by a failed checkpoint write and cleared by the next successful
+	// one; watchdog is the sampler itself, when one was started.
 	draining      atomic.Bool
 	running       atomic.Pointer[Campaign]
 	lastCkptNanos atomic.Int64
+	ckptFailing   atomic.Bool
 	watchdog      atomic.Pointer[Watchdog]
 }
 
@@ -662,8 +664,9 @@ func (s *Server) checkpointPath(c *Campaign) string {
 // writeCheckpoint persists the current completed-cell set atomically
 // (write-to-temp, rename) so a kill mid-write can never leave a truncated
 // checkpoint that a resume would trust. A failed write leaves the previous
-// checkpoint in place, the campaign runs on, and a fleet.checkpoint.error
-// event names the failing stage (marshal, write or rename).
+// checkpoint in place, the campaign runs on, a fleet.checkpoint.error
+// event names the failing stage (marshal, write or rename), and health
+// reports checkpoint_failing until a later write succeeds.
 func (s *Server) writeCheckpoint(c *Campaign) {
 	if s.cfg.CheckpointDir == "" {
 		return
@@ -671,6 +674,7 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	fail := func(stage string, err error) {
+		s.ckptFailing.Store(true)
 		eventlog.Emit("fleet.checkpoint.error",
 			slog.String("campaign", c.ID),
 			slog.String("stage", stage),
@@ -694,6 +698,7 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 	}
 	mCkptWrites.Inc()
 	s.lastCkptNanos.Store(time.Now().UnixNano())
+	s.ckptFailing.Store(false)
 	if eventlog.On() {
 		c.mu.Lock()
 		cells := len(c.done)

@@ -33,6 +33,9 @@ const (
 	CauseQueueSaturated  = "queue_saturated"
 	CauseNoCompletion    = "no_completion"
 	CauseCheckpointStale = "checkpoint_stale"
+	// CauseCheckpointFailing: the last checkpoint write failed, so a
+	// restart would resume from older progress than the campaign has made.
+	CauseCheckpointFailing = "checkpoint_failing"
 )
 
 // Health is the /healthz payload: a state plus the machine-readable
@@ -52,32 +55,17 @@ type Health struct {
 	RunningCampaign string `json:"running_campaign,omitempty"`
 }
 
-// WatchdogConfig tunes the fleet health sampler.
-type WatchdogConfig struct {
-	// Interval between samples (default 1s).
-	Interval time.Duration
-	// StallIntervals is how many consecutive samples may pass with a
-	// campaign running but no job completing before the fleet is declared
-	// stalled (default 3).
-	StallIntervals int
-	// CheckpointCadences is how many intervals a running campaign may go
-	// without a checkpoint write (when checkpointing is configured)
-	// before health degrades to checkpoint_stale (default 5).
-	CheckpointCadences int
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.StallIntervals < 1 {
-		c.StallIntervals = 3
-	}
-	if c.CheckpointCadences < 1 {
-		c.CheckpointCadences = 5
-	}
-	return c
-}
+// Watchdog windows, in sampling intervals.
+const (
+	// stallIntervals is how many consecutive samples may pass with a
+	// campaign running but no job completing (or with the queue buffer
+	// full) before the fleet is declared stalled (or saturated).
+	stallIntervals = 3
+	// checkpointCadences is how many intervals a running campaign may go
+	// without a checkpoint write (when checkpointing is configured) before
+	// health degrades to checkpoint_stale.
+	checkpointCadences = 5
+)
 
 // Watchdog samples the server's execution machinery on a ticker and
 // distils the readings into a Health report. It reads only queue-local
@@ -85,8 +73,8 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // BIST_METRICS off — and never influences scheduling: a stalled verdict
 // changes the /healthz status code, nothing else.
 type Watchdog struct {
-	s   *Server
-	cfg WatchdogConfig
+	s        *Server
+	interval time.Duration
 
 	stop chan struct{}
 	done chan struct{}
@@ -101,15 +89,19 @@ type Watchdog struct {
 	firstState bool
 }
 
-// StartWatchdog begins health sampling. The returned Watchdog is also
-// installed on the server, upgrading /healthz from a liveness ping to a
-// readiness report. Close it (or Shutdown the server) to stop sampling.
-func (s *Server) StartWatchdog(cfg WatchdogConfig) *Watchdog {
+// StartWatchdog begins health sampling every interval (<= 0 means 1s). The
+// returned Watchdog is also installed on the server, upgrading /healthz
+// from a liveness ping to a readiness report. Close it (or Shutdown the
+// server) to stop sampling.
+func (s *Server) StartWatchdog(interval time.Duration) *Watchdog {
+	if interval <= 0 {
+		interval = time.Second
+	}
 	w := &Watchdog{
-		s:    s,
-		cfg:  cfg.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		s:        s,
+		interval: interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	w.health = Health{State: HealthOK}
 	w.lastDone = s.queue.Done()
@@ -132,7 +124,7 @@ func (w *Watchdog) Close() {
 
 func (w *Watchdog) run() {
 	defer close(w.done)
-	t := time.NewTicker(w.cfg.Interval)
+	t := time.NewTicker(w.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -185,20 +177,24 @@ func (w *Watchdog) tick() {
 	}
 
 	state := HealthOK
-	if w.satTicks >= w.cfg.StallIntervals {
+	if w.satTicks >= stallIntervals {
 		h.Causes = append(h.Causes, CauseQueueSaturated)
 		state = HealthDegraded
 	}
 	if s.cfg.CheckpointDir != "" && running != nil {
 		if last := s.lastCkptNanos.Load(); last > 0 {
 			age := time.Duration(time.Now().UnixNano() - last)
-			if age > time.Duration(w.cfg.CheckpointCadences)*w.cfg.Interval {
+			if age > checkpointCadences*w.interval {
 				h.Causes = append(h.Causes, CauseCheckpointStale)
 				state = HealthDegraded
 			}
 		}
 	}
-	if w.idleTicks >= w.cfg.StallIntervals {
+	if s.ckptFailing.Load() {
+		h.Causes = append(h.Causes, CauseCheckpointFailing)
+		state = HealthDegraded
+	}
+	if w.idleTicks >= stallIntervals {
 		h.Causes = append(h.Causes, CauseNoCompletion)
 		state = HealthStalled
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -48,7 +50,7 @@ func waitHealthState(t *testing.T, s *Server, want string, timeout time.Duration
 // the wedge releases the campaign finishes and health returns to ok.
 func TestWatchdogStallAndRecover(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	w := s.StartWatchdog(WatchdogConfig{Interval: 5 * time.Millisecond, StallIntervals: 2})
+	w := s.StartWatchdog(5 * time.Millisecond)
 	defer w.Close()
 
 	ts := httptest.NewServer(s.Handler(false))
@@ -164,7 +166,7 @@ func TestHealthzDrainingDuringShutdown(t *testing.T) {
 // full (without a stalled campaign) is a warning, not an outage.
 func TestWatchdogQueueSaturation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	w := s.StartWatchdog(WatchdogConfig{Interval: 5 * time.Millisecond, StallIntervals: 2})
+	w := s.StartWatchdog(5 * time.Millisecond)
 	defer w.Close()
 
 	// Wedge the worker and fill the buffer completely.
@@ -195,4 +197,43 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 	if code, _ := getStatus(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Errorf("degraded /healthz = %d, want 200", code)
 	}
+}
+
+// TestWatchdogCheckpointFailing pins the checkpoint_failing cause: a failed
+// checkpoint write degrades health on the next sample, without waiting for
+// the checkpoint_stale window, and the next successful write clears it. A
+// directory squatting on the temp file's name makes every write of the
+// first campaign fail.
+func TestWatchdogCheckpointFailing(t *testing.T) {
+	spec := Spec{Name: "ckpt-failing", Grid: fleetGrid()}
+	id, err := campaignID(spec, Shard{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, id+".ckpt.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{CheckpointDir: dir})
+	w := s.StartWatchdog(5 * time.Millisecond)
+	defer w.Close()
+
+	submitAndWait(t, s, spec)
+	// With the campaign done, the stale and stall causes no longer apply:
+	// the failed writes alone must keep health degraded.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h := s.Health()
+		if h.State == HealthDegraded && len(h.Causes) == 1 && h.Causes[0] == CauseCheckpointFailing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health never degraded with only %s; last report: %+v", CauseCheckpointFailing, h)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// A campaign whose checkpoints land clears the cause.
+	submitAndWait(t, s, Spec{Name: "ckpt-ok", Grid: fleetGrid()})
+	waitHealthState(t, s, HealthOK, 5*time.Second)
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/testkit"
 )
 
 // Prometheus text exposition (format 0.0.4) of the registry: every
@@ -235,13 +233,6 @@ func (r *Registry) Normalized(prefixes ...string) *NormalizedTelemetry {
 	sort.Strings(nt.Counters)
 	sort.Strings(nt.Gauges)
 	return nt
-}
-
-// MarshalNormalized encodes the default registry's normalized telemetry
-// as canonical JSON — the byte-stable form the workers-invariance golden
-// compares.
-func MarshalNormalized(prefixes ...string) ([]byte, error) {
-	return testkit.MarshalCanonical(def.Normalized(prefixes...))
 }
 
 // Normalized builds the default registry's normalized telemetry snapshot.

@@ -26,8 +26,6 @@ type TxConfig struct {
 	Spurs *SpurComb
 	// PA is the power amplifier model (nil = unity).
 	PA PA
-	// OutputGain is a final linear scale (antenna/coupler), 0 = 1.
-	OutputGain float64
 }
 
 // Transmitter is a configured homodyne transmitter driving a baseband
@@ -39,7 +37,7 @@ type Transmitter struct {
 
 // NewTransmitter composes the chain
 // baseband -> DAC ZOH -> reconstruction filter -> IQ modulator ->
-// LO phase noise -> PA -> output gain.
+// LO phase noise -> LO spurs -> PA.
 func NewTransmitter(cfg TxConfig, baseband sig.Envelope) (*Transmitter, error) {
 	if cfg.Fc <= 0 {
 		return nil, fmt.Errorf("rf: transmitter needs a positive carrier, got %g", cfg.Fc)
@@ -65,9 +63,6 @@ func NewTransmitter(cfg TxConfig, baseband sig.Envelope) (*Transmitter, error) {
 	}
 	if cfg.PA != nil {
 		env = ApplyPA(cfg.PA, env)
-	}
-	if cfg.OutputGain != 0 && cfg.OutputGain != 1 {
-		env = sig.ScaleEnv(env, complex(cfg.OutputGain, 0))
 	}
 	return &Transmitter{cfg: cfg, outEnv: env}, nil
 }

@@ -75,7 +75,6 @@ func TestTransmitterComposition(t *testing.T) {
 		IQ:          FromImbalanceDB(0.2, 1, 0),
 		PhaseNoise:  pn,
 		PA:          pa,
-		OutputGain:  2,
 	}
 	tx, err := NewTransmitter(cfg, &sig.ComplexTone{Amp: 0.1, Freq: 3e6})
 	if err != nil {

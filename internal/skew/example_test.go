@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 	"repro/internal/skew"
 )
@@ -41,7 +42,7 @@ func ExampleEstimateLMS() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := skew.Estimate(ce, 50e-12, skew.LMSConfig{Mu0: 1e-12})
+	res, err := skew.EstimateLMS(trace.Root, ce.Cost, 50e-12, ce.M())
 	if err != nil {
 		panic(err)
 	}

@@ -8,59 +8,16 @@ import (
 	"repro/internal/par"
 )
 
-// LMSConfig parameterises Algorithm 1.
-type LMSConfig struct {
-	// Mu0 is the initial step size in seconds (paper: 1e-12). 0 defaults to
-	// 1 ps.
-	Mu0 float64
-	// MaxIter bounds the outer iterations. 0 defaults to 50.
-	MaxIter int
-	// TolStep terminates when the adapted step shrinks below this value
-	// (delay resolution achieved). 0 defaults to 0.01 ps.
-	TolStep float64
-	// TolCost optionally terminates when the cost falls below it (0 = off).
-	TolCost float64
-	// DMin and DMax bound the search; the caller normally passes
-	// ]margin, m - margin[ per Section IV-A.
-	DMin, DMax float64
-}
-
-// Validate rejects configurations that the zero-value defaulting would
-// otherwise let through silently: a negative iteration cap, non-finite or
-// negative step sizes and tolerances, and non-finite bounds. Zero values
-// remain "use the default"; Validate only rejects values that cannot mean
-// anything. EstimateLMS (and everything layered on it) calls this, so a
-// typo like Mu0: -1e-12 fails fast with a config error instead of
-// descending in the wrong direction.
-func (c LMSConfig) Validate() error {
-	notFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	switch {
-	case c.MaxIter < 0:
-		return fmt.Errorf("skew: LMSConfig.MaxIter %d is negative", c.MaxIter)
-	case notFinite(c.Mu0) || c.Mu0 < 0:
-		return fmt.Errorf("skew: LMSConfig.Mu0 %g must be finite and >= 0", c.Mu0)
-	case notFinite(c.TolStep) || c.TolStep < 0:
-		return fmt.Errorf("skew: LMSConfig.TolStep %g must be finite and >= 0", c.TolStep)
-	case notFinite(c.TolCost) || c.TolCost < 0:
-		return fmt.Errorf("skew: LMSConfig.TolCost %g must be finite and >= 0", c.TolCost)
-	case notFinite(c.DMin) || notFinite(c.DMax):
-		return fmt.Errorf("skew: LMSConfig bounds [%g, %g] must be finite", c.DMin, c.DMax)
-	}
-	return nil
-}
-
-func (c LMSConfig) withDefaults() LMSConfig {
-	if c.Mu0 == 0 {
-		c.Mu0 = 1e-12
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 50
-	}
-	if c.TolStep == 0 {
-		c.TolStep = 1e-14
-	}
-	return c
-}
+// Algorithm 1's step schedule, fixed at the paper's Section V setting.
+const (
+	// lmsMu0 is the initial step size (paper: 1 ps).
+	lmsMu0 = 1e-12
+	// lmsTolStep ends the descent once the adapted step shrinks below it
+	// (delay resolution achieved).
+	lmsTolStep = 1e-14
+	// lmsMaxIter bounds the outer iterations.
+	lmsMaxIter = 50
+)
 
 // LMSResult reports the estimation outcome.
 type LMSResult struct {
@@ -68,7 +25,7 @@ type LMSResult struct {
 	DHat float64
 	// Iterations is the number of outer iterations executed.
 	Iterations int
-	// Converged indicates termination by step/cost tolerance rather than
+	// Converged indicates termination by the step tolerance rather than
 	// the iteration cap.
 	Converged bool
 	// CostHistory and DHistory trace the optimisation (Fig. 6 data).
@@ -85,17 +42,6 @@ type LMSResult struct {
 // from the recorded histories.
 type CostFunc func(dHat float64) (float64, error)
 
-// EstimateLMS runs the paper's Algorithm 1: a normalized LMS descent on the
-// dual-rate cost with a numerically estimated gradient
-// grad_i = (eps_i - eps_{i-1}) / (D_i - D_{i-1}) and variable step size —
-// halved (and the move retried) whenever the cost would increase, doubled
-// after every accepted move. Normalisation reduces the scalar update to a
-// signed step of magnitude mu, which makes mu directly interpretable in
-// seconds.
-func EstimateLMS(cost CostFunc, d0 float64, cfg LMSConfig) (LMSResult, error) {
-	return EstimateLMSCtx(trace.Root, cost, d0, cfg)
-}
-
 // Trace span names for the LMS descent (interned once). The per-iteration
 // spans and the D-hat/cost counter tracks are the Fig. 6 telemetry: a
 // Perfetto capture of one estimation shows each outer iteration as a child
@@ -108,37 +54,43 @@ var (
 	tnCostEval = trace.Intern("skew.cost.eval")
 )
 
-// EstimateLMSCtx is EstimateLMS under a trace parent: the whole descent
-// runs inside a "skew.lms" span, each outer iteration in a "skew.lms.iter"
-// child, and every objective evaluation in a "skew.cost.eval" child. The
-// counter-track names embed the starting estimate ("skew.lms.dhat[d0=...ps]")
-// so concurrent estimations — the Fig. 6 sweep runs its starts in parallel —
-// land on separate, deterministically named tracks. With tracing disabled
-// the extra cost is a handful of atomic loads across the whole descent.
-func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMSResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return LMSResult{}, err
+// EstimateLMS runs the paper's Algorithm 1: a normalized LMS descent on the
+// dual-rate cost with a numerically estimated gradient
+// grad_i = (eps_i - eps_{i-1}) / (D_i - D_{i-1}) and variable step size —
+// halved (and the move retried) whenever the cost would increase, doubled
+// after every accepted move. Normalisation reduces the scalar update to a
+// signed step of magnitude mu, which makes mu directly interpretable in
+// seconds. The search interval is ]m/1000, 0.999·m[, where m is the
+// Section IV-A searchable-delay limit (CostEvaluator.M, MultiCost.M).
+//
+// The whole descent runs inside a "skew.lms" span under tc, each outer
+// iteration in a "skew.lms.iter" child, and every objective evaluation in
+// a "skew.cost.eval" child. The counter-track names embed the starting
+// estimate ("skew.lms.dhat[d0=...ps]") so concurrent estimations — the
+// Fig. 6 sweep runs its starts in parallel — land on separate,
+// deterministically named tracks. With tracing disabled the extra cost is
+// a handful of atomic loads across the whole descent.
+func EstimateLMS(tc trace.Ctx, cost CostFunc, d0, m float64) (LMSResult, error) {
+	if !(m > 0) || math.IsInf(m, 1) {
+		return LMSResult{}, fmt.Errorf("skew: LMS search limit m %g must be finite and positive", m)
 	}
-	c := cfg.withDefaults()
-	if c.DMax <= c.DMin {
-		return LMSResult{}, fmt.Errorf("skew: LMS bounds [%g, %g] invalid", c.DMin, c.DMax)
-	}
+	dMin, dMax := m/1000, m*0.999
 	sp := trace.Start(tc, tnLMS)
 	defer sp.End()
 	var dhatTrack, costTrack string
 	if sp.Active() {
 		sp.SetFloat("d0", d0)
-		sp.SetFloat("mu0", c.Mu0)
+		sp.SetFloat("mu0", lmsMu0)
 		label := fmt.Sprintf("[d0=%gps]", d0*1e12)
 		dhatTrack = "skew.lms.dhat" + label
 		costTrack = "skew.lms.cost" + label
 	}
 	clamp := func(d float64) float64 {
-		if d < c.DMin {
-			return c.DMin
+		if d < dMin {
+			return dMin
 		}
-		if d > c.DMax {
-			return c.DMax
+		if d > dMax {
+			return dMax
 		}
 		return d
 	}
@@ -190,7 +142,7 @@ func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMS
 		return res, fmt.Errorf("skew: LMS initial cost: %w", err)
 	}
 	// Bootstrap the finite difference with a one-step probe.
-	mu := c.Mu0
+	mu := lmsMu0
 	d := clamp(d0 + mu)
 	if d == d0 {
 		d = clamp(d0 - mu)
@@ -202,7 +154,7 @@ func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMS
 	record(d0, epsPrev)
 	record(d, eps)
 	dPrev := d0
-	for iter := 0; iter < c.MaxIter; iter++ {
+	for iter := 0; iter < lmsMaxIter; iter++ {
 		res.Iterations = iter + 1
 		it := trace.Start(sp.Ctx(), tnLMSIter)
 		it.SetInt("iter", int64(iter))
@@ -210,11 +162,6 @@ func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMS
 		endIter := func() {
 			it.SetInt("evals", int64(evals-evalsEntry))
 			it.End()
-		}
-		if c.TolCost > 0 && eps < c.TolCost {
-			res.Converged = true
-			endIter()
-			break
 		}
 		grad := 0.0
 		if d != dPrev {
@@ -232,7 +179,7 @@ func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMS
 		muEntry := mu
 		for attempt := 0; attempt < 2 && !accepted; attempt++ {
 			mu = muEntry
-			for mu >= c.TolStep {
+			for mu >= lmsTolStep {
 				dNext := clamp(d + dir*mu)
 				epsNext, err := eval(dNext)
 				if err != nil {
@@ -266,38 +213,16 @@ func EstimateLMSCtx(tc trace.Ctx, cost CostFunc, d0 float64, cfg LMSConfig) (LMS
 	return res, nil
 }
 
-// Estimate runs Algorithm 1 against a CostEvaluator with sensible bounds:
-// the search interval is ]margin, m - margin[ with margin = m/1000.
-func Estimate(ce *CostEvaluator, d0 float64, cfg LMSConfig) (LMSResult, error) {
-	return EstimateCtx(trace.Root, ce, d0, cfg)
-}
-
-// EstimateCtx is Estimate under a trace parent (see EstimateLMSCtx).
-func EstimateCtx(tc trace.Ctx, ce *CostEvaluator, d0 float64, cfg LMSConfig) (LMSResult, error) {
-	m := ce.M()
-	if cfg.DMin == 0 && cfg.DMax == 0 {
-		cfg.DMin = m / 1000
-		cfg.DMax = m * 0.999
-	}
-	return EstimateLMSCtx(tc, ce.Cost, d0, cfg)
-}
+var tnCostCurve = trace.Intern("skew.costcurve")
 
 // CostCurve samples the cost function over nPts delays spanning [dLo, dHi]
-// (Fig. 5 data). The sweep points are independent and fan out over the par
-// pool. Errors at individual points (e.g. kernel instability) are recorded
+// (Fig. 5 data) inside a "skew.costcurve" span under tc. The sweep points
+// are independent and fan out through par.ForCtx, so a capture shows the
+// per-point evaluations on worker rows. Errors at individual points (e.g. kernel instability) are recorded
 // as NaN. nPts <= 0 returns empty slices; nPts == 1 samples the interval
 // midpoint (the float64(nPts-1) grid denominator would otherwise divide by
 // zero and return a NaN delay).
-func CostCurve(ce *CostEvaluator, dLo, dHi float64, nPts int) (ds, costs []float64) {
-	return CostCurveCtx(trace.Root, ce, dLo, dHi, nPts)
-}
-
-var tnCostCurve = trace.Intern("skew.costcurve")
-
-// CostCurveCtx is CostCurve under a trace parent: the sweep runs inside a
-// "skew.costcurve" span and the fan-out goes through par.ForCtx, so a
-// capture shows the per-point evaluations on worker rows.
-func CostCurveCtx(tc trace.Ctx, ce *CostEvaluator, dLo, dHi float64, nPts int) (ds, costs []float64) {
+func CostCurve(tc trace.Ctx, ce *CostEvaluator, dLo, dHi float64, nPts int) (ds, costs []float64) {
 	sp := trace.Start(tc, tnCostCurve)
 	sp.SetInt("points", int64(nPts))
 	defer sp.End()

@@ -54,14 +54,3 @@ func (mc *MultiCost) Cost(dHat float64) (float64, error) {
 	}
 	return acc / float64(len(mc.evals)), nil
 }
-
-// EstimateMulti runs Algorithm 1 on the averaged cost with the same default
-// bounds as Estimate.
-func EstimateMulti(mc *MultiCost, d0 float64, cfg LMSConfig) (LMSResult, error) {
-	m := mc.M()
-	if cfg.DMin == 0 && cfg.DMax == 0 {
-		cfg.DMin = m / 1000
-		cfg.DMax = m * 0.999
-	}
-	return EstimateLMS(mc.Cost, d0, cfg)
-}

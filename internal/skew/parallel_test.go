@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs/trace"
 	"repro/internal/par"
 	"repro/internal/pnbs"
 )
@@ -134,7 +135,7 @@ func TestCostCurveParallelMatchesSerial(t *testing.T) {
 		refCosts[i] = v
 	}
 	prev := par.SetWorkers(4)
-	ds, costs := CostCurve(ce, dLo, dHi, 15)
+	ds, costs := CostCurve(trace.Root, ce, dLo, dHi, 15)
 	par.SetWorkers(prev)
 	for i := range ds {
 		if ds[i] != refDs[i] {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 )
 
@@ -32,7 +33,7 @@ func TestGoldenSectionMatchesLMSOnPaperCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lms, err := Estimate(ce, 100e-12, LMSConfig{})
+	lms, err := EstimateLMS(trace.Root, ce.Cost, 100e-12, ce.M())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestGoldenSectionResultSelfConsistent(t *testing.T) {
 func TestCostCurveSinglePoint(t *testing.T) {
 	ce := paperEvaluator(t, 180e-12)
 	m := ce.M()
-	ds, costs := CostCurve(ce, m/1000, m*0.999, 1)
+	ds, costs := CostCurve(trace.Root, ce, m/1000, m*0.999, 1)
 	if len(ds) != 1 || len(costs) != 1 {
 		t.Fatalf("lengths %d, %d", len(ds), len(costs))
 	}
@@ -97,7 +98,7 @@ func TestCostCurveSinglePoint(t *testing.T) {
 		t.Errorf("single point cost %g", costs[0])
 	}
 	// Degenerate request: no points, no panic, no NaNs.
-	ds, costs = CostCurve(ce, m/1000, m*0.999, 0)
+	ds, costs = CostCurve(trace.Root, ce, m/1000, m*0.999, 0)
 	if len(ds) != 0 || len(costs) != 0 {
 		t.Errorf("nPts=0 returned %d/%d points", len(ds), len(costs))
 	}
@@ -126,7 +127,7 @@ func TestMultiCostValidationAndAveraging(t *testing.T) {
 	if math.Abs(vm-v1) > 1e-15 {
 		t.Errorf("averaged cost %g vs %g", vm, v1)
 	}
-	res, err := EstimateMulti(mc, 100e-12, LMSConfig{})
+	res, err := EstimateLMS(trace.Root, mc.Cost, 100e-12, mc.M())
 	if err != nil {
 		t.Fatal(err)
 	}

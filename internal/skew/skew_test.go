@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 )
 
@@ -114,7 +115,7 @@ func TestCostMinimumAtTrueDelay(t *testing.T) {
 		}
 	}
 	// Single minimum across ]0, m[: scan and verify the argmin lands at D.
-	ds, costs := CostCurve(ce, 20e-12, 460e-12, 45)
+	ds, costs := CostCurve(trace.Root, ce, 20e-12, 460e-12, 45)
 	best := 0
 	for i, c := range costs {
 		if !math.IsNaN(c) && c < costs[best] {
@@ -130,7 +131,7 @@ func TestLMSConvergesFromPaperStarts(t *testing.T) {
 	d := 180e-12
 	ce := paperEvaluator(t, d)
 	for _, d0 := range []float64{50e-12, 100e-12, 350e-12, 400e-12} {
-		res, err := Estimate(ce, d0, LMSConfig{})
+		res, err := EstimateLMS(trace.Root, ce.Cost, d0, ce.M())
 		if err != nil {
 			t.Fatalf("d0 = %g: %v", d0, err)
 		}
@@ -152,31 +153,36 @@ func TestLMSConvergesFromPaperStarts(t *testing.T) {
 }
 
 func TestLMSValidationAndBounds(t *testing.T) {
-	cost := func(d float64) (float64, error) { return (d - 5) * (d - 5), nil }
-	if _, err := EstimateLMS(cost, 1, LMSConfig{DMin: 2, DMax: 1}); err == nil {
-		t.Error("inverted bounds must fail")
+	evals := 0
+	cost := func(d float64) (float64, error) {
+		evals++
+		return (d - 5e-12) * (d - 5e-12), nil
 	}
-	// Clamping: start outside [0, 10].
-	res, err := EstimateLMS(cost, -3, LMSConfig{Mu0: 0.5, DMin: 0, DMax: 10, MaxIter: 200, TolStep: 1e-9})
+	// A search limit that is not finite and positive is rejected before
+	// any cost evaluation.
+	for _, m := range []float64{0, -10e-12, math.NaN(), math.Inf(1)} {
+		if _, err := EstimateLMS(trace.Root, cost, 1e-12, m); err == nil {
+			t.Errorf("m = %g accepted", m)
+		}
+	}
+	if evals != 0 {
+		t.Errorf("invalid m evaluated the cost %d times", evals)
+	}
+	// Clamping: with m = 10 ps a start at -3 ps lies below the interval
+	// ]m/1000, 0.999 m[ and begins at its lower edge.
+	const m = 10e-12
+	res, err := EstimateLMS(trace.Root, cost, -3e-12, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.DHat-5) > 1e-6 {
-		t.Errorf("quadratic minimum missed: %g", res.DHat)
+	if res.DHistory[0] != m/1000 {
+		t.Errorf("start %g ps, want the clamp %g ps", res.DHistory[0]*1e12, m/1000*1e12)
+	}
+	if math.Abs(res.DHat-5e-12) > 0.02e-12 {
+		t.Errorf("quadratic minimum missed: %g ps", res.DHat*1e12)
 	}
 	if !res.Converged {
 		t.Error("should converge on a clean quadratic")
-	}
-}
-
-func TestLMSTolCostTermination(t *testing.T) {
-	cost := func(d float64) (float64, error) { return d * d, nil }
-	res, err := EstimateLMS(cost, 1, LMSConfig{Mu0: 0.25, DMin: -2, DMax: 2, TolCost: 0.5, MaxIter: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("TolCost should terminate the loop")
 	}
 }
 
