@@ -83,13 +83,14 @@ bistd-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "bistd smoke OK"
 
-# telemetry-smoke boots the daemon with the watchdog and the canonical
-# JSON event log, runs the committed smoke campaign over HTTP, and
-# asserts the whole telemetry surface end to end: the per-campaign SLO
-# report, the Prometheus exposition (parsed line by line, required fleet
-# families present), and the /healthz verdict. After the SIGTERM drain it
-# re-checks that every event-log line the daemon wrote is valid JSON —
-# the canonical-handler contract a log collector depends on.
+# telemetry-smoke boots the daemon with the watchdog and the JSON event
+# log, runs the committed smoke campaign over HTTP, and asserts the whole
+# telemetry surface end to end: the per-campaign SLO report, the
+# Prometheus exposition (parsed line by line, required fleet families
+# present), and the /healthz verdict. After the SIGTERM drain it re-checks
+# that every event-log line the daemon wrote is a JSON object carrying
+# slog's time, level and msg keys — the contract a log collector depends
+# on.
 telemetry-smoke:
 	@set -e; \
 	$(GO) build -o .telemetry_smoke.bin ./cmd/bistd; \
@@ -104,8 +105,8 @@ telemetry-smoke:
 	addr=$$(cat .telemetry_smoke.addr); \
 	python3 scripts/telemetry_smoke.py "http://$$addr" cmd/bistlab/testdata/campaign_smoke_grid.json; \
 	kill -TERM $$pid; wait $$pid || true; \
-	python3 -c 'import json,sys; [json.loads(l) for l in open(".telemetry_smoke.log") if l.strip()]' \
-		|| { echo "telemetry-smoke: event log is not line-delimited JSON"; cat .telemetry_smoke.log; exit 1; }; \
+	python3 -c 'import json,sys; evs=[json.loads(l) for l in open(".telemetry_smoke.log") if l.strip()]; sys.exit(not evs or any(not {"time","level","msg"} <= e.keys() for e in evs))' \
+		|| { echo "telemetry-smoke: event log is not JSON lines with time/level/msg keys"; cat .telemetry_smoke.log; exit 1; }; \
 	echo "telemetry smoke OK"
 
 # campaign-smoke-update regenerates the CLI campaign golden after an

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers    = fs.Int("workers", 0, "cell worker count (0: BIST_WORKERS or GOMAXPROCS)")
 		withPprof  = fs.Bool("pprof", false, "expose /debug/pprof")
 		drainSecs  = fs.Int("drain", 30, "seconds to wait for in-flight cells on shutdown")
-		logJSON    = fs.Bool("log-json", false, "emit the event log as canonical JSON lines instead of text")
+		logJSON    = fs.Bool("log-json", false, "emit the event log as slog JSON lines instead of text")
 		watchdogIv = fs.Duration("watchdog-interval", time.Second, "fleet health sampling interval (0 disables the watchdog)")
 
 		submit  = fs.String("submit", "", "client mode: grid JSON file to run against -server")
@@ -79,10 +79,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	obs.Enable()
 	// Every lifecycle message goes through the structured event log; the
-	// stream lands on stderr as slog text by default, canonical JSON with
-	// -log-json (one compact object per line, fixed key order).
+	// stream lands on stderr as slog text by default, slog JSON with
+	// -log-json (one object per line: time, level, msg, then attributes).
 	if *logJSON {
-		eventlog.Set(slog.New(eventlog.NewJSONHandler(stderr)))
+		eventlog.Set(slog.New(slog.NewJSONHandler(stderr, nil)))
 	} else {
 		eventlog.Set(slog.New(slog.NewTextHandler(stderr, nil)))
 	}

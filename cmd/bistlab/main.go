@@ -79,7 +79,7 @@ func run(w io.Writer, args []string) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (offline alternative to -pprof's live endpoint)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	runtimetrace := fs.String("runtimetrace", "", "write a runtime/trace execution trace (go tool trace) to this file; scheduler-level, unlike -trace's pipeline spans")
-	logJSON := fs.Bool("log-json", false, "emit lifecycle events as canonical JSON lines on stderr instead of text")
+	logJSON := fs.Bool("log-json", false, "emit lifecycle events as slog JSON lines on stderr instead of text")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bistlab <fig3a|fig3b|fig5|fig6|table1|eq4|dsweep|mask|flex|ablate|noise|yield|avg|loop|resp|all> [flags]")
 		fs.PrintDefaults()
@@ -117,7 +117,7 @@ func run(w io.Writer, args []string) error {
 	// report stream. Installed only for this run; restored on return so the
 	// run() helper stays reentrant under test.
 	if *logJSON {
-		defer eventlog.Set(eventlog.Set(slog.New(eventlog.NewJSONHandler(os.Stderr))))
+		defer eventlog.Set(eventlog.Set(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	} else {
 		defer eventlog.Set(eventlog.Set(slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}

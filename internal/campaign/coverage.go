@@ -253,8 +253,12 @@ func (m *DetectionMatrix) Render(w io.Writer) {
 		if c.ShouldFail {
 			expect = "fail"
 		}
-		fmt.Fprintf(w, "%-18s %-16s %6s %8.0f%% %7d %+9.1f dB\n",
-			c.Stimulus, c.Fault, expect, 100*c.DetectionRate, c.Errors, c.WorstMarginDB)
+		margin := "n/a"
+		if c.HasMargin {
+			margin = fmt.Sprintf("%+9.1f dB", c.WorstMarginDB)
+		}
+		fmt.Fprintf(w, "%-18s %-16s %6s %8.0f%% %7d %12s\n",
+			c.Stimulus, c.Fault, expect, 100*c.DetectionRate, c.Errors, margin)
 	}
 	fmt.Fprintf(w, "\nper-fault (best stimulus):\n")
 	for _, f := range m.PerFault {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -154,5 +155,23 @@ func TestCampaignRejectsBadGrid(t *testing.T) {
 	g.Stimuli = nil
 	if _, err := g.Run(); err == nil {
 		t.Fatal("expected an empty-grid error")
+	}
+}
+
+// TestRenderCellWithoutMarginSaysNA: a cell with no mask verdict renders
+// its worst margin as n/a, never as a measured +0.0 dB.
+func TestRenderCellWithoutMarginSaysNA(t *testing.T) {
+	g := tinyGrid().withDefaults()
+	cell := CellResult{Stimulus: "s", Fault: "broken", ShouldFail: true, Units: 2, Rejected: 2, Errors: 2, DetectionRate: 1}
+	var buf bytes.Buffer
+	g.fold([]CellResult{cell}).Render(&buf)
+	var row string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "s ") {
+			row = line
+		}
+	}
+	if !strings.HasSuffix(row, " n/a") || strings.Contains(row, "dB") {
+		t.Errorf("no-margin cell row = %q, want worst margin n/a", row)
 	}
 }

@@ -35,14 +35,7 @@ type UnitVerdict struct {
 	Fault    string
 	// Unit is the device index within the cell's lot.
 	Unit int
-	// Pass is the BIST verdict; Err carries the run error when the unit
-	// could not even be measured (counted as a rejection).
-	Pass bool
-	Err  string
-	// HasMargin reports whether the run produced a mask verdict;
-	// MarginDB is meaningful only when it did.
-	HasMargin bool
-	MarginDB  float64
+	core.Outcome
 }
 
 // Plan is a grid expanded into its deterministic cell list: the defaulted,
@@ -135,7 +128,7 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 		ShouldFail: job.Fault.ShouldFail,
 		Units:      p.Grid.Units,
 	}
-	worst, haveWorst := 0.0, false
+	var t core.Tally
 	for u := 0; u < p.Grid.Units; u++ {
 		cfg := core.UnitConfig(p.base, p.spread, job.Seed, u)
 		if job.Fault.Apply != nil {
@@ -150,34 +143,21 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 		if runErr == nil {
 			rep, runErr = b.RunCtx(sp.Ctx())
 		}
+		o := core.OutcomeOf(rep, runErr)
+		t.Add(o)
 		mUnits.Inc()
-		v := UnitVerdict{Stimulus: cell.Stimulus, Fault: cell.Fault, Unit: u}
-		if runErr != nil {
-			cell.Errors++
-			cell.Rejected++ // unmeasurable units do not ship
+		if o.Err != "" {
 			mErrors.Inc()
+		}
+		if !o.Pass {
 			mRejected.Inc()
-			v.Err = runErr.Error()
-		} else {
-			v.Pass = rep.Pass
-			if !rep.Pass {
-				cell.Rejected++
-				mRejected.Inc()
-			}
-			if rep.Mask != nil {
-				v.HasMargin, v.MarginDB = true, rep.Mask.WorstMarginDB
-				if !haveWorst || rep.Mask.WorstMarginDB < worst {
-					worst, haveWorst = rep.Mask.WorstMarginDB, true
-				}
-			}
 		}
 		if onUnit != nil {
-			onUnit(v)
+			onUnit(UnitVerdict{Stimulus: cell.Stimulus, Fault: cell.Fault, Unit: u, Outcome: o})
 		}
 	}
-	if haveWorst {
-		cell.HasMargin, cell.WorstMarginDB = true, worst
-	}
+	cell.Rejected, cell.Errors = t.Rejected, t.Errors
+	cell.HasMargin, cell.WorstMarginDB = t.HasMargin, t.WorstMarginDB
 	cell.DetectionRate = float64(cell.Rejected) / float64(cell.Units)
 	mCells.Inc()
 	elapsed := time.Since(started)

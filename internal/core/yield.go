@@ -42,6 +42,65 @@ func TypicalSpread() ProcessSpread {
 	}
 }
 
+// Outcome is what one unit's run means for its lot: the single rule that
+// yield lots, campaign cells and the fleet's running yield all share. A unit
+// that cannot be measured carries Err, does not pass (it does not ship) and
+// has no mask verdict.
+type Outcome struct {
+	Pass bool
+	Err  string
+	// HasMargin reports whether the run produced a mask verdict; MarginDB
+	// is meaningful only when it did, so a genuine 0 dB margin stays
+	// distinct from "no verdict".
+	HasMargin bool
+	MarginDB  float64
+	SkewPS    float64
+}
+
+// OutcomeOf reduces one unit's run to its Outcome. A non-nil err means the
+// unit could not be measured: Pass is false and there is no margin.
+func OutcomeOf(r *Report, err error) Outcome {
+	if err != nil {
+		return Outcome{Err: err.Error()}
+	}
+	o := Outcome{Pass: r.Pass, SkewPS: r.SkewErrPS()}
+	if r.Mask != nil {
+		o.HasMargin, o.MarginDB = true, r.Mask.WorstMarginDB
+	}
+	return o
+}
+
+// Tally folds unit Outcomes into lot counts and tails. The zero value is
+// an empty lot.
+type Tally struct {
+	Units int
+	// Rejected counts units that did not pass, errored ones included.
+	Rejected int
+	Errors   int
+	// HasMargin reports whether any unit had a mask verdict; WorstMarginDB
+	// is the minimum over those units and 0 when there were none.
+	HasMargin     bool
+	WorstMarginDB float64
+	WorstSkewPS   float64
+}
+
+// Add folds one unit's Outcome into the tally.
+func (t *Tally) Add(o Outcome) {
+	t.Units++
+	if !o.Pass {
+		t.Rejected++
+	}
+	if o.Err != "" {
+		t.Errors++
+	}
+	if o.HasMargin && (!t.HasMargin || o.MarginDB < t.WorstMarginDB) {
+		t.HasMargin, t.WorstMarginDB = true, o.MarginDB
+	}
+	if o.SkewPS > t.WorstSkewPS {
+		t.WorstSkewPS = o.SkewPS
+	}
+}
+
 // UnitResult records one simulated unit's outcome.
 type UnitResult struct {
 	Unit   int
@@ -55,6 +114,9 @@ type UnitResult struct {
 type YieldReport struct {
 	Units  []UnitResult
 	Passes int
+	// Errors counts units that could not be measured; each is also a
+	// failed unit (not among Passes).
+	Errors int
 	// Yield is Passes / len(Units).
 	Yield float64
 	// WorstSkewPS and WorstMarginDB summarise the tails. WorstMarginDB is
@@ -110,49 +172,36 @@ func mixSeed(seed, u int64) int64 {
 // RunYield simulates nUnits devices drawn from the spread through the full
 // BIST and reports the yield. The base configuration supplies everything
 // not varied (waveform, rates, thresholds); calibration is enabled so
-// benign channel mismatch does not eat yield. Units fan out over the par
-// pool; because every unit derives its own RNG from the lot seed and its
-// index, the report is identical at any worker count.
+// benign channel mismatch does not eat yield. A unit that cannot be
+// measured counts as a failed unit, never as an error of the lot. Units
+// fan out over the par pool; because every unit derives its own RNG from
+// the lot seed and its index, the report is identical at any worker count.
 func RunYield(base Config, spread ProcessSpread, nUnits int, seed int64) (*YieldReport, error) {
 	if nUnits < 1 {
 		return nil, fmt.Errorf("core: yield run needs at least one unit")
 	}
-	units := make([]UnitResult, nUnits)
-	hasMargin := make([]bool, nUnits)
-	err := par.ForErr(nUnits, func(u int) error {
+	outs := make([]Outcome, nUnits)
+	par.For(nUnits, func(u int) {
+		var r *Report
 		b, err := New(UnitConfig(base, spread, seed, u))
-		if err != nil {
-			return fmt.Errorf("core: yield unit %d: %w", u, err)
+		if err == nil {
+			r, err = b.Run()
 		}
-		r, err := b.Run()
-		if err != nil {
-			return fmt.Errorf("core: yield unit %d: %w", u, err)
-		}
-		ur := UnitResult{Unit: u, Pass: r.Pass, SkewPS: r.SkewErrPS()}
-		if r.Mask != nil {
-			ur.WorstMarginDB, hasMargin[u] = r.Mask.WorstMarginDB, true
-		}
-		units[u] = ur
-		return nil
+		outs[u] = OutcomeOf(r, err)
 	})
-	if err != nil {
-		return nil, err
+	var t Tally
+	units := make([]UnitResult, nUnits)
+	for u, o := range outs {
+		t.Add(o)
+		units[u] = UnitResult{Unit: u, Pass: o.Pass, SkewPS: o.SkewPS, WorstMarginDB: o.MarginDB}
 	}
-	rep := &YieldReport{}
-	haveWorst := false
-	for u := 0; u < nUnits; u++ {
-		ur := units[u]
-		if hasMargin[u] && (!haveWorst || ur.WorstMarginDB < rep.WorstMarginDB) {
-			rep.WorstMarginDB, haveWorst = ur.WorstMarginDB, true
-		}
-		if ur.SkewPS > rep.WorstSkewPS {
-			rep.WorstSkewPS = ur.SkewPS
-		}
-		if ur.Pass {
-			rep.Passes++
-		}
-		rep.Units = append(rep.Units, ur)
-	}
-	rep.Yield = float64(rep.Passes) / float64(nUnits)
-	return rep, nil
+	passes := t.Units - t.Rejected
+	return &YieldReport{
+		Units:         units,
+		Passes:        passes,
+		Errors:        t.Errors,
+		Yield:         float64(passes) / float64(nUnits),
+		WorstSkewPS:   t.WorstSkewPS,
+		WorstMarginDB: t.WorstMarginDB,
+	}, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/mask"
 	"repro/internal/par"
 )
 
@@ -123,5 +125,69 @@ func TestYieldWithoutMaskHasNoMarginSentinel(t *testing.T) {
 		if u.WorstMarginDB != 0 {
 			t.Fatalf("unit %d margin %g dB with no mask verdict", u.Unit, u.WorstMarginDB)
 		}
+	}
+}
+
+// TestOutcomeTally pins the one unit rule: an error is a rejection and an
+// error with no margin, a 0 dB margin is a margin, and the tails fold as
+// minimum margin and maximum skew.
+func TestOutcomeTally(t *testing.T) {
+	onMask := &Report{Pass: true, Mask: &mask.Report{WorstMarginDB: 0}, DHat: 3e-12}
+	if o := OutcomeOf(onMask, nil); !o.Pass || !o.HasMargin || o.MarginDB != 0 || o.SkewPS != onMask.SkewErrPS() {
+		t.Fatalf("0 dB outcome = %+v", o)
+	}
+	broken := OutcomeOf(nil, errors.New("unmeasurable"))
+	if broken.Pass || broken.HasMargin || broken.Err != "unmeasurable" {
+		t.Fatalf("error outcome = %+v", broken)
+	}
+	pass := func(margin, skew float64) Outcome {
+		return Outcome{Pass: true, HasMargin: true, MarginDB: margin, SkewPS: skew}
+	}
+	cases := []struct {
+		name string
+		outs []Outcome
+		want Tally
+	}{
+		{"empty lot", nil, Tally{}},
+		{"0 dB margin counts", []Outcome{pass(0, 1)},
+			Tally{Units: 1, HasMargin: true, WorstSkewPS: 1}},
+		{"error is a rejection without margin", []Outcome{pass(3, 1), broken},
+			Tally{Units: 2, Rejected: 1, Errors: 1, HasMargin: true, WorstMarginDB: 3, WorstSkewPS: 1}},
+		{"all errors", []Outcome{broken, broken},
+			Tally{Units: 2, Rejected: 2, Errors: 2}},
+		{"no mask verdict", []Outcome{OutcomeOf(&Report{}, nil)},
+			Tally{Units: 1, Rejected: 1}},
+		{"worst margin is the minimum, worst skew the maximum", []Outcome{pass(2, 0.5), pass(-1, 4), pass(5, 2)},
+			Tally{Units: 3, HasMargin: true, WorstMarginDB: -1, WorstSkewPS: 4}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got Tally
+			for _, o := range tc.outs {
+				got.Add(o)
+			}
+			if got != tc.want {
+				t.Errorf("tally = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestYieldCountsUnmeasurableUnits: a lot whose every unit fails core.New
+// is a lot of rejected units, not a failed run.
+func TestYieldCountsUnmeasurableUnits(t *testing.T) {
+	base := fastScenario()
+	base.Fc = -1
+	const n = 3
+	rep, err := RunYield(base, TypicalSpread(), n, 1)
+	if err != nil {
+		t.Fatalf("RunYield returned %v, want a report", err)
+	}
+	if rep.Errors != n || rep.Passes != 0 || rep.Yield != 0 || len(rep.Units) != n {
+		t.Errorf("errors=%d passes=%d yield=%g units=%d, want %d/0/0/%d",
+			rep.Errors, rep.Passes, rep.Yield, len(rep.Units), n, n)
+	}
+	if rep.WorstMarginDB != 0 {
+		t.Errorf("worst margin %g dB with no mask verdict, want 0", rep.WorstMarginDB)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/obs/provenance"
@@ -151,18 +152,16 @@ type Campaign struct {
 	events   *eventLog
 	manifest provenance.Manifest
 
-	mu            sync.Mutex
-	state         string
-	errMsg        string
-	done          map[string]campaign.CellResult
-	resumed       int
-	unitsRun      int64
-	unitsRejected int64
-	unitsErrored  int64
-	sinceCkpt     int
-	matrix        []byte // canonical DetectionMatrix once done
-	metricsSnap   []byte // obs snapshot taken when the campaign ended
-	traceRec      *trace.Recording
+	mu          sync.Mutex
+	state       string
+	errMsg      string
+	done        map[string]campaign.CellResult
+	resumed     int
+	units       core.Tally // every unit verdict so far, resumed cells included
+	sinceCkpt   int
+	matrix      []byte // canonical DetectionMatrix once done
+	metricsSnap []byte // obs snapshot taken when the campaign ended
+	traceRec    *trace.Recording
 
 	tel     *telemetry       // rolling-window SLO view, fed by OnCellDone
 	telSnap *TelemetryReport // frozen at campaign end
@@ -206,13 +205,13 @@ func (c *Campaign) status() Status {
 		CellsTotal:    len(c.shardIDs),
 		CellsDone:     len(c.done),
 		CellsResumed:  c.resumed,
-		UnitsRun:      c.unitsRun,
-		UnitsRejected: c.unitsRejected,
-		UnitsErrored:  c.unitsErrored,
+		UnitsRun:      int64(c.units.Units),
+		UnitsRejected: int64(c.units.Rejected),
+		UnitsErrored:  int64(c.units.Errors),
 		Yield:         1,
 	}
-	if c.unitsRun > 0 {
-		st.Yield = 1 - float64(c.unitsRejected)/float64(c.unitsRun)
+	if c.units.Units > 0 {
+		st.Yield = 1 - float64(c.units.Rejected)/float64(c.units.Units)
 	}
 	return st
 }
@@ -591,13 +590,7 @@ func (s *Server) foldMatrix(c *Campaign) error {
 // aggregate. Called from worker goroutines.
 func (c *Campaign) noteUnit(v campaign.UnitVerdict) {
 	c.mu.Lock()
-	c.unitsRun++
-	if v.Err != "" {
-		c.unitsErrored++
-	}
-	if v.Err != "" || !v.Pass {
-		c.unitsRejected++
-	}
+	c.units.Add(v.Outcome)
 	c.mu.Unlock()
 	c.emit(unitEvent{Type: "unit", Verdict: v})
 }
@@ -747,6 +740,9 @@ func (s *Server) loadCheckpoint(c *Campaign) error {
 		}
 		c.done[key] = r
 		c.resumed++
+		c.units.Units += r.Units
+		c.units.Rejected += r.Rejected
+		c.units.Errors += r.Errors
 	}
 	resumed := c.resumed
 	c.mu.Unlock()

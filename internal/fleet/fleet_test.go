@@ -331,6 +331,45 @@ func TestResumeFromCheckpointByteIdentity(t *testing.T) {
 	}
 }
 
+// TestResumedCellsCountInStatus: a campaign whose every cell comes back
+// from a checkpoint still reports the units those cells ran, so its
+// running yield is the matrix's, not an empty campaign's 1.
+func TestResumedCellsCountInStatus(t *testing.T) {
+	g := fleetGrid()
+	spec := Spec{Name: "resume-all", Grid: g}
+	dir := t.TempDir()
+	st1 := submitAndWait(t, newTestServer(t, Config{CheckpointDir: dir}), spec).status()
+
+	c := submitAndWait(t, newTestServer(t, Config{CheckpointDir: dir}), spec)
+	st := c.status()
+	if st.CellsResumed != st.CellsTotal {
+		t.Fatalf("resumed %d of %d cells", st.CellsResumed, st.CellsTotal)
+	}
+	c.mu.Lock()
+	var m campaign.DetectionMatrix
+	err := json.Unmarshal(c.matrix, &m)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := 0
+	for _, r := range m.Cells {
+		rejected += r.Rejected
+	}
+	if rejected == 0 {
+		t.Fatal("test grid has no rejections; it cannot tell a resumed yield from 1")
+	}
+	if want := int64(len(m.Cells) * g.Units); st.UnitsRun != want {
+		t.Errorf("UnitsRun = %d, want %d", st.UnitsRun, want)
+	}
+	if st.UnitsRejected != int64(rejected) {
+		t.Errorf("UnitsRejected = %d, want %d", st.UnitsRejected, rejected)
+	}
+	if st.Yield != st1.Yield {
+		t.Errorf("resumed Yield = %g, uninterrupted run had %g", st.Yield, st1.Yield)
+	}
+}
+
 // lockedBuffer is an io.Writer whose contents can be read while event
 // emitters on other goroutines may still write.
 type lockedBuffer struct {
@@ -368,7 +407,7 @@ func TestCheckpointWriteFailureEmitsEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log lockedBuffer
-	defer eventlog.Set(eventlog.Set(slog.New(eventlog.NewJSONHandler(&log))))
+	defer eventlog.Set(eventlog.Set(slog.New(slog.NewJSONHandler(&log, nil))))
 
 	s := newTestServer(t, Config{CheckpointDir: dir})
 	c := submitAndWait(t, s, spec)
@@ -385,7 +424,7 @@ func TestCheckpointWriteFailureEmitsEvent(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("event line %q: %v", line, err)
 		}
-		if ev["event"] != "fleet.checkpoint.error" {
+		if ev["msg"] != "fleet.checkpoint.error" {
 			continue
 		}
 		if ev["campaign"] != id || ev["error"] == "" {

@@ -89,7 +89,7 @@ func TestTelemetryEndpoint(t *testing.T) {
 func TestTelemetryNormalizedGolden(t *testing.T) {
 	prevObs := obs.SetEnabled(true)
 	defer obs.SetEnabled(prevObs)
-	prevLog := eventlog.Set(slog.New(eventlog.NewJSONHandler(io.Discard)))
+	prevLog := eventlog.Set(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer eventlog.Set(prevLog)
 
 	prefixes := []string{"event.", "fleet.", "par.queue.", "campaign."}

@@ -24,7 +24,7 @@ func BenchmarkEventLogDisabled(b *testing.B) {
 }
 
 func BenchmarkEventLogEnabled(b *testing.B) {
-	prev := Set(slog.New(NewJSONHandler(io.Discard)))
+	prev := Set(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer Set(prev)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,13 +12,13 @@ import (
 	"repro/internal/obs"
 )
 
-// install wires a JSONHandler to a buffer and restores the previous
+// install wires slog's JSON handler to a buffer and restores the previous
 // destination (and obs enablement) on cleanup.
 func install(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	prevObs := obs.SetEnabled(true)
 	var buf bytes.Buffer
-	prev := Set(slog.New(NewJSONHandler(&buf)))
+	prev := Set(slog.New(slog.NewJSONHandler(&buf, nil)))
 	t.Cleanup(func() {
 		Set(prev)
 		obs.SetEnabled(prevObs)
@@ -53,21 +53,22 @@ func TestEmitWritesOneJSONLine(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &m); err != nil {
 		t.Fatalf("line is not JSON: %v\n%s", err, line)
 	}
-	if m["event"] != "test.hello" || m["who"] != "world" || m["n"] != float64(3) {
+	if m["msg"] != "test.hello" || m["who"] != "world" || m["n"] != float64(3) {
 		t.Errorf("decoded line = %v", m)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, m["ts"].(string)); err != nil {
-		t.Errorf("ts does not parse as RFC3339Nano: %v", err)
+	if _, err := time.Parse(time.RFC3339Nano, m["time"].(string)); err != nil {
+		t.Errorf("time does not parse as RFC3339Nano: %v", err)
 	}
-	if _, ok := m["level"]; ok {
-		t.Error("INFO line carries a level key")
+	if m["level"] != "INFO" {
+		t.Errorf("level = %v, want INFO", m["level"])
 	}
-	// Key order is fixed: ts, level (absent here), event, then attrs.
-	if !strings.HasPrefix(line, `{"ts":"`) {
-		t.Errorf("line does not start with ts: %s", line)
+	// Key order is slog's: time, level, msg, then attrs.
+	if !strings.HasPrefix(line, `{"time":"`) {
+		t.Errorf("line does not start with time: %s", line)
 	}
-	if strings.Index(line, `"event"`) > strings.Index(line, `"who"`) {
-		t.Errorf("event key after attrs: %s", line)
+	if !(strings.Index(line, `"level"`) < strings.Index(line, `"msg"`) &&
+		strings.Index(line, `"msg"`) < strings.Index(line, `"who"`)) {
+		t.Errorf("keys out of time/level/msg/attrs order: %s", line)
 	}
 }
 
@@ -93,12 +94,12 @@ func TestHandlerWithAttrsAndGroups(t *testing.T) {
 	if m["campaign"] != "c-1" {
 		t.Errorf("With attr missing: %v", m)
 	}
-	if m["cell.index"] != float64(4) {
-		t.Errorf("group not flattened to dotted key: %v", m)
+	if cell, ok := m["cell"].(map[string]any); !ok || cell["index"] != float64(4) {
+		t.Errorf("group not nested under its name: %v", m)
 	}
 	// With-attrs render before per-call attrs.
 	line := buf.String()
-	if strings.Index(line, `"campaign"`) > strings.Index(line, `"cell.index"`) {
+	if strings.Index(line, `"campaign"`) > strings.Index(line, `"cell"`) {
 		t.Errorf("With attr after call attr: %s", line)
 	}
 }
@@ -106,7 +107,7 @@ func TestHandlerWithAttrsAndGroups(t *testing.T) {
 func TestHandlerNonInfoLevelAndEscaping(t *testing.T) {
 	buf := install(t)
 	Logger().LogAttrs(nil, slog.LevelWarn, "test.warn",
-		slog.String("msg", "quote\" and \\ and\nnewline"),
+		slog.String("note", "quote\" and \\ and\nnewline"),
 		slog.Duration("took", 1500*time.Millisecond),
 		slog.Bool("ok", false),
 		slog.Float64("f", 0.25))
@@ -117,10 +118,11 @@ func TestHandlerNonInfoLevelAndEscaping(t *testing.T) {
 	if m["level"] != "WARN" {
 		t.Errorf("level = %v, want WARN", m["level"])
 	}
-	if m["msg"] != "quote\" and \\ and\nnewline" {
-		t.Errorf("escaped string round-trip failed: %q", m["msg"])
+	if m["note"] != "quote\" and \\ and\nnewline" {
+		t.Errorf("escaped string round-trip failed: %q", m["note"])
 	}
-	if m["took"] != "1.5s" || m["ok"] != false || m["f"] != 0.25 {
+	// Durations are integer nanoseconds.
+	if m["took"] != 1.5e9 || m["ok"] != false || m["f"] != 0.25 {
 		t.Errorf("attr values = %v", m)
 	}
 	if strings.Count(buf.String(), "\n") != 1 {
@@ -155,7 +157,7 @@ func TestHandlerConcurrentLinesDoNotInterleave(t *testing.T) {
 }
 
 func TestSetReturnsPrevious(t *testing.T) {
-	a := slog.New(NewJSONHandler(&bytes.Buffer{}))
+	a := slog.New(slog.NewJSONHandler(&bytes.Buffer{}, nil))
 	prev := Set(a)
 	if got := Set(prev); got != a {
 		t.Error("Set did not return the previously installed logger")
