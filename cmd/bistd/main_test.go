@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fleet"
 )
 
 // testGrid is a two-stimulus, two-fault grid (plus the implicit healthy
@@ -141,4 +146,80 @@ func TestRunMergeWritesMatrix(t *testing.T) {
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("merged matrix differs from campaign.MergeCheckpoints:\n%s\nwant\n%s", stdout.Bytes(), want)
 	}
+}
+
+// TestRunClientAgainstLiveServer: client mode submits a grid to a live
+// fleet server, relays its event stream and prints exactly the matrix
+// Plan.Fold makes of the same grid's cells run in this process.
+func TestRunClientAgainstLiveServer(t *testing.T) {
+	g := testGrid()
+	g.Stimuli = g.Stimuli[:1]
+	g.Faults = []string{"dead-gain"}
+	g.Units = 1
+	p, err := campaign.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]campaign.CellResult, len(p.Cells))
+	for i := range p.Cells {
+		if cells[i], err = p.RunCell(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := p.Fold(cells).MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := fleet.NewServer(fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler(false))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		ts.Close()
+	})
+	data, err := g.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridPath := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(gridPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout bytes.Buffer
+	var stderr lockedBuffer
+	if err := run([]string{"-submit", gridPath, "-server", ts.URL, "-name", "client-test"}, &stdout, &stderr); err != nil {
+		t.Fatalf("client run: %v\n%s", err, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("served matrix differs from Plan.Fold:\n%s\nwant\n%s", stdout.Bytes(), want)
+	}
+	if !strings.Contains(stderr.String(), `"Type":"state"`) {
+		t.Errorf("client relayed no state event to stderr:\n%s", stderr.String())
+	}
+}
+
+// lockedBuffer is the test's stderr. The in-process server's event log
+// writes to it from the server's goroutines while the client relays the
+// stream; two processes would each own their stderr.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

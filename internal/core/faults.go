@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/adc"
 	"repro/internal/rf"
@@ -20,16 +22,25 @@ type Fault struct {
 	Apply func(c *Config)
 }
 
-// BuildCatalog constructs the built-in fault library. Faults marked
+// BuildCatalog returns the built-in fault library. Faults marked
 // ShouldFail are specification violations; the remainder are benign process
 // variations the BIST must tolerate (no false alarms) — notably the DCDE
 // bias, which is exactly the unknown the LMS technique exists to absorb.
 //
-// Every impairment model is constructed here, up front, so a bad parameter
+// Every impairment model is constructed up front, so a bad parameter
 // surfaces as a returned error instead of a panic inside an Apply closure
 // deep in a campaign run; the closures only assign the prebuilt (read-only)
-// models.
+// models. The library is built once per process: each call returns a fresh
+// slice over the same models, so every unit, cell and plan shares them —
+// among them the lo-phase-noise process and its Φ table.
 func BuildCatalog() ([]Fault, error) {
+	fs, err := baseCatalog()
+	return slices.Clone(fs), err
+}
+
+var baseCatalog = sync.OnceValues(buildCatalog)
+
+func buildCatalog() ([]Fault, error) {
 	compressedPA, err := rf.NewRappPA(1, 0.55, 2)
 	if err != nil {
 		return nil, fmt.Errorf("core: fault catalog: pa-compression: %w", err)
@@ -149,8 +160,16 @@ func Catalog() []Fault {
 // the transmitter, which is what a stimulus-coverage matrix exists to
 // measure. They live outside Catalog() so the classic single-stimulus
 // experiments (RunMaskBIST and the spectral-mask example) keep their
-// committed vectors.
+// committed vectors. Like BuildCatalog, it builds once per process and
+// returns a fresh slice on each call.
 func BuildExtendedCatalog() ([]Fault, error) {
+	fs, err := extendedCatalog()
+	return slices.Clone(fs), err
+}
+
+var extendedCatalog = sync.OnceValues(buildExtendedCatalog)
+
+func buildExtendedCatalog() ([]Fault, error) {
 	base, err := BuildCatalog()
 	if err != nil {
 		return nil, err

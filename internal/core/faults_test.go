@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/rf"
 )
 
 // TestCatalogEntriesWellFormed: every fault must have a unique name, a
@@ -187,5 +189,44 @@ func TestFaultByNameFindsExtended(t *testing.T) {
 		if _, err := FaultByName(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestCatalogSharedModelsFreshSlices: the catalogue is built once per
+// process, so every lookup installs the same read-only models (one
+// lo-phase-noise process, one Φ table), while each call still returns its
+// own slice — a caller's edit never reaches the next caller.
+func TestCatalogSharedModelsFreshSlices(t *testing.T) {
+	a := Catalog()
+	name := a[0].Name
+	a[0].Name = "mutated"
+	a[1] = Fault{}
+	if b := Catalog(); b[0].Name != name || b[1].Apply == nil {
+		t.Fatalf("mutating one Catalog() slice leaked into the next: %q, %+v", b[0].Name, b[1])
+	}
+	if e := ExtendedCatalog(); e[0].Name != name {
+		t.Fatalf("mutating Catalog() leaked into ExtendedCatalog(): %q", e[0].Name)
+	}
+
+	installed := func(f Fault) *rf.PhaseNoise {
+		c := PaperScenario()
+		f.Apply(&c)
+		if c.Tx.PhaseNoise == nil {
+			t.Fatalf("%s installed no phase noise", f.Name)
+		}
+		return c.Tx.PhaseNoise
+	}
+	var fromCatalog *rf.PhaseNoise
+	for _, f := range Catalog() {
+		if f.Name == "lo-phase-noise" {
+			fromCatalog = installed(f)
+		}
+	}
+	byName, err := FaultByName("lo-phase-noise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromCatalog == nil || installed(byName) != fromCatalog {
+		t.Error("FaultByName and Catalog install different lo-phase-noise processes")
 	}
 }

@@ -3,6 +3,7 @@ package rf
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
@@ -111,6 +112,12 @@ func TestPhaseNoiseValidation(t *testing.T) {
 	}
 	if _, err := NewPhaseNoise([]float64{0, 1e3}, []float64{-80, -90}, 10, 1); err == nil {
 		t.Error("zero offset must fail")
+	}
+	// Tones far above 1/phiH: the Taylor cells cannot meet phiMaxTrunc,
+	// and the process is refused rather than evaluated inaccurately.
+	if _, err := NewPhaseNoise([]float64{1e6, 1e9}, []float64{-80, -100}, 64, 1); err == nil ||
+		!strings.Contains(err.Error(), "truncation bound") {
+		t.Errorf("1 GHz tones: err = %v, want a truncation-bound refusal", err)
 	}
 	pn, err := NewPhaseNoise([]float64{1e3, 1e6}, []float64{-90, -120}, 0, 1)
 	if err != nil || len(pn.freqs) != 64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/sig"
 )
@@ -13,10 +14,41 @@ import (
 // sideband PSD L(f) specified in dBc/Hz at given frequency offsets. Between
 // the specification points the PSD is interpolated log-log, the classical
 // piecewise-linear phase-noise mask.
+//
+// Phi evaluates the process from Taylor cells of width phiH (see phiCell),
+// built on first use and cached in a fixed table of phiSlots lock-free
+// slots. A cell is a pure function of its index, so Phi's value never
+// depends on the cache's state and a PhaseNoise is safe for concurrent use.
 type PhaseNoise struct {
 	freqs  []float64
 	amps   []float64 // peak phase deviation per tone, radians
 	phases []float64
+	// taylor[k][m] = amps[k] * s^m / m! with s = 2*pi*freqs[k] * phiH/2:
+	// tone k's weight on u^m in a cell.
+	taylor [][phiOrder + 1]float64
+	cells  *[phiSlots]atomic.Pointer[phiCell]
+}
+
+// The Φ table. A cell g covers |t - g*phiH| <= phiH/2, where Φ is the
+// degree-phiOrder Taylor polynomial of every tone around g*phiH in the
+// local offset u = (t - g*phiH)/(phiH/2). Both are constants, not options:
+// the truncation error is bounded by sum_k a_k s_k^(phiOrder+1) /
+// (phiOrder+1)! with s_k = 2*pi*f_k * phiH/2, about 1.5e-18 rad for the
+// fault catalogue's 10 kHz - 10 MHz mask, and NewPhaseNoise refuses a mask
+// whose bound exceeds phiMaxTrunc rather than degrade silently. phiSlots *
+// phiH = 41 us covers a paper-size capture window with no two cells on one
+// slot.
+const (
+	phiH        = 10e-9
+	phiOrder    = 12
+	phiSlots    = 4096 // a power of two: the slot is g & (phiSlots-1)
+	phiMaxTrunc = 1e-15
+)
+
+// phiCell holds the Taylor coefficients of Φ around g*phiH in powers of u.
+type phiCell struct {
+	g int64
+	e [phiOrder + 1]float64
 }
 
 // NewPhaseNoise builds a phase-noise process from a mask of (offset Hz,
@@ -61,6 +93,22 @@ func NewPhaseNoise(offsets, dBcHz []float64, nTones int, seed int64) (*PhaseNois
 		pn.amps[i] = 2 * math.Sqrt(p)
 		pn.phases[i] = 2 * math.Pi * rng.Float64()
 	}
+	pn.taylor = make([][phiOrder + 1]float64, nTones)
+	bound := 0.0
+	for i, f := range pn.freqs {
+		s := 2 * math.Pi * f * (phiH / 2)
+		c := pn.amps[i]
+		for m := range pn.taylor[i] {
+			pn.taylor[i][m] = c
+			c *= s / float64(m+1)
+		}
+		bound += c
+	}
+	if bound > phiMaxTrunc {
+		return nil, fmt.Errorf("rf: phase noise tones up to %g Hz exceed the Phi table's accuracy (truncation bound %.3g rad > %g)",
+			pn.freqs[nTones-1], bound, phiMaxTrunc)
+	}
+	pn.cells = new([phiSlots]atomic.Pointer[phiCell])
 	return pn, nil
 }
 
@@ -83,8 +131,45 @@ func interpMaskDB(offsets, dBcHz []float64, f float64) float64 {
 	return dBcHz[n-1]
 }
 
-// Phi returns the instantaneous phase deviation in radians at time t.
+// Phi returns the instantaneous phase deviation in radians at time t: a
+// Horner evaluation of t's Taylor cell, which agrees with the direct tone
+// sum (phiAnalytic) to its own argument rounding.
 func (pn *PhaseNoise) Phi(t float64) float64 {
+	gf := math.Round(t / phiH)
+	g := int64(gf)
+	slot := &pn.cells[g&(phiSlots-1)]
+	c := slot.Load()
+	if c == nil || c.g != g {
+		c = pn.cell(g)
+		slot.Store(c)
+	}
+	u := (t - gf*phiH) / (phiH / 2)
+	v := c.e[phiOrder]
+	for m := phiOrder - 1; m >= 0; m-- {
+		v = v*u + c.e[m]
+	}
+	return v
+}
+
+// cell builds the Taylor coefficients around g*phiH with one Sincos per
+// tone: the m-th derivative of cos θ cycles through cos θ, -sin θ, -cos θ,
+// sin θ.
+func (pn *PhaseNoise) cell(g int64) *phiCell {
+	c := &phiCell{g: g}
+	tg := float64(g) * phiH
+	for k, f := range pn.freqs {
+		sn, cs := math.Sincos(2*math.Pi*f*tg + pn.phases[k])
+		d := [4]float64{cs, -sn, -cs, sn}
+		for m, w := range &pn.taylor[k] {
+			c.e[m] += w * d[m&3]
+		}
+	}
+	return c
+}
+
+// phiAnalytic is the direct tone sum Phi tabulates: the oracle its tests
+// compare against.
+func (pn *PhaseNoise) phiAnalytic(t float64) float64 {
 	v := 0.0
 	for i, f := range pn.freqs {
 		v += pn.amps[i] * math.Cos(2*math.Pi*f*t+pn.phases[i])
