@@ -11,25 +11,8 @@ func PowerDB(p float64) float64 {
 	return 10 * math.Log10(p)
 }
 
-// AmplitudeDB converts an amplitude ratio to decibels (20 log10), with the
-// same clamping as PowerDB.
-func AmplitudeDB(a float64) float64 {
-	if a <= 0 {
-		return -400
-	}
-	return 20 * math.Log10(a)
-}
-
 // FromPowerDB converts decibels to a power ratio.
 func FromPowerDB(db float64) float64 { return math.Pow(10, db/10) }
 
 // FromAmplitudeDB converts decibels to an amplitude ratio.
 func FromAmplitudeDB(db float64) float64 { return math.Pow(10, db/20) }
-
-// DBm converts a power in watts (50-ohm convention handled by caller) to dBm.
-func DBm(watts float64) float64 {
-	if watts <= 0 {
-		return -400
-	}
-	return 10*math.Log10(watts) + 30
-}

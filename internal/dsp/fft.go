@@ -8,7 +8,6 @@ package dsp
 import (
 	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -147,18 +146,9 @@ func RealFFTHalf(x []float64) []complex128 {
 	return RealFFT(x)[:n/2+1]
 }
 
-// FFTShift reorders a spectrum so that the zero-frequency bin sits at the
-// centre, mirroring Matlab's fftshift. Works for even and odd lengths.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	h := (n + 1) / 2
-	copy(out, x[h:])
-	copy(out[n-h:], x[:h])
-	return out
-}
-
-// FFTShiftFloat is FFTShift for real-valued vectors (e.g. PSD estimates).
+// FFTShiftFloat reorders a real-valued spectrum (e.g. a PSD estimate) so
+// that the zero-frequency bin sits at the centre, mirroring Matlab's
+// fftshift. Works for even and odd lengths.
 func FFTShiftFloat(x []float64) []float64 {
 	n := len(x)
 	out := make([]float64, n)
@@ -168,27 +158,9 @@ func FFTShiftFloat(x []float64) []float64 {
 	return out
 }
 
-// FFTFreqs returns the frequency axis of an N-point DFT at sample rate fs in
-// natural (unshifted) bin order: 0, fs/N, ..., then the negative frequencies.
-func FFTFreqs(n int, fs float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	f := make([]float64, n)
-	df := fs / float64(n)
-	for i := 0; i < n; i++ {
-		k := i
-		if i > (n-1)/2 {
-			k = i - n
-		}
-		f[i] = float64(k) * df
-	}
-	return f
-}
-
 // DTFT evaluates the discrete-time Fourier transform of x at the normalised
 // frequency nu (cycles per sample): X(nu) = sum_n x[n] exp(-i 2 pi nu n).
-// It is the arbitrary-frequency companion of Goertzel for short sequences.
+// It is the direct O(N) sum, for arbitrary frequencies and short sequences.
 func DTFT(x []float64, nu float64) complex128 {
 	var acc complex128
 	for n, v := range x {
@@ -257,16 +229,4 @@ func padSpectrum(fwd *Plan, b []float64) []complex128 {
 	}
 	fwd.Execute(fb)
 	return fb
-}
-
-// MaxAbs returns the maximum magnitude of the complex vector, or 0 for an
-// empty input.
-func MaxAbs(x []complex128) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := cmplx.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -168,34 +168,6 @@ func TestRealFFTConjugateSymmetry(t *testing.T) {
 	}
 }
 
-func TestFFTShiftRoundTripAndCentering(t *testing.T) {
-	for _, n := range []int{4, 5, 8, 9} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(float64(i), 0)
-		}
-		s := FFTShift(x)
-		// DC (index 0) must land at index ceil(n/2) after the shift... for
-		// the symmetric convention used here DC lands at n-ceil(n/2)=n/2.
-		if got := s[n-(n+1)/2]; got != x[0] {
-			t.Errorf("n=%d: DC bin landed wrong: %v", n, got)
-		}
-	}
-}
-
-func TestFFTFreqs(t *testing.T) {
-	f := FFTFreqs(4, 100)
-	want := []float64{0, 25, -50, -25}
-	for i := range want {
-		if math.Abs(f[i]-want[i]) > 1e-12 {
-			t.Fatalf("FFTFreqs = %v, want %v", f, want)
-		}
-	}
-	if FFTFreqs(0, 1) != nil {
-		t.Error("FFTFreqs(0) should be nil")
-	}
-}
-
 func TestDTFTMatchesFFTOnBins(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 48
@@ -271,15 +243,6 @@ func TestIsPowerOfTwo(t *testing.T) {
 		if IsPowerOfTwo(n) {
 			t.Errorf("IsPowerOfTwo(%d) = true", n)
 		}
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if MaxAbs(nil) != 0 {
-		t.Error("MaxAbs(nil) != 0")
-	}
-	if got := MaxAbs([]complex128{1i, complex(3, 4)}); got != 5 {
-		t.Errorf("MaxAbs = %g, want 5", got)
 	}
 }
 

@@ -154,10 +154,6 @@ func NewPlan(n int, inverse bool) *Plan {
 // Len returns the transform length the plan was built for.
 func (p *Plan) Len() int { return p.n }
 
-// Inverse reports whether the plan computes the (un-normalised) inverse
-// transform.
-func (p *Plan) Inverse() bool { return p.inverse }
-
 func (p *Plan) buildRadix2() {
 	n := p.n
 	// Bit-reversal swap list: the same permutation fftRadix2 derives per

@@ -40,9 +40,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // MSE returns the mean squared error between a and b; the slices must have
 // the same length.
 func MSE(a, b []float64) float64 {

@@ -48,7 +48,7 @@ func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 	rows := make([]float64, nCols*segLen)
 	// shift maps the natural bin order to the centred axis: row[i] is the
 	// power of spectrum bin (shift+i) mod segLen, the in-place equivalent
-	// of FFTShift.
+	// of FFTShiftFloat.
 	shift := (segLen + 1) / 2
 	par.For(nCols, func(c int) {
 		buf := make([]complex128, segLen)

@@ -2,33 +2,6 @@ package dsp
 
 import "math"
 
-// Goertzel evaluates the DFT of x at a single normalised frequency nu
-// (cycles/sample) with the Goertzel second-order recurrence. It matches
-// DTFT(x, nu) but runs with one multiply per sample.
-func Goertzel(x []float64, nu float64) complex128 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	w := 2 * math.Pi * nu
-	cw := math.Cos(w)
-	coeff := 2 * cw
-	var s1, s2 float64
-	for _, v := range x {
-		s0 := v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	sw := math.Sin(w)
-	// y[N-1] = s1 - exp(-iw) s2 = exp(iw(N-1)) X(nu).
-	re := s1 - s2*cw
-	im := s2 * sw
-	// Rotate back so the result matches DTFT's index-0 phase reference.
-	ys, yc := math.Sincos(w * float64(n-1))
-	rot := complex(yc, -ys)
-	return complex(re, im) * rot
-}
-
 // TonePhasor extracts the complex amplitude of a known tone at normalised
 // frequency nu from x: the returned phasor p satisfies
 // x[n] ~ Re{ p * exp(i 2 pi nu n) } for a real tone. A window may be applied

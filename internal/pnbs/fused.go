@@ -18,14 +18,14 @@ import (
 // Write the kernel phase terms as cos(a·dt − φ) = cos(a·dt)cos φ +
 // sin(a·dt)sin φ. For the prompt channel the offsets dt0 = t − nT are
 // delay-independent, so each instant's whole tap fold contracts to four
-// scalars built once at prepare time,
+// scalars built once per instant block (CostTable),
 //
 //	pc = Σ_j ch0[j]·w(dt0_j)·(cos(a·dt0_j) − cos(b·dt0_j))/dt0_j
 //	ps = Σ_j ch0[j]·w(dt0_j)·(sin(a·dt0_j) − sin(b·dt0_j))/dt0_j
 //
 // per phase pair (a0,b0) and (a1,b1), and the per-candidate evaluation is
 // just (pc·cot φ + ps)/(2πB) — only cot φ0 and cot φ1 depend on the delay,
-// the same two-phase observation that makes a Clone cheap. Taps with
+// and they come from the candidate's Kernel. Taps with
 // |dt0| below the dsp.DiffCosOverT Taylor threshold contribute their series
 // limit (pc term dt·(b²−a²)/2, ps term (a−b)), which is linear in cot φ in
 // exactly the same way, so the contraction survives the removable
@@ -65,52 +65,40 @@ type fusedRow struct {
 	pc0, ps0, pc1, ps1 float64
 }
 
-// fusedPrep is the immutable prepared form of one instant block for the
-// fused path. It is delay-independent, so Reconstructor.Clone shares it
-// across every candidate delay.
-type fusedPrep struct {
-	ts   []float64
+// CostTable is the immutable prepared form of one reconstructor over one
+// instant block for the fused cost path: the prompt-channel tap folds
+// contracted to delay-independent scalars, plus the delayed-channel tap
+// geometry. The candidate delay enters only at evaluation, as a *Kernel of
+// the same band (CostFused), so one table serves every candidate delay of
+// the LMS search and concurrent evaluations share nothing mutable.
+type CostTable struct {
+	r    *Reconstructor
 	rows []fusedRow
 }
 
-// matches reports whether the prepared tables cover exactly these instants
-// (value comparison, so a caller may pass a fresh slice each time).
-func (p *fusedPrep) matches(ts []float64) bool {
-	if p == nil || len(ts) != len(p.ts) {
-		return false
-	}
-	for i, t := range ts {
-		if t != p.ts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fusedPrepChunk is the instant count per pool task of buildFusedPrep. A
-// row costs ~60 taps of four Sincos pairs, so a cost block of a few hundred
+// costTableChunk is the instant count per pool task of CostTable. A row
+// costs ~60 taps of four Sincos pairs, so a cost block of a few hundred
 // instants still splits into enough tasks to balance the pool.
-const fusedPrepChunk = 16
+const costTableChunk = 16
 
-// buildFusedPrep contracts the prompt-channel tap folds. The rows are
-// independent per instant, so they are built over the par pool; each row's
-// tap fold stays serial, so the tables are identical at any worker count.
-// The tap geometry (n0, clamping, dt0 accumulation by repeated subtraction)
-// mirrors At; the trig is evaluated by direct Sincos per tap — prepare runs
-// once per (capture, instants) and its accuracy feeds every candidate,
-// where the cost fold's cancellation amplifies prep error by ~1e6: a phasor
-// recurrence here (tried) costs ~4e-9 on the cost and busts the 1e-9
-// oracle contract.
-func (r *Reconstructor) buildFusedPrep(ts []float64) *fusedPrep {
+// CostTable contracts the prompt-channel tap folds of r over the instants
+// ts. The rows are independent per instant, so they are built over the par
+// pool; each row's tap fold stays serial, so the table is identical at any
+// worker count. The tap geometry (n0, clamping, dt0 accumulation by
+// repeated subtraction) mirrors At; the trig is evaluated by direct Sincos
+// per tap — the table is built once per (capture, instants) and its
+// accuracy feeds every candidate, where the cost fold's cancellation
+// amplifies table error by ~1e6: a phasor recurrence here (tried) costs
+// ~4e-9 on the cost and busts the 1e-9 oracle contract. The angular rates
+// used here depend only on the band, so the table does not depend on r's
+// delay.
+func (r *Reconstructor) CostTable(ts []float64) *CostTable {
 	h := r.opt.HalfTaps
 	k := r.kern
-	p := &fusedPrep{
-		ts:   append([]float64(nil), ts...),
-		rows: make([]fusedRow, len(ts)),
-	}
-	par.ForChunks(len(ts), fusedPrepChunk, func(lo, hi int) {
+	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts))}
+	par.ForChunks(len(ts), costTableChunk, func(lo, hi int) {
 		for i, t := range ts[lo:hi] {
-			row := &p.rows[lo+i]
+			row := &tab.rows[lo+i]
 			n0 := int(math.Round((t - r.t0) / r.tStep))
 			nLo := n0 - h
 			if nLo < 0 {
@@ -154,29 +142,16 @@ func (r *Reconstructor) buildFusedPrep(ts []float64) *fusedPrep {
 			}
 		}
 	})
-	return p
+	return tab
 }
 
-// PrepareFused ensures the fused delay-independent tables for this instant
-// block are built, reusing the cached tables when the instants are
-// value-equal to the previous block. The cache slot is shared with every
-// Clone of this reconstructor, so the per-candidate clones build the tables
-// once between them; a racing double-build is a pure function of the same
-// inputs and therefore publishes identical tables.
-func (r *Reconstructor) PrepareFused(ts []float64) {
-	if r.fused.Load().matches(ts) {
-		return
-	}
-	r.fused.Store(r.buildFusedPrep(ts))
-}
-
-// fusedEval is the per-candidate evaluation context: the prepared tables
-// plus the handful of delay-dependent scalars hoisted out of the instant
-// loop.
+// fusedEval is the per-candidate evaluation context: a table, the
+// candidate's kernel and the handful of delay-dependent scalars hoisted
+// out of the instant loop.
 type fusedEval struct {
 	r       *Reconstructor
-	p       *fusedPrep
-	d       float64
+	rows    []fusedRow
+	k       *Kernel
 	inv2piB float64
 	// cot0/cot1 contract the prompt-channel tables; inv0/inv1 merge the
 	// delayed-channel kernel denominators into one division per tap.
@@ -192,16 +167,11 @@ type fusedEval struct {
 	lutInv   float64
 }
 
-// fusedEval snapshots the prepared tables (building them if the cached
-// block does not match) and hoists the candidate-delay scalars.
-func (r *Reconstructor) fusedEvalCtx(ts []float64) fusedEval {
-	p := r.fused.Load()
-	if !p.matches(ts) {
-		p = r.buildFusedPrep(ts)
-		r.fused.Store(p)
-	}
-	k := r.kern
-	e := fusedEval{r: r, p: p, d: k.d, inv2piB: 1 / (2 * math.Pi * k.band.B)}
+// eval hoists the scalars of candidate kernel k, which must be of the
+// table's band, out of the instant loop.
+func (tab *CostTable) eval(k *Kernel) fusedEval {
+	r := tab.r
+	e := fusedEval{r: r, rows: tab.rows, k: k, inv2piB: 1 / (2 * math.Pi * k.band.B)}
 	e.cot1 = math.Cos(k.phi1) / k.sin1
 	e.inv1 = e.inv2piB / k.sin1
 	if !k.s0Zero {
@@ -216,14 +186,14 @@ func (r *Reconstructor) fusedEvalCtx(ts []float64) fusedEval {
 	return e
 }
 
-// at evaluates instant i of the prepared block for the current candidate.
+// at evaluates instant i of the table at the candidate kernel.
 func (e *fusedEval) at(i int) float64 {
-	row := &e.p.rows[i]
+	row := &e.rows[i]
 	if row.cnt == 0 {
 		return 0
 	}
 	r := e.r
-	k := r.kern
+	k := e.k
 	// Prompt channel: the whole tap fold is the prepared contraction against
 	// the two delay-dependent cotangents.
 	var acc float64
@@ -247,7 +217,7 @@ func (e *fusedEval) at(i int) float64 {
 	// the 1e-9 contract. The j = −1 values follow from the
 	// angle-difference identity on the Sincos components, so the second
 	// seed per angle is free.
-	dt1 := row.dtdStart + e.d
+	dt1 := row.dtdStart + k.d
 	sv1, cv1 := math.Sincos(k.a1*dt1 - k.phi1)
 	tA1 := 2 * real(r.cjA1)
 	cA1, pA1 := cv1, cv1*real(r.cjA1)+sv1*imag(r.cjA1)
@@ -331,34 +301,21 @@ func (e *fusedEval) at(i int) float64 {
 	return acc + dAcc
 }
 
-// AtBlockFused evaluates the reconstruction at every instant of the block
-// through the fused reassociated kernel, writing dst[i] ~ At(ts[i])
-// (len(dst) must be >= len(ts)). Values agree with At to reassociated
-// rounding — the differential tests bound the induced cost error at 1e-9
-// relative — but are NOT bit-identical; callers that need bit-identity to
-// the per-instant path use At.
-func (r *Reconstructor) AtBlockFused(ts []float64, dst []float64) {
-	e := r.fusedEvalCtx(ts)
-	for i := range ts {
-		dst[i] = e.at(i)
-	}
-}
-
 // CostFused returns the fused residual-power partial
 //
 //	Σ_{i in [lo,hi)} (rB(ts[i]) − rB1(ts[i]))²
 //
-// for one chunk of the skew.Cost objective: both reconstructions of each
-// instant are produced back to back and only the squared difference is
-// accumulated, so the values never round-trip through memory. The partial
-// is a pure function of (captures, candidate delays, ts[lo:hi]) —
-// independent of how the caller chunks [0, n) or how many workers evaluate
-// the chunks — so folding fixed-size chunk partials in chunk order is
-// bit-identical at any worker count. Both reconstructors must be built at
-// the same candidate delay.
-func CostFused(rB, rB1 *Reconstructor, ts []float64, lo, hi int) float64 {
-	eB := rB.fusedEvalCtx(ts)
-	eB1 := rB1.fusedEvalCtx(ts)
+// for one chunk of the skew.Cost objective, where ts are the instants of
+// both tables and rB, rB1 are the reconstructions of tB, tB1 at the
+// candidate kernels kB, kB1 (each of its table's band, at one delay). Both reconstructions of each instant are produced back to back and only
+// the squared difference is accumulated, so the values never round-trip
+// through memory. The partial is a pure function of (tables, candidate
+// kernels, lo, hi) — independent of how the caller chunks [0, n) or how
+// many workers evaluate the chunks — so folding fixed-size chunk partials
+// in chunk order is bit-identical at any worker count.
+func CostFused(tB *CostTable, kB *Kernel, tB1 *CostTable, kB1 *Kernel, lo, hi int) float64 {
+	eB := tB.eval(kB)
+	eB1 := tB1.eval(kB1)
 	acc := 0.0
 	for i := lo; i < hi; i++ {
 		d := eB.at(i) - eB1.at(i)

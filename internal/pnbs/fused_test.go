@@ -15,12 +15,23 @@ func fusedClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
 
-// TestAtBlockFusedMatchesAt bounds the reassociation error of the fused
-// path against the per-instant At path over random bands, delays and
-// instants — including an integer-positioned band (s0 = 0), instants on
+// evalTable evaluates every instant of tab at the candidate kernel k.
+func evalTable(tab *CostTable, k *Kernel) []float64 {
+	e := tab.eval(k)
+	out := make([]float64, len(tab.rows))
+	for i := range out {
+		out[i] = e.at(i)
+	}
+	return out
+}
+
+// TestFusedTableMatchesAt bounds the reassociation error of the fused
+// path — a CostTable evaluated per instant at the reconstructor's own
+// kernel — against the per-instant At path over random bands, delays and
+// instants, including an integer-positioned band (s0 = 0), instants on
 // sample points (the Taylor branch of the contracted tables), and instants
 // outside the capture (fused value must be exactly 0, like At).
-func TestAtBlockFusedMatchesAt(t *testing.T) {
+func TestFusedTableMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bands := []Band{
 		{FLow: 955e6, B: 90e6},   // the paper band
@@ -49,112 +60,100 @@ func TestAtBlockFusedMatchesAt(t *testing.T) {
 			}
 			ts[0] = lo - 400*r.tStep // out of capture: both paths return 0
 			ts[1] = r.t0 + 57*r.tStep
-			dst := make([]float64, len(ts))
-			r.AtBlockFused(ts, dst)
+			got := evalTable(r.CostTable(ts), r.Kernel())
 			for i, tv := range ts {
 				at := r.At(tv)
-				if i == 0 && (dst[i] != 0 || at != 0) {
-					t.Fatalf("band %d: out-of-capture instant: fused %g, At %g", bi, dst[i], at)
+				if i == 0 && (got[i] != 0 || at != 0) {
+					t.Fatalf("band %d: out-of-capture instant: fused %g, At %g", bi, got[i], at)
 				}
-				if !fusedClose(dst[i], at) {
-					t.Fatalf("band %d trial %d t=%g: AtBlockFused %.17g vs At %.17g",
-						bi, trial, tv, dst[i], at)
+				if !fusedClose(got[i], at) {
+					t.Fatalf("band %d trial %d t=%g: fused table %.17g vs At %.17g",
+						bi, trial, tv, got[i], at)
 				}
 			}
 		}
 	}
 }
 
-// TestAtBlockFusedPrepSurvivesRetune: the contracted tables are delay
-// independent, so a Clone at a new candidate delay must reuse them and evaluate bit-identically to
-// a reconstructor freshly built at the new delay (which builds its own
-// tables from the same inputs).
-func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
+// delayTemplate builds the 180 ps template reconstructor the
+// delay-independence tests share, with its capture and instants (one on a
+// sample point, so the Taylor branch of the contracted tables is covered).
+func delayTemplate(t *testing.T) (Band, []float64, []float64, *Reconstructor, []float64) {
+	t.Helper()
 	band := Band{FLow: 955e6, B: 90e6}
 	ch0, ch1 := toneCapture(band, 180e-12, 260)
-	r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
+	tmpl, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := r.ValidRange()
+	lo, hi := tmpl.ValidRange()
 	rng := rand.New(rand.NewSource(5))
 	ts := make([]float64, 64)
 	for i := range ts {
 		ts[i] = lo + (hi-lo)*rng.Float64()
 	}
-	warm := make([]float64, len(ts))
-	r.AtBlockFused(ts, warm) // builds the tables at d = 180 ps
-	for _, d := range []float64{120e-12, 240e-12, 180e-12} {
-		c, err := r.Clone(d)
+	ts[1] = tmpl.t0 + 57*tmpl.tStep // Taylor branch
+	return band, ch0, ch1, tmpl, ts
+}
+
+// TestAtBlockFusedPrepSurvivesRetune: a CostTable does not depend on the
+// delay of the reconstructor it was built from, so a table built from a
+// template at d1 and evaluated with a kernel at d2 must equal, bit for
+// bit, the evaluated table of a reconstructor freshly built at d2. This is
+// what lets skew.CostEvaluator build its tables once and evaluate every
+// candidate delay against them.
+func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
+	band, ch0, ch1, tmpl, ts := delayTemplate(t)
+	tab := tmpl.CostTable(ts)
+	for _, d := range []float64{120e-12, 240e-12, -250e-12, 180e-12} {
+		k, err := NewKernel(band, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, len(ts))
-		c.AtBlockFused(ts, got) // must hit the cached tables
 		fresh, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]float64, len(ts))
-		fresh.AtBlockFused(ts, want)
+		got := evalTable(tab, k)
+		want := evalTable(fresh.CostTable(ts), fresh.Kernel())
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("d=%g i=%d: cloned fused %.17g != fresh build %.17g", d, i, got[i], want[i])
+				t.Fatalf("d=%g i=%d: template table %.17g != fresh table %.17g", d, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestCloneSharesFusedTables pins the amortization mechanism of the pooled
-// cost evaluators: clones share the fused-table cache slot, so a table
-// built by any family member is visible to all — and a clone evaluates
-// bit-identically to a reconstructor freshly built at its delay.
+// TestCloneSharesFusedTables: one CostTable is shared by every candidate
+// delay, so its rows must be the same at any delay and per instant: the
+// template's rows equal, bit for bit, those of a fresh reconstructor at
+// another delay, and a table over a prefix of the instants equals the
+// prefix of the full table. Sharing leaves the template at its own delay,
+// and a kernel at a forbidden delay is refused.
 func TestCloneSharesFusedTables(t *testing.T) {
-	band := Band{FLow: 955e6, B: 90e6}
-	ch0, ch1 := toneCapture(band, 180e-12, 260)
-	r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := r.ValidRange()
-	ts := make([]float64, 40)
-	for i := range ts {
-		ts[i] = lo + (hi-lo)*float64(i)/float64(len(ts)-1)
-	}
-	r.PrepareFused(ts)
-	c, err := r.Clone(240e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.fused.Load() != r.fused.Load() || c.fused.Load() == nil {
-		t.Fatal("clone does not share the fused table cache")
-	}
-	// Preparation through the clone publishes for the original too.
-	other := append([]float64(nil), ts[:20]...)
-	c.PrepareFused(other)
-	if r.fused.Load() != c.fused.Load() {
-		t.Fatal("clone preparation did not publish to the original")
-	}
-	// The clone is at its own delay, the original keeps its own.
-	if c.Kernel().D() != 240e-12 || r.Kernel().D() != 180e-12 {
-		t.Fatalf("delays: clone %g, original %g", c.Kernel().D(), r.Kernel().D())
-	}
-	got := make([]float64, len(ts))
-	c.AtBlockFused(ts, got)
+	band, ch0, ch1, tmpl, ts := delayTemplate(t)
+	tab := tmpl.CostTable(ts)
 	fresh, err := NewReconstructor(band, 240e-12, 0, ch0, ch1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, len(ts))
-	fresh.AtBlockFused(ts, want)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("i=%d: clone %.17g != fresh %.17g", i, got[i], want[i])
+	freshTab := fresh.CostTable(ts)
+	for i := range tab.rows {
+		if tab.rows[i] != freshTab.rows[i] {
+			t.Fatalf("row %d: template %+v != fresh %+v", i, tab.rows[i], freshTab.rows[i])
 		}
 	}
-	// Clone at a forbidden delay must fail without disturbing the original.
-	if _, err := r.Clone(0); err == nil {
-		t.Fatal("clone at zero delay did not fail")
+	prefix := tmpl.CostTable(ts[:20])
+	for i := range prefix.rows {
+		if prefix.rows[i] != tab.rows[i] {
+			t.Fatalf("row %d: prefix table %+v != full table %+v", i, prefix.rows[i], tab.rows[i])
+		}
+	}
+	if tmpl.Kernel().D() != 180e-12 || fresh.Kernel().D() != 240e-12 {
+		t.Fatalf("delays: template %g, fresh %g", tmpl.Kernel().D(), fresh.Kernel().D())
+	}
+	if _, err := NewKernel(band, 0); err == nil {
+		t.Fatal("kernel at zero delay did not fail")
 	}
 }
 
@@ -183,7 +182,9 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 	for i := range ts {
 		ts[i] = lo + (hi-lo)*rng.Float64()
 	}
-	whole := CostFused(rB, rB1, ts, 0, len(ts))
+	tB, tB1 := rB.CostTable(ts), rB1.CostTable(ts)
+	kB, kB1 := rB.Kernel(), rB1.Kernel()
+	whole := CostFused(tB, kB, tB1, kB1, 0, len(ts))
 	for _, chunk := range []int{1, 7, 16, 32, len(ts)} {
 		acc := 0.0
 		for c := 0; c < len(ts); c += chunk {
@@ -191,7 +192,7 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 			if end > len(ts) {
 				end = len(ts)
 			}
-			acc += CostFused(rB, rB1, ts, c, end)
+			acc += CostFused(tB, kB, tB1, kB1, c, end)
 		}
 		// The fold order over chunks differs from the whole-range pass, so
 		// compare to reassociation tolerance; per-chunk partials themselves
@@ -222,9 +223,9 @@ func TestFusedPrepWorkerInvariance(t *testing.T) {
 	}
 	ts[0] = lo - 400*r.tStep
 	ts[1] = r.t0 + 57*r.tStep
-	build := func(w int) *fusedPrep {
+	build := func(w int) *CostTable {
 		defer par.SetWorkers(par.SetWorkers(w))
-		return r.buildFusedPrep(ts)
+		return r.CostTable(ts)
 	}
 	ref := build(1)
 	for _, w := range []int{2, 8} {

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// FuzzReconstructClone differentially tests Clone against fresh
-// construction on fuzzed delay pairs: both must agree on which delays are
-// feasible (Eq. 3), and on every feasible pair the clone must evaluate
-// bit-identically to a reconstructor built from scratch at the target
-// delay — the contract the LMS hot loop depends on.
-func FuzzReconstructClone(f *testing.F) {
+// FuzzCostTableDelayIndependence differentially tests the fused cost
+// table on fuzzed delay pairs: NewKernel and NewReconstructor must agree
+// on which delays are feasible (Eq. 3), and on every feasible pair a table
+// built from a template at d1 and evaluated with a kernel at d2 must equal,
+// bit for bit, the table of a reconstructor built from scratch at d2 — the
+// contract that lets the LMS hot loop build its tables once per capture.
+func FuzzCostTableDelayIndependence(f *testing.F) {
 	f.Add(0.36, 0.42, int64(1))  // two nearby valid delays
 	f.Add(0.36, -0.36, int64(2)) // sign flip
-	f.Add(0.5, 0.0, int64(3))    // clone at zero: must be rejected
+	f.Add(0.36, 0.0, int64(3))   // candidate at zero: must be rejected
 	f.Add(0.9, 0.25, int64(4))   // large step, LMS-style
 	f.Add(-0.7, 0.33, int64(5))  // negative origin
 	f.Add(0.123, 0.1234, int64(6))
@@ -39,29 +40,30 @@ func FuzzReconstructClone(f *testing.F) {
 		}
 		opt := Options{HalfTaps: 6}
 
-		r, err := NewReconstructor(band, d1, 0, ch0, ch1, opt)
+		tmpl, err := NewReconstructor(band, d1, 0, ch0, ch1, opt)
 		if err != nil {
-			// d1 infeasible: nothing to clone from.
+			// d1 infeasible: no template to build a table from.
 			t.Skip()
 		}
 		fresh, freshErr := NewReconstructor(band, d2, 0, ch0, ch1, opt)
-		c, cloneErr := r.Clone(d2)
-		if (freshErr == nil) != (cloneErr == nil) {
-			t.Fatalf("feasibility disagreement at d2=%g: fresh err %v, clone err %v",
-				d2, freshErr, cloneErr)
+		k2, kernErr := NewKernel(band, d2)
+		if (freshErr == nil) != (kernErr == nil) {
+			t.Fatalf("feasibility disagreement at d2=%g: reconstructor err %v, kernel err %v",
+				d2, freshErr, kernErr)
 		}
-		if cloneErr != nil {
-			// A failed clone must leave the template at d1.
-			if got := r.Kernel().D(); got != d1 {
-				t.Fatalf("failed clone moved D: %g, want %g", got, d1)
-			}
+		if kernErr != nil {
 			return
 		}
 		lo, hi := fresh.ValidRange()
-		for i := 0; i < 25; i++ {
-			tv := lo + (hi-lo)*float64(i)/24
-			if a, b := c.At(tv), fresh.At(tv); a != b {
-				t.Fatalf("d1=%g d2=%g t=%g: cloned %g != fresh %g", d1, d2, tv, a, b)
+		ts := make([]float64, 25)
+		for i := range ts {
+			ts[i] = lo + (hi-lo)*float64(i)/24
+		}
+		got := evalTable(tmpl.CostTable(ts), k2)
+		want := evalTable(fresh.CostTable(ts), fresh.Kernel())
+		for i, tv := range ts {
+			if got[i] != want[i] {
+				t.Fatalf("d1=%g d2=%g t=%g: template table %g != fresh table %g", d1, d2, tv, got[i], want[i])
 			}
 		}
 	})

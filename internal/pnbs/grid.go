@@ -26,8 +26,7 @@ import (
 // gridPrep holds the fused per-phase coefficient tables for one (t0, fs)
 // uniform grid at the reconstructor's delay.
 type gridPrep struct {
-	t0, fs float64
-	over   int
+	over int
 	// n0Base[p] is the tap-center capture index of grid instant p; instant
 	// i = q*over + p has center n0Base[p] + q.
 	n0Base []int
@@ -49,7 +48,7 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	nt := 2*h + 1
 	d := k.D()
 	g := &gridPrep{
-		t0: t0, fs: fs, over: over,
+		over:   over,
 		n0Base: make([]int, over),
 		a0:     make([]float64, over*nt),
 		a1:     make([]float64, over*nt),
@@ -71,21 +70,6 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 			dt0 -= r.tStep
 			dt1 += r.tStep
 		}
-	}
-	return g
-}
-
-// gridFor returns the cached tables for this (t0, fs) grid, rebuilding on
-// a miss. The delay is fixed for the reconstructor's lifetime, so it is
-// not part of the key. A nil return means the grid is incommensurate with
-// the capture rate.
-func (r *Reconstructor) gridFor(t0, fs float64) *gridPrep {
-	if g := r.grid.Load(); g != nil && g.t0 == t0 && g.fs == fs {
-		return g
-	}
-	g := r.buildGridPrep(t0, fs)
-	if g != nil {
-		r.grid.Store(g)
 	}
 	return g
 }
@@ -121,10 +105,11 @@ func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
 // lowpasses or decimates the result (the 2fc image is attenuated by the
 // subsequent PSD windowing or filtering). x comes from the fused per-phase
 // tables when fs is an integer multiple of the capture rate and from At
-// otherwise; the instants fan out over the par pool and the call is
-// allocation-free once the tables are built.
+// otherwise; the instants fan out over the par pool. Each call builds its
+// own tables — over·(2h+1) coefficient pairs, small next to the grid — so
+// the reconstructor holds no cache.
 func (r *Reconstructor) EnvelopeGridInto(fc, t0, fs float64, out []complex128) {
-	g := r.gridFor(t0, fs)
+	g := r.buildGridPrep(t0, fs)
 	par.For(len(out), func(i int) {
 		t := t0 + float64(i)/fs
 		var v float64

@@ -61,11 +61,10 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 				fs := float64(over) * band.B
 				for _, off := range []float64{0, 0.37, 0.81} {
 					t0 := lo + off/fs
-					got, want, peak := gridVsAt(r, fc, t0, fs, 150*over)
-					g := r.grid.Load()
-					if g == nil || g.over != over || g.t0 != t0 {
-						t.Fatalf("d=%g over=%d off=%g: grid tables not built for this grid", d, over, off)
+					if g := r.buildGridPrep(t0, fs); g == nil || g.over != over {
+						t.Fatalf("d=%g over=%d off=%g: no grid tables for this grid", d, over, off)
 					}
+					got, want, peak := gridVsAt(r, fc, t0, fs, 150*over)
 					for i := range got {
 						if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
 							t.Fatalf("d=%g over=%d off=%g i=%d: grid %v vs At %v (err %g, peak %g)",
@@ -120,10 +119,10 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		}
 		lo, _ := r.ValidRange()
 		fs := 3.7 * band.B // not an integer multiple of the capture rate
-		got, want, _ := gridVsAt(r, fc, lo, fs, 300)
-		if g := r.grid.Load(); g != nil {
+		if g := r.buildGridPrep(lo, fs); g != nil {
 			t.Fatalf("grid tables built for an incommensurate rate (over=%d)", g.over)
 		}
+		got, want, _ := gridVsAt(r, fc, lo, fs, 300)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("i=%d: grid %v != At %v on the per-instant fallback", i, got[i], want[i])
@@ -131,7 +130,7 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		}
 	})
 
-	t.Run("a clone builds its grid at its own delay", func(t *testing.T) {
+	t.Run("each delay builds its own grid", func(t *testing.T) {
 		ch0, ch1 := noisyCapture(band, 180e-12, 260, 17)
 		r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
 		if err != nil {
@@ -140,23 +139,22 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		lo, _ := r.ValidRange()
 		fs := 4 * band.B
 		before, _, _ := gridVsAt(r, fc, lo, fs, 600)
-		c, err := r.Clone(240e-12)
+		// Same capture, same grid, another delay: the tables fold the
+		// delay in, so the envelope must move and still match At.
+		other, err := NewReconstructor(band, 240e-12, 0, ch0, ch1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want, peak := gridVsAt(c, fc, lo, fs, 600)
-		if g := c.grid.Load(); g == nil || g == r.grid.Load() {
-			t.Fatal("grid tables not built at the clone's delay")
-		}
+		got, want, peak := gridVsAt(other, fc, lo, fs, 600)
 		moved := false
 		for i := range got {
 			if e := cmplx.Abs(got[i] - want[i]); e > tol*peak {
-				t.Fatalf("i=%d on the clone: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
+				t.Fatalf("i=%d at 240 ps: grid %v vs At %v (err %g, peak %g)", i, got[i], want[i], e, peak)
 			}
 			moved = moved || cmplx.Abs(got[i]-before[i]) > tol*peak
 		}
 		if !moved {
-			t.Fatal("clone's grid equals the grid at the original delay: stale tables")
+			t.Fatal("grid at 240 ps equals the grid at 180 ps: tables ignore the delay")
 		}
 	})
 }

@@ -3,7 +3,6 @@ package pnbs
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/par"
 )
@@ -53,22 +52,13 @@ type Reconstructor struct {
 	// Tap-to-tap phasor rotations exp(-i a T) for the four kernel cosine
 	// terms: evaluating s() across consecutive taps then needs complex
 	// multiplies instead of Sincos calls (the LMS hot path). The rotation
-	// angles depend only on the band, so Clone shares them.
+	// angles depend only on the band, so a CostTable evaluates any
+	// candidate delay of the band with them.
 	rotA0, rotB0, rotA1, rotB1 complex128
 	// cjA0..cjB1 are the conjugate rotations exp(+i a T) used by the
 	// second (delayed-channel) kernel term, whose phase advances the other
 	// way across taps. They depend only on the band, like rot*.
 	cjA0, cjB0, cjA1, cjB1 complex128
-	// fused caches the contracted tables of the reassociated fused path
-	// (AtBlockFused/CostFused); see fused.go. The tables are delay-
-	// independent; the pointer is atomic so concurrent callers on a shared
-	// reconstructor stay race-free. The slot itself is held by pointer so
-	// Clone can share one cache across every candidate delay.
-	fused *atomic.Pointer[fusedPrep]
-	// grid caches the fused per-phase coefficient tables of the uniform-
-	// grid path (EnvelopeGridInto); see grid.go. These fold the delay in,
-	// so each reconstructor (and each clone) keeps its own.
-	grid atomic.Pointer[gridPrep]
 }
 
 // NewReconstructor builds a reconstructor from the two uniform sample sets:
@@ -97,7 +87,6 @@ func NewReconstructor(band Band, dEst, t0 float64, ch0, ch1 []float64, opt Optio
 		ch1:      ch1,
 		opt:      o,
 		winScale: 1 / (float64(o.HalfTaps+1) * band.T()),
-		fused:    new(atomic.Pointer[fusedPrep]),
 	}
 	if o.KaiserBeta > 0 {
 		r.win = lutFor(o.KaiserBeta)
@@ -110,46 +99,6 @@ func NewReconstructor(band Band, dEst, t0 float64, ch0, ch1 []float64, opt Optio
 	conj := func(c complex128) complex128 { return complex(real(c), -imag(c)) }
 	r.cjA0, r.cjB0, r.cjA1, r.cjB1 = conj(r.rotA0), conj(r.rotB0), conj(r.rotA1), conj(r.rotB1)
 	return r, nil
-}
-
-// Clone returns a reconstructor over the same capture at delay dHat. A
-// reconstructor is immutable once built, so a candidate delay is always a
-// new value: the clone gets its own kernel (two sines and a few
-// multiplies) and reuses the capture, the window table and the
-// band-derived phasor rotations. It also SHARES the delay-independent
-// fused-table cache with the original and all its clones: the first member
-// of the family to prepare an instant block publishes the tables for
-// everyone, so one table build serves every candidate delay of the LMS
-// search. Sharing is safe because the prepared tables are immutable and
-// validated by instant-set value match on every use; concurrent
-// preparation of different instant sets merely thrashes the cache, it
-// never corrupts a result. The delay-dependent grid cache
-// (EnvelopeGridInto) is deliberately NOT shared.
-func (r *Reconstructor) Clone(dHat float64) (*Reconstructor, error) {
-	kern, err := NewKernel(r.kern.band, dHat)
-	if err != nil {
-		return nil, err
-	}
-	c := &Reconstructor{
-		kern:     kern,
-		t0:       r.t0,
-		tStep:    r.tStep,
-		ch0:      r.ch0,
-		ch1:      r.ch1,
-		opt:      r.opt,
-		win:      r.win,
-		winScale: r.winScale,
-		rotA0:    r.rotA0,
-		rotB0:    r.rotB0,
-		rotA1:    r.rotA1,
-		rotB1:    r.rotB1,
-		cjA0:     r.cjA0,
-		cjB0:     r.cjB0,
-		cjA1:     r.cjA1,
-		cjB1:     r.cjB1,
-		fused:    r.fused,
-	}
-	return c, nil
 }
 
 // cis returns exp(i theta).
@@ -298,8 +247,9 @@ func (r *Reconstructor) AtTimes(ts []float64) []float64 {
 }
 
 // AtTimesInto is AtTimes writing into a caller-provided buffer (len(out)
-// must be >= len(ts)), so repeated evaluations over the same grid — the
-// BIST measure stage runs three per unit — stay allocation-free.
+// must be >= len(ts)), so repeated evaluations over the same instants stay
+// allocation-free. (The BIST measure stage evaluates on uniform grids
+// through EnvelopeGridInto instead.)
 func (r *Reconstructor) AtTimesInto(ts []float64, out []float64) {
 	par.For(len(ts), func(i int) {
 		out[i] = r.At(ts[i])

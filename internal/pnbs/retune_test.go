@@ -54,65 +54,6 @@ func TestWindowLUTSharedAcrossReconstructors(t *testing.T) {
 	}
 }
 
-// Retuning a reconstructor to a candidate delay is a Clone: the clone must
-// evaluate bit-identically to a fresh build, and a rejected delay must
-// leave the template untouched.
-func TestRetuneMatchesFreshReconstructor(t *testing.T) {
-	band := Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
-	ch0, ch1 := toneCapture(band, d, 300)
-	tmpl, err := NewReconstructor(band, 120e-12, 0, ch0, ch1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dHat := range []float64{180e-12, 95e-12, 260e-12, -250e-12} {
-		cloned, err := tmpl.Clone(dHat)
-		if err != nil {
-			t.Fatalf("clone at %g: %v", dHat, err)
-		}
-		fresh, err := NewReconstructor(band, dHat, 0, ch0, ch1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := fresh.ValidRange()
-		for i := 0; i < 200; i++ {
-			tv := lo + (hi-lo)*float64(i)/199
-			a, b := cloned.At(tv), fresh.At(tv)
-			if a != b {
-				t.Fatalf("dHat %g, t %g: cloned %g != fresh %g", dHat, tv, a, b)
-			}
-		}
-		if cloned.Kernel().D() != dHat {
-			t.Fatalf("kernel reports D %g for a clone at %g", cloned.Kernel().D(), dHat)
-		}
-	}
-}
-
-func TestRetuneRejectsForbiddenDelayAndKeepsState(t *testing.T) {
-	band := Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
-	ch0, ch1 := toneCapture(band, d, 256)
-	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := r.ValidRange()
-	tv := (lo + hi) / 2
-	before := r.At(tv)
-	if _, err := r.Clone(band.T() / float64(band.K())); err == nil {
-		t.Fatal("forbidden delay accepted")
-	}
-	if _, err := r.Clone(0); err == nil {
-		t.Fatal("zero delay accepted")
-	}
-	if got := r.At(tv); got != before {
-		t.Fatalf("failed clone changed state: %g vs %g", got, before)
-	}
-	if r.Kernel().D() != d {
-		t.Fatalf("failed clone changed D: %g", r.Kernel().D())
-	}
-}
-
 func TestNegativeKaiserBetaIsRectangular(t *testing.T) {
 	band := Band{FLow: 955e6, B: 90e6}
 	d := 180e-12

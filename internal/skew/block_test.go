@@ -60,19 +60,18 @@ func TestCostFusedMatchesSerialOracle(t *testing.T) {
 }
 
 // TestCostFusedPrepSurvivesRetune drives one evaluator through many
-// candidate delays: the first evaluation builds the contracted tables,
-// every later one must reuse them through its per-candidate Clone pair
-// (the tables are delay independent). Bit-equality with a FRESH
-// evaluator's first evaluation at the same delay proves the reuse is
-// exact — the shared tables are the very floats a from-scratch build
-// produces — and the serial oracle bounds the absolute accuracy at each
-// stop.
+// candidate delays: every evaluation reuses the contracted tables built
+// once by NewCostEvaluator (the tables are delay independent), with only
+// the per-candidate kernel pair new. Bit-equality with a FRESH evaluator's
+// first evaluation at the same delay proves the reuse is exact — the
+// reused tables are the very floats a from-scratch build produces — and
+// the serial oracle bounds the absolute accuracy at each stop.
 func TestCostFusedPrepSurvivesRetune(t *testing.T) {
 	ce := paperEvaluator(t, 180e-12)
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	for _, dHat := range []float64{100e-12, 180e-12, 260e-12, 180e-12, 100e-12} {
-		got, err := ce.Cost(dHat) // same evaluator: shared tables, fresh clones
+		got, err := ce.Cost(dHat) // same evaluator: reused tables, fresh kernels
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func TestCostFusedPrepSurvivesRetune(t *testing.T) {
 }
 
 // TestNewCostEvaluatorRejectsShortCapture: the template reconstructor pair
-// is built at construction, so a capture too short for the filter support
+// and its tables are built at construction, so a capture too short for the filter support
 // is refused there, not on the first Cost.
 func TestNewCostEvaluatorRejectsShortCapture(t *testing.T) {
 	bandB, bandB1 := paperBands()

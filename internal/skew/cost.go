@@ -87,13 +87,11 @@ type CostEvaluator struct {
 	setB1 SampleSet
 	times []float64
 	opt   pnbs.Options
-	// rB/rB1 are the immutable template reconstructor pair, built at each
-	// band's OptimalD. Every candidate delay is evaluated on a fresh Clone
-	// pair; clones share the delay-independent prepared tables
-	// (pnbs.Reconstructor.Clone), so the fused-path contraction is built
-	// once per capture and amortized across all candidates and all
-	// concurrent callers.
-	rB, rB1 *pnbs.Reconstructor
+	// tB/tB1 are the delay-independent fused-path tables of the two
+	// captures over times, built once from template reconstructors at each
+	// band's OptimalD. Every candidate delay evaluates against them with
+	// its own pair of kernels, so concurrent callers share nothing mutable.
+	tB, tB1 *pnbs.CostTable
 }
 
 // costChunk is the fixed instant-chunk size of the fused cost fold. It is a
@@ -102,9 +100,9 @@ type CostEvaluator struct {
 const costChunk = 16
 
 // NewCostEvaluator validates the two captures and the evaluation instants
-// and builds the template reconstructor pair. The instants must lie inside
-// the valid reconstruction range of both sets; use EvalWindow/RandomTimes
-// to generate them.
+// and builds the fused cost tables of both captures. The instants must lie
+// inside the valid reconstruction range of both sets; use
+// EvalWindow/RandomTimes to generate them.
 func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) (*CostEvaluator, error) {
 	if err := CheckUniqueness(setB.Band, setB1.Band); err != nil {
 		return nil, err
@@ -119,7 +117,8 @@ func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) 
 	if err != nil {
 		return nil, err
 	}
-	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt, rB: rB, rB1: rB1}, nil
+	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt,
+		tB: rB.CostTable(times), tB1: rB1.CostTable(times)}, nil
 }
 
 // templatePair builds the reconstructor pair of the two captures at each
@@ -143,33 +142,31 @@ func (c *CostEvaluator) Times() []float64 { return c.times }
 func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 
 // Cost evaluates the Eq. (7) objective at the candidate delay dHat through
-// the fused reassociated kernel (pnbs.CostFused): the candidate's Clone
-// pair shares the template's delay-independent contracted tables (built
-// once per capture), fixed-size instant chunks fan out over the par pool,
-// and the per-chunk residual partials are folded serially in chunk order.
-// The chunk boundaries never depend on the worker count, so the result is
-// bit-identical at any pool size; against the per-instant serial oracle
-// (costSerial) the fused value agrees to <= 1e-9 relative — reassociated,
-// not bit-identical (the documented estimate-stage tolerance contract).
-// Cost is safe for concurrent use.
+// the fused reassociated kernel (pnbs.CostFused): the candidate enters as
+// one kernel per rate against the evaluator's prepared tables, fixed-size
+// instant chunks fan out over the par pool, and the per-chunk residual
+// partials are folded serially in chunk order. The chunk boundaries never
+// depend on the worker count, so the result is bit-identical at any pool
+// size; against the per-instant serial oracle (costSerial) the fused value
+// agrees to <= 1e-9 relative — reassociated, not bit-identical (the
+// documented estimate-stage tolerance contract). Cost is safe for
+// concurrent use.
 func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	mCostEvals.Inc()
-	rB, err := c.rB.Clone(dHat)
+	kB, err := pnbs.NewKernel(c.setB.Band, dHat)
 	if err != nil {
 		mCostErrors.Inc()
 		return 0, err
 	}
-	rB1, err := c.rB1.Clone(dHat)
+	kB1, err := pnbs.NewKernel(c.setB1.Band, dHat)
 	if err != nil {
 		mCostErrors.Inc()
 		return 0, err
 	}
 	n := len(c.times)
 	partials := make([]float64, (n+costChunk-1)/costChunk)
-	rB.PrepareFused(c.times)
-	rB1.PrepareFused(c.times)
 	par.ForChunks(n, costChunk, func(lo, hi int) {
-		partials[lo/costChunk] = pnbs.CostFused(rB, rB1, c.times, lo, hi)
+		partials[lo/costChunk] = pnbs.CostFused(c.tB, kB, c.tB1, kB1, lo, hi)
 	})
 	return foldChunks(partials, n), nil
 }

@@ -20,8 +20,8 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestCostParallelMatchesSerialReference is the differential guarantee of
-// the acceptance criteria: the per-candidate Clone + parallel fused Cost path
-// must agree with the seed's rebuild-everything serial path to 1e-9
+// the acceptance criteria: the per-candidate kernel pair + parallel fused
+// Cost path must agree with the seed's rebuild-everything serial path to 1e-9
 // relative (the estimate-stage tolerance contract; observed agreement is
 // ~1e-12), at every pool size.
 func TestCostParallelMatchesSerialReference(t *testing.T) {
@@ -50,7 +50,7 @@ func TestCostParallelMatchesSerialReference(t *testing.T) {
 }
 
 // TestCostRepeatedCallsIdentical: Cost must be a pure function of dHat —
-// the shared table cache cannot leak state between candidate delays.
+// the evaluator's immutable tables carry no state between candidate delays.
 func TestCostRepeatedCallsIdentical(t *testing.T) {
 	ce := paperEvaluator(t, 180e-12)
 	first := make(map[float64]float64)
