@@ -67,7 +67,9 @@ func BenchmarkEnvelopeGrid(b *testing.B) {
 	}
 }
 
-func BenchmarkCostEvaluation(b *testing.B) {
+// costSets is the paper-size dual-rate capture pair and LMS instants that
+// the cost benchmarks share.
+func costSets() (setB, setB1 skew.SampleSet, times []float64) {
 	bandB := pnbs.Band{FLow: 955e6, B: 90e6}
 	bandB1 := skew.HalfRateBand(bandB)
 	d := 180e-12
@@ -81,9 +83,11 @@ func BenchmarkCostEvaluation(b *testing.B) {
 		}
 		return skew.SampleSet{Band: band, T0: t0, Ch0: ch0, Ch1: ch1}
 	}
-	setB := mk(bandB, 0, 300)
-	setB1 := mk(bandB1, -400e-9, 180)
-	times := skew.RandomTimes(500e-9, 1600e-9, 300, 1)
+	return mk(bandB, 0, 300), mk(bandB1, -400e-9, 180), skew.RandomTimes(500e-9, 1600e-9, 300, 1)
+}
+
+func BenchmarkCostEvaluation(b *testing.B) {
+	setB, setB1, times := costSets()
 	ce, err := skew.NewCostEvaluator(setB, setB1, times, pnbs.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -97,10 +101,21 @@ func BenchmarkCostEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignGrid measures the stimulus-coverage campaign per cell
-// (2 stimuli x 4 rows x 1 unit = 8 full BIST executions per op) with the
-// memoized stimulus payloads and normalisation gains warm — the
-// per-unit cost a million-DUT campaign pays at steady state.
+// BenchmarkCostTable times the per-capture prep of the fused cost: the
+// prompt-channel tables of the rate-B capture over the 300 LMS instants.
+func BenchmarkCostTable(b *testing.B) {
+	setB, _, times := costSets()
+	r, err := pnbs.NewReconstructor(setB.Band, setB.Band.OptimalD(), setB.T0, setB.Ch0, setB.Ch1, pnbs.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.CostTable(times)
+	}
+}
+
 func BenchmarkCampaignGrid(b *testing.B) {
 	g := campaign.Grid{
 		Stimuli: []campaign.StimulusSpec{

@@ -32,10 +32,15 @@ import (
 // singularity.
 //
 // The delayed channel's offsets dt1 = nT + D − t move with the candidate, so
-// it keeps a per-tap loop — but with half of At's phasor state (the
-// four prompt phasors are gone) and the two kernel divisions merged into
-// one: s(dt1) = ((ReA0 − ReB0)·inv0 + (ReA1 − ReB1)·inv1)/dt1 with
-// inv = 1/(2πB·sin φ) hoisted per candidate.
+// each candidate runs a tap loop per instant — but over four real Chebyshev
+// cosine recurrences in place of At's eight complex phasors (the prompt
+// ones are gone, and only real parts are consumed), with the two kernel
+// divisions merged into one: s(dt1) = ((cA0 − cB0)·inv0 + (cA1 − cB1)·inv1)/dt1
+// with inv = 1/(2πB·sin φ) hoisted per candidate.
+//
+// On AVX2 hosts both tap loops — this one and CostTable's — run four
+// instants per instruction, bit-identical to the Go loops below
+// (fusedvec.go, fused_amd64.s).
 //
 // CostFused fuses the residual-power fold of skew.Cost into the same pass:
 // both reconstructions of an instant are produced back to back and only the
@@ -91,58 +96,81 @@ const costTableChunk = 16
 // amplifies table error by ~1e6: a phasor recurrence here (tried) costs
 // ~4e-9 on the cost and busts the 1e-9 oracle contract. The angular rates
 // used here depend only on the band, so the table does not depend on r's
-// delay.
+// delay. Groups of four full-span rows go to the vector encoding of the
+// fold where the CPU has one (costRowsVector); it is bit-identical to
+// costRowFold, so the table does not depend on the CPU either.
 func (r *Reconstructor) CostTable(ts []float64) *CostTable {
-	h := r.opt.HalfTaps
-	k := r.kern
 	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts))}
+	vec := r.costRowsVectorOK()
 	par.ForChunks(len(ts), costTableChunk, func(lo, hi int) {
-		for i, t := range ts[lo:hi] {
-			row := &tab.rows[lo+i]
-			n0 := int(math.Round((t - r.t0) / r.tStep))
-			nLo := n0 - h
-			if nLo < 0 {
-				nLo = 0
+		rows, ts := tab.rows[lo:hi], ts[lo:hi]
+		for i := range rows {
+			r.costRowSpan(&rows[i], ts[i])
+		}
+		for i := 0; i < len(rows); i += 4 {
+			g := rows[i:min(i+4, len(rows))]
+			if vec && len(g) == 4 && r.costRowsVector(g, ts[i:i+4]) {
+				continue
 			}
-			nHi := n0 + h
-			if nHi > len(r.ch0)-1 {
-				nHi = len(r.ch0) - 1
-			}
-			if nLo > nHi {
-				continue // out-of-capture instant: the fused value is 0
-			}
-			row.nLo = int32(nLo)
-			row.cnt = int32(nHi - nLo + 1)
-			row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
-			dt0 := t - r.t0 - float64(nLo)*r.tStep
-			for n := nLo; n <= nHi; n++ {
-				if w := r.window(dt0); w != 0 {
-					cw := r.ch0[n] * w
-					if math.Abs(dt0) < fusedTaylorEps {
-						// Series limit of (cos(a·dt)−cos(b·dt))/dt and
-						// (sin(a·dt)−sin(b·dt))/dt, matching DiffCosOverT's
-						// expansion to the same order.
-						row.pc0 += cw * dt0 * 0.5 * (k.b0*k.b0 - k.a0*k.a0)
-						row.ps0 += cw * (k.a0 - k.b0)
-						row.pc1 += cw * dt0 * 0.5 * (k.b1*k.b1 - k.a1*k.a1)
-						row.ps1 += cw * (k.a1 - k.b1)
-					} else {
-						inv := cw / dt0
-						sA, cA := math.Sincos(k.a0 * dt0)
-						sB, cB := math.Sincos(k.b0 * dt0)
-						row.pc0 += (cA - cB) * inv
-						row.ps0 += (sA - sB) * inv
-						sA, cA = math.Sincos(k.a1 * dt0)
-						sB, cB = math.Sincos(k.b1 * dt0)
-						row.pc1 += (cA - cB) * inv
-						row.ps1 += (sA - sB) * inv
-					}
-				}
-				dt0 -= r.tStep
+			for j := range g {
+				r.costRowFold(&g[j], ts[i+j])
 			}
 		}
 	})
 	return tab
+}
+
+// costRowSpan sets the tap-span geometry of the row of instant t; an
+// out-of-capture instant keeps cnt = 0 (its fused value is 0).
+func (r *Reconstructor) costRowSpan(row *fusedRow, t float64) {
+	h := r.opt.HalfTaps
+	n0 := int(math.Round((t - r.t0) / r.tStep))
+	nLo := n0 - h
+	if nLo < 0 {
+		nLo = 0
+	}
+	nHi := n0 + h
+	if nHi > len(r.ch0)-1 {
+		nHi = len(r.ch0) - 1
+	}
+	if nLo > nHi {
+		return
+	}
+	row.nLo = int32(nLo)
+	row.cnt = int32(nHi - nLo + 1)
+	row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
+}
+
+// costRowFold contracts the prompt-channel tap fold of the row of instant
+// t. k.b1 == k.a0 bit for bit (NewKernel builds both from one
+// expression), so the (a1, b1) pair reuses the a0 Sincos.
+func (r *Reconstructor) costRowFold(row *fusedRow, t float64) {
+	k := r.kern
+	dt0 := t - r.t0 - float64(row.nLo)*r.tStep
+	for _, c := range r.ch0[row.nLo:][:row.cnt] {
+		if w := r.window(dt0); w != 0 {
+			cw := c * w
+			if math.Abs(dt0) < fusedTaylorEps {
+				// Series limit of (cos(a·dt)−cos(b·dt))/dt and
+				// (sin(a·dt)−sin(b·dt))/dt, matching DiffCosOverT's
+				// expansion to the same order.
+				row.pc0 += cw * dt0 * 0.5 * (k.b0*k.b0 - k.a0*k.a0)
+				row.ps0 += cw * (k.a0 - k.b0)
+				row.pc1 += cw * dt0 * 0.5 * (k.b1*k.b1 - k.a1*k.a1)
+				row.ps1 += cw * (k.a1 - k.b1)
+			} else {
+				inv := cw / dt0
+				sA0, cA0 := math.Sincos(k.a0 * dt0)
+				sB, cB := math.Sincos(k.b0 * dt0)
+				row.pc0 += (cA0 - cB) * inv
+				row.ps0 += (sA0 - sB) * inv
+				sA, cA := math.Sincos(k.a1 * dt0)
+				row.pc1 += (cA - cA0) * inv
+				row.ps1 += (sA - sA0) * inv
+			}
+		}
+		dt0 -= r.tStep
+	}
 }
 
 // fusedEval is the per-candidate evaluation context: a table, the
@@ -165,6 +193,10 @@ type fusedEval struct {
 	winScale float64
 	lutCoef  []float64
 	lutInv   float64
+	// vec holds the candidate's scalars for the vector tap kernel; vec.n,
+	// the full tap span it runs, is 0 when this candidate stays on the Go
+	// loop (no AVX2, an s0Zero band or no taper).
+	vec tapConst
 }
 
 // eval hoists the scalars of candidate kernel k, which must be of the
@@ -183,7 +215,34 @@ func (tab *CostTable) eval(k *Kernel) fusedEval {
 		e.lutCoef = r.win.coef
 		e.lutInv = r.win.inv
 	}
+	if useAVX2 && !k.s0Zero && r.win != nil {
+		e.vec = tapConst{
+			seed: [4][4]float64{
+				{k.a0, k.phi0, real(r.cjA0), imag(r.cjA0)},
+				{k.b0, k.phi0, real(r.cjB0), imag(r.cjB0)},
+				{k.a1, k.phi1, real(r.cjA1), imag(r.cjA1)},
+				{k.b1, k.phi1, real(r.cjB1), imag(r.cjB1)},
+			},
+			rec:      [4]float64{2 * real(r.cjA0), 2 * real(r.cjB0), 2 * real(r.cjA1), 2 * real(r.cjB1)},
+			winScale: e.winScale,
+			lutInv:   e.lutInv,
+			tStep:    r.tStep,
+			inv0:     e.inv0,
+			inv1:     e.inv1,
+			coef:     &e.lutCoef[0],
+			n:        2*r.opt.HalfTaps + 1,
+		}
+	}
 	return e
+}
+
+// prompt is the prompt-channel value of a row: the whole tap fold is the
+// prepared contraction against the two delay-dependent cotangents.
+func (e *fusedEval) prompt(row *fusedRow) float64 {
+	if e.k.s0Zero {
+		return (row.pc1*e.cot1 + row.ps1) * e.inv2piB
+	}
+	return ((row.pc0*e.cot0 + row.ps0) + (row.pc1*e.cot1 + row.ps1)) * e.inv2piB
 }
 
 // at evaluates instant i of the table at the candidate kernel.
@@ -194,14 +253,7 @@ func (e *fusedEval) at(i int) float64 {
 	}
 	r := e.r
 	k := e.k
-	// Prompt channel: the whole tap fold is the prepared contraction against
-	// the two delay-dependent cotangents.
-	var acc float64
-	if k.s0Zero {
-		acc = (row.pc1*e.cot1 + row.ps1) * e.inv2piB
-	} else {
-		acc = ((row.pc0*e.cot0 + row.ps0) + (row.pc1*e.cot1 + row.ps1)) * e.inv2piB
-	}
+	acc := e.prompt(row)
 	// Delayed channel: only the REAL parts of At's phasors are ever
 	// consumed here, so the per-tap state is four Chebyshev cosine
 	// recurrences (cos(θ+δ) = 2 cos δ · cos θ − cos(θ−δ)) — one multiply
@@ -316,10 +368,27 @@ func (e *fusedEval) at(i int) float64 {
 func CostFused(tB *CostTable, kB *Kernel, tB1 *CostTable, kB1 *Kernel, lo, hi int) float64 {
 	eB := tB.eval(kB)
 	eB1 := tB1.eval(kB1)
+	var vB, vB1 [4]float64
 	acc := 0.0
-	for i := lo; i < hi; i++ {
-		d := eB.at(i) - eB1.at(i)
-		acc += d * d
+	for i := lo; i < hi; i += 4 {
+		n := min(4, hi-i)
+		eB.at4(i, n, &vB)
+		eB1.at4(i, n, &vB1)
+		for l := range n {
+			d := vB[l] - vB1[l]
+			acc += d * d
+		}
 	}
 	return acc
+}
+
+// at4 evaluates the n <= 4 instants from i into out: a whole group through
+// the vector tap kernel where it applies, otherwise instant by instant.
+func (e *fusedEval) at4(i, n int, out *[4]float64) {
+	if n == 4 && e.vec.n != 0 && e.taps4(i, out) {
+		return
+	}
+	for l := range n {
+		out[l] = e.at(i + l)
+	}
 }

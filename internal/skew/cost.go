@@ -147,10 +147,11 @@ func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 // instant chunks fan out over the par pool, and the per-chunk residual
 // partials are folded serially in chunk order. The chunk boundaries never
 // depend on the worker count, so the result is bit-identical at any pool
-// size; against the per-instant serial oracle (costSerial) the fused value
-// agrees to <= 1e-9 relative — reassociated, not bit-identical (the
-// documented estimate-stage tolerance contract). Cost is safe for
-// concurrent use.
+// size — and on any amd64 CPU, since the AVX2 encoding of the kernel
+// reproduces its Go loops bit for bit. Against the per-instant serial
+// oracle (costSerial) the fused value agrees to <= 1e-9 relative —
+// reassociated, not bit-identical (the documented estimate-stage tolerance
+// contract). Cost is safe for concurrent use.
 func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	mCostEvals.Inc()
 	kB, err := pnbs.NewKernel(c.setB.Band, dHat)
