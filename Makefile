@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
+.PHONY: all build test vet race check reach bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -26,6 +26,12 @@ race:
 
 # check is the CI gate: vet + race.
 check: vet race
+
+# reach fails when a declared function is linked by no program (cmd/*,
+# examples/*, perfbench) and is not listed, with its reason, in
+# scripts/reach_allow.txt: dead API cannot regrow unnoticed.
+reach:
+	python3 scripts/reach.py
 
 # bench runs the slim root benchmark suite with allocation stats: the
 # end-to-end mask BIST and campaign grid plus the kernels behind the

@@ -71,20 +71,25 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	// Reconstructed complex envelope on a uniform grid: mix at 4x
-	// oversampling, lowpass away the 2fc image, decimate back to B.
+	// Reconstructed complex envelope on a uniform grid: mix at the
+	// oversampling the carrier needs (4x here), lowpass away the 2fc
+	// image, decimate back to B.
 	lo, hi := rec.ValidRange()
 	fs := band.B
-	const over = 4
-	mHi := int((hi - lo) * fs * over)
+	over, ok := dsp.EnvelopeOversampling(fc, fs)
+	if !ok {
+		return fmt.Errorf("no oversampling factor separates the 2fc image (fc %g, B %g)", fc, fs)
+	}
+	fsHi := fs * float64(over)
+	mHi := int((hi - lo) * fs * float64(over))
 	raw := make([]complex128, mHi)
 	for i := range raw {
-		tv := lo + float64(i)/(fs*over)
+		tv := lo + float64(i)/fsHi
 		v := rec.At(tv)
 		s, c := math.Sincos(2 * math.Pi * fc * tv)
 		raw[i] = complex(2*v*c, -2*v*s)
 	}
-	lpf, err := dsp.DesignLowpass(91, 0.45/over, dsp.KaiserWin, dsp.KaiserBeta(70))
+	lpf, err := dsp.DecimationLowpass(over)
 	if err != nil {
 		return err
 	}

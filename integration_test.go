@@ -196,85 +196,3 @@ func TestEndToEndOFDM(t *testing.T) {
 		t.Errorf("OFDM reconstruction error %g", rel)
 	}
 }
-
-// TestOFDMEVMThroughReconstruction demodulates a CP-OFDM waveform from the
-// nonuniform capture: capture at 2 x 90 MS/s, Kohlenberg-reconstruct, mix
-// to baseband, equalised-DFT demod, per-subcarrier EVM against the known
-// payload.
-func TestOFDMEVMThroughReconstruction(t *testing.T) {
-	ofdm, err := modem.NewOFDM(modem.OFDMConfig{Subcarriers: 32, Spacing: 312.5e3, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := rf.NewTransmitter(rf.TxConfig{Fc: 1e9}, sig.ScaleEnv(ofdm, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	band := pnbs.Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
-	tt := band.T()
-	n := 2400
-	out := tx.Output()
-	ch0 := make([]float64, n)
-	ch1 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ch0[i] = out.At(float64(i) * tt)
-		ch1[i] = out.At(float64(i)*tt + d)
-	}
-	rec, err := pnbs.NewReconstructor(band, d, 0, ch0, ch1, pnbs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Envelope grid (oversample + lowpass to kill the 2fc image).
-	lo, hi := rec.ValidRange()
-	const over = 4
-	fsHi := band.B * over
-	m := int((hi - lo) * fsHi)
-	raw := make([]complex128, m)
-	for i := range raw {
-		tv := lo + float64(i)/fsHi
-		v := rec.At(tv)
-		s, c := math.Sincos(2 * math.Pi * 1e9 * tv)
-		raw[i] = complex(2*v*c, -2*v*s)
-	}
-	lpf, err := dsp.DesignLowpass(91, 0.45/over, dsp.KaiserWin, dsp.KaiserBeta(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := sig.NewSampledEnvelope(lo, over/fsHi, lpf.Decimate(raw, over))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Demodulate whole OFDM symbols inside the span.
-	eLo, eHi := env.Span()
-	tSym := ofdm.SymbolPeriod()
-	m0 := int(math.Ceil(eLo/tSym)) + 1
-	mEnd := int(math.Floor(eHi/tSym)) - 1
-	if mEnd-m0 < 3 {
-		t.Fatalf("only %d OFDM symbols in span", mEnd-m0)
-	}
-	nSym := mEnd - m0
-	if nSym > 5 {
-		nSym = 5
-	}
-	got, err := modem.DemodOFDM(env, ofdm.DemodConfig(), m0, nSym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]complex128, nSym)
-	for i := range want {
-		p, err := ofdm.Payload((m0 + i) % 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = p
-	}
-	evm, err := modem.OFDMEVM(got, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Noiseless capture: only the reconstruction and demod floors remain.
-	if evm > 4 {
-		t.Errorf("OFDM EVM through reconstruction %.2f%%", evm)
-	}
-}

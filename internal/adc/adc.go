@@ -67,9 +67,6 @@ func New(cfg Config) (*ADC, error) {
 	return &ADC{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Config returns the effective configuration.
-func (a *ADC) Config() Config { return a.cfg }
-
 // LSB returns the quantization step, or 0 for an ideal ADC.
 func (a *ADC) LSB() float64 {
 	if a.cfg.Bits == 0 {
@@ -159,15 +156,6 @@ func (a *ADC) Sample(x sig.Signal, times []float64) []float64 {
 	return out
 }
 
-// SNRIdealDB returns the ideal quantization SNR 6.02 N + 1.76 dB for a
-// full-scale sinusoid, or +Inf semantics (400) for an unquantized ADC.
-func (a *ADC) SNRIdealDB() float64 {
-	if a.cfg.Bits == 0 {
-		return 400
-	}
-	return 6.02*float64(a.cfg.Bits) + 1.76
-}
-
 // Clock generates sampling instants t[n] = Phase + n * Period, optionally
 // perturbed by Gaussian edge jitter. It models the paper's delayed clock
 // pair: two Clocks sharing a Period but offset by the DCDE delay D.
@@ -202,6 +190,3 @@ func (c *Clock) Times(n0, n int) []float64 {
 	}
 	return out
 }
-
-// Rate returns the sample rate in Hz.
-func (c *Clock) Rate() float64 { return 1 / c.Period }

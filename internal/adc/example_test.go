@@ -16,7 +16,10 @@ func ExampleADC_Sample() {
 		panic(err)
 	}
 	tone := &sig.Tone{Amp: 1, Freq: 1e9}
-	times := sig.UniformTimes(0, 1.111e-8, 4096) // 90 MS/s subsampling
+	times := make([]float64, 4096) // 90 MS/s subsampling
+	for i := range times {
+		times[i] = float64(i) * 1.111e-8
+	}
 	samples := conv.Sample(tone, times)
 	// Error vs the ideal waveform.
 	var errPow float64

@@ -57,30 +57,6 @@ func NewRandomNL(bits int, dnlRMS float64, seed int64) (*StaticNL, error) {
 	return &StaticNL{INL: inl}, nil
 }
 
-// PeakINL returns max |INL| in LSB.
-func (s *StaticNL) PeakINL() float64 {
-	m := 0.0
-	for _, v := range s.INL {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// DNL returns the differential nonlinearity per code (LSB): the INL first
-// difference.
-func (s *StaticNL) DNL() []float64 {
-	if len(s.INL) < 2 {
-		return nil
-	}
-	out := make([]float64, len(s.INL)-1)
-	for k := 1; k < len(s.INL); k++ {
-		out[k-1] = s.INL[k] - s.INL[k-1]
-	}
-	return out
-}
-
 // HistogramTest estimates DNL and INL of a converter from a code-density
 // histogram acquired with a full-scale sinusoidal stimulus — the standard
 // production static test. codes are raw output codes in [0, 2^bits);

@@ -7,6 +7,30 @@ import (
 	"repro/internal/dsp"
 )
 
+// PeakINL returns max |INL| in LSB.
+func (s *StaticNL) PeakINL() float64 {
+	m := 0.0
+	for _, v := range s.INL {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// DNL returns the differential nonlinearity per code (LSB): the INL first
+// difference.
+func (s *StaticNL) DNL() []float64 {
+	if len(s.INL) < 2 {
+		return nil
+	}
+	out := make([]float64, len(s.INL)-1)
+	for k := 1; k < len(s.INL); k++ {
+		out[k-1] = s.INL[k] - s.INL[k-1]
+	}
+	return out
+}
+
 func TestBowNLProfile(t *testing.T) {
 	nl, err := NewBowNL(8, 2.0)
 	if err != nil {

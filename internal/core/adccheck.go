@@ -47,9 +47,9 @@ func (b *BIST) RunADCCheck() (*ADCCheckResult, error) {
 		return nil, err
 	}
 	n := 4096
-	cap0, err := b.ti.Capture(tx.Output(), 1/c.B, c.NominalD, c.CaptureStart, n)
+	cap0, err := finiteCapture(b.ti.Capture(tx.Output(), 1/c.B, c.NominalD, c.CaptureStart, n))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: ADC check capture at rate B: %w", err)
 	}
 	alias, _ := skew.AliasedFrequency(fa, c.B)
 	nu := alias / c.B

@@ -303,14 +303,14 @@ func (b *BIST) acquire() (setB, setB1 skew.SampleSet, actualD float64, err error
 	c := b.cfg
 	out := b.tx.Output()
 	t := 1 / c.B
-	capB, err := b.ti.Capture(out, t, c.NominalD, c.CaptureStart, c.CaptureLen)
+	capB, err := finiteCapture(b.ti.Capture(out, t, c.NominalD, c.CaptureStart, c.CaptureLen))
 	if err != nil {
 		return setB, setB1, 0, fmt.Errorf("core: rate-B capture: %w", err)
 	}
 	t1 := 2 * t
 	n1 := c.CaptureLen/2 + 2*c.HalfTaps + 4
 	t01 := c.CaptureStart - float64(2*c.HalfTaps)*t1/2
-	capB1, err := b.ti.Capture(out, t1, c.NominalD, t01, n1)
+	capB1, err := finiteCapture(b.ti.Capture(out, t1, c.NominalD, t01, n1))
 	if err != nil {
 		return setB, setB1, 0, fmt.Errorf("core: rate-B/2 capture: %w", err)
 	}
@@ -326,6 +326,25 @@ func (b *BIST) acquire() (setB, setB1 skew.SampleSet, actualD float64, err error
 	setB1 = skew.SampleSet{Band: skew.HalfRateBand(b.band), T0: capB1.T0,
 		Ch0: capB1.Ch0, Ch1: capB1.Ch1}
 	return setB, setB1, capB.ActualD, nil
+}
+
+// finiteCapture passes a capture through when every sample is finite and
+// otherwise returns an error naming the channel and the first non-finite
+// sample. The quantizer clips ±Inf but passes NaN through (every comparison
+// with NaN is false), and an unchecked NaN runs the whole pipeline to a
+// NaN channel power and a +Inf mask margin on a "passing" unit.
+func finiteCapture(c *tiadc.Capture, err error) (*tiadc.Capture, error) {
+	if err != nil {
+		return nil, err
+	}
+	for ch, xs := range [][]float64{c.Ch0, c.Ch1} {
+		for i, v := range xs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("channel %d sample %d is %g", ch, i, v)
+			}
+		}
+	}
+	return c, nil
 }
 
 // calibrated runs the background gain/offset mismatch estimation and
@@ -362,25 +381,12 @@ func (b *BIST) estimate(tc trace.Ctx, setB, setB1 skew.SampleSet) (skew.LMSResul
 // envelopeGrid reconstructs the complex envelope on a uniform grid at rate
 // fsEnv = B: the bandpass reconstruction is evaluated oversampled, mixed to
 // baseband, lowpass filtered to kill the 2 fc image and decimated. The
-// oversampling factor is chosen so the -2 fc mixing image, after aliasing
-// at the oversampled rate, falls in the decimation filter's stopband — a
-// fixed factor can drop the image inside the band for unlucky carrier/rate
-// ratios (e.g. fc = 1.45 GHz with B = 90 MHz at 4x).
+// oversampling factor and the filter come from dsp.EnvelopeOversampling
+// and dsp.DecimationLowpass.
 func (b *BIST) envelopeGrid(r *pnbs.Reconstructor, n int) (env []complex128, fsEnv, t0 float64, err error) {
 	fsEnv = b.cfg.B
-	over := 0
-	for cand := 4; cand <= 12; cand++ {
-		cfsHi := fsEnv * float64(cand)
-		img := math.Mod(2*b.cfg.Fc, cfsHi)
-		if img > cfsHi/2 {
-			img = cfsHi - img
-		}
-		if img > 0.6*fsEnv {
-			over = cand
-			break
-		}
-	}
-	if over == 0 {
+	over, ok := dsp.EnvelopeOversampling(b.cfg.Fc, fsEnv)
+	if !ok {
 		return nil, 0, 0, fmt.Errorf("core: no oversampling factor separates the 2fc image (fc %g, B %g)",
 			b.cfg.Fc, fsEnv)
 	}
@@ -402,31 +408,12 @@ func (b *BIST) envelopeGrid(r *pnbs.Reconstructor, n int) (env []complex128, fsE
 	}
 	raw := b.gridBuf[:n*over]
 	r.EnvelopeGridInto(b.cfg.Fc, t0, fsHi, raw)
-	lp, err := decimLowpass(over)
+	lp, err := dsp.DecimationLowpass(over)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return lp.Decimate(raw, over), fsEnv, t0, nil
 }
-
-// decimLowpass returns the shared anti-image decimation filter for an
-// oversampling factor. The design depends only on `over`, so one FIR per
-// factor is designed process-wide and reused read-only (Decimate never
-// mutates the taps); without this every envelope grid re-ran the
-// windowed-sinc design.
-func decimLowpass(over int) (*dsp.FIR, error) {
-	if v, ok := lowpassCache.Load(over); ok {
-		return v.(*dsp.FIR), nil
-	}
-	lp, err := dsp.DesignLowpass(91, 0.45/float64(over), dsp.KaiserWin, dsp.KaiserBeta(70))
-	if err != nil {
-		return nil, err
-	}
-	v, _ := lowpassCache.LoadOrStore(over, lp)
-	return v.(*dsp.FIR), nil
-}
-
-var lowpassCache sync.Map // int (oversampling factor) -> *dsp.FIR
 
 // gainKey identifies one deterministic test waveform for the normalisation
 // gain cache in New: every field that influences the generated symbols, the

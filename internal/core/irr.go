@@ -33,9 +33,9 @@ func (b *BIST) RunIRRTest(dHat float64) (irrDB, loLeakDBc float64, err error) {
 	}
 	gridN := 1024
 	capLen := gridN + 2*c.HalfTaps + 16
-	cap0, err := b.ti.Capture(tx.Output(), 1/c.B, c.NominalD, c.CaptureStart, capLen)
+	cap0, err := finiteCapture(b.ti.Capture(tx.Output(), 1/c.B, c.NominalD, c.CaptureStart, capLen))
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: IRR capture: %w", err)
+		return 0, 0, fmt.Errorf("core: IRR capture at rate B: %w", err)
 	}
 	set := skew.SampleSet{Band: b.band, T0: cap0.T0, Ch0: cap0.Ch0, Ch1: cap0.Ch1}
 	rec, err := pnbs.NewReconstructor(set.Band, dHat, set.T0, set.Ch0, set.Ch1, b.opt())

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -79,9 +78,6 @@ func (f *FIR) normalizeDC() {
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.Taps) }
 
-// GroupDelay returns the group delay in samples of the (linear-phase) filter.
-func (f *FIR) GroupDelay() float64 { return float64(len(f.Taps)-1) / 2 }
-
 // Filter convolves x with the filter and returns the "same"-length output,
 // aligned so that out[n] corresponds to x[n] delayed by the group delay.
 func (f *FIR) Filter(x []float64) []float64 {
@@ -120,28 +116,6 @@ func (f *FIR) FilterComplex(x []complex128) []complex128 {
 		out[i] = complex(fr[i], fi[i])
 	}
 	return out
-}
-
-// Response evaluates the filter's complex frequency response at the
-// normalised frequency nu (cycles/sample).
-func (f *FIR) Response(nu float64) complex128 {
-	var acc complex128
-	for n, h := range f.Taps {
-		phi := -2 * math.Pi * nu * float64(n)
-		s, c := math.Sincos(phi)
-		acc += complex(h*c, h*s)
-	}
-	return acc
-}
-
-// MagnitudeDB returns the magnitude response in dB at nu, clamped at -400 dB.
-func (f *FIR) MagnitudeDB(nu float64) float64 {
-	m := f.Response(nu)
-	mag := math.Hypot(real(m), imag(m))
-	if mag < 1e-20 {
-		return -400
-	}
-	return 20 * math.Log10(mag)
 }
 
 // Decimate lowpass-filters x and keeps every factor-th sample. The filter

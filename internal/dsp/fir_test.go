@@ -10,6 +10,31 @@ import (
 	"repro/internal/par"
 )
 
+// Response evaluates the filter's complex frequency response at the
+// normalised frequency nu (cycles/sample).
+func (f *FIR) Response(nu float64) complex128 {
+	var acc complex128
+	for n, h := range f.Taps {
+		phi := -2 * math.Pi * nu * float64(n)
+		s, c := math.Sincos(phi)
+		acc += complex(h*c, h*s)
+	}
+	return acc
+}
+
+// MagnitudeDB returns the magnitude response in dB at nu, clamped at -400 dB.
+func (f *FIR) MagnitudeDB(nu float64) float64 {
+	m := f.Response(nu)
+	mag := math.Hypot(real(m), imag(m))
+	if mag < 1e-20 {
+		return -400
+	}
+	return 20 * math.Log10(mag)
+}
+
+// GroupDelay returns the group delay in samples of the (linear-phase) filter.
+func (f *FIR) GroupDelay() float64 { return float64(len(f.Taps)-1) / 2 }
+
 func TestDesignLowpassResponse(t *testing.T) {
 	f, err := DesignLowpass(101, 0.1, KaiserWin, KaiserBeta(60))
 	if err != nil {

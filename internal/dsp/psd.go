@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/par"
@@ -47,15 +46,6 @@ func (s *Spectrum) PowerInBand(f1, f2 float64) float64 {
 	return p
 }
 
-// TotalPower integrates the whole PSD.
-func (s *Spectrum) TotalPower() float64 {
-	p := 0.0
-	for _, v := range s.PSD {
-		p += v * s.BinWidth
-	}
-	return p
-}
-
 // PSDdB returns the PSD in dB (10log10), clamped at -400 dB, re 1 V^2/Hz.
 func (s *Spectrum) PSDdB() []float64 {
 	out := make([]float64, len(s.PSD))
@@ -63,21 +53,6 @@ func (s *Spectrum) PSDdB() []float64 {
 		out[i] = PowerDB(v)
 	}
 	return out
-}
-
-// PeakBin returns the index and frequency of the largest PSD bin.
-func (s *Spectrum) PeakBin() (idx int, freq float64) {
-	best := math.Inf(-1)
-	for i, v := range s.PSD {
-		if v > best {
-			best = v
-			idx = i
-		}
-	}
-	if len(s.Freqs) > 0 {
-		freq = s.Freqs[idx]
-	}
-	return idx, freq
 }
 
 // WelchConfig configures Welch's averaged-periodogram PSD estimator. The
@@ -187,43 +162,4 @@ func WelchComplex(x []complex128, fs, centre float64, cfg WelchConfig) (*Spectru
 		}
 	})
 	return spectrumFromPSD(psd, fs, centre), nil
-}
-
-// WelchReal estimates the two-sided PSD of a real sequence sampled at fs.
-// Even segment lengths route through the half-size real-FFT plan
-// (RealPlan) — the windowed segment never widens to []complex128 — and the
-// conjugate-symmetric upper half of each periodogram is mirrored from the
-// lower. Odd segment lengths fall back to the complex path.
-func WelchReal(x []float64, fs float64, cfg WelchConfig) (*Spectrum, error) {
-	n := cfg.SegmentLen
-	if n < 2 || n%2 != 0 {
-		c := make([]complex128, len(x))
-		for i, v := range x {
-			c[i] = complex(v, 0)
-		}
-		return WelchComplex(c, fs, 0, cfg)
-	}
-	win, winPow, step, segs, err := welchParams(len(x), cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan := PlanRealFFT(n)
-	h := n / 2
-	psd := welchAverage(n, segs, fs, winPow, func(s int, pow []float64) {
-		buf := make([]float64, n)
-		half := make([]complex128, h+1)
-		start := s * step
-		for i := 0; i < n; i++ {
-			buf[i] = x[start+i] * win[i]
-		}
-		plan.HalfSpectrum(half, buf)
-		for k := 0; k <= h; k++ {
-			re, im := real(half[k]), imag(half[k])
-			pow[k] = re*re + im*im
-		}
-		for k := 1; k < h; k++ {
-			pow[n-k] = pow[k]
-		}
-	})
-	return spectrumFromPSD(psd, fs, 0), nil
 }

@@ -26,37 +26,6 @@ func RMS(x []float64) float64 {
 	return math.Sqrt(s / float64(len(x)))
 }
 
-// Variance returns the population variance of x.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// MSE returns the mean squared error between a and b; the slices must have
-// the same length.
-func MSE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("dsp: MSE: length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s / float64(len(a))
-}
-
 // RelRMSError returns RMS(a-b)/RMS(b): the relative error of a with respect
 // to reference b. It returns +Inf when the reference has zero power but the
 // error does not.
@@ -151,47 +120,3 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, bool) {
 	}
 	return x, true
 }
-
-// SolveLinearComplex solves the n x n dense complex system A x = b in place
-// using Gaussian elimination with partial pivoting (by magnitude). A and b
-// are clobbered. Returns false when the matrix is numerically singular.
-func SolveLinearComplex(a [][]complex128, b []complex128) ([]complex128, bool) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		piv := col
-		best := cmplxAbs(a[col][col])
-		for r := col + 1; r < n; r++ {
-			if v := cmplxAbs(a[r][col]); v > best {
-				best = v
-				piv = r
-			}
-		}
-		if best < 1e-300 {
-			return nil, false
-		}
-		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		inv := complex(1, 0) / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]complex128, n)
-	for r := n - 1; r >= 0; r-- {
-		s := b[r]
-		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
-		}
-		x[r] = s / a[r][r]
-	}
-	return x, true
-}
-
-func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }

@@ -9,91 +9,28 @@ import (
 type WindowType int
 
 const (
-	// Rectangular is the boxcar window (no tapering).
-	Rectangular WindowType = iota
 	// Hann is the raised-cosine window.
-	Hann
-	// Hamming is the 0.54/0.46 raised-cosine window.
-	Hamming
-	// Blackman is the classic three-term Blackman window.
-	Blackman
+	Hann WindowType = iota
 	// KaiserWin is the Kaiser-Bessel window; its shape parameter beta is
 	// supplied separately (see Kaiser and Window).
 	KaiserWin
-	// Flattop is the five-term flat-top window (SR785 coefficients), used
-	// for amplitude-accurate tone measurements: scalloping loss < 0.01 dB.
-	Flattop
 )
-
-// String implements fmt.Stringer.
-func (w WindowType) String() string {
-	switch w {
-	case Rectangular:
-		return "rectangular"
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	case Blackman:
-		return "blackman"
-	case KaiserWin:
-		return "kaiser"
-	case Flattop:
-		return "flattop"
-	default:
-		return fmt.Sprintf("WindowType(%d)", int(w))
-	}
-}
 
 // Window returns the n-point window of the given type. beta is only used by
 // KaiserWin. Windows are symmetric (suitable for FIR design); for n == 1 the
 // single coefficient is 1.
 func Window(t WindowType, n int, beta float64) []float64 {
 	switch t {
-	case Rectangular:
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 1
-		}
-		return w
 	case Hann:
-		return cosineWindow(n, 0.5, 0.5, 0)
-	case Hamming:
-		return cosineWindow(n, 0.54, 0.46, 0)
-	case Blackman:
-		return cosineWindow(n, 0.42, 0.5, 0.08)
+		return hannWindow(n)
 	case KaiserWin:
 		return Kaiser(n, beta)
-	case Flattop:
-		return flattopWindow(n)
 	default:
 		panic(fmt.Sprintf("dsp: unknown window type %d", int(t)))
 	}
 }
 
-// flattopWindow evaluates the five-term flat-top window.
-func flattopWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	const (
-		a0 = 1.0
-		a1 = 1.93
-		a2 = 1.29
-		a3 = 0.388
-		a4 = 0.028
-	)
-	for i := range w {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = (a0 - a1*math.Cos(x) + a2*math.Cos(2*x) - a3*math.Cos(3*x) + a4*math.Cos(4*x)) /
-			(a0 + a1 + a2 + a3 + a4)
-	}
-	return w
-}
-
-func cosineWindow(n int, a0, a1, a2 float64) []float64 {
+func hannWindow(n int) []float64 {
 	w := make([]float64, n)
 	if n == 1 {
 		w[0] = 1
@@ -101,7 +38,7 @@ func cosineWindow(n int, a0, a1, a2 float64) []float64 {
 	}
 	for i := range w {
 		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = a0 - a1*math.Cos(x) + a2*math.Cos(2*x)
+		w[i] = 0.5 - 0.5*math.Cos(x)
 	}
 	return w
 }
@@ -133,17 +70,4 @@ func KaiserBeta(attenDB float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// KaiserOrder estimates the FIR order needed for the given stop-band
-// attenuation (dB) and normalised transition width (cycles/sample).
-func KaiserOrder(attenDB, transWidth float64) int {
-	if transWidth <= 0 {
-		panic("dsp: KaiserOrder requires transWidth > 0")
-	}
-	n := (attenDB - 7.95) / (2.285 * 2 * math.Pi * transWidth)
-	if n < 1 {
-		n = 1
-	}
-	return int(math.Ceil(n))
 }

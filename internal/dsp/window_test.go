@@ -42,7 +42,7 @@ func TestBesselI0EvenProperty(t *testing.T) {
 }
 
 func TestWindowsSymmetricAndBounded(t *testing.T) {
-	for _, wt := range []WindowType{Rectangular, Hann, Hamming, Blackman, KaiserWin} {
+	for _, wt := range []WindowType{Hann, KaiserWin} {
 		n := 61
 		w := Window(wt, n, 7.0)
 		if len(w) != n {
@@ -66,7 +66,7 @@ func TestWindowsSymmetricAndBounded(t *testing.T) {
 }
 
 func TestWindowSinglePoint(t *testing.T) {
-	for _, wt := range []WindowType{Rectangular, Hann, Hamming, Blackman, KaiserWin} {
+	for _, wt := range []WindowType{Hann, KaiserWin} {
 		w := Window(wt, 1, 5)
 		if len(w) != 1 || w[0] != 1 {
 			t.Errorf("%v: single-point window = %v, want [1]", wt, w)
@@ -126,30 +126,6 @@ func TestKaiserBetaFormulaRegions(t *testing.T) {
 	}
 }
 
-func TestKaiserOrderMonotonic(t *testing.T) {
-	if KaiserOrder(60, 0.01) <= KaiserOrder(60, 0.05) {
-		t.Error("narrower transition must need a higher order")
-	}
-	if KaiserOrder(80, 0.01) <= KaiserOrder(40, 0.01) {
-		t.Error("more attenuation must need a higher order")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("KaiserOrder with zero width should panic")
-		}
-	}()
-	KaiserOrder(60, 0)
-}
-
-func TestWindowTypeString(t *testing.T) {
-	if Rectangular.String() != "rectangular" || KaiserWin.String() != "kaiser" {
-		t.Error("WindowType.String mismatch")
-	}
-	if WindowType(99).String() == "" {
-		t.Error("unknown window type should still stringify")
-	}
-}
-
 func TestSincValues(t *testing.T) {
 	if Sinc(0) != 1 {
 		t.Error("Sinc(0) != 1")
@@ -185,36 +161,5 @@ func TestDiffCosOverTLimit(t *testing.T) {
 		if math.Abs(got-expand)/math.Abs(expand) > 1e-6 {
 			t.Errorf("t=%g: %g deviates from expansion %g", tv, got, expand)
 		}
-	}
-}
-
-func TestFlattopAmplitudeAccuracy(t *testing.T) {
-	// A flat-top-windowed DFT reads tone amplitudes accurately even with
-	// worst-case bin offset (half-bin).
-	n := 4096
-	w := Window(Flattop, n, 0)
-	if len(w) != n {
-		t.Fatal("length")
-	}
-	amp := 1.23
-	nu := (100.5) / float64(n) // worst-case scalloping position
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = amp * math.Cos(2*math.Pi*nu*float64(i))
-	}
-	p := TonePhasor(x, nu, w)
-	if math.Abs(cabs(p)-amp)/amp > 0.001 {
-		t.Errorf("flattop amplitude %g, want %g", cabs(p), amp)
-	}
-	// Compare against Hann at the same offset but probing the nearest BIN
-	// frequency (scalloping): Hann loses >1 dB, flat-top doesn't.
-	binNu := 100.0 / float64(n)
-	hannP := cabs(TonePhasor(x, binNu, Window(Hann, n, 0)))
-	flatP := cabs(TonePhasor(x, binNu, w))
-	if flatP < hannP {
-		t.Errorf("flattop (%g) should out-read hann (%g) off-bin", flatP, hannP)
-	}
-	if Flattop.String() != "flattop" {
-		t.Error("name")
 	}
 }

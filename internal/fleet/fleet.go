@@ -152,16 +152,15 @@ type Campaign struct {
 	events   *eventLog
 	manifest provenance.Manifest
 
-	mu          sync.Mutex
-	state       string
-	errMsg      string
-	done        map[string]campaign.CellResult
-	resumed     int
-	units       core.Tally // every unit verdict so far, resumed cells included
-	sinceCkpt   int
-	matrix      []byte // canonical DetectionMatrix once done
-	metricsSnap []byte // obs snapshot taken when the campaign ended
-	traceRec    *trace.Recording
+	mu        sync.Mutex
+	state     string
+	errMsg    string
+	done      map[string]campaign.CellResult
+	resumed   int
+	units     core.Tally // every unit verdict so far, resumed cells included
+	sinceCkpt int
+	matrix    []byte // canonical DetectionMatrix once done
+	traceRec  *trace.Recording
 
 	tel     *telemetry       // rolling-window SLO view, fed by OnCellDone
 	telSnap *TelemetryReport // frozen at campaign end
@@ -518,11 +517,6 @@ func (s *Server) runCampaign(c *Campaign) {
 	}
 
 	s.writeCheckpoint(c) // final checkpoint, regardless of cadence
-	if snap, err := obs.MarshalSnapshot(); err == nil {
-		c.mu.Lock()
-		c.metricsSnap = snap
-		c.mu.Unlock()
-	}
 
 	c.mu.Lock()
 	state := c.state

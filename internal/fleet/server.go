@@ -182,15 +182,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, c *Campaign
 	}
 }
 
-// Metrics returns the campaign's end-of-run obs snapshot (empty until the
-// campaign ends). Exposed for the CLI and tests; the live registry is on
-// /metrics.
-func (c *Campaign) Metrics() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.metricsSnap
-}
-
 // writeJSON encodes compact JSON responses (statuses, lists). Artifacts
 // with byte-stability contracts (matrix, checkpoint, manifest) are written
 // from their canonical bytes instead.

@@ -90,9 +90,6 @@ type Violation struct {
 	LimitDBc float64
 }
 
-// MarginDB returns limit - level (negative = violation).
-func (v Violation) MarginDB() float64 { return v.LimitDBc - v.LevelDBc }
-
 // Report is the outcome of a mask check.
 type Report struct {
 	MaskName string
@@ -121,6 +118,12 @@ func Check(m *Mask, spec *dsp.Spectrum, fc float64) (*Report, error) {
 	}
 	if spec == nil || spec.Len() == 0 {
 		return nil, fmt.Errorf("mask %q: empty spectrum", m.Name)
+	}
+	// A NaN bin never compares below a limit, so it would pass silently.
+	for i, v := range spec.PSD {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mask %q: non-finite PSD %g at %g Hz", m.Name, v, spec.Freqs[i])
+		}
 	}
 	if spec.Freqs[0] > fc-m.ChannelBW/2 || spec.Freqs[spec.Len()-1] < fc+m.ChannelBW/2 {
 		return nil, fmt.Errorf("mask %q: spectrum [%g, %g] does not cover the channel at %g",

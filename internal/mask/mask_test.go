@@ -120,7 +120,7 @@ func TestCheckFailsRegrownSpectrum(t *testing.T) {
 		t.Error("violations not reported")
 	}
 	v := rep.Violations[0]
-	if v.MarginDB() >= 0 {
+	if v.LimitDBc-v.LevelDBc >= 0 {
 		t.Error("violation margin sign")
 	}
 }
@@ -189,5 +189,23 @@ func TestBuiltinMasksValidAndLookup(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("unknown mask must not resolve")
+	}
+}
+
+// TestCheckRejectsNonFiniteSpectrum: a NaN bin never compares below a
+// limit, so Check would report a pass with a +Inf margin; it must be an
+// error instead, whether the NaN sits in the skirt or in the channel.
+func TestCheckRejectsNonFiniteSpectrum(t *testing.T) {
+	m := WidebandQPSK15M()
+	fc := 1e9
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, where := range []float64{fc + 20e6, fc} {
+			spec := flatChannelSpectrum(fc, m.ChannelBW, 120e6, 50e3, func(off float64) float64 { return -70 })
+			i := int((where - spec.Freqs[0]) / spec.BinWidth)
+			spec.PSD[i] = bad
+			if rep, err := Check(m, spec, fc); err == nil {
+				t.Errorf("PSD %g at %g Hz: no error (pass %v, worst margin %g dB)", bad, where, rep.Pass, rep.WorstMarginDB)
+			}
+		}
 	}
 }

@@ -35,31 +35,6 @@ func (c *Constellation) BitsPerSymbol() int {
 // Size returns the alphabet size.
 func (c *Constellation) Size() int { return len(c.Points) }
 
-// AvgEnergy returns the mean symbol energy (should be ~1 for the built-ins).
-func (c *Constellation) AvgEnergy() float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, p := range c.Points {
-		s += real(p)*real(p) + imag(p)*imag(p)
-	}
-	return s / float64(len(c.Points))
-}
-
-// MinDistance returns the minimum Euclidean distance between any two points.
-func (c *Constellation) MinDistance() float64 {
-	min := math.Inf(1)
-	for i := 0; i < len(c.Points); i++ {
-		for j := i + 1; j < len(c.Points); j++ {
-			if d := cmplx.Abs(c.Points[i] - c.Points[j]); d < min {
-				min = d
-			}
-		}
-	}
-	return min
-}
-
 // Map converts a bit slice to symbols; len(bits) must be a multiple of
 // BitsPerSymbol. Bits are consumed MSB first per symbol.
 func (c *Constellation) Map(bits []int) ([]complex128, error) {

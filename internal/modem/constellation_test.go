@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// AvgEnergy returns the mean symbol energy (should be ~1 for the built-ins).
+func (c *Constellation) AvgEnergy() float64 {
+	if len(c.Points) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, p := range c.Points {
+		s += real(p)*real(p) + imag(p)*imag(p)
+	}
+	return s / float64(len(c.Points))
+}
+
+// MinDistance returns the minimum Euclidean distance between any two points.
+func (c *Constellation) MinDistance() float64 {
+	min := math.Inf(1)
+	for i := 0; i < len(c.Points); i++ {
+		for j := i + 1; j < len(c.Points); j++ {
+			if d := cmplx.Abs(c.Points[i] - c.Points[j]); d < min {
+				min = d
+			}
+		}
+	}
+	return min
+}
+
 func TestConstellationBasics(t *testing.T) {
 	cases := []struct {
 		c    *Constellation

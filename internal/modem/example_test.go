@@ -51,26 +51,3 @@ func ExampleByName() {
 	fmt.Printf("%s: %d points, %d bits/symbol\n", c.Name, c.Size(), c.BitsPerSymbol())
 	// Output: 16QAM: 16 points, 4 bits/symbol
 }
-
-// CP-OFDM round trip: modulate, demodulate with the taper-aware equaliser,
-// measure EVM.
-func ExampleDemodOFDM() {
-	ofdm, err := modem.NewOFDM(modem.OFDMConfig{Subcarriers: 32, Spacing: 312.5e3, Seed: 4})
-	if err != nil {
-		panic(err)
-	}
-	rx, err := modem.DemodOFDM(ofdm, ofdm.DemodConfig(), 1, 4)
-	if err != nil {
-		panic(err)
-	}
-	want := make([][]complex128, 4)
-	for m := range want {
-		want[m], _ = ofdm.Payload(1 + m)
-	}
-	evm, err := modem.OFDMEVM(rx, want)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("clean round-trip EVM under 1.5%:", evm < 1.5)
-	// Output: clean round-trip EVM under 1.5%: true
-}

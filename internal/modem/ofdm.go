@@ -95,11 +95,6 @@ func NewOFDM(cfg OFDMConfig) (*OFDMEnvelope, error) {
 	return o, nil
 }
 
-// OccupiedBandwidth returns the two-sided occupied bandwidth.
-func (o *OFDMEnvelope) OccupiedBandwidth() float64 {
-	return float64(o.cfg.Subcarriers+2) * o.cfg.Spacing
-}
-
 // SymbolPeriod returns the full (CP + useful) symbol duration.
 func (o *OFDMEnvelope) SymbolPeriod() float64 { return o.tSym }
 
@@ -143,17 +138,4 @@ func (o *OFDMEnvelope) window(tin float64) float64 {
 	default:
 		return 1
 	}
-}
-
-// AvgPower estimates E[|env|^2] over one stream period.
-func (o *OFDMEnvelope) AvgPower(nPts int) float64 {
-	if nPts < 2 {
-		nPts = 1024
-	}
-	p := 0.0
-	for i := 0; i < nPts; i++ {
-		v := o.At(o.period * (float64(i) + 0.5) / float64(nPts))
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return p / float64(nPts)
 }

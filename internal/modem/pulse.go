@@ -3,8 +3,6 @@ package modem
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/dsp"
 )
 
 // Pulse is a continuous-time pulse-shaping filter impulse response.
@@ -92,86 +90,6 @@ func (p *SRRC) SymbolPeriod() float64 { return p.Ts }
 
 // SpanSymbols implements Pulse.
 func (p *SRRC) SpanSymbols() int { return p.Span }
-
-// RC is the raised-cosine (full Nyquist) pulse: the cascade of two SRRC
-// filters. It satisfies the zero-ISI property At(k Ts) = 0 for k != 0.
-type RC struct {
-	Ts    float64
-	Alpha float64
-	Span  int
-}
-
-// NewRC builds a raised-cosine pulse; span <= 0 defaults to 8.
-func NewRC(ts, alpha float64, span int) (*RC, error) {
-	if ts <= 0 {
-		return nil, fmt.Errorf("modem: RC: Ts %g must be positive", ts)
-	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("modem: RC: alpha %g outside (0, 1]", alpha)
-	}
-	if span <= 0 {
-		span = 8
-	}
-	return &RC{Ts: ts, Alpha: alpha, Span: span}, nil
-}
-
-// At implements Pulse.
-func (p *RC) At(t float64) float64 {
-	w := edgeTaper(t, p.Ts, p.Span)
-	if w == 0 {
-		return 0
-	}
-	x := t / p.Ts
-	a := p.Alpha
-	den := 1 - 4*a*a*x*x
-	if math.Abs(den) < 1e-8 {
-		// Limit at x = +-1/(2a): (pi/4) sinc(1/(2a)).
-		return w * math.Pi / 4 * dsp.Sinc(1/(2*a))
-	}
-	return w * dsp.Sinc(x) * math.Cos(math.Pi*a*x) / den
-}
-
-// SymbolPeriod implements Pulse.
-func (p *RC) SymbolPeriod() float64 { return p.Ts }
-
-// SpanSymbols implements Pulse.
-func (p *RC) SpanSymbols() int { return p.Span }
-
-// Gaussian is the Gaussian pulse used by GMSK-like shaping, parameterised by
-// the bandwidth-time product BT.
-type Gaussian struct {
-	Ts   float64
-	BT   float64
-	Span int
-	sig  float64
-}
-
-// NewGaussian builds a Gaussian pulse; span <= 0 defaults to 4.
-func NewGaussian(ts, bt float64, span int) (*Gaussian, error) {
-	if ts <= 0 || bt <= 0 {
-		return nil, fmt.Errorf("modem: Gaussian: Ts %g and BT %g must be positive", ts, bt)
-	}
-	if span <= 0 {
-		span = 4
-	}
-	// sigma = sqrt(ln 2) / (2 pi B), B = BT / Ts.
-	sigma := math.Sqrt(math.Ln2) / (2 * math.Pi * bt / ts)
-	return &Gaussian{Ts: ts, BT: bt, Span: span, sig: sigma}, nil
-}
-
-// At implements Pulse.
-func (p *Gaussian) At(t float64) float64 {
-	if math.Abs(t) > float64(p.Span)*p.Ts {
-		return 0
-	}
-	return math.Exp(-t * t / (2 * p.sig * p.sig))
-}
-
-// SymbolPeriod implements Pulse.
-func (p *Gaussian) SymbolPeriod() float64 { return p.Ts }
-
-// SpanSymbols implements Pulse.
-func (p *Gaussian) SpanSymbols() int { return p.Span }
 
 // PulseEnergy numerically integrates p^2 over its support (for matched
 // filter normalisation), using oversample points per symbol period.

@@ -62,43 +62,6 @@ func TestSRRCValidation(t *testing.T) {
 	}
 }
 
-func TestRCZeroISIProperty(t *testing.T) {
-	ts := 100e-9
-	p, err := NewRC(ts, 0.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.At(0)-1) > 1e-12 {
-		t.Error("RC peak")
-	}
-	for k := 1; k <= 9; k++ {
-		if v := math.Abs(p.At(float64(k) * ts)); v > 1e-9 {
-			t.Errorf("RC(%d Ts) = %g, want 0 (zero ISI)", k, v)
-		}
-	}
-}
-
-func TestRCSingularity(t *testing.T) {
-	// alpha=0.5: singular at t = Ts/(2 alpha) = Ts.
-	// RC(Ts)=0 is also the zero-ISI point; check continuity around it.
-	p, _ := NewRC(1, 0.5, 8)
-	v := p.At(1 + 1e-9)
-	if math.Abs(v-p.At(1)) > 1e-6 {
-		t.Errorf("RC discontinuous at singularity: %g vs %g", v, p.At(1))
-	}
-	// alpha=0.25: singular at t=2Ts, limit (pi/4) sinc(2) = 0.
-	q, _ := NewRC(1, 0.25, 8)
-	if math.Abs(q.At(2)-math.Pi/4*0) > 1e-9 {
-		t.Errorf("RC(2Ts, alpha=0.25) = %g", q.At(2))
-	}
-	if _, err := NewRC(0, 0.5, 1); err == nil {
-		t.Error("Ts=0 must fail")
-	}
-	if _, err := NewRC(1, 2, 1); err == nil {
-		t.Error("alpha>1 must fail")
-	}
-}
-
 func TestSRRCSelfConvolutionIsNyquist(t *testing.T) {
 	// The SRRC convolved with itself must sample to ~0 at nonzero multiples
 	// of Ts (it equals the RC pulse up to scale).
@@ -120,32 +83,6 @@ func TestSRRCSelfConvolutionIsNyquist(t *testing.T) {
 		if v := math.Abs(conv(float64(k)*ts)) / peak; v > 5e-3 {
 			t.Errorf("SRRC*SRRC at %d Ts = %g of peak, want ~0", k, v)
 		}
-	}
-}
-
-func TestGaussianPulse(t *testing.T) {
-	p, err := NewGaussian(1, 0.3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.At(0) != 1 {
-		t.Error("Gaussian peak")
-	}
-	if p.At(0.5) <= p.At(1.0) {
-		t.Error("not decreasing")
-	}
-	if p.At(4.5) != 0 {
-		t.Error("not truncated")
-	}
-	if p.SymbolPeriod() != 1 || p.SpanSymbols() != 4 {
-		t.Error("accessors")
-	}
-	if _, err := NewGaussian(1, 0, 4); err == nil {
-		t.Error("BT=0 must fail")
-	}
-	q, err := NewGaussian(1, 0.5, 0)
-	if err != nil || q.SpanSymbols() != 4 {
-		t.Error("default span")
 	}
 }
 

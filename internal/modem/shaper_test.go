@@ -8,24 +8,6 @@ import (
 	"repro/internal/par"
 )
 
-func TestShapedEnvelopeZeroISIWithRC(t *testing.T) {
-	// With a raised-cosine pulse, env(k Ts) must equal symbol a[k] exactly
-	// (zero inter-symbol interference).
-	ts := 100e-9
-	p, _ := NewRC(ts, 0.5, 8)
-	syms := QPSK.RandomSymbols(64, 17)
-	env, err := NewShapedEnvelope(syms, p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 64; k++ {
-		got := env.At(float64(k) * ts)
-		if cmplx.Abs(got-syms[k]) > 1e-8 {
-			t.Errorf("env(%d Ts) = %v, want %v", k, got, syms[k])
-		}
-	}
-}
-
 func TestShapedEnvelopeCyclicPeriodicity(t *testing.T) {
 	ts := 100e-9
 	p, _ := NewSRRC(ts, 0.5, 8)

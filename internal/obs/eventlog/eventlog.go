@@ -52,10 +52,6 @@ func Set(l *slog.Logger) *slog.Logger {
 // construction with it on hot paths.
 func On() bool { return active.Load() != nil }
 
-// Logger returns the installed destination (nil when disabled) for
-// callers that want a pre-bound slog.Logger via With.
-func Logger() *slog.Logger { return active.Load() }
-
 // Emit logs one event and counts it in the obs registry. Returns false
 // (and does nothing) when no destination is installed, so fallback paths
 // — a panic report that must reach a human even on an unconfigured

@@ -35,8 +35,8 @@ func TestEmitDisabledReturnsFalse(t *testing.T) {
 	if Emit("test.never") {
 		t.Error("Emit returned true with nil destination")
 	}
-	if Logger() != nil {
-		t.Error("Logger() != nil with nil destination")
+	if active.Load() != nil {
+		t.Error("active.Load() != nil with nil destination")
 	}
 }
 
@@ -85,7 +85,7 @@ func TestEmitCountsInObsRegistry(t *testing.T) {
 
 func TestHandlerWithAttrsAndGroups(t *testing.T) {
 	buf := install(t)
-	l := Logger().With(slog.String("campaign", "c-1")).WithGroup("cell")
+	l := active.Load().With(slog.String("campaign", "c-1")).WithGroup("cell")
 	l.LogAttrs(nil, slog.LevelInfo, "test.grouped", slog.Int("index", 4))
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
@@ -106,7 +106,7 @@ func TestHandlerWithAttrsAndGroups(t *testing.T) {
 
 func TestHandlerNonInfoLevelAndEscaping(t *testing.T) {
 	buf := install(t)
-	Logger().LogAttrs(nil, slog.LevelWarn, "test.warn",
+	active.Load().LogAttrs(nil, slog.LevelWarn, "test.warn",
 		slog.String("note", "quote\" and \\ and\nnewline"),
 		slog.Duration("took", 1500*time.Millisecond),
 		slog.Bool("ok", false),

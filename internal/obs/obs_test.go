@@ -255,17 +255,6 @@ func TestMarshalSnapshotDeterministic(t *testing.T) {
 	})
 }
 
-func TestCounterNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
-	r.Counter("c")
-	names := r.CounterNames()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Errorf("names %v", names)
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1e-6, 4, 3)
 	want := []float64{1e-6, 4e-6, 16e-6}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/testkit"
@@ -156,19 +155,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[name] = hv
 	}
 	return s
-}
-
-// CounterNames returns the sorted names of every registered counter —
-// handy for discovering what a run recorded.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MarshalSnapshot encodes the default registry's snapshot as canonical

@@ -245,9 +245,6 @@ type Recording struct {
 // output.
 func (rec *Recording) SetManifest(m any) { rec.manifest = m }
 
-// Manifest returns the attached provenance manifest (nil if none).
-func (rec *Recording) Manifest() any { return rec.manifest }
-
 func formatInt(v int64) string { return strconv.FormatInt(v, 10) }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

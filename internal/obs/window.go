@@ -208,24 +208,6 @@ func (w *Window) Span() time.Duration {
 	return time.Duration(w.slotNanos * int64(len(w.slots)))
 }
 
-// WindowShape is the deterministic part of a Window: everything fixed at
-// construction, nothing the wall clock touches. This is what the
-// normalized telemetry snapshot pins.
-type WindowShape struct {
-	Bounds      []float64
-	SlotSeconds float64
-	Slots       int
-}
-
-// Shape returns the window's construction-time shape.
-func (w *Window) Shape() WindowShape {
-	return WindowShape{
-		Bounds:      append([]float64(nil), w.bounds...),
-		SlotSeconds: float64(w.slotNanos) / 1e9,
-		Slots:       len(w.slots),
-	}
-}
-
 // LinearBuckets returns n evenly spaced bucket bounds: start, start+width,
 // ... Complements ExpBuckets for naturally bounded quantities (yield in
 // [0, 1], margins in dB).

@@ -142,17 +142,16 @@ func TestWindowConcurrentObserve(t *testing.T) {
 
 func TestWindowShapeAndSpan(t *testing.T) {
 	w := NewWindow([]float64{1, 2, 3}, 2*time.Second, 5)
-	sh := w.Shape()
-	if len(sh.Bounds) != 3 || sh.SlotSeconds != 2 || sh.Slots != 5 {
-		t.Errorf("Shape = %+v", sh)
+	if len(w.bounds) != 3 || w.slotNanos != 2e9 || len(w.slots) != 5 {
+		t.Errorf("shape: %d bounds, %d ns slots, %d slots", len(w.bounds), w.slotNanos, len(w.slots))
 	}
 	if w.Span() != 10*time.Second {
 		t.Errorf("Span = %v, want 10s", w.Span())
 	}
 	// Defensive floors.
 	w2 := NewWindow(nil, 0, 0)
-	if sh2 := w2.Shape(); sh2.Slots < 2 || sh2.SlotSeconds <= 0 {
-		t.Errorf("floored Shape = %+v", sh2)
+	if len(w2.slots) < 2 || w2.slotNanos <= 0 {
+		t.Errorf("floored shape: %d ns slots, %d slots", w2.slotNanos, len(w2.slots))
 	}
 }
 

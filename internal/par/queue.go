@@ -100,9 +100,6 @@ func (q *Queue) runJob(job func()) {
 	job()
 }
 
-// Workers returns the pool width the queue was started with.
-func (q *Queue) Workers() int { return q.workers }
-
 // Depth returns the number of jobs currently buffered (not yet picked up
 // by a worker).
 func (q *Queue) Depth() int { return len(q.ch) }

@@ -11,6 +11,9 @@ import (
 // fusedTol checks |a-b| against the reassociation budget: 1e-9 relative
 // with a 1e-9 absolute floor (values near a reconstruction zero-crossing
 // have no meaningful relative error).
+// Kernel exposes the underlying interpolation kernel.
+func (r *Reconstructor) Kernel() *Kernel { return r.kern }
+
 func fusedClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
@@ -96,13 +99,13 @@ func delayTemplate(t *testing.T) (Band, []float64, []float64, *Reconstructor, []
 	return band, ch0, ch1, tmpl, ts
 }
 
-// TestAtBlockFusedPrepSurvivesRetune: a CostTable does not depend on the
+// TestFusedTableDelayIndependent: a CostTable does not depend on the
 // delay of the reconstructor it was built from, so a table built from a
 // template at d1 and evaluated with a kernel at d2 must equal, bit for
 // bit, the evaluated table of a reconstructor freshly built at d2. This is
 // what lets skew.CostEvaluator build its tables once and evaluate every
 // candidate delay against them.
-func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
+func TestFusedTableDelayIndependent(t *testing.T) {
 	band, ch0, ch1, tmpl, ts := delayTemplate(t)
 	tab := tmpl.CostTable(ts)
 	for _, d := range []float64{120e-12, 240e-12, -250e-12, 180e-12} {
@@ -124,13 +127,13 @@ func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
 	}
 }
 
-// TestCloneSharesFusedTables: one CostTable is shared by every candidate
+// TestFusedTableRowsSharedAcrossDelays: one CostTable is shared by every candidate
 // delay, so its rows must be the same at any delay and per instant: the
 // template's rows equal, bit for bit, those of a fresh reconstructor at
 // another delay, and a table over a prefix of the instants equals the
 // prefix of the full table. Sharing leaves the template at its own delay,
 // and a kernel at a forbidden delay is refused.
-func TestCloneSharesFusedTables(t *testing.T) {
+func TestFusedTableRowsSharedAcrossDelays(t *testing.T) {
 	band, ch0, ch1, tmpl, ts := delayTemplate(t)
 	tab := tmpl.CostTable(ts)
 	fresh, err := NewReconstructor(band, 240e-12, 0, ch0, ch1, Options{})

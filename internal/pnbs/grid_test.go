@@ -227,3 +227,26 @@ func FuzzEnvelopeGridVsAt(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkGridPrep times one per-phase table build at the measure
+// stage's geometry (paper band, over 4, 61 taps). BenchmarkEnvelopeGrid
+// and perfbench's pnbs.envelope_grid_ns_per_pt include one such build per
+// call; this row isolates it.
+func BenchmarkGridPrep(b *testing.B) {
+	band := paperBand()
+	const d = 180e-12
+	ch0, ch1 := toneCapture(band, d, 2400)
+	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{HalfTaps: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, _ := r.ValidRange()
+	fs := band.B * 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g := r.buildGridPrep(lo, fs); g == nil || g.over != 4 {
+			b.Fatal("grid not commensurate at 4x")
+		}
+	}
+}

@@ -140,9 +140,6 @@ func NewKernel(band Band, d float64) (*Kernel, error) {
 	}, nil
 }
 
-// Band returns the kernel's band.
-func (k *Kernel) Band() Band { return k.band }
-
 // D returns the kernel's delay.
 func (k *Kernel) D() float64 { return k.d }
 

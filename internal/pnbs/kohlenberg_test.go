@@ -119,7 +119,7 @@ func TestKernelInterpolationIdentities(t *testing.T) {
 			t.Errorf("s(%dT) = %g, want 0", m, v)
 		}
 	}
-	if k.Band() != b || k.D() != 180e-12 {
+	if k.band != b || k.D() != 180e-12 {
 		t.Error("accessors")
 	}
 }

@@ -107,9 +107,6 @@ func cis(theta float64) complex128 {
 	return complex(c, s)
 }
 
-// Kernel exposes the underlying interpolation kernel.
-func (r *Reconstructor) Kernel() *Kernel { return r.kern }
-
 // ValidRange returns the interval of t over which the full filter support
 // lies inside the capture, i.e. where reconstruction is most accurate.
 func (r *Reconstructor) ValidRange() (tMin, tMax float64) {

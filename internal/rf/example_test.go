@@ -21,10 +21,10 @@ func ExampleNewTransmitter() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("carrier:", tx.Fc())
+	fmt.Println(tx.Describe())
 	fmt.Printf("IRR: %.1f dB\n", rf.FromImbalanceDB(0.5, 3, 0).ImageRejectionDB())
 	// Output:
-	// carrier: 1e+09
+	// homodyne tx @ 1e+09 Hz, IQ(g=1.059, phi=0.05236 rad, IRR=28.2 dB), PA rapp(G=1, Vsat=1, S=2)
 	// IRR: 28.2 dB
 }
 
@@ -38,7 +38,10 @@ func ExampleInputP1dB() {
 
 // Two-tone intermodulation on a third-order nonlinearity.
 func ExampleTwoToneTest() {
-	pa := &rf.PolyPA{A1: 1, A3: complex(-0.01, 0)}
+	pa, err := rf.NewMemoryPolyPA([][3]complex128{{1, complex(-0.01, 0)}}, 0)
+	if err != nil {
+		panic(err)
+	}
 	res, err := rf.TwoToneTest(rf.PAChain(pa), 1e6, 1.3e6, 0.5, 20e6, 4096)
 	if err != nil {
 		panic(err)

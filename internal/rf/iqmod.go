@@ -60,9 +60,6 @@ func (q *IQImbalance) ImageRejectionDB() float64 {
 	return 20 * math.Log10(a/b)
 }
 
-// Perfect returns an impairment-free modulator.
-func Perfect() *IQImbalance { return &IQImbalance{GainRatio: 1} }
-
 // FromImbalanceDB builds an IQImbalance from a gain imbalance in dB and a
 // phase error in degrees, the way datasheets specify it.
 func FromImbalanceDB(gainDB, phaseDeg float64, leak complex128) *IQImbalance {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPerfectModulatorIsIdentity(t *testing.T) {
-	q := Perfect()
+	q := FromImbalanceDB(0, 0, 0)
 	if q.Alpha() != 1 || q.Beta() != 0 {
 		t.Errorf("alpha %v beta %v", q.Alpha(), q.Beta())
 	}

@@ -35,7 +35,7 @@ func NewMemoryPolyPA(taps [][3]complex128, tau float64) (*MemoryPolyPA, error) {
 
 // Apply implements the PA interface with the model's memoryless core (the
 // q = 0 tap polynomial). A single value cannot carry the delayed-input
-// history, so this is exact only for Memoryless() models; NewTransmitter
+// history, so this is exact only for single-tap models; NewTransmitter
 // detects the EnvelopePA capability and routes whole envelopes through
 // ApplyEnv, which evaluates the full memory structure.
 func (p *MemoryPolyPA) Apply(v complex128) complex128 {
@@ -58,9 +58,6 @@ func (p *MemoryPolyPA) ApplyEnv(env sig.Envelope) sig.Envelope {
 		return acc
 	})
 }
-
-// Memoryless reports whether the model degenerates to a single tap.
-func (p *MemoryPolyPA) Memoryless() bool { return len(p.Taps) == 1 }
 
 // Describe matches the PA interface convention for reports.
 func (p *MemoryPolyPA) Describe() string {

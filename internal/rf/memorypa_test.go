@@ -1,12 +1,88 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"repro/internal/sig"
 )
+
+// TwoToneResult summarises a two-tone intermodulation measurement.
+type TwoToneResult struct {
+	// ToneDB is the mean power of the two fundamentals (dB, arbitrary ref).
+	ToneDB float64
+	// IM3DB is the mean power of the two third-order products
+	// (2f1 - f2, 2f2 - f1).
+	IM3DB float64
+	// IM5DB is the mean power of the two fifth-order products.
+	IM5DB float64
+	// IMD3dBc is the classic figure: fundamental minus IM3.
+	IMD3dBc float64
+	// OIP3DB is the extrapolated output third-order intercept
+	// (tone + IMD3/2) in the same arbitrary reference.
+	OIP3DB float64
+}
+
+// TwoToneTest drives a PA-bearing envelope chain with two equal tones at
+// baseband offsets f1 and f2 (f1 < f2) of amplitude amp each and measures
+// the intermodulation products on the output envelope, using a windowed
+// DTFT over an observation of nSamples at rate fs.
+func TwoToneTest(chain func(sig.Envelope) sig.Envelope, f1, f2, amp, fs float64, nSamples int) (*TwoToneResult, error) {
+	if f1 >= f2 {
+		return nil, fmt.Errorf("rf: two-tone test needs f1 < f2, got %g, %g", f1, f2)
+	}
+	if amp <= 0 || fs <= 0 || nSamples < 256 {
+		return nil, fmt.Errorf("rf: two-tone test bad parameters (amp %g, fs %g, n %d)", amp, fs, nSamples)
+	}
+	need := 2*f2 - f1
+	if need >= fs/2 {
+		return nil, fmt.Errorf("rf: fs %g too low to observe IM3 at %g", fs, need)
+	}
+	t1 := &sig.ComplexTone{Amp: amp, Freq: f1}
+	t2 := &sig.ComplexTone{Amp: amp, Freq: f2, Phase: 0.7}
+	out := chain(sig.EnvelopeFunc(func(t float64) complex128 { return t1.At(t) + t2.At(t) }))
+	xs := make([]complex128, nSamples)
+	for i := range xs {
+		xs[i] = out.At(float64(i) / fs)
+	}
+	mag := func(f float64) float64 {
+		var acc complex128
+		var gain float64
+		for i, v := range xs {
+			w := 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(nSamples-1))
+			phi := -2 * math.Pi * f / fs * float64(i)
+			s, c := math.Sincos(phi)
+			acc += v * complex(w*c, w*s)
+			gain += w
+		}
+		return math.Hypot(real(acc), imag(acc)) / gain
+	}
+	db := func(a float64) float64 {
+		if a <= 0 {
+			return -400
+		}
+		return 20 * math.Log10(a)
+	}
+	tone := (mag(f1) + mag(f2)) / 2
+	im3 := (mag(2*f1-f2) + mag(2*f2-f1)) / 2
+	im5 := (mag(3*f1-2*f2) + mag(3*f2-2*f1)) / 2
+	res := &TwoToneResult{
+		ToneDB: db(tone),
+		IM3DB:  db(im3),
+		IM5DB:  db(im5),
+	}
+	res.IMD3dBc = res.ToneDB - res.IM3DB
+	res.OIP3DB = res.ToneDB + res.IMD3dBc/2
+	return res, nil
+}
+
+// PAChain adapts a memoryless PA to the envelope-chain signature used by
+// TwoToneTest.
+func PAChain(p PA) func(sig.Envelope) sig.Envelope {
+	return func(env sig.Envelope) sig.Envelope { return ApplyPA(p, env) }
+}
 
 func TestMemoryPolyPAValidation(t *testing.T) {
 	if _, err := NewMemoryPolyPA(nil, 1e-9); err == nil {
@@ -16,7 +92,7 @@ func TestMemoryPolyPAValidation(t *testing.T) {
 		t.Error("multi-tap with tau 0 must fail")
 	}
 	p, err := NewMemoryPolyPA([][3]complex128{{1}}, 0)
-	if err != nil || !p.Memoryless() {
+	if err != nil || len(p.Taps) != 1 {
 		t.Error("single-tap model")
 	}
 	if p.Describe() == "" {
@@ -24,14 +100,17 @@ func TestMemoryPolyPAValidation(t *testing.T) {
 	}
 }
 
-func TestMemoryPolyMemorylessMatchesPolyPA(t *testing.T) {
+// TestMemoryPolyMemorylessMatchesStaticPolynomial: one tap degenerates to
+// the static odd-order polynomial y = a1 v + a3 v |v|^2 + a5 v |v|^4.
+func TestMemoryPolyMemorylessMatchesStaticPolynomial(t *testing.T) {
 	coef := [3]complex128{complex(1, 0.1), complex(-0.05, 0.01), complex(0.001, 0)}
 	mp, _ := NewMemoryPolyPA([][3]complex128{coef}, 0)
-	ref := &PolyPA{A1: coef[0], A3: coef[1], A5: coef[2]}
 	env := &sig.ComplexTone{Amp: 0.8, Freq: 3e6, Phase: 0.4}
 	out := mp.ApplyEnv(env)
 	for _, tv := range []float64{0, 1.7e-8, 3.3e-7} {
-		want := ref.Apply(env.At(tv))
+		v := env.At(tv)
+		r2 := real(v)*real(v) + imag(v)*imag(v)
+		want := v * (coef[0] + coef[1]*complex(r2, 0) + coef[2]*complex(r2*r2, 0))
 		if d := cmplx.Abs(out.At(tv) - want); d > 1e-12 {
 			t.Errorf("t=%g: memoryless mismatch %g", tv, d)
 		}
@@ -70,7 +149,10 @@ func TestTwoToneIMD3MatchesAnalytic(t *testing.T) {
 	// fundamental compresses to A (1 + 3 a3 A^2). (The familiar 3/4 factor
 	// belongs to the passband x^3 form, not the envelope form.)
 	a3 := -0.01
-	pa := &PolyPA{A1: 1, A3: complex(a3, 0)}
+	pa, err := NewMemoryPolyPA([][3]complex128{{1, complex(a3, 0)}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	amp := 0.5
 	res, err := TwoToneTest(PAChain(pa), 1e6, 1.3e6, amp, 20e6, 8192)
 	if err != nil {
@@ -179,7 +261,7 @@ func TestReceiverValidationAndDemod(t *testing.T) {
 
 func TestReceiverNoiseAndIQ(t *testing.T) {
 	rx, _ := NewReceiver(RxConfig{Fc: 1e9, NoiseRMS: 0.1, Seed: 3})
-	in := sig.Zero
+	in := sig.Sum{} // the zero signal
 	bb, err := rx.SampleBaseband(in, 40e6, 0, 2048)
 	if err != nil {
 		t.Fatal(err)

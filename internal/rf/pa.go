@@ -1,10 +1,10 @@
 // Package rf implements the behavioural model of the homodyne transmitter
 // that the BIST observes (paper Fig. 1): IQ modulator impairments, local
-// oscillator phase noise and leakage, analog reconstruction filtering, DAC
-// zero-order hold and power-amplifier nonlinearities. All blocks operate on
-// the baseband-equivalent complex envelope (standard passband behavioural
-// modelling), and the composed transmitter exposes the RF output as a
-// continuous-time signal evaluable at arbitrary instants.
+// oscillator phase noise, spurs and leakage, and power-amplifier
+// nonlinearities. All blocks operate on the baseband-equivalent complex
+// envelope (standard passband behavioural modelling), and the composed
+// transmitter exposes the RF output as a continuous-time signal evaluable
+// at arbitrary instants.
 package rf
 
 import (
@@ -108,24 +108,6 @@ func (p *SalehPA) Describe() string {
 		p.AlphaA, p.BetaA, p.AlphaP, p.BetaP)
 }
 
-// PolyPA is an odd-order baseband polynomial model
-// y = a1 v + a3 v |v|^2 + a5 v |v|^4 with complex coefficients, the standard
-// form for fitting measured AM/AM-AM/PM curves.
-type PolyPA struct {
-	A1, A3, A5 complex128
-}
-
-// Apply implements PA.
-func (p *PolyPA) Apply(v complex128) complex128 {
-	r2 := real(v)*real(v) + imag(v)*imag(v)
-	return v * (p.A1 + p.A3*complex(r2, 0) + p.A5*complex(r2*r2, 0))
-}
-
-// Describe implements PA.
-func (p *PolyPA) Describe() string {
-	return fmt.Sprintf("poly(a1=%v, a3=%v, a5=%v)", p.A1, p.A3, p.A5)
-}
-
 // EnvelopePA marks PA models whose output depends on the input history
 // (memory effects): they lift whole envelopes instead of single values.
 // ApplyPA dispatches on this capability, so a MemoryPolyPA plugged into
@@ -142,38 +124,4 @@ func ApplyPA(p PA, env sig.Envelope) sig.Envelope {
 		return ep.ApplyEnv(env)
 	}
 	return sig.EnvelopeFunc(func(t float64) complex128 { return p.Apply(env.At(t)) })
-}
-
-// GainAt returns the power gain (output/input, linear) of the PA at input
-// amplitude r.
-func GainAt(p PA, r float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	out := cmplx.Abs(p.Apply(complex(r, 0)))
-	return (out / r) * (out / r)
-}
-
-// InputP1dB searches for the input amplitude at which the PA gain has
-// compressed by 1 dB from its small-signal value. It returns 0 when the
-// model never compresses within the searched range.
-func InputP1dB(p PA) float64 {
-	small := GainAt(p, 1e-6)
-	if small <= 0 {
-		return 0
-	}
-	target := small * math.Pow(10, -0.1) // -1 dB
-	lo, hi := 1e-6, 1e6
-	if GainAt(p, hi) > target {
-		return 0
-	}
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if GainAt(p, mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }

@@ -2,8 +2,8 @@ package rf
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/dsp"
 	"repro/internal/sig"
 )
 
@@ -72,24 +72,15 @@ func (rx *Receiver) SampleBaseband(in sig.Signal, fs, t0 float64, n int) ([]comp
 	env := rx.DemodEnvelope(in)
 	// Oversample and filter away the 2 fc image, like any real channel
 	// filter would; factor chosen so the image aliases out of band.
-	over := 4
-	for ; over <= 12; over++ {
-		img := math.Mod(2*rx.cfg.Fc, fs*float64(over))
-		if img > fs*float64(over)/2 {
-			img = fs*float64(over) - img
-		}
-		if img > 0.6*fs {
-			break
-		}
-	}
-	if over > 12 {
+	over, ok := dsp.EnvelopeOversampling(rx.cfg.Fc, fs)
+	if !ok {
 		return nil, fmt.Errorf("rf: no oversampling factor separates the Rx 2fc image")
 	}
 	raw := make([]complex128, n*over)
 	for i := range raw {
 		raw[i] = env.At(t0 + float64(i)/(fs*float64(over)))
 	}
-	lp, err := lowpassForDecimation(over)
+	lp, err := dsp.DecimationLowpass(over)
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,6 @@
 package rf
 
-import (
-	"math/rand"
-
-	"repro/internal/dsp"
-)
-
-// lowpassForDecimation designs the anti-image filter used before an
-// integer decimation by the given factor.
-func lowpassForDecimation(factor int) (*dsp.FIR, error) {
-	return dsp.DesignLowpass(91, 0.45/float64(factor), dsp.KaiserWin, dsp.KaiserBeta(70))
-}
+import "math/rand"
 
 // newSeededNorm returns a deterministic standard-normal generator.
 func newSeededNorm(seed int64) func() float64 {

@@ -75,15 +75,6 @@ func (s *SpurComb) Phi(t float64) float64 {
 	return v
 }
 
-// RMSRadians returns the integrated RMS phase deviation of the comb.
-func (s *SpurComb) RMSRadians() float64 {
-	v := 0.0
-	for _, a := range s.amps {
-		v += a * a / 2
-	}
-	return math.Sqrt(v)
-}
-
 // ApplyEnv rotates an envelope by the comb's phase process.
 func (s *SpurComb) ApplyEnv(env sig.Envelope) sig.Envelope {
 	return sig.EnvelopeFunc(func(t float64) complex128 {

@@ -40,7 +40,14 @@ func TestSpurCombRMS(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 2 * math.Pow(10, -20.0/20) / math.Sqrt2
-	if got := s.RMSRadians(); math.Abs(got-want) > 1e-12 {
+	// Average Phi^2 over one whole spur period.
+	const n = 64
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		v := s.Phi(float64(i) / (n * s.Spacing))
+		sum += v * v
+	}
+	if got := math.Sqrt(sum / n); math.Abs(got-want) > 1e-12 {
 		t.Errorf("RMS %g, want %g", got, want)
 	}
 }

@@ -13,10 +13,6 @@ import (
 type TxConfig struct {
 	// Fc is the carrier frequency in Hz.
 	Fc float64
-	// DAC models the zero-order hold of the baseband DACs (nil = ideal).
-	DAC *ZOH
-	// ReconFilter is the post-DAC analog lowpass (nil = none).
-	ReconFilter *AnalogFIR
 	// IQ models quadrature modulator impairments (nil = perfect).
 	IQ *IQImbalance
 	// PhaseNoise models the RF local oscillator (nil = clean).
@@ -36,8 +32,7 @@ type Transmitter struct {
 }
 
 // NewTransmitter composes the chain
-// baseband -> DAC ZOH -> reconstruction filter -> IQ modulator ->
-// LO phase noise -> LO spurs -> PA.
+// baseband -> IQ modulator -> LO phase noise -> LO spurs -> PA.
 func NewTransmitter(cfg TxConfig, baseband sig.Envelope) (*Transmitter, error) {
 	if cfg.Fc <= 0 {
 		return nil, fmt.Errorf("rf: transmitter needs a positive carrier, got %g", cfg.Fc)
@@ -46,12 +41,6 @@ func NewTransmitter(cfg TxConfig, baseband sig.Envelope) (*Transmitter, error) {
 		return nil, fmt.Errorf("rf: transmitter needs a baseband envelope")
 	}
 	env := baseband
-	if cfg.DAC != nil {
-		env = cfg.DAC.ApplyEnv(env)
-	}
-	if cfg.ReconFilter != nil {
-		env = cfg.ReconFilter.ApplyEnv(env)
-	}
 	if cfg.IQ != nil {
 		env = cfg.IQ.ApplyEnv(env)
 	}
@@ -67,9 +56,6 @@ func NewTransmitter(cfg TxConfig, baseband sig.Envelope) (*Transmitter, error) {
 	return &Transmitter{cfg: cfg, outEnv: env}, nil
 }
 
-// Fc returns the carrier frequency.
-func (tx *Transmitter) Fc() float64 { return tx.cfg.Fc }
-
 // OutputEnvelope returns the PA-output complex envelope.
 func (tx *Transmitter) OutputEnvelope() sig.Envelope { return tx.outEnv }
 
@@ -83,12 +69,6 @@ func (tx *Transmitter) Output() sig.Signal {
 func (tx *Transmitter) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "homodyne tx @ %.6g Hz", tx.cfg.Fc)
-	if tx.cfg.DAC != nil {
-		fmt.Fprintf(&b, ", DAC ZOH %.4g Hz", tx.cfg.DAC.Fs)
-	}
-	if tx.cfg.ReconFilter != nil {
-		fmt.Fprintf(&b, ", recon FIR %d taps", len(tx.cfg.ReconFilter.Taps))
-	}
 	if tx.cfg.IQ != nil {
 		fmt.Fprintf(&b, ", IQ(g=%.4g, phi=%.4g rad, IRR=%.1f dB)",
 			tx.cfg.IQ.GainRatio, tx.cfg.IQ.PhaseError, tx.cfg.IQ.ImageRejectionDB())

@@ -18,7 +18,16 @@ import (
 // probeTimes returns n instants spread over a few microseconds, offset
 // from the origin so cyclic sources wrap.
 func probeTimes(n int) []float64 {
-	return sig.UniformTimes(-1.3e-6, 7.3e-9, n)
+	return uniformTimes(-1.3e-6, 7.3e-9, n)
+}
+
+// uniformTimes returns n instants t0, t0+dt, ..., t0+(n-1)dt.
+func uniformTimes(t0, dt float64, n int) []float64 {
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = t0 + float64(i)*dt
+	}
+	return ts
 }
 
 // checkEnvConcurrentAt evaluates env serially, then from eight workers in
@@ -83,7 +92,11 @@ func TestEnvelopeSourceConcurrentAt(t *testing.T) {
 	}
 	checkEnvConcurrentAt(t, "cpm", cpm)
 	ts := probeTimes(1200)
-	samples := sig.SampleEnvAt(shapedQPSK(t), sig.UniformTimes(ts[0]-1e-7, 2e-9, 4000))
+	shaped := shapedQPSK(t)
+	samples := make([]complex128, 4000)
+	for i, tv := range uniformTimes(ts[0]-1e-7, 2e-9, len(samples)) {
+		samples[i] = shaped.At(tv)
+	}
 	sampled, err := sig.NewSampledEnvelope(ts[0]-1e-7, 2e-9, samples)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,11 @@ func TestBandNoisePowerAndBand(t *testing.T) {
 		t.Errorf("noise power %g, want ~%g", p*p, power)
 	}
 	// Spectral confinement: out-of-band PSD must be far below in-band.
-	spec, err := dsp.WelchReal(x, fs, dsp.DefaultWelch(4096))
+	xc := make([]complex128, len(x))
+	for i, v := range x {
+		xc[i] = complex(v, 0)
+	}
+	spec, err := dsp.WelchComplex(xc, fs, 0, dsp.DefaultWelch(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +61,8 @@ func TestPRBSProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		period := p.Period()
-		if period != 1<<order-1 {
+		period := 1<<order - 1
+		if int(p.mask) != period {
 			t.Fatalf("period %d", period)
 		}
 		bits := p.Bits(2 * period)

@@ -55,6 +55,3 @@ func (p *PRBS) Bits(n int) []int {
 	}
 	return out
 }
-
-// Period returns the sequence period 2^order - 1.
-func (p *PRBS) Period() int { return int(p.mask) }

@@ -33,12 +33,6 @@ type Envelope interface {
 	At(t float64) complex128
 }
 
-// SignalFunc adapts an ordinary function to the Signal interface.
-type SignalFunc func(t float64) float64
-
-// At implements Signal.
-func (f SignalFunc) At(t float64) float64 { return f(t) }
-
 // EnvelopeFunc adapts an ordinary function to the Envelope interface.
 type EnvelopeFunc func(t float64) complex128
 
@@ -98,40 +92,10 @@ func (s Sum) At(t float64) float64 {
 	return v
 }
 
-// EnvSum adds any number of envelopes.
-type EnvSum []Envelope
-
-// At implements Envelope.
-func (s EnvSum) At(t float64) complex128 {
-	var v complex128
-	for _, x := range s {
-		v += x.At(t)
-	}
-	return v
-}
-
-// Scale multiplies a signal by a constant gain.
-func Scale(x Signal, gain float64) Signal {
-	return SignalFunc(func(t float64) float64 { return gain * x.At(t) })
-}
-
 // ScaleEnv multiplies an envelope by a complex gain.
 func ScaleEnv(x Envelope, gain complex128) Envelope {
 	return EnvelopeFunc(func(t float64) complex128 { return gain * x.At(t) })
 }
-
-// Delay shifts a signal later in time by tau seconds.
-func Delay(x Signal, tau float64) Signal {
-	return SignalFunc(func(t float64) float64 { return x.At(t - tau) })
-}
-
-// DelayEnv shifts an envelope later in time by tau seconds.
-func DelayEnv(x Envelope, tau float64) Envelope {
-	return EnvelopeFunc(func(t float64) complex128 { return x.At(t - tau) })
-}
-
-// Zero is the all-zero signal.
-var Zero Signal = SignalFunc(func(float64) float64 { return 0 })
 
 // SampleAt evaluates a signal at each time in ts. The evaluations fan out
 // over the par pool (see the Signal concurrency contract); each lands in
@@ -150,24 +114,6 @@ func SampleAt(x Signal, ts []float64) []float64 {
 // that the few hundred instants of a fidelity check balance across workers.
 const sampleChunk = 32
 
-// SampleEnvAt evaluates an envelope at each time in ts.
-func SampleEnvAt(x Envelope, ts []float64) []complex128 {
-	out := make([]complex128, len(ts))
-	for i, t := range ts {
-		out[i] = x.At(t)
-	}
-	return out
-}
-
-// UniformTimes returns n instants t0, t0+dt, ..., t0+(n-1)dt.
-func UniformTimes(t0, dt float64, n int) []float64 {
-	ts := make([]float64, n)
-	for i := range ts {
-		ts[i] = t0 + float64(i)*dt
-	}
-	return ts
-}
-
 // Downconvert extracts the complex envelope of a real signal x around fc by
 // analytic mixing: env(t) = 2 * LPF{ x(t) exp(-i 2 pi fc t) }. The caller is
 // responsible for subsequent lowpass filtering of the sampled sequence; this
@@ -179,21 +125,3 @@ func Downconvert(x Signal, fc float64) Envelope {
 		return complex(2*v*c, -2*v*s)
 	})
 }
-
-// Chirp is a linear frequency sweep: starting at F0 with rate Slope Hz/s,
-// amplitude Amp. Useful for transient/tracking tests and STFT validation.
-type Chirp struct {
-	Amp   float64
-	F0    float64
-	Slope float64
-	Phase float64
-}
-
-// At implements Signal: phase(t) = 2 pi (F0 t + Slope t^2 / 2).
-func (c *Chirp) At(t float64) float64 {
-	ph := 2*math.Pi*(c.F0*t+0.5*c.Slope*t*t) + c.Phase
-	return c.Amp * math.Cos(ph)
-}
-
-// InstFreq returns the instantaneous frequency at t.
-func (c *Chirp) InstFreq(t float64) float64 { return c.F0 + c.Slope*t }

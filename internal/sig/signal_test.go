@@ -65,46 +65,22 @@ func TestCombinators(t *testing.T) {
 	if math.Abs(sum.At(tv)-(a.At(tv)+b.At(tv))) > 1e-12 {
 		t.Error("Sum")
 	}
-	if math.Abs(Scale(a, 3).At(tv)-3*a.At(tv)) > 1e-12 {
-		t.Error("Scale")
-	}
-	if math.Abs(Delay(a, 1e-7).At(tv)-a.At(tv-1e-7)) > 1e-12 {
-		t.Error("Delay")
-	}
-	if Zero.At(tv) != 0 {
-		t.Error("Zero")
+	if (Sum{}).At(tv) != 0 {
+		t.Error("empty Sum")
 	}
 	ea := &ComplexTone{Amp: 1, Freq: 1e6}
-	eb := &ComplexTone{Amp: 2, Freq: -3e6}
-	es := EnvSum{ea, eb}
-	if v := es.At(tv) - ea.At(tv) - eb.At(tv); math.Hypot(real(v), imag(v)) > 1e-12 {
-		t.Error("EnvSum")
-	}
 	if v := ScaleEnv(ea, 2i).At(tv) - 2i*ea.At(tv); v != 0 {
 		t.Error("ScaleEnv")
-	}
-	if v := DelayEnv(ea, 1e-7).At(tv) - ea.At(tv-1e-7); v != 0 {
-		t.Error("DelayEnv")
 	}
 }
 
 func TestSampleHelpers(t *testing.T) {
 	a := &Tone{Amp: 1, Freq: 1e6}
-	ts := UniformTimes(1e-6, 1e-8, 5)
-	if len(ts) != 5 || ts[0] != 1e-6 || math.Abs(ts[4]-1.04e-6) > 1e-18 {
-		t.Errorf("UniformTimes = %v", ts)
-	}
+	ts := []float64{1e-6, 1.01e-6, 1.02e-6, 1.03e-6, 1.04e-6}
 	xs := SampleAt(a, ts)
 	for i := range ts {
 		if xs[i] != a.At(ts[i]) {
 			t.Error("SampleAt mismatch")
-		}
-	}
-	env := &ComplexTone{Amp: 1, Freq: 1e6}
-	es := SampleEnvAt(env, ts)
-	for i := range ts {
-		if es[i] != env.At(ts[i]) {
-			t.Error("SampleEnvAt mismatch")
 		}
 	}
 }
@@ -132,38 +108,8 @@ func TestDownconvertRecoversEnvelope(t *testing.T) {
 }
 
 func TestSignalFuncAdapters(t *testing.T) {
-	s := SignalFunc(func(t float64) float64 { return 2 * t })
-	if s.At(3) != 6 {
-		t.Error("SignalFunc")
-	}
 	e := EnvelopeFunc(func(t float64) complex128 { return complex(t, -t) })
 	if e.At(2) != complex(2, -2) {
 		t.Error("EnvelopeFunc")
-	}
-}
-
-func TestChirpInstantaneousFrequency(t *testing.T) {
-	c := &Chirp{Amp: 1, F0: 1e6, Slope: 1e12}
-	if c.InstFreq(0) != 1e6 || c.InstFreq(1e-6) != 2e6 {
-		t.Error("InstFreq")
-	}
-	// Zero crossing spacing shrinks as the chirp accelerates: count sign
-	// changes in two equal windows.
-	count := func(t0, t1 float64) int {
-		n := 0
-		prev := c.At(t0)
-		for tv := t0; tv < t1; tv += 1e-9 {
-			v := c.At(tv)
-			if v*prev < 0 {
-				n++
-			}
-			prev = v
-		}
-		return n
-	}
-	early := count(0, 5e-6)
-	late := count(15e-6, 20e-6)
-	if late <= early {
-		t.Errorf("chirp not accelerating: %d vs %d crossings", early, late)
 	}
 }

@@ -32,9 +32,6 @@ func NewMultiCost(evals []*CostEvaluator) (*MultiCost, error) {
 	return &MultiCost{evals: evals}, nil
 }
 
-// K returns the number of aggregated captures.
-func (mc *MultiCost) K() int { return len(mc.evals) }
-
 // M returns the searchable-delay upper limit shared by all captures.
 func (mc *MultiCost) M() float64 { return mc.evals[0].M() }
 

@@ -115,7 +115,7 @@ func TestMultiCostValidationAndAveraging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.K() != 2 || mc.M() != ce1.M() {
+	if len(mc.evals) != 2 || mc.M() != ce1.M() {
 		t.Error("accessors")
 	}
 	// The average of two identical costs equals the single cost.

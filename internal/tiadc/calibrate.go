@@ -77,11 +77,3 @@ func (m Mismatch) Corrected(c *Capture) (*Capture, error) {
 	}
 	return out, nil
 }
-
-// GainErrorDB reports the gain mismatch in dB.
-func (m Mismatch) GainErrorDB() float64 {
-	if m.Gain1Over0 <= 0 {
-		return math.Inf(1)
-	}
-	return 20 * math.Log10(m.Gain1Over0)
-}

@@ -117,15 +117,6 @@ type Capture struct {
 // N returns the per-channel sample count.
 func (c *Capture) N() int { return len(c.Ch0) }
 
-// Times0 returns the nominal channel-0 sampling instants.
-func (c *Capture) Times0() []float64 { return sig.UniformTimes(c.T0, c.T, len(c.Ch0)) }
-
-// Times1 returns the nominal channel-1 instants assuming delay d (pass an
-// estimate; the true instants used ActualD).
-func (c *Capture) Times1(d float64) []float64 {
-	return sig.UniformTimes(c.T0+d, c.T, len(c.Ch1))
-}
-
 // Capture acquires n sample pairs of signal x at per-channel rate 1/period,
 // with the DCDE programmed to nominalD and channel 0 starting at t0.
 func (ti *TIADC) Capture(x sig.Signal, period, nominalD, t0 float64, n int) (*Capture, error) {
@@ -157,16 +148,4 @@ func (ti *TIADC) Capture(x sig.Signal, period, nominalD, t0 float64, n int) (*Ca
 		Ch0:      ti.a0.Sample(x, c0.Times(0, n)),
 		Ch1:      ti.a1.Sample(x, c1.Times(0, n)),
 	}, nil
-}
-
-// Channel returns the underlying converter models (0 or 1) for inspection.
-func (ti *TIADC) Channel(i int) (*adc.ADC, error) {
-	switch i {
-	case 0:
-		return ti.a0, nil
-	case 1:
-		return ti.a1, nil
-	default:
-		return nil, fmt.Errorf("tiadc: channel %d out of range", i)
-	}
 }

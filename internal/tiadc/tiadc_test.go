@@ -1,6 +1,7 @@
 package tiadc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,22 +63,25 @@ func TestCaptureIdealChannels(t *testing.T) {
 	if cap.N() != 64 || cap.ActualD != d || cap.NominalD != d {
 		t.Fatalf("capture metadata: %+v", cap)
 	}
-	t0s := cap.Times0()
-	t1s := cap.Times1(d)
 	for i := 0; i < cap.N(); i++ {
-		if math.Abs(cap.Ch0[i]-tone.At(t0s[i])) > 1e-12 {
+		if math.Abs(cap.Ch0[i]-tone.At(cap.T0+float64(i)*cap.T)) > 1e-12 {
 			t.Fatalf("ch0[%d] mismatch", i)
 		}
-		if math.Abs(cap.Ch1[i]-tone.At(t1s[i])) > 1e-12 {
+		if math.Abs(cap.Ch1[i]-tone.At(cap.T0+d+float64(i)*cap.T)) > 1e-12 {
 			t.Fatalf("ch1[%d] mismatch", i)
 		}
 	}
 }
 
+// rampSignal is x(t) = 1e9 t.
+type rampSignal struct{}
+
+func (rampSignal) At(t float64) float64 { return t * 1e9 }
+
 func TestCaptureAppliesDCDEBias(t *testing.T) {
 	bias := 2.5e-12
 	ti, _ := New(Config{DCDE: DCDE{Min: 0, Max: 1e-9, Bias: bias}})
-	ramp := sig.SignalFunc(func(t float64) float64 { return t * 1e9 })
+	ramp := rampSignal{}
 	cap, err := ti.Capture(ramp, 1e-8, 100e-12, 0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +100,7 @@ func TestCaptureAppliesDCDEBias(t *testing.T) {
 
 func TestCaptureValidation(t *testing.T) {
 	ti, _ := New(Config{DCDE: DCDE{Min: 0, Max: 1e-9}})
-	x := sig.Zero
+	x := sig.Sum{} // the zero signal
 	if _, err := ti.Capture(x, 0, 1e-10, 0, 4); err == nil {
 		t.Error("zero period must fail")
 	}
@@ -117,7 +121,7 @@ func TestCaptureChannelMismatchVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := sig.SignalFunc(func(float64) float64 { return 1 })
+	dc := &sig.Tone{Amp: 1} // the constant 1
 	cap, _ := ti.Capture(dc, 1e-8, 0, 0, 2)
 	if math.Abs(cap.Ch0[0]-1.06) > 1e-12 || math.Abs(cap.Ch1[0]-0.94) > 1e-12 {
 		t.Errorf("mismatch not applied: %g, %g", cap.Ch0[0], cap.Ch1[0])
@@ -144,6 +148,18 @@ func TestCaptureClockJitterReproducible(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds should differ")
+	}
+}
+
+// Channel returns the underlying converter models (0 or 1) for inspection.
+func (ti *TIADC) Channel(i int) (*adc.ADC, error) {
+	switch i {
+	case 0:
+		return ti.a0, nil
+	case 1:
+		return ti.a1, nil
+	default:
+		return nil, fmt.Errorf("tiadc: channel %d out of range", i)
 	}
 }
 
