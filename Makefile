@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check reach bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
+.PHONY: all build test vet race check reach bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update golden-fresh
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -146,3 +146,20 @@ fuzz-smoke:
 # numeric change. Inspect the diff before committing.
 golden-update:
 	$(GO) test ./internal/experiments -run Golden -update
+
+# golden-fresh regenerates every committed golden (experiments, curated
+# core metrics, the normalized bistlab trace, the default campaign grid,
+# the fleet telemetry snapshot and the CLI campaign matrix) and fails when
+# any file under a testdata directory then differs from the working tree's
+# committed bytes: a plain regenerate must be a no-op, so a kernel change's
+# re-pin is exactly what its own regeneration rewrites.
+golden-fresh:
+	$(GO) test ./internal/experiments -run Golden -update
+	$(GO) test ./internal/core -run Metrics -update
+	$(GO) test ./cmd/bistlab -run TestFig6NormalizedTraceGolden -update
+	$(GO) test ./internal/campaign -run TestDefaultGridFileInSync -update
+	$(GO) test ./internal/fleet -run TestTelemetryNormalizedGolden -update
+	$(GO) run ./cmd/bistlab -campaign cmd/bistlab/testdata/campaign_smoke_grid.json -json \
+		> cmd/bistlab/testdata/golden/campaign_smoke.json
+	git diff --exit-code -- '*/testdata/*'
+	@echo "goldens fresh"
