@@ -58,7 +58,7 @@ func run(args []string, out, diag io.Writer) error {
 		return err
 	}
 	syms := cst.RandomSymbols(*nsym, *seed)
-	bb, err := modem.NewShapedEnvelope(syms, pulse, true)
+	bb, err := modem.NewShapedEnvelope(syms, pulse)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	symbols := modem.QPSK.RandomSymbols(64, 42)
-	baseband, err := modem.NewShapedEnvelope(symbols, pulse, true)
+	baseband, err := modem.NewShapedEnvelope(symbols, pulse)
 	if err != nil {
 		return err
 	}

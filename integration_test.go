@@ -80,7 +80,7 @@ func TestCrossLayerConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms := modem.QPSK.RandomSymbols(64, 99)
-	bb, err := modem.NewShapedEnvelope(syms, pulse, true)
+	bb, err := modem.NewShapedEnvelope(syms, pulse)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func New(cfg Config) (*BIST, error) {
 		if syms == nil {
 			syms = cst.RandomSymbols(c.NumSymbols, c.Seed)
 		}
-		bb, err = modem.NewShapedEnvelope(syms, pulse, true)
+		bb, err = modem.NewShapedEnvelope(syms, pulse)
 		if err != nil {
 			return nil, err
 		}

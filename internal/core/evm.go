@@ -34,7 +34,7 @@ func (b *BIST) RunEVMTest(rec *pnbs.Reconstructor, nSym int) (*EVMOutcome, error
 	// Reconstructed envelope on a uniform grid; needs enough span for the
 	// requested symbols plus the pulse tails.
 	ts := 1 / c.SymbolRate
-	span := float64(b.bb.Pulse.SpanSymbols()) * ts
+	span := float64(b.bb.Pulse.Span) * ts
 	gridN := int((float64(nSym)*ts + 4*span) * c.B)
 	// Clamp to what the capture supports; the symbol count shrinks below.
 	if rLo, rHi := rec.ValidRange(); gridN > int((rHi-rLo)*c.B)-8 {

@@ -183,6 +183,3 @@ func (c *CPMEnvelope) At(t float64) complex128 {
 	s, co := math.Sincos(c.Phase(t))
 	return complex(co, s)
 }
-
-// SymbolPeriod returns Ts.
-func (c *CPMEnvelope) SymbolPeriod() float64 { return c.ts }

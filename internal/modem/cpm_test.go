@@ -119,7 +119,7 @@ func TestCPMDeterministic(t *testing.T) {
 	if a.At(7.7e-6) == d.At(7.7e-6) {
 		t.Error("different seeds should differ")
 	}
-	if a.SymbolPeriod() != 1e-6 {
+	if a.ts != 1e-6 {
 		t.Error("symbol period")
 	}
 }

@@ -15,14 +15,14 @@ import (
 // envelope this implements the SRRC matched filter whose cascade is the
 // zero-ISI raised cosine, so y[k] recovers the transmitted symbols.
 type MatchedFilter struct {
-	Pulse      Pulse
+	Pulse      *SRRC
 	Oversample int
 	energy     float64
 }
 
 // NewMatchedFilter builds a matched filter for the pulse; oversample < 4
 // defaults to 16.
-func NewMatchedFilter(p Pulse, oversample int) (*MatchedFilter, error) {
+func NewMatchedFilter(p *SRRC, oversample int) (*MatchedFilter, error) {
 	if p == nil {
 		return nil, fmt.Errorf("modem: matched filter needs a pulse")
 	}
@@ -34,9 +34,9 @@ func NewMatchedFilter(p Pulse, oversample int) (*MatchedFilter, error) {
 
 // Demod extracts nSym symbols starting at symbol index k0 from the envelope.
 func (m *MatchedFilter) Demod(env sig.Envelope, k0, nSym int) []complex128 {
-	ts := m.Pulse.SymbolPeriod()
+	ts := m.Pulse.Ts
 	dt := ts / float64(m.Oversample)
-	span := float64(m.Pulse.SpanSymbols()) * ts
+	span := float64(m.Pulse.Span) * ts
 	out := make([]complex128, nSym)
 	for k := 0; k < nSym; k++ {
 		centre := float64(k0+k) * ts

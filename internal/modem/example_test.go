@@ -15,7 +15,7 @@ func ExampleNewShapedEnvelope() {
 		panic(err)
 	}
 	symbols := modem.QPSK.RandomSymbols(64, 1)
-	env, err := modem.NewShapedEnvelope(symbols, pulse, true)
+	env, err := modem.NewShapedEnvelope(symbols, pulse)
 	if err != nil {
 		panic(err)
 	}
@@ -30,7 +30,7 @@ func ExampleNewShapedEnvelope() {
 func ExampleMatchedFilter_Demod() {
 	pulse, _ := modem.NewSRRC(100e-9, 0.5, 8)
 	symbols := modem.QPSK.RandomSymbols(48, 2)
-	env, _ := modem.NewShapedEnvelope(symbols, pulse, true)
+	env, _ := modem.NewShapedEnvelope(symbols, pulse)
 	mf, err := modem.NewMatchedFilter(pulse, 16)
 	if err != nil {
 		panic(err)

@@ -95,9 +95,6 @@ func NewOFDM(cfg OFDMConfig) (*OFDMEnvelope, error) {
 	return o, nil
 }
 
-// SymbolPeriod returns the full (CP + useful) symbol duration.
-func (o *OFDMEnvelope) SymbolPeriod() float64 { return o.tSym }
-
 // At implements sig.Envelope: the payload of the symbol containing t,
 // synthesised directly as a sum of subcarrier exponentials (the continuous
 // equivalent of IFFT + cyclic prefix), with a raised-cosine edge taper.

@@ -39,8 +39,8 @@ func TestOFDMValidation(t *testing.T) {
 func TestOFDMDerivedQuantities(t *testing.T) {
 	o := defaultOFDM(t)
 	want := (1 + 0.125) / 156.25e3
-	if math.Abs(o.SymbolPeriod()-want) > 1e-12 {
-		t.Errorf("symbol period %g, want %g", o.SymbolPeriod(), want)
+	if math.Abs(o.tSym-want) > 1e-12 {
+		t.Errorf("symbol period %g, want %g", o.tSym, want)
 	}
 }
 

@@ -5,17 +5,6 @@ import (
 	"math"
 )
 
-// Pulse is a continuous-time pulse-shaping filter impulse response.
-type Pulse interface {
-	// At evaluates the pulse at time t (seconds), centred at t = 0.
-	At(t float64) float64
-	// SymbolPeriod returns Ts.
-	SymbolPeriod() float64
-	// SpanSymbols returns the one-sided truncation span in symbol periods:
-	// the pulse is treated as zero for |t| > SpanSymbols * Ts.
-	SpanSymbols() int
-}
-
 // SRRC is the square-root raised cosine pulse with roll-off Alpha used by
 // the paper's test signal (alpha = 0.5, 10 MHz symbol rate). The pulse is
 // normalised to unit peak: At(0) = 1.
@@ -76,7 +65,8 @@ func edgeTaper(t, ts float64, span int) float64 {
 	}
 }
 
-// At implements Pulse (peak-normalised, smoothly truncated to the span).
+// At evaluates the pulse at time t (seconds), centred at t = 0:
+// peak-normalised and smoothly truncated to the span.
 func (p *SRRC) At(t float64) float64 {
 	w := edgeTaper(t, p.Ts, p.Span)
 	if w == 0 {
@@ -85,21 +75,14 @@ func (p *SRRC) At(t float64) float64 {
 	return w * p.raw(t) / p.peak
 }
 
-// SymbolPeriod implements Pulse.
-func (p *SRRC) SymbolPeriod() float64 { return p.Ts }
-
-// SpanSymbols implements Pulse.
-func (p *SRRC) SpanSymbols() int { return p.Span }
-
 // PulseEnergy numerically integrates p^2 over its support (for matched
 // filter normalisation), using oversample points per symbol period.
-func PulseEnergy(p Pulse, oversample int) float64 {
+func PulseEnergy(p *SRRC, oversample int) float64 {
 	if oversample < 2 {
 		oversample = 16
 	}
-	ts := p.SymbolPeriod()
-	dt := ts / float64(oversample)
-	span := float64(p.SpanSymbols()) * ts
+	dt := p.Ts / float64(oversample)
+	span := float64(p.Span) * p.Ts
 	e := 0.0
 	for t := -span; t <= span; t += dt {
 		v := p.At(t)

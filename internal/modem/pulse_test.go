@@ -24,8 +24,8 @@ func TestSRRCBasicShape(t *testing.T) {
 	if p.At(8.001*ts) != 0 || p.At(-9*ts) != 0 {
 		t.Error("pulse not truncated")
 	}
-	if p.SymbolPeriod() != ts || p.SpanSymbols() != 8 {
-		t.Error("accessors")
+	if p.Ts != ts || p.Span != 8 {
+		t.Error("fields")
 	}
 }
 
@@ -57,7 +57,7 @@ func TestSRRCValidation(t *testing.T) {
 		t.Error("alpha>1 must fail")
 	}
 	p, err := NewSRRC(1, 0.25, 0)
-	if err != nil || p.SpanSymbols() != 8 {
+	if err != nil || p.Span != 8 {
 		t.Error("default span")
 	}
 }

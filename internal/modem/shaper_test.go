@@ -12,7 +12,7 @@ func TestShapedEnvelopeCyclicPeriodicity(t *testing.T) {
 	ts := 100e-9
 	p, _ := NewSRRC(ts, 0.5, 8)
 	syms := QPSK.RandomSymbols(40, 3)
-	env, _ := NewShapedEnvelope(syms, p, true)
+	env, _ := NewShapedEnvelope(syms, p)
 	period := float64(len(syms)) * ts
 	for _, tv := range []float64{0, 123e-9, 1.7e-6, 3.99e-6} {
 		a := env.At(tv)
@@ -23,32 +23,16 @@ func TestShapedEnvelopeCyclicPeriodicity(t *testing.T) {
 	}
 }
 
-func TestShapedEnvelopeNonCyclicVanishesOutside(t *testing.T) {
-	ts := 100e-9
-	p, _ := NewSRRC(ts, 0.5, 8)
-	syms := QPSK.RandomSymbols(10, 4)
-	env, _ := NewShapedEnvelope(syms, p, false)
-	if v := env.At(-9 * ts); v != 0 {
-		t.Errorf("before burst: %v", v)
-	}
-	if v := env.At(float64(len(syms)+9) * ts); v != 0 {
-		t.Errorf("after burst: %v", v)
-	}
-	if env.Duration() != (10+16)*ts {
-		t.Errorf("duration %g", env.Duration())
-	}
-}
-
 func TestShapedEnvelopeValidation(t *testing.T) {
 	p, _ := NewSRRC(1, 0.5, 8)
-	if _, err := NewShapedEnvelope(nil, p, false); err == nil {
+	if _, err := NewShapedEnvelope(nil, p); err == nil {
 		t.Error("empty symbols must fail")
 	}
-	if _, err := NewShapedEnvelope([]complex128{1}, nil, false); err == nil {
+	if _, err := NewShapedEnvelope(QPSK.RandomSymbols(16, 1), nil); err == nil {
 		t.Error("nil pulse must fail")
 	}
-	if _, err := NewShapedEnvelope(QPSK.RandomSymbols(10, 1), p, true); err == nil {
-		t.Error("cyclic stream shorter than 2x span must fail")
+	if _, err := NewShapedEnvelope(QPSK.RandomSymbols(10, 1), p); err == nil {
+		t.Error("stream shorter than 2x span must fail")
 	}
 }
 
@@ -56,13 +40,13 @@ func TestSetAvgPower(t *testing.T) {
 	ts := 100e-9
 	p, _ := NewSRRC(ts, 0.5, 8)
 	syms := QPSK.RandomSymbols(64, 7)
-	env, _ := NewShapedEnvelope(syms, p, true)
+	env, _ := NewShapedEnvelope(syms, p)
 	env.SetAvgPower(2.0, 2048)
 	if got := env.AvgPower(2048); math.Abs(got-2.0) > 0.02 {
 		t.Errorf("avg power %g, want 2", got)
 	}
 	// Degenerate: zero symbols vector cannot be scaled.
-	z, _ := NewShapedEnvelope(make([]complex128, 64), p, true)
+	z, _ := NewShapedEnvelope(make([]complex128, 64), p)
 	z.SetAvgPower(1, 128)
 	if z.Gain != 1 {
 		t.Error("zero-power envelope should leave gain at 1")
@@ -71,37 +55,27 @@ func TestSetAvgPower(t *testing.T) {
 
 // TestSetAvgPowerWorkerInvariance: the power probes fan out over the pool
 // but fold serially in index order, so the normalisation gain equals a
-// one-probe-at-a-time reference bit for bit at every pool width (cyclic
-// stream and finite burst).
+// one-probe-at-a-time reference bit for bit at every pool width.
 func TestSetAvgPowerWorkerInvariance(t *testing.T) {
 	p, _ := NewSRRC(100e-9, 0.5, 8)
-	for _, cyclic := range []bool{true, false} {
-		env, err := NewShapedEnvelope(QAM16.RandomSymbols(128, 5), p, cyclic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const nPts = 4096
-		ts := p.SymbolPeriod()
-		t0, t1 := 0.0, float64(len(env.Symbols))*ts
-		if !cyclic {
-			t0 = -float64(p.SpanSymbols()) * ts
-			t1 = t0 + env.Duration()
-		}
-		dt := (t1 - t0) / nPts
-		acc := 0.0
-		for i := 0; i < nPts; i++ {
-			v := env.At(t0 + (float64(i)+0.5)*dt)
-			acc += real(v)*real(v) + imag(v)*imag(v)
-		}
-		want := math.Sqrt(0.5 / (acc / nPts))
-		for _, w := range []int{1, 2, 8} {
-			prev := par.SetWorkers(w)
-			env.SetAvgPower(0.5, nPts)
-			par.SetWorkers(prev)
-			if env.Gain != want {
-				t.Errorf("cyclic=%v workers=%d: gain %.17g != serial fold %.17g",
-					cyclic, w, env.Gain, want)
-			}
+	env, err := NewShapedEnvelope(QAM16.RandomSymbols(128, 5), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nPts = 4096
+	dt := float64(len(env.Symbols)) * p.Ts / nPts
+	acc := 0.0
+	for i := 0; i < nPts; i++ {
+		v := env.At((float64(i) + 0.5) * dt)
+		acc += real(v)*real(v) + imag(v)*imag(v)
+	}
+	want := math.Sqrt(0.5 / (acc / nPts))
+	for _, w := range []int{1, 2, 8} {
+		prev := par.SetWorkers(w)
+		env.SetAvgPower(0.5, nPts)
+		par.SetWorkers(prev)
+		if env.Gain != want {
+			t.Errorf("workers=%d: gain %.17g != serial fold %.17g", w, env.Gain, want)
 		}
 	}
 }
@@ -110,7 +84,7 @@ func TestMatchedFilterRecoversQPSK(t *testing.T) {
 	ts := 100e-9
 	p, _ := NewSRRC(ts, 0.5, 8)
 	syms := QPSK.RandomSymbols(48, 21)
-	env, _ := NewShapedEnvelope(syms, p, true)
+	env, _ := NewShapedEnvelope(syms, p)
 	mf, err := NewMatchedFilter(p, 16)
 	if err != nil {
 		t.Fatal(err)

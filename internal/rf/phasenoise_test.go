@@ -177,7 +177,7 @@ func TestPhiCaptureIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := modem.NewShapedEnvelope(qpsk.RandomSymbols(128, 2014), pulse, true)
+	bb, err := modem.NewShapedEnvelope(qpsk.RandomSymbols(128, 2014), pulse)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func shapedQPSK(t *testing.T) *modem.ShapedEnvelope {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := modem.NewShapedEnvelope(cst.RandomSymbols(128, 2014), pulse, true)
+	env, err := modem.NewShapedEnvelope(cst.RandomSymbols(128, 2014), pulse)
 	if err != nil {
 		t.Fatal(err)
 	}
