@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFusedVectorVsScalar -fuzztime=10s ./internal/pnbs
 	$(GO) test -run='^$$' -fuzz=FuzzCostFusedVsSerial -fuzztime=10s ./internal/skew
 	$(GO) test -run='^$$' -fuzz=FuzzStimulusSpecRoundTrip -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzPulseTableVsAnalytic -fuzztime=10s ./internal/modem
 
 # golden-update regenerates the committed golden vectors after an intended
 # numeric change. Inspect the diff before committing.

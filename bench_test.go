@@ -3,7 +3,7 @@
 // BIST and campaign grid, plus the kernels perfbench's kernel tier mirrors
 // (the LMS cost evaluation of Section IV-B's "relatively high
 // computational effort", the measure stage's envelope grid, the plan FFT
-// and Welch). Wall-clock numbers come from perfbench (python3
+// and Welch) and the Tx envelope probe every stage's signal comes from. Wall-clock numbers come from perfbench (python3
 // perfbench/run.py); work counts are gated by the metrics goldens.
 //
 // Run with:
@@ -18,6 +18,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/dsp"
 	"repro/internal/experiments"
+	"repro/internal/modem"
 	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 	"repro/internal/skew"
@@ -64,6 +65,33 @@ func BenchmarkEnvelopeGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += np {
 		r.EnvelopeGridInto(1e9, lo, fs, out)
+	}
+}
+
+// BenchmarkShapedEnvelope measures one probe of the paper's Fig. 1 test
+// envelope (QPSK, SRRC alpha = 0.5, span 8, 10 MHz; ns/op per probe): the
+// call behind gain normalisation, acquisition, referencePSD and the
+// fidelity check. Probe instants step by an irrational fraction of a
+// symbol, so every polyphase cell is visited, and stay within the ~1.7
+// stream periods a paper capture spans.
+func BenchmarkShapedEnvelope(b *testing.B) {
+	pulse, err := modem.NewSRRC(1/10e6, 0.5, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := modem.NewShapedEnvelope(modem.QPSK.RandomSymbols(128, 2014), pulse)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dt := (math.Sqrt2 - 1) * pulse.Ts / 16
+	var acc complex128
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc += env.At(float64(i%8192) * dt)
+	}
+	if acc == 0 {
+		b.Fatal("all-zero envelope")
 	}
 }
 

@@ -3,6 +3,7 @@ package modem
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"repro/internal/par"
 )
@@ -34,29 +35,58 @@ func NewShapedEnvelope(symbols []complex128, pulse *SRRC) (*ShapedEnvelope, erro
 	return &ShapedEnvelope{Symbols: symbols, Pulse: pulse, Gain: 1}, nil
 }
 
-// At implements sig.Envelope.
+// At implements sig.Envelope. With y = t/Ts after the cyclic reduction,
+// kc = floor(y) and f = y - kc, the 2*Span live taps are the symbols kc-m
+// at x = m + f (m = 0..Span-1) and kc+m at x = -(m - f) (m = 1..Span).
+// Every tap reads the same phase of the pulse's polyphase table: the
+// right-hand taps at s in their cell, the left-hand taps at -s in the
+// mirrored cell. No tap needs trig or a division.
 func (s *ShapedEnvelope) At(t float64) complex128 {
 	ts := s.Pulse.Ts
 	span := s.Pulse.Span
 	n := len(s.Symbols)
-	// Reduce once so evaluations are bit-identical across periods; without
-	// this, float rounding at the pulse truncation edge breaks exact
-	// periodicity.
+	// Reduce once so evaluations are bit-identical across periods. Mod is
+	// exact, and the identity on [0, period), where most probes fall; it
+	// returns NaN for a NaN or infinite t, which has no tap to index.
 	period := float64(n) * ts
-	t = math.Mod(t, period)
-	if t < 0 {
-		t += period
-	}
-	kc := int(math.Floor(t / ts))
-	var acc complex128
-	for k := kc - span; k <= kc+span+1; k++ {
-		p := s.Pulse.At(t - float64(k)*ts)
-		if p == 0 {
-			continue
+	if !(t >= 0 && t < period) {
+		t = math.Mod(t, period)
+		if t < 0 {
+			t += period
 		}
-		acc += s.Symbols[((k%n)+n)%n] * complex(p, 0)
+		if math.IsNaN(t) {
+			return cmplx.NaN()
+		}
 	}
-	return acc * complex(s.Gain, 0)
+	y := t / ts
+	kc := math.Floor(y)
+	// y - kc is exact and tableCells a power of two, so the phase
+	// split is exact too.
+	g := (y - kc) * tableCells
+	cell := math.Floor(g)
+	u := 2*(g-cell) - 1
+	right := s.Pulse.table[int(cell):]
+	left := s.Pulse.table[tableCells-1-int(cell):]
+	// kc <= n: y rounds up to n only just below the period.
+	k0 := int(kc) % n
+	var re, im float64
+	for m, k := 0, k0; m < span; m++ {
+		p := horner(&right[m*tableCells], u)
+		re += real(s.Symbols[k]) * p
+		im += imag(s.Symbols[k]) * p
+		if k--; k < 0 {
+			k += n
+		}
+	}
+	for m, k := 0, k0; m < span; m++ {
+		if k++; k == n {
+			k = 0
+		}
+		p := horner(&left[m*tableCells], -u)
+		re += real(s.Symbols[k]) * p
+		im += imag(s.Symbols[k]) * p
+	}
+	return complex(re*s.Gain, im*s.Gain)
 }
 
 // AvgPower estimates the mean envelope power E[|env|^2] by sampling nPts

@@ -23,6 +23,18 @@ func TestShapedEnvelopeCyclicPeriodicity(t *testing.T) {
 	}
 }
 
+// TestShapedEnvelopeNonFinite: a NaN or infinite instant has no symbol to
+// index; At returns NaN rather than panicking or inventing a value.
+func TestShapedEnvelopeNonFinite(t *testing.T) {
+	p, _ := NewSRRC(100e-9, 0.5, 8)
+	env, _ := NewShapedEnvelope(QPSK.RandomSymbols(40, 3), p)
+	for _, tv := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if v := env.At(tv); !cmplx.IsNaN(v) {
+			t.Errorf("At(%v) = %v, want NaN", tv, v)
+		}
+	}
+}
+
 func TestShapedEnvelopeValidation(t *testing.T) {
 	p, _ := NewSRRC(1, 0.5, 8)
 	if _, err := NewShapedEnvelope(nil, p); err == nil {
