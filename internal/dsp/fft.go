@@ -57,7 +57,7 @@ func IFFT(x []complex128) []complex128 {
 		return nil
 	}
 	out := make([]complex128, n)
-	PlanIFFT(n).ExecuteInto(out, x)
+	cachedPlan(n, true).ExecuteInto(out, x)
 	scale := complex(1/float64(n), 0)
 	for i := range out {
 		out[i] *= scale
@@ -169,64 +169,4 @@ func DTFT(x []float64, nu float64) complex128 {
 		acc += complex(v*c, v*s)
 	}
 	return acc
-}
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1), computed via FFT for large inputs and directly
-// for small ones.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	if len(a)*len(b) <= directConvMax {
-		out := make([]float64, len(a)+len(b)-1)
-		for i, av := range a {
-			for j, bv := range b {
-				out[i+j] += av * bv
-			}
-		}
-		return out
-	}
-	return fftConvolve(a, len(b), func(fwd *Plan) []complex128 { return padSpectrum(fwd, b) })
-}
-
-// directConvMax is the largest len(a)*len(b) Convolve evaluates directly:
-// below it the direct sum is faster, and exact.
-const directConvMax = 4096
-
-// fftConvolve is Convolve's fast path for a and a second operand of length
-// nb whose forward spectrum spec supplies at the transform size fwd.Len().
-// Filter passes a cached spectrum of its taps; either way the operand
-// spectrum is the same transform of the same zero-padded vector, so the
-// result does not depend on where the spectrum came from.
-func fftConvolve(a []float64, nb int, spec func(fwd *Plan) []complex128) []float64 {
-	n := len(a) + nb - 1
-	m := NextPowerOfTwo(n)
-	fa := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	fwd := PlanFFT(m)
-	fwd.Execute(fa)
-	fb := spec(fwd)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	PlanIFFT(m).Execute(fa)
-	out := make([]float64, n)
-	scale := 1 / float64(m)
-	for i := range out {
-		out[i] = real(fa[i]) * scale
-	}
-	return out
-}
-
-// padSpectrum returns the forward transform of b zero-padded to fwd.Len().
-func padSpectrum(fwd *Plan, b []float64) []complex128 {
-	fb := make([]complex128, fwd.Len())
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	fwd.Execute(fb)
-	return fb
 }

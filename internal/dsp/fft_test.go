@@ -184,40 +184,6 @@ func TestDTFTMatchesFFTOnBins(t *testing.T) {
 	}
 }
 
-func TestConvolveMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := make([]float64, 300)
-	b := make([]float64, 41)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	got := Convolve(a, b) // large enough to take the FFT path
-	want := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			want[i+j] += av * bv
-		}
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Convolve[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEdgeCases(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("nil input should give nil")
-	}
-	got := Convolve([]float64{2}, []float64{3})
-	if len(got) != 1 || got[0] != 6 {
-		t.Errorf("scalar convolution = %v", got)
-	}
-}
-
 func TestNextPowerOfTwo(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 17: 32, 1024: 1024, 1025: 2048}
 	for in, want := range cases {

@@ -2,42 +2,13 @@ package dsp
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"repro/internal/par"
 )
 
 // FIR is a finite impulse response filter described by its tap vector.
-// Use it by pointer: it carries a concurrency-safe cache.
 type FIR struct {
 	Taps []float64
-	// spectra caches the forward FFT of the zero-padded taps per transform
-	// size (int -> *tapSpectrum) for Filter's fast path, so a shared filter
-	// applied to many same-length inputs transforms its taps once. Each
-	// entry keeps the taps it was computed from and is rebuilt if Taps has
-	// since been edited.
-	spectra sync.Map
-}
-
-// tapSpectrum is one cached tap transform and the taps it came from.
-type tapSpectrum struct {
-	taps []float64
-	spec []complex128
-}
-
-// tapSpectrum returns the forward transform of the zero-padded taps at the
-// plan's size, from the cache when the taps are unchanged. Concurrent
-// misses compute the same values, so whichever entry lands is correct.
-func (f *FIR) tapSpectrum(fwd *Plan) []complex128 {
-	if v, ok := f.spectra.Load(fwd.Len()); ok {
-		if ts := v.(*tapSpectrum); slices.Equal(ts.taps, f.Taps) {
-			return ts.spec
-		}
-	}
-	ts := &tapSpectrum{taps: slices.Clone(f.Taps), spec: padSpectrum(fwd, f.Taps)}
-	f.spectra.Store(fwd.Len(), ts)
-	return ts.spec
 }
 
 // DesignLowpass designs a linear-phase lowpass FIR by the windowed-sinc
@@ -78,56 +49,37 @@ func (f *FIR) normalizeDC() {
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.Taps) }
 
-// Filter convolves x with the filter and returns the "same"-length output,
-// aligned so that out[n] corresponds to x[n] delayed by the group delay.
-func (f *FIR) Filter(x []float64) []float64 {
-	var full []float64
-	if len(x)*len(f.Taps) <= directConvMax {
-		full = Convolve(x, f.Taps)
-	} else {
-		full = fftConvolve(x, len(f.Taps), f.tapSpectrum)
-	}
-	d := (len(f.Taps) - 1) / 2
-	out := make([]float64, len(x))
-	copy(out, full[d:d+len(x)])
-	return out
-}
+// decimateChunk is the number of kept outputs one par task computes.
+const decimateChunk = 256
 
-// FilterComplex applies the real-tap filter independently to the real and
-// imaginary parts of x ("same" alignment as Filter). The two halves are
-// independent, so they are filtered concurrently on the par pool.
-func (f *FIR) FilterComplex(x []complex128) []complex128 {
-	re := make([]float64, len(x))
-	im := make([]float64, len(x))
-	for i, v := range x {
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-	var fr, fi []float64
-	par.For(2, func(i int) {
-		if i == 0 {
-			fr = f.Filter(re)
-		} else {
-			fi = f.Filter(im)
-		}
-	})
-	out := make([]complex128, len(x))
-	for i := range out {
-		out[i] = complex(fr[i], fi[i])
-	}
-	return out
-}
-
-// Decimate lowpass-filters x and keeps every factor-th sample. The filter
-// must already be designed with an appropriate cutoff (< 0.5/factor).
+// Decimate lowpass-filters x and keeps every factor-th sample. Output k is
+// the "same"-aligned filter output at input index k·factor,
+//
+//	out[k] = Σ_j Taps[j] · x[k·factor + d − j],  d = (len(Taps) − 1)/2,
+//
+// with x taken as zero outside [0, len(x)); there are ceil(len(x)/factor)
+// outputs. Only the kept outputs are computed, each as its own serial sum
+// over the taps (the polyphase form of filter-then-discard), so the result
+// is bit-identical at any worker count. The filter must already be
+// designed with an appropriate cutoff (< 0.5/factor).
 func (f *FIR) Decimate(x []complex128, factor int) []complex128 {
 	if factor < 1 {
 		panic("dsp: Decimate factor must be >= 1")
 	}
-	y := f.FilterComplex(x)
-	out := make([]complex128, 0, len(y)/factor+1)
-	for i := 0; i < len(y); i += factor {
-		out = append(out, y[i])
-	}
+	taps := f.Taps
+	d := (len(taps) - 1) / 2
+	out := make([]complex128, (len(x)+factor-1)/factor)
+	par.ForChunks(len(out), decimateChunk, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			n := k*factor + d
+			var re, im float64
+			for j := max(0, n-len(x)+1); j <= min(len(taps)-1, n); j++ {
+				v := x[n-j]
+				re += taps[j] * real(v)
+				im += taps[j] * imag(v)
+			}
+			out[k] = complex(re, im)
+		}
+	})
 	return out
 }

@@ -1,12 +1,10 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -82,18 +80,18 @@ func TestFIRFilterDelayAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 1024
-	x := make([]float64, n)
+	x := make([]complex128, n)
 	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 0.05 * float64(i))
+		x[i] = complex(math.Sin(2*math.Pi*0.05*float64(i)), 0)
 	}
-	y := f.Filter(x)
+	y := f.Decimate(x, 1)
 	if len(y) != n {
 		t.Fatalf("output length %d != %d", len(y), n)
 	}
 	// Compare away from the edges.
 	worst := 0.0
 	for i := 100; i < n-100; i++ {
-		if d := math.Abs(y[i] - x[i]); d > worst {
+		if d := cabs(y[i] - x[i]); d > worst {
 			worst = d
 		}
 	}
@@ -102,22 +100,96 @@ func TestFIRFilterDelayAlignment(t *testing.T) {
 	}
 }
 
-func TestFIRFilterComplexMatchesParts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f, _ := DesignLowpass(31, 0.2, Hann, 0)
-	n := 200
-	x := make([]complex128, n)
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i := range x {
-		re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
-		x[i] = complex(re[i], im[i])
+// decimateDirect is the oracle of Decimate: the full linear convolution of
+// x with the taps at every sample, cut to the "same"-length output aligned
+// on the group delay, then every factor-th sample of it.
+func decimateDirect(taps []float64, x []complex128, factor int) []complex128 {
+	if len(x) == 0 {
+		return []complex128{}
 	}
-	y := f.FilterComplex(x)
-	yr, yi := f.Filter(re), f.Filter(im)
-	for i := range y {
-		if math.Abs(real(y[i])-yr[i]) > 1e-12 || math.Abs(imag(y[i])-yi[i]) > 1e-12 {
-			t.Fatalf("complex filter mismatch at %d", i)
+	full := make([]complex128, len(x)+len(taps)-1)
+	for i, v := range x {
+		for j, h := range taps {
+			full[i+j] += v * complex(h, 0)
+		}
+	}
+	d := (len(taps) - 1) / 2
+	same := full[d : d+len(x)]
+	var out []complex128
+	for i := 0; i < len(same); i += factor {
+		out = append(out, same[i])
+	}
+	return out
+}
+
+// TestDecimateMatchesDirect checks the per-output polyphase sums against
+// the filter-everything-then-discard oracle for every factor the envelope
+// path can pick (1..12), odd and even tap counts, and inputs shorter than
+// the filter, where every output reaches into the zero-padded edges.
+func TestDecimateMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, nTaps := range []int{1, 2, 13, 30, 91} {
+		taps := make([]float64, nTaps)
+		for i := range taps {
+			taps[i] = rng.NormFloat64()
+		}
+		f := &FIR{Taps: taps}
+		for _, n := range []int{0, 1, 7, 45, 200, 1001} {
+			x := randComplex(n, rng)
+			// Rounding scale: the largest tap-magnitude sum times the
+			// largest sample magnitude bounds every output's terms.
+			sumTaps, peak := 0.0, 1.0
+			for _, h := range taps {
+				sumTaps += math.Abs(h)
+			}
+			for _, v := range x {
+				peak = math.Max(peak, cabs(v))
+			}
+			scale := sumTaps * peak
+			for factor := 1; factor <= 12; factor++ {
+				got := f.Decimate(x, factor)
+				want := decimateDirect(taps, x, factor)
+				if len(got) != len(want) {
+					t.Fatalf("taps=%d n=%d factor=%d: %d outputs, want %d", nTaps, n, factor, len(got), len(want))
+				}
+				for k := range want {
+					if e := cabs(got[k] - want[k]); e > 1e-13*scale {
+						t.Fatalf("taps=%d n=%d factor=%d out[%d] = %v, want %v (err %g)",
+							nTaps, n, factor, k, got[k], want[k], e)
+					}
+				}
+			}
+		}
+	}
+	// A one-tap filter is a plain scaled subsampler, exactly.
+	got := (&FIR{Taps: []float64{3}}).Decimate([]complex128{2, 1i, -1, 5}, 2)
+	if len(got) != 2 || got[0] != 6 || got[1] != -3 {
+		t.Errorf("one-tap decimation = %v, want [6 -3]", got)
+	}
+}
+
+// TestDecimateWorkerInvariance: the measure stage's decimation (the paper
+// mask grid, 8192 points to 2048 with DecimationLowpass(4)) is
+// bit-identical at any pool width.
+func TestDecimateWorkerInvariance(t *testing.T) {
+	lp, err := DecimationLowpass(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randComplex(8192, rand.New(rand.NewSource(4)))
+	var ref []complex128
+	for _, w := range []int{1, 2, 8} {
+		prev := par.SetWorkers(w)
+		got := lp.Decimate(x, 4)
+		par.SetWorkers(prev)
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for k := range ref {
+			if got[k] != ref[k] {
+				t.Fatalf("workers=%d out[%d] = %v, want %v at workers 1", w, k, got[k], ref[k])
+			}
 		}
 	}
 }
@@ -154,60 +226,5 @@ func TestMagnitudeDBClamp(t *testing.T) {
 	f := &FIR{Taps: []float64{0}}
 	if db := f.MagnitudeDB(0.1); db != -400 {
 		t.Errorf("zero filter magnitude %g, want clamp at -400", db)
-	}
-}
-
-// TestFilterTapSpectrumCache: Filter's cached tap transform is the same
-// transform Convolve computes, so outputs match the uncached path bit for
-// bit on a miss, on a hit, after the taps are edited in place, and from
-// concurrent callers; the cache makes exactly Convolve's plan lookups.
-func TestFilterTapSpectrumCache(t *testing.T) {
-	f, err := DesignLowpass(91, 0.45/4, KaiserWin, KaiserBeta(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 8192)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	uncached := func() []float64 {
-		full := Convolve(x, f.Taps)
-		d := (len(f.Taps) - 1) / 2
-		return full[d : d+len(x)]
-	}
-	check := func(label string, got []float64) {
-		t.Helper()
-		want := uncached()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: sample %d: %g != uncached %g", label, i, got[i], want[i])
-			}
-		}
-	}
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	hits, misses := obs.C("dsp.plan.hits"), obs.C("dsp.plan.misses")
-	lookups := func(fn func()) int64 {
-		h := hits.Value() + misses.Value()
-		fn()
-		return hits.Value() + misses.Value() - h
-	}
-	var miss, hit []float64
-	nMiss := lookups(func() { miss = f.Filter(x) })
-	nHit := lookups(func() { hit = f.Filter(x) })
-	nConv := lookups(func() { Convolve(x, f.Taps) })
-	if nMiss != nConv || nHit != nConv {
-		t.Errorf("plan lookups: filter miss %d, hit %d, convolve %d", nMiss, nHit, nConv)
-	}
-	check("miss", miss)
-	check("hit", hit)
-	f.Taps[7] *= 1.5
-	check("edited taps", f.Filter(x))
-	outs := make([][]float64, 8)
-	defer par.SetWorkers(par.SetWorkers(8))
-	par.For(len(outs), func(i int) { outs[i] = f.Filter(x) })
-	for i, o := range outs {
-		check(fmt.Sprintf("concurrent caller %d", i), o)
 	}
 }

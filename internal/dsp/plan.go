@@ -19,8 +19,9 @@ import (
 //
 // Plans are immutable after construction and safe for concurrent use by
 // any number of goroutines (the Bluestein work buffer comes from an
-// internal pool). Obtain shared plans from the process-wide cache with
-// PlanFFT/PlanIFFT; NewPlan builds an uncached private instance.
+// internal pool). Obtain shared forward plans from the process-wide cache
+// with PlanFFT (IFFT takes its inverse plans from the same cache); NewPlan
+// builds an uncached private instance.
 //
 // The transform is the same one FFT/IFFT always computed — bit-identical,
 // butterfly for butterfly, to the direct sincos-per-butterfly evaluation
@@ -106,11 +107,6 @@ func planSizeName(what string, n int, inverse bool) string {
 // identity plan.
 func PlanFFT(n int) *Plan { return cachedPlan(n, false) }
 
-// PlanIFFT returns the shared plan for the un-normalised inverse DFT
-// (conjugate transform) of length n. Callers scale by 1/n themselves —
-// exactly what IFFT does.
-func PlanIFFT(n int) *Plan { return cachedPlan(n, true) }
-
 func cachedPlan(n int, inverse bool) *Plan {
 	key := planKey{n, inverse}
 	if e, ok := planCache.Load(key); ok {
@@ -134,7 +130,7 @@ func cachedPlan(n int, inverse bool) *Plan {
 
 // NewPlan builds an uncached plan for length n. inverse selects the
 // conjugate (un-normalised inverse) transform. Most callers want the
-// shared PlanFFT/PlanIFFT instances instead.
+// shared PlanFFT instances instead.
 func NewPlan(n int, inverse bool) *Plan {
 	if n < 0 {
 		panic(fmt.Sprintf("dsp: NewPlan: negative length %d", n))

@@ -162,7 +162,7 @@ func TestPlanCacheReturnsSameInstance(t *testing.T) {
 	if PlanFFT(512) != PlanFFT(512) {
 		t.Error("PlanFFT(512) built two instances")
 	}
-	if PlanFFT(512) == PlanIFFT(512) {
+	if PlanFFT(512) == cachedPlan(512, true) {
 		t.Error("forward and inverse plans must differ")
 	}
 	p := PlanFFT(384)
