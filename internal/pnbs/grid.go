@@ -20,18 +20,25 @@ import (
 // The grid path feeds tolerance-checked spectral measurements, so it
 // evaluates the kernel directly through Kernel.S — the atReference form —
 // and agrees with At to reassociated rounding (~1e-12 relative).
-// Instants whose tap span is clamped at the capture edges, or that do not
-// land on the expected uniform pattern, fall back to At per instant.
+//
+// An instant's tap centre is At's: round((t − t0)/T). When a phase sits
+// on (or within rounding of) a half sample — phase 2 at 4x oversampling
+// does — that rounding goes either way from one period to the next, so
+// each phase tabulates 2h+2 taps covering both candidate centres, the
+// floor c and c+1, and the instant reads the 2h+1 of the centre its own
+// rounding picks. Only instants whose tap span is clamped at the capture
+// edges fall back to At.
 
 // gridPrep holds the fused per-phase coefficient tables for one (t0, fs)
 // uniform grid at the reconstructor's delay.
 type gridPrep struct {
 	over int
-	// n0Base[p] is the tap-center capture index of grid instant p; instant
-	// i = q*over + p has center n0Base[p] + q.
-	n0Base []int
+	// lo[p] is the first tabulated capture index of phase p, c − h for
+	// its lower candidate centre c; instant i = q*over + p shifts it by q.
+	lo []int
 	// a0/a1 are the fused w(dt) S(dt) coefficients for the prompt and
-	// delayed channels, phase-major with stride 2h+1.
+	// delayed channels over the 2h+2 taps from lo[p], phase-major with
+	// stride 2h+2: centre c uses taps [0, 2h+1), centre c+1 taps [1, 2h+2).
 	a0, a1 []float64
 }
 
@@ -45,53 +52,60 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	}
 	k := r.kern
 	h := r.opt.HalfTaps
-	nt := 2*h + 1
+	stride := 2*h + 2
 	d := k.D()
 	g := &gridPrep{
-		over:   over,
-		n0Base: make([]int, over),
-		a0:     make([]float64, over*nt),
-		a1:     make([]float64, over*nt),
+		over: over,
+		lo:   make([]int, over),
+		a0:   make([]float64, over*stride),
+		a1:   make([]float64, over*stride),
 	}
 	for p := 0; p < over; p++ {
 		t := t0 + float64(p)/fs
-		n0 := int(math.Round((t - r.t0) / r.tStep))
-		g.n0Base[p] = n0
-		nLo := n0 - h
-		dt0 := t - r.t0 - float64(nLo)*r.tStep
-		dt1 := r.t0 + float64(nLo)*r.tStep + d - t
-		for j := 0; j < nt; j++ {
+		nLo := int(math.Floor((t-r.t0)/r.tStep)) - h
+		g.lo[p] = nLo
+		for j := 0; j < stride; j++ {
+			tn := r.t0 + float64(nLo+j)*r.tStep
+			dt0 := t - tn
+			dt1 := tn + d - t
 			if w := r.window(dt0); w != 0 {
-				g.a0[p*nt+j] = w * k.S(dt0)
+				g.a0[p*stride+j] = w * k.S(dt0)
 			}
 			if w := r.window(dt1); w != 0 {
-				g.a1[p*nt+j] = w * k.S(dt1)
+				g.a1[p*stride+j] = w * k.S(dt1)
 			}
-			dt0 -= r.tStep
-			dt1 += r.tStep
 		}
 	}
 	return g
 }
 
-// at evaluates grid instant i (t = t0 + i/fs) through the phase tables,
-// falling back to the general path for clamped or off-pattern instants.
-func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
+// taps returns the first capture index and the fused coefficient rows of
+// grid instant i (t = t0 + i/fs), centred where At centres t. ok is false
+// when the instant must go through At: its tap span is clamped at the
+// capture edges, or its centre is neither tabulated candidate (an instant
+// off the uniform pattern).
+func (g *gridPrep) taps(r *Reconstructor, i int, t float64) (nLo int, a0, a1 []float64, ok bool) {
 	p := i % g.over
-	n0 := g.n0Base[p] + i/g.over
 	h := r.opt.HalfTaps
 	nt := 2*h + 1
-	nLo := n0 - h
-	if nLo < 0 || nLo+nt > len(r.ch0) {
-		return r.At(t) // clamped tap span at the capture edges
+	nLo = int(math.Round((t-r.t0)/r.tStep)) - h
+	off := nLo - (g.lo[p] + i/g.over)
+	if off < 0 || off > 1 || nLo < 0 || nLo+nt > len(r.ch0) {
+		return 0, nil, nil, false
 	}
-	if int(math.Round((t-r.t0)/r.tStep)) != n0 {
-		return r.At(t) // instant off the assumed uniform pattern
+	row := p*(nt+1) + off
+	return nLo, g.a0[row:][:nt], g.a1[row:][:nt], true
+}
+
+// at evaluates grid instant i (t = t0 + i/fs) through the phase tables,
+// falling back to At where taps declines the instant.
+func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
+	nLo, a0, a1, ok := g.taps(r, i, t)
+	if !ok {
+		return r.At(t)
 	}
-	a0 := g.a0[p*nt:][:nt]
-	a1 := g.a1[p*nt:][:nt]
-	ch0 := r.ch0[nLo:][:nt]
-	ch1 := r.ch1[nLo:][:nt]
+	ch0 := r.ch0[nLo:][:len(a0)]
+	ch1 := r.ch1[nLo:][:len(a1)]
 	acc := 0.0
 	for j := range a0 {
 		acc += a0[j]*ch0[j] + a1[j]*ch1[j]

@@ -159,6 +159,66 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 	})
 }
 
+// TestGridTablesNeverFallBack counts, across the valid range, the grid
+// instants whose tap span the phase tables decline (so that the grid path
+// would send them to At), and requires none, for every oversampling
+// factor EnvelopeOversampling can pick. Grids start on the valid range —
+// the paper geometry, where 4x puts phase 2 on a half sample — and half a
+// capture sample later, which puts a phase on a half sample at every
+// factor. There At's rounding picks either centre from one period to the
+// next; the grid values must still agree with At within
+// FuzzEnvelopeGridVsAt's bound, 1e-9 of the conditioning scale.
+func TestGridTablesNeverFallBack(t *testing.T) {
+	band := paperBand()
+	fc := band.Fc()
+	const d = 180.8e-12
+	ch0, ch1 := noisyCapture(band, d, 200, 19)
+	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := r.ValidRange()
+	for over := 4; over <= 12; over++ {
+		fs := float64(over) * band.B
+		for _, t0 := range []float64{lo, lo + r.tStep/2} {
+			g := r.buildGridPrep(t0, fs)
+			if g == nil {
+				t.Fatalf("over=%d: no grid tables", over)
+			}
+			n := int((hi-t0)*fs) + 1
+			got := make([]complex128, n)
+			r.EnvelopeGridInto(fc, t0, fs, got)
+			fallbacks, ties := 0, 0
+			for i := range got {
+				tv := t0 + float64(i)/fs
+				if _, _, _, ok := g.taps(r, i, tv); !ok {
+					fallbacks++
+					continue
+				}
+				x := (tv - r.t0) / r.tStep
+				if math.Abs(x-math.Floor(x)-0.5) > 1e-6 {
+					continue
+				}
+				ties++
+				want := mixAt(r, fc, tv)
+				if e := cmplx.Abs(got[i] - want); e > 1e-9*2*absAt(r, tv) {
+					t.Fatalf("over=%d t0=%g i=%d on a half sample: grid %v vs At %v (err %g)",
+						over, t0, i, got[i], want, e)
+				}
+			}
+			if fallbacks != 0 {
+				t.Errorf("over=%d t0=%g: %d of %d instants in the valid range fall back to At",
+					over, t0, fallbacks, n)
+			}
+			// Phase over/2 of an even factor lands on a half sample from
+			// the valid range's start; the shifted start puts phase 0 there.
+			if wantTie := t0 != lo || over%2 == 0; wantTie && ties == 0 {
+				t.Errorf("over=%d t0=%g: no instant on a half sample", over, t0)
+			}
+		}
+	}
+}
+
 // absAt is the conditioning scale of At(t): the sum of the magnitudes of
 // its tap terms, which bounds the rounding of any reassociated evaluation.
 func absAt(r *Reconstructor, t float64) float64 {
