@@ -17,11 +17,14 @@ import (
 type MatchedFilter struct {
 	Pulse      *SRRC
 	Oversample int
-	energy     float64
+	// weights[i] is p(x_i)·dt on PulseEnergy's tap grid
+	// x_i = (i − nh)·dt, nh = Span·Oversample, dt = Ts/Oversample.
+	weights []float64
+	energy  float64
 }
 
 // NewMatchedFilter builds a matched filter for the pulse; oversample < 4
-// defaults to 16.
+// defaults to 16. The pulse is sampled once, here, on the tap grid.
 func NewMatchedFilter(p *SRRC, oversample int) (*MatchedFilter, error) {
 	if p == nil {
 		return nil, fmt.Errorf("modem: matched filter needs a pulse")
@@ -29,24 +32,30 @@ func NewMatchedFilter(p *SRRC, oversample int) (*MatchedFilter, error) {
 	if oversample < 4 {
 		oversample = 16
 	}
-	return &MatchedFilter{Pulse: p, Oversample: oversample, energy: PulseEnergy(p, oversample)}, nil
+	v, dt := pulseSamples(p, oversample)
+	w := make([]float64, len(v))
+	for i, x := range v {
+		w[i] = x * dt
+	}
+	return &MatchedFilter{Pulse: p, Oversample: oversample, weights: w, energy: PulseEnergy(p, oversample)}, nil
 }
 
-// Demod extracts nSym symbols starting at symbol index k0 from the envelope.
+// Demod extracts nSym symbols starting at symbol index k0 from the
+// envelope, correlating symbol k over the instants centre + m·dt,
+// m = −nh..nh, around centre = (k0+k)·Ts.
 func (m *MatchedFilter) Demod(env sig.Envelope, k0, nSym int) []complex128 {
 	ts := m.Pulse.Ts
 	dt := ts / float64(m.Oversample)
-	span := float64(m.Pulse.Span) * ts
+	nh := len(m.weights) / 2
 	out := make([]complex128, nSym)
 	for k := 0; k < nSym; k++ {
 		centre := float64(k0+k) * ts
 		var acc complex128
-		for t := centre - span; t <= centre+span; t += dt {
-			p := m.Pulse.At(t - centre)
-			if p == 0 {
+		for i, w := range m.weights {
+			if w == 0 {
 				continue
 			}
-			acc += env.At(t) * complex(p*dt, 0)
+			acc += env.At(centre+float64(i-nh)*dt) * complex(w, 0)
 		}
 		out[k] = acc / complex(m.energy, 0)
 	}

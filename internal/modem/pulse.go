@@ -141,12 +141,25 @@ func PulseEnergy(p *SRRC, oversample int) float64 {
 	if oversample < 2 {
 		oversample = 16
 	}
-	dt := p.Ts / float64(oversample)
-	span := float64(p.Span) * p.Ts
+	v, dt := pulseSamples(p, oversample)
 	e := 0.0
-	for t := -span; t <= span; t += dt {
-		v := p.At(t)
-		e += v * v * dt
+	for _, x := range v {
+		e += x * x * dt
 	}
 	return e
 }
+
+// pulseSamples returns the pulse on the integer grid x_i = (i − nh)·dt,
+// i = 0..2nh, with nh = Span·oversample and dt = Ts/oversample: each
+// instant is one multiplication, so the taps sit exactly on the grid and
+// their count does not depend on rounding.
+func pulseSamples(p *SRRC, oversample int) (v []float64, dt float64) {
+	dt = p.Ts / float64(oversample)
+	nh := p.Span * oversample
+	v = make([]float64, 2*nh+1)
+	for i := range v {
+		v[i] = p.At(float64(i-nh) * dt)
+	}
+	return v, dt
+}
+

@@ -120,6 +120,57 @@ func TestMatchedFilterRecoversQPSK(t *testing.T) {
 	}
 }
 
+// recordingEnv is a constant envelope that records every instant it is
+// asked for.
+type recordingEnv struct{ ts []float64 }
+
+func (e *recordingEnv) At(t float64) complex128 {
+	e.ts = append(e.ts, t)
+	return 1
+}
+
+// TestMatchedFilterTapGrid: Demod asks the envelope for exactly the
+// instants centre + m·dt, m = −nh..nh, each computed by one
+// multiplication, in order, skipping only the taps where the pulse is
+// zero. The centres lie a thousand symbols out, where stepping t += dt
+// would drift off that grid.
+func TestMatchedFilterTapGrid(t *testing.T) {
+	p, err := NewSRRC(100e-9, 0.5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const over = 8
+	mf, err := NewMatchedFilter(p, over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &recordingEnv{}
+	const k0, nSym = 1000, 3
+	mf.Demod(env, k0, nSym)
+	dt := p.Ts / over
+	nh := p.Span * over
+	var want []float64
+	for k := 0; k < nSym; k++ {
+		centre := float64(k0+k) * p.Ts
+		for m := -nh; m <= nh; m++ {
+			if p.At(float64(m)*dt) != 0 {
+				want = append(want, centre+float64(m)*dt)
+			}
+		}
+	}
+	if len(want) < nSym*(2*nh-1) {
+		t.Fatalf("only %d non-zero taps for %d symbols of %d", len(want), nSym, 2*nh+1)
+	}
+	if len(env.ts) != len(want) {
+		t.Fatalf("Demod asked for %d instants, want %d", len(env.ts), len(want))
+	}
+	for i, tv := range env.ts {
+		if tv != want[i] {
+			t.Fatalf("instant %d = %.17g, want %.17g on the tap grid", i, tv, want[i])
+		}
+	}
+}
+
 func TestMatchedFilterValidation(t *testing.T) {
 	if _, err := NewMatchedFilter(nil, 8); err == nil {
 		t.Error("nil pulse must fail")
