@@ -3,8 +3,10 @@
 // BIST and campaign grid, plus the kernels perfbench's kernel tier mirrors
 // (the LMS cost evaluation of Section IV-B's "relatively high
 // computational effort", the measure stage's envelope grid, the plan FFT
-// and Welch) and the Tx envelope probe every stage's signal comes from. Wall-clock numbers come from perfbench (python3
-// perfbench/run.py); work counts are gated by the metrics goldens.
+// and Welch), the measure stage's decimation and the Tx envelope probe
+// every stage's signal comes from. Wall-clock numbers come from perfbench
+// (python3 perfbench/run.py); work counts are gated by the metrics
+// goldens.
 //
 // Run with:
 //
@@ -65,6 +67,27 @@ func BenchmarkEnvelopeGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += np {
 		r.EnvelopeGridInto(1e9, lo, fs, out)
+	}
+}
+
+// BenchmarkDecimate measures the measure stage's anti-image decimation at
+// the paper mask grid: 8192 oversampled envelope points to 2048 with
+// DecimationLowpass(4), each kept output one 91-tap sum.
+func BenchmarkDecimate(b *testing.B) {
+	lp, err := dsp.DecimationLowpass(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]complex128, 8192)
+	for i := range x {
+		x[i] = complex(math.Cos(0.03*float64(i)), math.Sin(0.017*float64(i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(lp.Decimate(x, 4)) != 2048 {
+			b.Fatal("wrong decimated length")
+		}
 	}
 }
 

@@ -71,12 +71,20 @@ func (f *FIR) Decimate(x []complex128, factor int) []complex128 {
 	out := make([]complex128, (len(x)+factor-1)/factor)
 	par.ForChunks(len(out), decimateChunk, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
+			// Taps jLo..jHi meet samples n−jLo down to n−jHi.
 			n := k*factor + d
+			jLo, jHi := max(0, n-len(x)+1), min(len(taps)-1, n)
+			if jLo > jHi {
+				continue
+			}
+			tp := taps[jLo : jHi+1]
+			xs := x[n-jHi : n-jLo+1]
+			xs = xs[:len(tp)]
 			var re, im float64
-			for j := max(0, n-len(x)+1); j <= min(len(taps)-1, n); j++ {
-				v := x[n-j]
-				re += taps[j] * real(v)
-				im += taps[j] * imag(v)
+			for j, t := range tp {
+				v := xs[len(xs)-1-j]
+				re += t * real(v)
+				im += t * imag(v)
 			}
 			out[k] = complex(re, im)
 		}
