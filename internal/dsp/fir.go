@@ -71,12 +71,10 @@ func (f *FIR) Decimate(x []complex128, factor int) []complex128 {
 	out := make([]complex128, (len(x)+factor-1)/factor)
 	par.ForChunks(len(out), decimateChunk, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			// Taps jLo..jHi meet samples n−jLo down to n−jHi.
+			// Taps jLo..jHi meet samples n−jLo down to n−jHi; the
+			// reslice tells the compiler the two windows have one length.
 			n := k*factor + d
 			jLo, jHi := max(0, n-len(x)+1), min(len(taps)-1, n)
-			if jLo > jHi {
-				continue
-			}
 			tp := taps[jLo : jHi+1]
 			xs := x[n-jHi : n-jLo+1]
 			xs = xs[:len(tp)]

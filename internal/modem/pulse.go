@@ -162,4 +162,3 @@ func pulseSamples(p *SRRC, oversample int) (v []float64, dt float64) {
 	}
 	return v, dt
 }
-
