@@ -168,6 +168,52 @@ func TestDecimateMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestConvolveMatchesDirect: at factor 1 the filter is a linear
+// convolution. Zero-padding the input by len(taps)−1 on each side turns
+// the "same"-length output into the full one, which must equal the
+// textbook double sum at every lag.
+func TestConvolveMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := make([]float64, 300)
+	b := make([]float64, 41)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+	}
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	want := make([]float64, len(a)+len(b)-1)
+	for i, av := range a {
+		for j, bv := range b {
+			want[i+j] += av * bv
+		}
+	}
+	pad := len(b) - 1
+	x := make([]complex128, len(a)+2*pad)
+	for i, v := range a {
+		x[pad+i] = complex(v, 0)
+	}
+	y := (&FIR{Taps: b}).Decimate(x, 1)
+	// Output k holds full-convolution lag k + d − pad, d the group delay.
+	off := pad - (len(b)-1)/2
+	for i := range want {
+		got := y[i+off]
+		if math.Abs(real(got)-want[i]) > 1e-9 || imag(got) != 0 {
+			t.Fatalf("Convolve[%d] = %v, want %g", i, got, want[i])
+		}
+	}
+}
+
+func TestConvolveEdgeCases(t *testing.T) {
+	if got := (&FIR{Taps: []float64{1}}).Decimate(nil, 1); len(got) != 0 {
+		t.Errorf("nil input gave %v, want no output", got)
+	}
+	got := (&FIR{Taps: []float64{3}}).Decimate([]complex128{2}, 1)
+	if len(got) != 1 || got[0] != 6 {
+		t.Errorf("scalar convolution = %v", got)
+	}
+}
+
 // TestDecimateWorkerInvariance: the measure stage's decimation (the paper
 // mask grid, 8192 points to 2048 with DecimationLowpass(4)) is
 // bit-identical at any pool width.
