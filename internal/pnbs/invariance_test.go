@@ -50,19 +50,55 @@ func TestAtTimesPermutationInvariance(t *testing.T) {
 	}
 }
 
+// TestAtTimesWorkerCountInvariance requires AtTimes to equal the serial At
+// loop bit for bit at every pool width, on random instants and on a uniform
+// sweep of the valid range.
 func TestAtTimesWorkerCountInvariance(t *testing.T) {
-	r, ts := invarianceFixture(t)
-	serial := make([]float64, len(ts))
-	for i, tv := range ts {
-		serial[i] = r.At(tv)
+	r, random := invarianceFixture(t)
+	lo, hi := r.ValidRange()
+	uniform := make([]float64, 257)
+	for i := range uniform {
+		uniform[i] = lo + (hi-lo)*float64(i)/float64(len(uniform)-1)
 	}
-	for _, w := range []int{1, 2, 3, 8, 16} {
+	for _, ts := range [][]float64{random, uniform} {
+		serial := make([]float64, len(ts))
+		for i, tv := range ts {
+			serial[i] = r.At(tv)
+		}
+		for _, w := range []int{1, 2, 3, 8, 16} {
+			prev := par.SetWorkers(w)
+			got := r.AtTimes(ts)
+			par.SetWorkers(prev)
+			for i := range got {
+				if got[i] != serial[i] {
+					t.Fatalf("workers=%d: AtTimes[%d] = %g, serial %g", w, i, got[i], serial[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEnvelopeGridWorkerCountInvariance requires the chunked grid fan-out
+// to give the same bytes at every pool width, over a grid that spans
+// several chunks and both capture edges (table and At paths).
+func TestEnvelopeGridWorkerCountInvariance(t *testing.T) {
+	r, _ := invarianceFixture(t)
+	fs := 4 * r.kern.band.B
+	t0 := -10 * r.tStep
+	n := 4 * (len(r.ch0) + 20)
+	var want []complex128
+	for _, w := range []int{1, 2, 3, 8} {
 		prev := par.SetWorkers(w)
-		got := r.AtTimes(ts)
+		got := make([]complex128, n)
+		r.EnvelopeGridInto(r.kern.band.Fc(), t0, fs, got)
 		par.SetWorkers(prev)
+		if want == nil {
+			want = got
+			continue
+		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: AtTimes[%d] = %g, serial %g", w, i, got[i], serial[i])
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: grid[%d] = %v, serial %v", w, i, got[i], want[i])
 			}
 		}
 	}

@@ -235,20 +235,13 @@ func (r *Reconstructor) atReference(t float64) float64 {
 }
 
 // AtTimes evaluates the reconstruction at each instant. The instants are
-// independent, so they fan out over the par worker pool; out[i] is always
-// At(ts[i]) regardless of the pool size.
+// independent, so they fan out over the par worker pool; element i is
+// always At(ts[i]) regardless of the pool size. (The BIST measure stage evaluates
+// on uniform grids through EnvelopeGridInto instead.)
 func (r *Reconstructor) AtTimes(ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	r.AtTimesInto(ts, out)
-	return out
-}
-
-// AtTimesInto is AtTimes writing into a caller-provided buffer (len(out)
-// must be >= len(ts)), so repeated evaluations over the same instants stay
-// allocation-free. (The BIST measure stage evaluates on uniform grids
-// through EnvelopeGridInto instead.)
-func (r *Reconstructor) AtTimesInto(ts []float64, out []float64) {
 	par.For(len(ts), func(i int) {
 		out[i] = r.At(ts[i])
 	})
+	return out
 }

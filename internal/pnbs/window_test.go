@@ -3,8 +3,6 @@ package pnbs
 import (
 	"math"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // toneCapture samples a paper-band tone into the two channels.
@@ -91,34 +89,5 @@ func TestNegativeKaiserBetaIsRectangular(t *testing.T) {
 	}
 	if same {
 		t.Error("rectangular and Kaiser reconstructions are identical")
-	}
-}
-
-func TestAtTimesParallelMatchesSerial(t *testing.T) {
-	band := Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
-	ch0, ch1 := toneCapture(band, d, 300)
-	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := r.ValidRange()
-	ts := make([]float64, 257)
-	for i := range ts {
-		ts[i] = lo + (hi-lo)*float64(i)/float64(len(ts)-1)
-	}
-	serial := make([]float64, len(ts))
-	for i, tv := range ts {
-		serial[i] = r.At(tv)
-	}
-	for _, w := range []int{1, 4} {
-		prev := par.SetWorkers(w)
-		got := r.AtTimes(ts)
-		par.SetWorkers(prev)
-		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: AtTimes[%d] = %g, serial %g", w, i, got[i], serial[i])
-			}
-		}
 	}
 }
