@@ -89,8 +89,8 @@ const costTableChunk = 16
 // CostTable contracts the prompt-channel tap folds of r over the instants
 // ts. The rows are independent per instant, so they are built over the par
 // pool; each row's tap fold stays serial, so the table is identical at any
-// worker count. The tap geometry (n0, clamping, dt0 accumulation by
-// repeated subtraction) mirrors At; the trig is evaluated by direct Sincos
+// worker count. The tap geometry (span, dt0 accumulation by repeated
+// subtraction) is At's; the trig is evaluated by direct Sincos
 // per tap — the table is built once per (capture, instants) and its
 // accuracy feeds every candidate, where the cost fold's cancellation
 // amplifies table error by ~1e6: a phasor recurrence here (tried) costs
@@ -123,16 +123,7 @@ func (r *Reconstructor) CostTable(ts []float64) *CostTable {
 // costRowSpan sets the tap-span geometry of the row of instant t; an
 // out-of-capture instant keeps cnt = 0 (its fused value is 0).
 func (r *Reconstructor) costRowSpan(row *fusedRow, t float64) {
-	h := r.opt.HalfTaps
-	n0 := int(math.Round((t - r.t0) / r.tStep))
-	nLo := n0 - h
-	if nLo < 0 {
-		nLo = 0
-	}
-	nHi := n0 + h
-	if nHi > len(r.ch0)-1 {
-		nHi = len(r.ch0) - 1
-	}
+	nLo, nHi := r.span(t)
 	if nLo > nHi {
 		return
 	}

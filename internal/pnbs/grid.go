@@ -21,24 +21,22 @@ import (
 // evaluates the kernel directly through Kernel.S — the atReference form —
 // and agrees with At to reassociated rounding (~1e-12 relative).
 //
-// An instant's tap centre is At's: round((t − t0)/T). When a phase sits
-// on (or within rounding of) a half sample — phase 2 at 4x oversampling
-// does — that rounding goes either way from one period to the next, so
-// each phase tabulates 2h+2 taps covering both candidate centres, the
-// floor c and c+1, and the instant reads the 2h+1 of the centre its own
-// rounding picks. Only instants whose tap span is clamped at the capture
-// edges fall back to At.
+// An instant's tap centre is At's, Reconstructor.centre. Its tie rule puts
+// an instant within 1e-9·T of a half sample — phase 2 at 4x oversampling
+// sits on one — on the upper centre whatever the float noise of t, so
+// every instant of a phase has the phase's centre, advanced one sample per
+// period, and each phase tabulates one row of 2h+1 taps. Only instants
+// whose tap span is clamped at the capture edges fall back to At.
 
 // gridPrep holds the fused per-phase coefficient tables for one (t0, fs)
 // uniform grid at the reconstructor's delay.
 type gridPrep struct {
 	over int
-	// lo[p] is the first tabulated capture index of phase p, c − h for
-	// its lower candidate centre c; instant i = q*over + p shifts it by q.
+	// lo[p] is the first tap index of phase p, centre(t_p) − h; instant
+	// i = q*over + p shifts it by q.
 	lo []int
 	// a0/a1 are the fused w(dt) S(dt) coefficients for the prompt and
-	// delayed channels over the 2h+2 taps from lo[p], phase-major with
-	// stride 2h+2: centre c uses taps [0, 2h+1), centre c+1 taps [1, 2h+2).
+	// delayed channels over the 2h+1 taps from lo[p], phase-major.
 	a0, a1 []float64
 }
 
@@ -52,27 +50,27 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	}
 	k := r.kern
 	h := r.opt.HalfTaps
-	stride := 2*h + 2
+	nt := 2*h + 1
 	d := k.D()
 	g := &gridPrep{
 		over: over,
 		lo:   make([]int, over),
-		a0:   make([]float64, over*stride),
-		a1:   make([]float64, over*stride),
+		a0:   make([]float64, over*nt),
+		a1:   make([]float64, over*nt),
 	}
 	for p := 0; p < over; p++ {
 		t := t0 + float64(p)/fs
-		nLo := int(math.Floor((t-r.t0)/r.tStep)) - h
+		nLo := r.centre(t) - h
 		g.lo[p] = nLo
-		for j := 0; j < stride; j++ {
+		for j := 0; j < nt; j++ {
 			tn := r.t0 + float64(nLo+j)*r.tStep
 			dt0 := t - tn
 			dt1 := tn + d - t
 			if w := r.window(dt0); w != 0 {
-				g.a0[p*stride+j] = w * k.S(dt0)
+				g.a0[p*nt+j] = w * k.S(dt0)
 			}
 			if w := r.window(dt1); w != 0 {
-				g.a1[p*stride+j] = w * k.S(dt1)
+				g.a1[p*nt+j] = w * k.S(dt1)
 			}
 		}
 	}
@@ -80,21 +78,17 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 }
 
 // taps returns the first capture index and the fused coefficient rows of
-// grid instant i (t = t0 + i/fs), centred where At centres t. ok is false
-// when the instant must go through At: its tap span is clamped at the
-// capture edges, or its centre is neither tabulated candidate (an instant
-// off the uniform pattern).
+// grid instant i (t = t0 + i/fs). ok is false when the instant must go
+// through At: its tap span is clamped at the capture edges, or its centre
+// is not its phase's (an instant off the uniform pattern).
 func (g *gridPrep) taps(r *Reconstructor, i int, t float64) (nLo int, a0, a1 []float64, ok bool) {
+	nt := 2*r.opt.HalfTaps + 1
+	nLo, nHi := r.span(t)
 	p := i % g.over
-	h := r.opt.HalfTaps
-	nt := 2*h + 1
-	nLo = int(math.Round((t-r.t0)/r.tStep)) - h
-	off := nLo - (g.lo[p] + i/g.over)
-	if off < 0 || off > 1 || nLo < 0 || nLo+nt > len(r.ch0) {
+	if nLo != g.lo[p]+i/g.over || nHi-nLo+1 != nt {
 		return 0, nil, nil, false
 	}
-	row := p*(nt+1) + off
-	return nLo, g.a0[row:][:nt], g.a1[row:][:nt], true
+	return nLo, g.a0[p*nt:][:nt], g.a1[p*nt:][:nt], true
 }
 
 // at evaluates grid instant i (t = t0 + i/fs) through the phase tables,

@@ -95,7 +95,7 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 		clamped := 0
 		for i := range got {
 			tv := t0 + float64(i)/fs
-			n0 := int(math.Round((tv - r.t0) / r.tStep))
+			n0 := r.centre(tv)
 			if n0-h < 0 || n0+h >= len(ch0) {
 				clamped++
 				if got[i] != want[i] {
@@ -165,8 +165,8 @@ func TestEnvelopeGridMatchesAt(t *testing.T) {
 // factor EnvelopeOversampling can pick. Grids start on the valid range —
 // the paper geometry, where 4x puts phase 2 on a half sample — and half a
 // capture sample later, which puts a phase on a half sample at every
-// factor. There At's rounding picks either centre from one period to the
-// next; the grid values must still agree with At within
+// factor. There every instant of the phase takes the upper centre, the
+// phase's tabulated one, and the grid values must agree with At within
 // FuzzEnvelopeGridVsAt's bound, 1e-9 of the conditioning scale.
 func TestGridTablesNeverFallBack(t *testing.T) {
 	band := paperBand()
@@ -219,17 +219,96 @@ func TestGridTablesNeverFallBack(t *testing.T) {
 	}
 }
 
+// TestCentreRule pins the tap-centre rule every Eq. (6) evaluator shares:
+// the nearest capture sample, with an instant on a half sample, or within
+// a few ulps of one, taking the upper centre on either side of t0, and
+// one 2e-9·T below a half sample taking the lower. span clamps the
+// centred support to the capture.
+func TestCentreRule(t *testing.T) {
+	band := paperBand()
+	const d, t0 = 180e-12, 3.3e-7
+	ch0, ch1 := toneCapture(band, d, 100)
+	r, err := NewReconstructor(band, d, t0, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := r.tStep
+	for _, k := range []int{40, -3} {
+		at := func(x float64) float64 { return t0 + (float64(k)+x)*tt }
+		half := at(0.5)
+		up, down := half, half
+		for u := 0; u <= 4; u++ {
+			if c, c2 := r.centre(up), r.centre(down); c != k+1 || c2 != k+1 {
+				t.Errorf("k=%d: half sample %+d/−%d ulps centres on %d/%d, want %d", k, u, u, c, c2, k+1)
+			}
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+		}
+		for _, c := range []struct {
+			x    float64
+			want int
+		}{{0.5 - 2e-9, k}, {0.3, k}, {0.7, k + 1}, {0, k}} {
+			if got := r.centre(at(c.x)); got != c.want {
+				t.Errorf("k=%d x=%g: centre %d, want %d", k, c.x, got, c.want)
+			}
+		}
+	}
+	h := r.opt.HalfTaps
+	for _, c := range []struct {
+		n0, lo, hi int
+	}{{0, 0, h}, {50, 50 - h, 50 + h}, {99, 99 - h, 99}, {-h - 1, 0, -1}} {
+		if lo, hi := r.span(t0 + float64(c.n0)*tt); lo != c.lo || hi != c.hi {
+			t.Errorf("span at sample %d = [%d, %d], want [%d, %d]", c.n0, lo, hi, c.lo, c.hi)
+		}
+	}
+}
+
+// TestEnvelopeGridUlpShiftStable shifts the start of a paper-geometry grid
+// (4x from the valid range's start, which puts phase 2 on half samples) by
+// a few ulps either way. Under the tie rule no instant changes centre, so
+// the envelope moves by rounding only: at most 1e-10 of its peak.
+func TestEnvelopeGridUlpShiftStable(t *testing.T) {
+	band := paperBand()
+	const d = 180.8e-12
+	ch0, ch1 := noisyCapture(band, d, 2200, 23)
+	r, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := r.ValidRange()
+	fs := 4 * band.B
+	base := make([]complex128, 8192)
+	r.EnvelopeGridInto(band.Fc(), lo, fs, base)
+	peak := 0.0
+	for _, v := range base {
+		peak = math.Max(peak, cmplx.Abs(v))
+	}
+	got := make([]complex128, len(base))
+	for _, ulps := range []int{1, 4, 16, -1, -4, -16} {
+		t0 := lo
+		for u := 0; u < ulps; u++ {
+			t0 = math.Nextafter(t0, math.Inf(1))
+		}
+		for u := 0; u > ulps; u-- {
+			t0 = math.Nextafter(t0, math.Inf(-1))
+		}
+		r.EnvelopeGridInto(band.Fc(), t0, fs, got)
+		worst := 0.0
+		for i := range got {
+			worst = math.Max(worst, cmplx.Abs(got[i]-base[i]))
+		}
+		if worst > 1e-10*peak {
+			t.Errorf("start shifted %+d ulps: envelope moved %.3g of its peak", ulps, worst/peak)
+		}
+	}
+}
+
 // absAt is the conditioning scale of At(t): the sum of the magnitudes of
 // its tap terms, which bounds the rounding of any reassociated evaluation.
 func absAt(r *Reconstructor, t float64) float64 {
-	n0 := int(math.Round((t - r.t0) / r.tStep))
-	h := r.opt.HalfTaps
+	nLo, nHi := r.span(t)
 	d := r.kern.D()
 	acc := 0.0
-	for n := n0 - h; n <= n0+h; n++ {
-		if n < 0 || n >= len(r.ch0) {
-			continue
-		}
+	for n := nLo; n <= nHi; n++ {
 		tn := r.t0 + float64(n)*r.tStep
 		acc += math.Abs(r.ch0[n]*r.kern.S(t-tn)*r.window(t-tn)) +
 			math.Abs(r.ch1[n]*r.kern.S(tn+d-t)*r.window(tn+d-t))
@@ -248,6 +327,8 @@ func FuzzEnvelopeGridVsAt(f *testing.F) {
 	f.Add(0.36, -1.5, uint8(8), int64(3)) // grid outside the valid range
 	f.Add(0.123, 0.77, uint8(3), int64(4))
 	f.Add(0.5, 0.25, uint8(2), int64(5))
+	f.Add(0.36, 0.75, uint8(1), int64(6))        // 2x from a sample point: phase 1 on half samples
+	f.Add(0.2, 0.25+36.5/72, uint8(3), int64(7)) // 4x from a half sample: phase 0 on half samples
 	f.Fuzz(func(t *testing.T, dFrac, tFrac float64, over uint8, seed int64) {
 		if math.IsNaN(dFrac) || math.IsInf(dFrac, 0) || math.IsNaN(tFrac) || math.IsInf(tFrac, 0) {
 			t.Skip()

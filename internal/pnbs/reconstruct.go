@@ -114,6 +114,22 @@ func (r *Reconstructor) ValidRange() (tMin, tMax float64) {
 	return r.t0 + h, r.t0 + float64(len(r.ch0)-1)*r.tStep - h
 }
 
+// centre returns the capture index whose sample pair centres the Eq. (6)
+// tap span of instant t: the nearest, ⌊(t − t0)/T + ½⌋. An instant within
+// 1e-9·T of a half sample takes the upper centre, the one exact arithmetic
+// rounds to, so float noise in t cannot pick the centre of a tie. Every
+// evaluator of Eq. (6) centres its taps here.
+func (r *Reconstructor) centre(t float64) int {
+	return int(math.Floor((t-r.t0)/r.tStep + 0.5 + 1e-9))
+}
+
+// span returns the tap span [nLo, nHi] of instant t: centre(t) ± HalfTaps,
+// clamped to the capture. nLo > nHi when the span misses the capture.
+func (r *Reconstructor) span(t float64) (nLo, nHi int) {
+	n0, h := r.centre(t), r.opt.HalfTaps
+	return max(n0-h, 0), min(n0+h, len(r.ch0)-1)
+}
+
 // window evaluates the continuous Kaiser taper at normalised offset
 // x = dt / ((HalfTaps+1) T), zero outside |x| >= 1. The taper value comes
 // from the shared per-beta lookup table (see window.go); a nil table means
@@ -138,16 +154,7 @@ func (r *Reconstructor) window(dt float64) float64 {
 // Sincos calls per tap with complex multiplies; atReference keeps the
 // direct evaluation for differential testing.
 func (r *Reconstructor) At(t float64) float64 {
-	n0 := int(math.Round((t - r.t0) / r.tStep))
-	h := r.opt.HalfTaps
-	nLo := n0 - h
-	if nLo < 0 {
-		nLo = 0
-	}
-	nHi := n0 + h
-	if nHi > len(r.ch0)-1 {
-		nHi = len(r.ch0) - 1
-	}
+	nLo, nHi := r.span(t)
 	if nLo > nHi {
 		return 0
 	}
@@ -213,14 +220,10 @@ func (r *Reconstructor) At(t float64) float64 {
 // atReference is the direct (Sincos-per-tap) evaluation kept as the
 // correctness oracle for At.
 func (r *Reconstructor) atReference(t float64) float64 {
-	n0 := int(math.Round((t - r.t0) / r.tStep))
-	h := r.opt.HalfTaps
+	nLo, nHi := r.span(t)
 	d := r.kern.D()
 	acc := 0.0
-	for n := n0 - h; n <= n0+h; n++ {
-		if n < 0 || n >= len(r.ch0) {
-			continue
-		}
+	for n := nLo; n <= nHi; n++ {
 		tn := r.t0 + float64(n)*r.tStep
 		dt0 := t - tn
 		if w := r.window(dt0); w != 0 {
