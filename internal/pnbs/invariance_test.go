@@ -50,32 +50,43 @@ func TestAtTimesPermutationInvariance(t *testing.T) {
 	}
 }
 
-// TestAtTimesWorkerCountInvariance requires AtTimes to equal the serial At
-// loop bit for bit at every pool width, on random instants and on a uniform
-// sweep of the valid range.
-func TestAtTimesWorkerCountInvariance(t *testing.T) {
-	r, random := invarianceFixture(t)
-	lo, hi := r.ValidRange()
-	uniform := make([]float64, 257)
-	for i := range uniform {
-		uniform[i] = lo + (hi-lo)*float64(i)/float64(len(uniform)-1)
+// requireAtTimesMatchesSerial requires AtTimes(ts) to equal the serial At
+// loop bit for bit at each of the given pool widths.
+func requireAtTimesMatchesSerial(t *testing.T, r *Reconstructor, ts []float64, workers []int) {
+	t.Helper()
+	serial := make([]float64, len(ts))
+	for i, tv := range ts {
+		serial[i] = r.At(tv)
 	}
-	for _, ts := range [][]float64{random, uniform} {
-		serial := make([]float64, len(ts))
-		for i, tv := range ts {
-			serial[i] = r.At(tv)
-		}
-		for _, w := range []int{1, 2, 3, 8, 16} {
-			prev := par.SetWorkers(w)
-			got := r.AtTimes(ts)
-			par.SetWorkers(prev)
-			for i := range got {
-				if got[i] != serial[i] {
-					t.Fatalf("workers=%d: AtTimes[%d] = %g, serial %g", w, i, got[i], serial[i])
-				}
+	for _, w := range workers {
+		prev := par.SetWorkers(w)
+		got := r.AtTimes(ts)
+		par.SetWorkers(prev)
+		for i := range got {
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d: AtTimes[%d] = %g, serial %g", w, i, got[i], serial[i])
 			}
 		}
 	}
+}
+
+// TestAtTimesParallelMatchesSerial checks a uniform sweep of the valid
+// range at every pool width.
+func TestAtTimesParallelMatchesSerial(t *testing.T) {
+	r, _ := invarianceFixture(t)
+	lo, hi := r.ValidRange()
+	ts := make([]float64, 257)
+	for i := range ts {
+		ts[i] = lo + (hi-lo)*float64(i)/float64(len(ts)-1)
+	}
+	requireAtTimesMatchesSerial(t, r, ts, []int{1, 2, 3, 4, 8, 16})
+}
+
+// TestAtTimesWorkerCountInvariance checks random instants at every pool
+// width.
+func TestAtTimesWorkerCountInvariance(t *testing.T) {
+	r, ts := invarianceFixture(t)
+	requireAtTimesMatchesSerial(t, r, ts, []int{1, 2, 3, 8, 16})
 }
 
 // TestEnvelopeGridWorkerCountInvariance requires the chunked grid fan-out
