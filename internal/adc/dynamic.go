@@ -56,7 +56,7 @@ func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 	// Locate the fundamental near the expected bin.
 	exp := int(nu*float64(n) + 0.5)
 	fund := exp
-	for k := maxInt(1, exp-3); k <= minInt(half-1, exp+3); k++ {
+	for k := max(1, exp-3); k <= min(half-1, exp+3); k++ {
 		if power[k] > power[fund] {
 			fund = k
 		}
@@ -64,7 +64,7 @@ func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 	// Kaiser beta=13 main lobe spans ~+-4 bins around the peak.
 	const lobe = 6
 	sigPow := 0.0
-	for k := maxInt(1, fund-lobe); k <= minInt(half-1, fund+lobe); k++ {
+	for k := max(1, fund-lobe); k <= min(half-1, fund+lobe); k++ {
 		sigPow += power[k]
 	}
 	if sigPow <= 0 {
@@ -77,7 +77,7 @@ func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 		if hb < 1 || hb >= half {
 			continue
 		}
-		for k := maxInt(1, hb-lobe); k <= minInt(half-1, hb+lobe); k++ {
+		for k := max(1, hb-lobe); k <= min(half-1, hb+lobe); k++ {
 			if k >= fund-lobe && k <= fund+lobe {
 				continue
 			}
@@ -127,18 +127,4 @@ func foldBin(k, n int) int {
 		k = n - k
 	}
 	return k
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

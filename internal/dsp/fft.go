@@ -106,44 +106,28 @@ func fftRadix2(a []complex128, inverse bool) {
 	}
 }
 
-// RealFFT computes the DFT of a real sequence and returns the full complex
-// spectrum (length len(x)). For real inputs the upper half mirrors the lower
-// half; callers interested in the one-sided spectrum can slice [:n/2+1] or
-// call RealFFTHalf. Even lengths take the half-size complex-transform
-// split (RealPlan) — roughly twice as fast as widening to []complex128 —
-// and odd lengths fall back to the complex plan.
-func RealFFT(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	if n >= 2 && n%2 == 0 {
-		PlanRealFFT(n).Transform(out, x)
-		return out
-	}
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	PlanFFT(n).Execute(out)
-	return out
-}
-
 // RealFFTHalf computes the one-sided spectrum of a real sequence: bins
 // 0..n/2 inclusive (length n/2+1). For real input the remaining bins are
-// the conjugate mirror, so this is the whole information content at half
-// the memory traffic of RealFFT.
+// the conjugate mirror, so this is the whole information content. Even
+// lengths take the half-size complex-transform split (RealPlan), roughly
+// twice as fast as widening to []complex128; odd lengths widen and run the
+// complex plan.
 func RealFFTHalf(x []float64) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	if n >= 2 && n%2 == 0 {
+	if n%2 == 0 {
 		out := make([]complex128, n/2+1)
 		PlanRealFFT(n).HalfSpectrum(out, x)
 		return out
 	}
-	return RealFFT(x)[:n/2+1]
+	out := make([]complex128, n)
+	for i, v := range x {
+		out[i] = complex(v, 0)
+	}
+	PlanFFT(n).Execute(out)
+	return out[:n/2+1]
 }
 
 // FFTShiftFloat reorders a real-valued spectrum (e.g. a PSD estimate) so

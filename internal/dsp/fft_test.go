@@ -153,6 +153,9 @@ func TestFFTSingleToneBin(t *testing.T) {
 	}
 }
 
+// TestRealFFTConjugateSymmetry: the one-sided spectrum is the conjugate
+// mirror of the complex transform's upper half, X[k] = conj(X[n-k]), so
+// its DC and Nyquist bins are real.
 func TestRealFFTConjugateSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 128
@@ -160,12 +163,25 @@ func TestRealFFTConjugateSymmetry(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	spec := RealFFT(x)
-	for k := 1; k < n; k++ {
-		if cmplx.Abs(spec[k]-cmplx.Conj(spec[n-k])) > 1e-9 {
+	half := RealFFTHalf(x)
+	full := FFT(widen(x))
+	for k := 1; k <= n/2; k++ {
+		if cmplx.Abs(half[k]-cmplx.Conj(full[n-k])) > 1e-9 {
 			t.Fatalf("bin %d breaks conjugate symmetry", k)
 		}
 	}
+	if math.Abs(imag(half[0])) > 1e-9 || math.Abs(imag(half[n/2])) > 1e-9 {
+		t.Errorf("DC %v or Nyquist %v not real", half[0], half[n/2])
+	}
+}
+
+// widen returns x as a complex vector with zero imaginary parts.
+func widen(x []float64) []complex128 {
+	c := make([]complex128, len(x))
+	for i, v := range x {
+		c[i] = complex(v, 0)
+	}
+	return c
 }
 
 func TestDTFTMatchesFFTOnBins(t *testing.T) {
@@ -175,7 +191,7 @@ func TestDTFTMatchesFFTOnBins(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	spec := RealFFT(x)
+	spec := RealFFTHalf(x)
 	for _, k := range []int{0, 1, 7, 23} {
 		got := DTFT(x, float64(k)/float64(n))
 		if cmplx.Abs(got-spec[k]) > 1e-9 {

@@ -84,7 +84,9 @@ func TestFFTTimeShiftTheorem(t *testing.T) {
 }
 
 // TestFFTConjugateSymmetryAllLengths: a real input spectrum satisfies
-// X[(N-k) mod N] = conj(X[k]) on both transform paths.
+// X[(N-k) mod N] = conj(X[k]) on the complex path, and the one-sided
+// spectrum (the real-input split at even N, the widened complex plan at
+// odd N) is the conjugate mirror of its upper half.
 func TestFFTConjugateSymmetryAllLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for _, n := range metamorphicLengths {
@@ -92,11 +94,18 @@ func TestFFTConjugateSymmetryAllLengths(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		X := RealFFT(x)
+		X := FFT(widen(x))
 		for k := range X {
 			mirror := X[(n-k)%n]
 			if cmplx.Abs(mirror-cmplx.Conj(X[k])) > 1e-8*(1+cmplx.Abs(X[k]))*float64(n) {
 				t.Errorf("n=%d bin %d: conjugate symmetry violated", n, k)
+				break
+			}
+		}
+		for k, v := range RealFFTHalf(x) {
+			mirror := X[(n-k)%n]
+			if cmplx.Abs(v-cmplx.Conj(mirror)) > 1e-8*(1+cmplx.Abs(v))*float64(n) {
+				t.Errorf("n=%d bin %d: one-sided spectrum is not the mirror", n, k)
 				break
 			}
 		}

@@ -103,12 +103,8 @@ func TestRealPlanZeroAllocs(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(0.2 * float64(i))
 	}
-	dst := make([]complex128, n)
 	half := make([]complex128, n/2+1)
-	p.Transform(dst, x)
-	if a := testing.AllocsPerRun(20, func() { p.Transform(dst, x) }); a != 0 {
-		t.Errorf("Transform allocates %.1f objects/op, want 0", a)
-	}
+	p.HalfSpectrum(half, x)
 	if a := testing.AllocsPerRun(20, func() { p.HalfSpectrum(half, x) }); a != 0 {
 		t.Errorf("HalfSpectrum allocates %.1f objects/op, want 0", a)
 	}
@@ -179,7 +175,6 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 		func() { NewPlan(-1, false) },
 		func() { PlanRealFFT(15) },
 		func() { PlanRealFFT(0) },
-		func() { PlanRealFFT(16).Transform(make([]complex128, 8), make([]float64, 16)) },
 		func() { PlanRealFFT(16).HalfSpectrum(make([]complex128, 16), make([]float64, 16)) },
 	} {
 		func() {
@@ -200,22 +195,12 @@ func TestRealPlanMatchesComplexFFT(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		c := make([]complex128, n)
-		for i, v := range x {
-			c[i] = complex(v, 0)
-		}
-		want := FFT(c)
-		got := RealFFT(x)
+		want := FFT(widen(x))
 		scale := 1.0
 		for _, v := range x {
 			scale += math.Abs(v)
 		}
 		tol := 1e-12 * scale
-		for k := range want {
-			if d := cmplx.Abs(got[k] - want[k]); d > tol {
-				t.Fatalf("n=%d bin %d: RealFFT %v vs FFT %v (diff %g)", n, k, got[k], want[k], d)
-			}
-		}
 		half := RealFFTHalf(x)
 		if len(half) != n/2+1 {
 			t.Fatalf("n=%d: RealFFTHalf length %d, want %d", n, len(half), n/2+1)
@@ -229,13 +214,12 @@ func TestRealPlanMatchesComplexFFT(t *testing.T) {
 }
 
 func TestRealFFTOddAndEmpty(t *testing.T) {
-	if RealFFT(nil) != nil || RealFFTHalf(nil) != nil {
+	if RealFFTHalf(nil) != nil {
 		t.Error("empty input should give nil")
 	}
-	x := []float64{1.5}
-	got := RealFFT(x)
+	got := RealFFTHalf([]float64{1.5})
 	if len(got) != 1 || got[0] != complex(1.5, 0) {
-		t.Errorf("length-1 RealFFT = %v", got)
+		t.Errorf("length-1 RealFFTHalf = %v", got)
 	}
 	h := RealFFTHalf([]float64{2, 1, -1}) // odd: falls back to the complex path
 	if len(h) != 2 {

@@ -28,7 +28,7 @@ var realPlanCache sync.Map // int -> *RealPlan
 // PlanRealFFT returns the shared real-input forward plan for even length
 // n >= 2, building and caching it on first use. It panics for odd or
 // non-positive n; callers with odd lengths use the complex path (as
-// RealFFT does).
+// RealFFTHalf does).
 func PlanRealFFT(n int) *RealPlan {
 	if n < 2 || n%2 != 0 {
 		panic(fmt.Sprintf("dsp: PlanRealFFT: length %d is not even and positive", n))
@@ -54,37 +54,17 @@ func PlanRealFFT(n int) *RealPlan {
 // Len returns the real transform length the plan was built for.
 func (p *RealPlan) Len() int { return p.n }
 
-// Transform writes the full length-n complex spectrum of x into dst.
-// len(x) and len(dst) must equal Len(). The upper half is filled by
-// conjugate symmetry: dst[n-k] = conj(dst[k]). Zero allocations in steady
-// state.
-func (p *RealPlan) Transform(dst []complex128, x []float64) {
-	if len(x) != p.n || len(dst) != p.n {
-		panic(fmt.Sprintf("dsp: RealPlan.Transform: lengths %d, %d do not match plan size %d",
-			len(dst), len(x), p.n))
-	}
-	h := p.n / 2
-	p.untangle(dst[:h+1], x)
-	for k := 1; k < h; k++ {
-		dst[p.n-k] = conj(dst[k])
-	}
-}
-
 // HalfSpectrum writes the one-sided spectrum (bins 0..n/2 inclusive) of x
 // into dst, which must have length n/2+1. For real input this is the
 // whole information content; bins n/2+1..n-1 are its mirror. Zero
-// allocations in steady state.
+// allocations in steady state: x packs into a pooled half-length buffer,
+// the half-size complex transform runs in place, and bins 0..n/2 are
+// recombined into dst.
 func (p *RealPlan) HalfSpectrum(dst []complex128, x []float64) {
 	if len(x) != p.n || len(dst) != p.n/2+1 {
 		panic(fmt.Sprintf("dsp: RealPlan.HalfSpectrum: lengths %d, %d do not match plan size %d",
 			len(dst), len(x), p.n))
 	}
-	p.untangle(dst, x)
-}
-
-// untangle packs x into the pooled half-length buffer, runs the half-size
-// complex transform and recombines bins 0..n/2 into dst.
-func (p *RealPlan) untangle(dst []complex128, x []float64) {
 	h := p.n / 2
 	sp := p.scratch.Get().(*[]complex128)
 	z := *sp

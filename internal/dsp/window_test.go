@@ -90,7 +90,7 @@ func TestKaiserSidelobesImproveWithBeta(t *testing.T) {
 		w := Kaiser(n, beta)
 		pad := make([]float64, 4096)
 		copy(pad, w)
-		spec := RealFFT(pad)
+		spec := RealFFTHalf(pad)
 		main := cabs(spec[0])
 		// Find peak beyond the main lobe (skip first ~ mainlobe bins).
 		skip := 4096 / n * 4

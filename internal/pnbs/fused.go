@@ -176,14 +176,6 @@ type fusedEval struct {
 	// delayed-channel kernel denominators into one division per tap.
 	cot0, cot1 float64
 	inv0, inv1 float64
-	// winScale/lutCoef/lutInv are the taper lookup hoisted out of
-	// Reconstructor.window: the window is the hottest leaf of the tap loop
-	// and neither window nor windowLUT.at is inlinable, so the tap loop
-	// evaluates the precomputed per-segment cubic coefficients directly.
-	// lutCoef is nil for the rectangular (no-taper) window.
-	winScale float64
-	lutCoef  []float64
-	lutInv   float64
 	// vec holds the candidate's scalars for the vector tap kernel; vec.n,
 	// the full tap span it runs, is 0 when this candidate stays on the Go
 	// loop (no AVX2, an s0Zero band or no taper).
@@ -201,11 +193,6 @@ func (tab *CostTable) eval(k *Kernel) fusedEval {
 		e.cot0 = math.Cos(k.phi0) / k.sin0
 		e.inv0 = e.inv2piB / k.sin0
 	}
-	e.winScale = r.winScale
-	if r.win != nil {
-		e.lutCoef = r.win.coef
-		e.lutInv = r.win.inv
-	}
 	if useAVX2 && !k.s0Zero && r.win != nil {
 		e.vec = tapConst{
 			seed: [4][4]float64{
@@ -215,12 +202,12 @@ func (tab *CostTable) eval(k *Kernel) fusedEval {
 				{k.b1, k.phi1, real(r.cjB1), imag(r.cjB1)},
 			},
 			rec:      [4]float64{2 * real(r.cjA0), 2 * real(r.cjB0), 2 * real(r.cjA1), 2 * real(r.cjB1)},
-			winScale: e.winScale,
-			lutInv:   e.lutInv,
+			winScale: r.winScale,
+			lutInv:   r.win.inv,
 			tStep:    r.tStep,
 			inv0:     e.inv0,
 			inv1:     e.inv1,
-			coef:     &e.lutCoef[0],
+			coef:     &r.win.coef[0],
 			n:        2*r.opt.HalfTaps + 1,
 		}
 	}
@@ -249,79 +236,40 @@ func (e *fusedEval) at(i int) float64 {
 	// consumed here, so the per-tap state is four Chebyshev cosine
 	// recurrences (cos(θ+δ) = 2 cos δ · cos θ − cos(θ−δ)) — one multiply
 	// per angle per tap in place of a complex multiply — with the two
-	// kernel divisions merged. The taper is the precomputed per-segment
-	// cubic on the hoisted fusedEval locals (window/windowLUT.at are not
-	// inlinable), and the loop is split on s0Zero so the
-	// integer-positioned case never touches the (a0,b0) pair it would
-	// discard. The j = 0 seeds are the same Sincos arguments the serial
+	// kernel divisions merged. An integer-positioned band (s0Zero) keeps
+	// inv0 = 0, so its (a0,b0) term adds ±0 to num: that can flip only the
+	// sign of a zero num, and a zero tap term leaves dAcc, which starts at
+	// +0 and so never holds −0, unchanged — the same bits as dropping the
+	// pair. The j = 0 seeds are the same Sincos arguments the serial
 	// kernel evaluates — a factored seed (cis(a·dtdStart)·cis(a·D − φ),
 	// tried) decorrelates the trig rounding from the oracle's and the cost
 	// fold's ~1e6 cancellation amplification turns that into ~1e-8, past
-	// the 1e-9 contract. The j = −1 values follow from the
-	// angle-difference identity on the Sincos components, so the second
-	// seed per angle is free.
+	// the 1e-9 contract. The j = −1 values follow from the angle-difference
+	// identity on the Sincos components, so the second seed per angle is
+	// free.
 	dt1 := row.dtdStart + k.d
-	sv1, cv1 := math.Sincos(k.a1*dt1 - k.phi1)
-	tA1 := 2 * real(r.cjA1)
-	cA1, pA1 := cv1, cv1*real(r.cjA1)+sv1*imag(r.cjA1)
-	sv1, cv1 = math.Sincos(k.b1*dt1 - k.phi1)
-	tB1 := 2 * real(r.cjB1)
-	cB1, pB1 := cv1, cv1*real(r.cjB1)+sv1*imag(r.cjB1)
-	ch1 := r.ch1[row.nLo:][:row.cnt]
-	winScale, coef, lutInv := e.winScale, e.lutCoef, e.lutInv
-	tStep, inv1 := r.tStep, e.inv1
-	dAcc := 0.0
-	if k.s0Zero {
-		for j := range ch1 {
-			x := dt1 * winScale
-			if ax := x * x; ax < 1 {
-				w := 1.0
-				if coef != nil {
-					p := ax * lutInv
-					ii := int(p)
-					if ii > lutSize-1 {
-						ii = lutSize - 1
-					}
-					fr := p - float64(ii)
-					c := coef[ii*4 : ii*4+4 : ii*4+4]
-					w = ((c[3]*fr+c[2])*fr+c[1])*fr + c[0]
-				}
-				if w != 0 {
-					var sv float64
-					if math.Abs(dt1) < 1e-12 {
-						sv = k.S(dt1)
-					} else {
-						sv = (cA1 - cB1) * inv1 / dt1
-					}
-					dAcc += ch1[j] * sv * w
-				}
-			}
-			dt1 += tStep
-			cA1, pA1 = tA1*cA1-pA1, cA1
-			cB1, pB1 = tB1*cB1-pB1, cB1
-		}
-		return acc + dAcc
-	}
-	sv0, cv0 := math.Sincos(k.a0*dt1 - k.phi0)
+	sv, cv := math.Sincos(k.a0*dt1 - k.phi0)
 	tA0 := 2 * real(r.cjA0)
-	cA0, pA0 := cv0, cv0*real(r.cjA0)+sv0*imag(r.cjA0)
-	sv0, cv0 = math.Sincos(k.b0*dt1 - k.phi0)
+	cA0, pA0 := cv, cv*real(r.cjA0)+sv*imag(r.cjA0)
+	sv, cv = math.Sincos(k.b0*dt1 - k.phi0)
 	tB0 := 2 * real(r.cjB0)
-	cB0, pB0 := cv0, cv0*real(r.cjB0)+sv0*imag(r.cjB0)
-	inv0 := e.inv0
+	cB0, pB0 := cv, cv*real(r.cjB0)+sv*imag(r.cjB0)
+	sv, cv = math.Sincos(k.a1*dt1 - k.phi1)
+	tA1 := 2 * real(r.cjA1)
+	cA1, pA1 := cv, cv*real(r.cjA1)+sv*imag(r.cjA1)
+	sv, cv = math.Sincos(k.b1*dt1 - k.phi1)
+	tB1 := 2 * real(r.cjB1)
+	cB1, pB1 := cv, cv*real(r.cjB1)+sv*imag(r.cjB1)
+	ch1 := r.ch1[row.nLo:][:row.cnt]
+	win, winScale := r.win, r.winScale
+	tStep, inv0, inv1 := r.tStep, e.inv0, e.inv1
+	dAcc := 0.0
 	for j := range ch1 {
 		x := dt1 * winScale
 		if ax := x * x; ax < 1 {
 			w := 1.0
-			if coef != nil {
-				p := ax * lutInv
-				ii := int(p)
-				if ii > lutSize-1 {
-					ii = lutSize - 1
-				}
-				fr := p - float64(ii)
-				c := coef[ii*4 : ii*4+4 : ii*4+4]
-				w = ((c[3]*fr+c[2])*fr+c[1])*fr + c[0]
+			if win != nil {
+				w = win.at(ax)
 			}
 			if w != 0 {
 				var sv float64

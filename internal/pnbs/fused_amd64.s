@@ -5,9 +5,10 @@
 // exactly the IEEE operation sequence of the Go loop it replaces, one
 // packed instruction per scalar one, so results are bit-identical: packed
 // add, sub, mul, div and the conversions are correctly rounded like their
-// scalar forms, no FMA is used (the Go compiler fuses nothing at the
-// default GOAMD64), and a lane the Go loop would skip adds +0.0 instead.
-// Commuted operands of a single add or multiply are exact.
+// scalar forms, no FMA is used (the Go compiler never contracts x*y + z on
+// amd64, at any GOAMD64 level), and a lane the Go loop would skip adds +0.0
+// instead. Commuted operands of a single add or multiply are exact. Both
+// kernels read the taper from windowLUT.coef through one macro, TAPER.
 
 // BCAST4 declares a 32-byte read-only constant holding bits four times.
 #define BCAST4(name, bits) \
@@ -22,10 +23,6 @@ BCAST4(signmask, 0x8000000000000000)
 BCAST4(absmask, 0x7fffffffffffffff)
 BCAST4(one, 0x3ff0000000000000)
 BCAST4(half, 0x3fe0000000000000)
-BCAST4(two, 0x4000000000000000)
-BCAST4(three, 0x4008000000000000)
-BCAST4(four, 0x4010000000000000)
-BCAST4(five, 0x4014000000000000)
 BCAST4(two29, 0x41c0000000000000)  // 2^29: math.Sincos' reduceThreshold
 BCAST4(fouropi, 0x3ff45f306dc9c883) // 4/Pi
 BCAST4(pi4a, 0x3fe921fb40000000)
@@ -173,25 +170,30 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VADDPD       Y6, Y5, P; \
 	VMOVAPD      Y4, C
 
-// TAP runs one tap of fusedTaps4's loop. Each Chebyshev step writes the
-// new state over the previous value, c, p = t·c − p, c, so consecutive
-// taps swap the roles of each (c, p) register pair.
-#define TAP(cA0, pA0, cB0, pB0, cA1, pA1, cB1, pB1) \
-	VMULPD      F_WS(SP), Y0, Y2; \
+// TAPER evaluates the Kaiser taper of Reconstructor.window on four lanes
+// at tap offset Y0, in windowLUT.at's order: x = dt·winScale, ax = x²,
+// p = ax·lutInv, fr = p − int(p) on segment int(p) (clamped to lutSize−1
+// first, which only lanes with ax >= 1 reach), then
+// w = ((c3·fr + c2)·fr + c1)·fr + c0 from the segment's 32 bytes of coef
+// at SI, four loads transposed. The frame slots ws, li and lutmax hold
+// winScale, lutInv and lutSize−1 in four lanes; idx is 16 bytes of
+// scratch. Leaves w in Y6 and in Y7 the lanes that contribute, ax < 1 and
+// w != 0; clobbers Y2–Y5 and AX–DX.
+#define TAPER(ws, li, lutmax, idx) \
+	VMULPD      ws(SP), Y0, Y2; \
 	VMULPD      Y2, Y2, Y2; \
-	VCMPPD      $1, one<>(SB), Y2, Y3; \
-	VMOVUPD     Y3, F_MASK(SP); \
-	VMULPD      F_LI(SP), Y2, Y2; \
-	VMINPD      F_LUTMAX(SP), Y2, Y3; \
+	VCMPPD      $1, one<>(SB), Y2, Y7; \
+	VMULPD      li(SP), Y2, Y2; \
+	VMINPD      lutmax(SP), Y2, Y3; \
 	VCVTTPD2DQY Y3, X3; \
 	VCVTDQ2PD   X3, Y4; \
 	VSUBPD      Y4, Y2, Y2; \
 	VPSLLD      $5, X3, X3; \
-	VMOVDQU     X3, F_IDX(SP); \
-	MOVL        (F_IDX+0)(SP), AX; \
-	MOVL        (F_IDX+4)(SP), BX; \
-	MOVL        (F_IDX+8)(SP), CX; \
-	MOVL        (F_IDX+12)(SP), DX; \
+	VMOVDQU     X3, idx(SP); \
+	MOVL        (idx+0)(SP), AX; \
+	MOVL        (idx+4)(SP), BX; \
+	MOVL        (idx+8)(SP), CX; \
+	MOVL        (idx+12)(SP), DX; \
 	VMOVUPD     16(SI)(AX*1), X4; \
 	VINSERTF128 $1, 16(SI)(CX*1), Y4, Y4; \
 	VMOVUPD     16(SI)(BX*1), X5; \
@@ -205,13 +207,19 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VINSERTF128 $1, (SI)(CX*1), Y4, Y4; \
 	VMOVUPD     (SI)(BX*1), X5; \
 	VINSERTF128 $1, (SI)(DX*1), Y5, Y5; \
-	VUNPCKHPD   Y5, Y4, Y7; \
+	VUNPCKHPD   Y5, Y4, Y3; \
 	VUNPCKLPD   Y5, Y4, Y4; \
-	VADDPD      Y7, Y6, Y6; \
+	VADDPD      Y3, Y6, Y6; \
 	VMULPD      Y2, Y6, Y6; \
 	VADDPD      Y4, Y6, Y6; \
 	VCMPPD      $4, zero<>(SB), Y6, Y4; \
-	VANDPD      F_MASK(SP), Y4, Y4; \
+	VANDPD      Y4, Y7, Y7
+
+// TAP runs one tap of fusedTaps4's loop. Each Chebyshev step writes the
+// new state over the previous value, c, p = t·c − p, c, so consecutive
+// taps swap the roles of each (c, p) register pair.
+#define TAP(cA0, pA0, cB0, pB0, cA1, pA1, cB1, pB1) \
+	TAPER(F_WS, F_LI, F_LUTMAX, F_IDX); \
 	VSUBPD      cB1, cA1, Y2; \
 	VMULPD      F_INV1(SP), Y2, Y2; \
 	VSUBPD      cB0, cA0, Y3; \
@@ -225,7 +233,7 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VINSERTF128 $1, X5, Y3, Y3; \
 	VMULPD      Y2, Y3, Y3; \
 	VMULPD      Y6, Y3, Y3; \
-	VANDPD      Y4, Y3, Y3; \
+	VANDPD      Y7, Y3, Y3; \
 	VADDPD      Y3, Y1, Y1; \
 	VADDPD      F_TS(SP), Y0, Y0; \
 	VMULPD      F_TA0(SP), cA0, Y2; \
@@ -246,8 +254,13 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VBROADCASTSD X2, Y2; \
 	VMOVUPD      Y2, slot(SP)
 
+// BC broadcasts the float64 at src to four lanes at slot(SP).
+#define BC(src, slot) \
+	VBROADCASTSD src, Y2; \
+	VMOVUPD      Y2, slot(SP)
+
 // Frame of fusedTaps4: the per-candidate scalars broadcast once, the
-// per-tap lane mask and segment byte offsets, and the index clamp.
+// per-tap segment byte offsets, and the index clamp.
 #define F_WS 0
 #define F_LI 32
 #define F_TS 64
@@ -257,16 +270,15 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 #define F_TB0 192
 #define F_TA1 224
 #define F_TB1 256
-#define F_MASK 288
+#define F_LUTMAX 288
 #define F_IDX 320
-#define F_LUTMAX 336
 
 // func fusedTaps4(l *tapLanes) bool
 //
-// The delayed-channel tap loop of fusedEval.at (the !s0Zero, Kaiser form)
-// on four rows of equal tap count. It reports false, having done no tap
-// work, when a seed argument is outside SINCOS' domain.
-TEXT ·fusedTaps4(SB), 0, $368-9
+// The delayed-channel tap loop of fusedEval.at (the Kaiser form) on four
+// rows of equal tap count. It reports false, having done no tap work, when
+// a seed argument is outside SINCOS' domain.
+TEXT ·fusedTaps4(SB), 0, $336-9
 	MOVQ l+0(FP), DI
 	MOVQ tapLanes_c(DI), SI
 	VMOVUPD tapLanes_dt1(DI), Y0
@@ -279,19 +291,15 @@ TEXT ·fusedTaps4(SB), 0, $368-9
 	CMPQ AX, $15
 	JNE  outside
 
-#define BC(field, slot) \
-	VBROADCASTSD field(SI), Y2; \
-	VMOVUPD      Y2, slot(SP)
-	BC(tapConst_winScale, F_WS)
-	BC(tapConst_lutInv, F_LI)
-	BC(tapConst_tStep, F_TS)
-	BC(tapConst_inv0, F_INV0)
-	BC(tapConst_inv1, F_INV1)
-	BC(tapConst_rec+0, F_TA0)
-	BC(tapConst_rec+8, F_TB0)
-	BC(tapConst_rec+16, F_TA1)
-	BC(tapConst_rec+24, F_TB1)
-#undef BC
+	BC(tapConst_winScale(SI), F_WS)
+	BC(tapConst_lutInv(SI), F_LI)
+	BC(tapConst_tStep(SI), F_TS)
+	BC(tapConst_inv0(SI), F_INV0)
+	BC(tapConst_inv1(SI), F_INV1)
+	BC((tapConst_rec+0)(SI), F_TA0)
+	BC((tapConst_rec+8)(SI), F_TB0)
+	BC((tapConst_rec+16)(SI), F_TA1)
+	BC((tapConst_rec+24)(SI), F_TB1)
 	LUTMAX(F_LUTMAX)
 
 	MOVQ tapConst_n(SI), R13
@@ -304,11 +312,10 @@ TEXT ·fusedTaps4(SB), 0, $368-9
 	XORQ R12, R12
 	VXORPD Y1, Y1, Y1
 
-	// Per tap (TAP): the taper x = dt1·winScale, ax = x², live while
-	// ax < 1, w = ((c3·fr + c2)·fr + c1)·fr + c0 on segment
-	// int(ax·lutInv) — four 32-byte segment loads transposed; then
-	// sv = ((cA1 − cB1)·inv1 + (cA0 − cB0)·inv0) / dt1, acc += ch1·sv·w,
-	// dt1 += tStep and the four recurrences. Two taps per iteration.
+	// Per tap (TAP): the taper w (TAPER), then
+	// sv = ((cA1 − cB1)·inv1 + (cA0 − cB0)·inv0) / dt1, acc += ch1·sv·w
+	// in the lanes that contribute, dt1 += tStep and the four
+	// recurrences. Two taps per iteration.
 	SUBQ $8, R13
 	JEQ  last
 pair:
@@ -330,25 +337,26 @@ outside:
 	MOVB $0, ret+8(FP)
 	RET
 
-// Frame of costRows4: the per-tap lane mask, kernel ratio and segment
-// indices, and the index clamp.
-#define R_MASK 0
-#define R_INV 32
-#define R_IDX 64
-#define R_LUTMAX 80
+// Frame of costRows4: the taper scalars broadcast once, the index clamp
+// and the per-tap segment byte offsets.
+#define R_WS 0
+#define R_LI 32
+#define R_LUTMAX 64
+#define R_IDX 96
 
-// ACCUM adds (u − v)·inv to acc in the lanes the mask keeps.
+// ACCUM adds (u − v)·inv to acc in the lanes that contribute, with inv in
+// Y6 and the lane mask in Y7.
 #define ACCUM(u, v, acc) \
-	VSUBPD v, u, Y7; \
-	VMULPD R_INV(SP), Y7, Y7; \
-	VANDPD R_MASK(SP), Y7, Y7; \
-	VADDPD Y7, acc, acc
+	VSUBPD v, u, Y1; \
+	VMULPD Y6, Y1, Y1; \
+	VANDPD Y7, Y1, Y1; \
+	VADDPD Y1, acc, acc
 
 // func costRows4(l *rowLanes)
 //
 // The Kaiser-window tap fold of CostTable on four rows of equal tap
-// count: the Catmull-Rom taper in windowLUT.at's operation order,
-// inv = ch0·w / dt0, and three Sincos per tap (b1 == a0).
+// count: the taper (TAPER), inv = ch0·w / dt0, and three Sincos per tap
+// (b1 == a0).
 TEXT ·costRows4(SB), 0, $112-8
 	MOVQ    l+0(FP), DI
 	VMOVUPD rowLanes_dt0(DI), Y0
@@ -358,67 +366,18 @@ TEXT ·costRows4(SB), 0, $112-8
 	VXORPD  Y15, Y15, Y15
 	MOVQ    rowLanes_n(DI), R13
 	SHLQ    $3, R13
-	MOVQ    rowLanes_vals(DI), SI
+	MOVQ    rowLanes_coef(DI), SI
 	MOVQ    (rowLanes_ch0+0)(DI), R8
 	MOVQ    (rowLanes_ch0+8)(DI), R9
 	MOVQ    (rowLanes_ch0+16)(DI), R10
 	MOVQ    (rowLanes_ch0+24)(DI), R11
 	XORQ    R12, R12
+	BC(rowLanes_winScale(DI), R_WS)
+	BC(rowLanes_lutInv(DI), R_LI)
 	LUTMAX(R_LUTMAX)
 
 row:
-	// Taper (Reconstructor.window, windowLUT.at): p = ax·inv,
-	// fr = p − int(p), v0..v3 = vals[int(p):], and
-	// w = v1 + 0.5·fr·(v2 − v0 + fr·(2v0 − 5v1 + 4v2 − v3 + fr·(3(v1 − v2) + v3 − v0))).
-	VBROADCASTSD rowLanes_winScale(DI), Y1
-	VMULPD       Y0, Y1, Y1
-	VMULPD       Y1, Y1, Y1
-	VCMPPD       $1, one<>(SB), Y1, Y2
-	VMOVUPD      Y2, R_MASK(SP)
-	VBROADCASTSD rowLanes_lutInv(DI), Y2
-	VMULPD       Y2, Y1, Y1
-	VMINPD       R_LUTMAX(SP), Y1, Y2
-	VCVTTPD2DQY  Y2, X2
-	VCVTDQ2PD    X2, Y3
-	VSUBPD       Y3, Y1, Y1
-	VMOVDQU      X2, R_IDX(SP)
-	MOVL         (R_IDX+0)(SP), AX
-	MOVL         (R_IDX+4)(SP), BX
-	MOVL         (R_IDX+8)(SP), CX
-	MOVL         (R_IDX+12)(SP), DX
-	VMOVUPD      (SI)(AX*8), X4
-	VINSERTF128  $1, (SI)(CX*8), Y4, Y4
-	VMOVUPD      (SI)(BX*8), X5
-	VINSERTF128  $1, (SI)(DX*8), Y5, Y5
-	VUNPCKLPD    Y5, Y4, Y2 // v0
-	VUNPCKHPD    Y5, Y4, Y3 // v1
-	VMOVUPD      16(SI)(AX*8), X4
-	VINSERTF128  $1, 16(SI)(CX*8), Y4, Y4
-	VMOVUPD      16(SI)(BX*8), X5
-	VINSERTF128  $1, 16(SI)(DX*8), Y5, Y5
-	VUNPCKHPD    Y5, Y4, Y6 // v3
-	VUNPCKLPD    Y5, Y4, Y4 // v2
-	VSUBPD       Y4, Y3, Y5 // 3(v1 − v2) + v3 − v0
-	VMULPD       three<>(SB), Y5, Y5
-	VADDPD       Y6, Y5, Y5
-	VSUBPD       Y2, Y5, Y5
-	VMULPD       Y1, Y5, Y5
-	VMULPD       two<>(SB), Y2, Y7 // 2v0 − 5v1 + 4v2 − v3 + fr·(…)
-	VMULPD       five<>(SB), Y3, Y8
-	VSUBPD       Y8, Y7, Y7
-	VMULPD       four<>(SB), Y4, Y8
-	VADDPD       Y8, Y7, Y7
-	VSUBPD       Y6, Y7, Y7
-	VADDPD       Y5, Y7, Y7
-	VMULPD       Y1, Y7, Y7
-	VSUBPD       Y2, Y4, Y5 // v2 − v0 + fr·(…)
-	VADDPD       Y7, Y5, Y5
-	VMULPD       half<>(SB), Y1, Y1
-	VMULPD       Y5, Y1, Y1
-	VADDPD       Y1, Y3, Y1 // w
-	VCMPPD       $4, zero<>(SB), Y1, Y2
-	VANDPD       R_MASK(SP), Y2, Y2
-	VMOVUPD      Y2, R_MASK(SP)
+	TAPER(R_WS, R_LI, R_LUTMAX, R_IDX)
 
 	// inv = ch0·w / dt0.
 	VMOVSD      (R8)(R12*1), X2
@@ -426,9 +385,8 @@ row:
 	VMOVSD      (R10)(R12*1), X3
 	VMOVHPD     (R11)(R12*1), X3, X3
 	VINSERTF128 $1, X3, Y2, Y2
-	VMULPD      Y1, Y2, Y2
-	VDIVPD      Y0, Y2, Y2
-	VMOVUPD     Y2, R_INV(SP)
+	VMULPD      Y6, Y2, Y2
+	VDIVPD      Y0, Y2, Y6
 
 	// The (a0, b0) pair, then (a1, b1) with b1 = a0.
 	VBROADCASTSD rowLanes_a0(DI), Y1

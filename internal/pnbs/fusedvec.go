@@ -11,7 +11,8 @@ import "math"
 // no tap lies within taylorGuard of dt = 0 (the Go loops' series branches,
 // which the vector code does not encode), and the window is a Kaiser
 // taper; the tap kernel also needs a band with an s0 term. Everything else
-// runs the Go loop.
+// runs the Go loop. Both encodings evaluate the taper as windowLUT.at does,
+// the Horner cubic on windowLUT.coef.
 
 // useAVX2 is fixed at start-up by CPU capability: AVX2 with the YMM state
 // enabled by the OS. Tests clear it to run the Go loops they compare
@@ -86,7 +87,7 @@ type rowLanes struct {
 	dt0                                 [4]float64  // first prompt-channel offset per lane
 	ch0                                 [4]*float64 // &ch0[nLo] per lane
 	out                                 [4][4]float64
-	vals                                *float64
+	coef                                *float64
 	winScale, lutInv, tStep, a0, b0, a1 float64
 	n                                   int
 }
@@ -108,7 +109,7 @@ func (r *Reconstructor) costRowsVector(g []fusedRow, ts []float64) bool {
 	k := r.kern
 	span := int32(2*r.opt.HalfTaps + 1)
 	inv := 1 / r.tStep
-	l := rowLanes{vals: &r.win.vals[0], winScale: r.winScale, lutInv: r.win.inv,
+	l := rowLanes{coef: &r.win.coef[0], winScale: r.winScale, lutInv: r.win.inv,
 		tStep: r.tStep, a0: k.a0, b0: k.b0, a1: k.a1, n: int(span)}
 	for j := range g {
 		row := &g[j]

@@ -326,7 +326,7 @@ func FuzzEnvelopeGridVsAt(f *testing.F) {
 	f.Add(0.9, 0.0, uint8(1), int64(2))   // grid starting on a sample point
 	f.Add(0.36, -1.5, uint8(8), int64(3)) // grid outside the valid range
 	f.Add(0.123, 0.77, uint8(3), int64(4))
-	f.Add(0.5, 0.25, uint8(2), int64(5))
+	f.Add(0.45, 0.25, uint8(2), int64(5))        // 3x from the capture start
 	f.Add(0.36, 0.75, uint8(1), int64(6))        // 2x from a sample point: phase 1 on half samples
 	f.Add(0.2, 0.25+36.5/72, uint8(3), int64(7)) // 4x from a half sample: phase 0 on half samples
 	f.Fuzz(func(t *testing.T, dFrac, tFrac float64, over uint8, seed int64) {

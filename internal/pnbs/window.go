@@ -19,17 +19,12 @@ import "sync"
 // table. Catmull-Rom ghost points one step outside [0, 1] come from the
 // same series, which converges for negative arguments too.
 type windowLUT struct {
-	// vals[k] = w(y) at y = (k-1)*step for k in [0, lutSize+2]: one ghost
-	// point on each side of [0, 1] for the cubic end segments.
-	vals []float64
-	inv  float64 // lutSize, as a float: 1/step
+	inv float64 // lutSize, as a float: 1/step
 	// coef[4i:4i+4] are segment i's Catmull-Rom coefficients in monomial
-	// form (w = c0 + fr(c1 + fr(c2 + fr c3))): the same cubic as at(), with
-	// the four-sample combination folded out at build time so the fused
-	// path's hot loop is a three-step Horner over one cache line instead of
-	// an eleven-op chain. The refactored rounding differs from at() by ~1
-	// ulp, which is why only the tolerance-contracted fused path uses it —
-	// at() keeps the pinned operation sequence.
+	// form, w = c0 + fr(c1 + fr(c2 + fr c3)): the cubic through the four
+	// samples bracketing the segment, with the sample combination folded
+	// out at build time so a lookup is a three-step Horner over one cache
+	// line.
 	coef []float64
 }
 
@@ -54,19 +49,18 @@ func i0EvenSeries(w float64) float64 {
 }
 
 func newWindowLUT(beta float64) *windowLUT {
-	l := &windowLUT{
-		vals: make([]float64, lutSize+3),
-		inv:  float64(lutSize),
-	}
+	// vals[k] = w(y) at y = (k-1)*step for k in [0, lutSize+2]: one ghost
+	// point on each side of [0, 1] for the cubic end segments.
+	vals := make([]float64, lutSize+3)
 	den := i0EvenSeries(beta * beta)
 	step := 1 / float64(lutSize)
-	for k := range l.vals {
+	for k := range vals {
 		y := (float64(k) - 1) * step
-		l.vals[k] = i0EvenSeries(beta*beta*(1-y)) / den
+		vals[k] = i0EvenSeries(beta*beta*(1-y)) / den
 	}
-	l.coef = make([]float64, 4*lutSize)
+	l := &windowLUT{inv: float64(lutSize), coef: make([]float64, 4*lutSize)}
 	for i := 0; i < lutSize; i++ {
-		v0, v1, v2, v3 := l.vals[i], l.vals[i+1], l.vals[i+2], l.vals[i+3]
+		v0, v1, v2, v3 := vals[i], vals[i+1], vals[i+2], vals[i+3]
 		c := l.coef[4*i : 4*i+4]
 		c[0] = v1
 		c[1] = 0.5 * (v2 - v0)
@@ -76,13 +70,17 @@ func newWindowLUT(beta float64) *windowLUT {
 	return l
 }
 
-// at interpolates the taper at y = x^2, 0 <= y < 1, by the Catmull-Rom
-// cubic through the four bracketing samples. This is the hottest leaf of
-// the LMS loop (one call per tap per instant per candidate delay), so the
-// four neighbours are fetched through a single length-4 sub-slice: one
-// bounds check instead of four, with the interpolation arithmetic itself
-// untouched (its exact operation sequence is pinned by the bit-identity
-// contract of At).
+// at interpolates the taper at y = x^2, 0 <= y < 1, on the segment's
+// monomial cubic. Each coefficient is exactly half the matching
+// sub-expression of the Catmull-Rom form
+//
+//	v1 + 0.5*fr*(v2-v0+fr*(2*v0-5*v1+4*v2-v3+fr*(3*(v1-v2)+v3-v0)))
+//
+// built in the same order, and halving is exact short of subnormals, so
+// every Horner step equals the matching step of that form and the value
+// is bit-identical to it (TestWindowLUTHornerMatchesCatmullRom). This is
+// the hottest leaf of the LMS loop (one call per tap per instant per
+// candidate delay); it is small enough to inline.
 func (l *windowLUT) at(y float64) float64 {
 	p := y * l.inv
 	i := int(p)
@@ -90,9 +88,8 @@ func (l *windowLUT) at(y float64) float64 {
 		i = lutSize - 1
 	}
 	fr := p - float64(i)
-	v := l.vals[i : i+4 : i+4]
-	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-	return v1 + 0.5*fr*(v2-v0+fr*(2*v0-5*v1+4*v2-v3+fr*(3*(v1-v2)+v3-v0)))
+	c := l.coef[i*4 : i*4+4 : i*4+4]
+	return ((c[3]*fr+c[2])*fr+c[1])*fr + c[0]
 }
 
 // lutCache shares one table per beta across every reconstructor in the

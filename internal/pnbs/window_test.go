@@ -2,6 +2,7 @@ package pnbs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -32,6 +33,37 @@ func TestWindowLUTMatchesExactSeries(t *testing.T) {
 		}
 		if worst > 1e-12 {
 			t.Errorf("beta %g: LUT error %g exceeds 1e-12", beta, worst)
+		}
+	}
+}
+
+// TestWindowLUTHornerMatchesCatmullRom pins the identity windowLUT.at
+// rests on: its Horner cubic on coef equals, bit for bit, the Catmull-Rom
+// form on the four samples bracketing each segment, rebuilt here from
+// i0EvenSeries, at fr = 0, 1/2 and one seeded random fr per segment.
+func TestWindowLUTHornerMatchesCatmullRom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, beta := range []float64{8, 2} {
+		lut := lutFor(beta)
+		den := i0EvenSeries(beta * beta)
+		step := 1 / float64(lutSize)
+		sample := func(k int) float64 {
+			y := (float64(k) - 1) * step
+			return i0EvenSeries(beta*beta*(1-y)) / den
+		}
+		v0, v1, v2 := sample(0), sample(1), sample(2)
+		for i := 0; i < lutSize; i++ {
+			v3 := sample(i + 3)
+			for _, f := range []float64{0, 0.5, rng.Float64()} {
+				// y = p/lutSize is exact, so at() sees p and fr = p - i.
+				p := float64(i) + f
+				fr := p - float64(i)
+				want := v1 + 0.5*fr*(v2-v0+fr*(2*v0-5*v1+4*v2-v3+fr*(3*(v1-v2)+v3-v0)))
+				if got := lut.at(p * step); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("beta %g segment %d fr %v: at() = %v, Catmull-Rom %v", beta, i, fr, got, want)
+				}
+			}
+			v0, v1, v2 = v1, v2, v3
 		}
 	}
 }
