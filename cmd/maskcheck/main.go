@@ -114,14 +114,12 @@ func run(args []string, out io.Writer) (int, error) {
 			cfg.Fc = fc.CarrierHz
 			cfg.TI.DCDE.Max = 0.35 / fc.CarrierHz
 			cfg.NominalD = 0
-			cfg.D0 = 0
 		}
 		if fc.CaptureRateHz > 0 {
 			cfg.B = fc.CaptureRateHz
 		}
 		if fc.NominalDelayPs > 0 {
 			cfg.NominalD = fc.NominalDelayPs * 1e-12
-			cfg.D0 = cfg.NominalD
 		}
 		if fc.Mask != "" {
 			m, ok := mask.ByName(fc.Mask)

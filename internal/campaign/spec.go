@@ -143,7 +143,6 @@ func (s StimulusSpec) Configure(base core.Config) (core.Config, error) {
 	cfg := base
 	cfg.Constellation = s.Constellation
 	cfg.Symbols = syms
-	cfg.NumSymbols = len(syms)
 	cfg.BasebandPower = nominalPower * math.Pow(10, -s.BackoffDB/10)
 	cfg.Mask = m
 	return cfg, nil

@@ -9,7 +9,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 
@@ -36,16 +38,14 @@ type Config struct {
 	SymbolRate float64
 	// RollOff is the SRRC roll-off (paper: 0.5).
 	RollOff float64
-	// NumSymbols is the cyclic symbol-stream length (0 = 128).
-	NumSymbols int
 	// Seed drives symbol generation.
 	Seed int64
 	// Symbols, when non-nil, replaces the seed-drawn random symbol stream
-	// with an explicit one (e.g. a PRBS-driven campaign stimulus mapped
-	// onto the constellation). The stream is cyclic like the generated
-	// one, and the EVM sub-test stays available — the reference symbols
-	// are known either way. NumSymbols and Seed are ignored for waveform
-	// generation when set.
+	// of numSymbols symbols with an explicit one (e.g. a PRBS-driven
+	// campaign stimulus mapped onto the constellation). The stream is
+	// cyclic like the generated one, and the EVM sub-test stays available
+	// — the reference symbols are known either way. Seed is ignored for
+	// waveform generation when set.
 	Symbols []complex128
 	// BasebandPower is the mean |envelope|^2 driven into the chain
 	// (0 = 0.5).
@@ -78,17 +78,12 @@ type Config struct {
 	CalibrateMismatch bool
 
 	// --- Delay estimation -------------------------------------------------
-	// HalfTaps is nw/2 for the reconstruction filter (0 = 30 -> 61 taps).
-	HalfTaps int
-	// KaiserBeta windows the reconstruction filter (0 = 8; negative = no
-	// taper, i.e. a rectangular window — see pnbs.Options.KaiserBeta).
-	KaiserBeta float64
+	// (LMS from NominalD; the paper's 61-tap, Kaiser β = 8 filter.)
+
 	// NTimes is the cost-function sample count (0 = 300, the paper's N).
 	NTimes int
 	// TimesSeed seeds the random evaluation instants.
 	TimesSeed int64
-	// D0 is the initial delay estimate (0 = NominalD).
-	D0 float64
 
 	// --- Measurements -----------------------------------------------------
 	// Mask, when non-nil, enables the spectral-mask test.
@@ -118,6 +113,10 @@ type Config struct {
 const (
 	// pulseSpan is the one-sided SRRC span of the test waveform in symbols.
 	pulseSpan = 8
+	// numSymbols is the length of the seed-drawn cyclic symbol stream.
+	numSymbols = 128
+	// halfTaps is nw/2 of the reconstruction filter (61 taps, the paper's).
+	halfTaps = 30
 	// minIRRDB is the image-rejection pass threshold.
 	minIRRDB = 30.0
 	// maxLOLeakDBc is the LO-leakage pass threshold.
@@ -133,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.Constellation == "" {
 		c.Constellation = "QPSK"
 	}
-	if c.NumSymbols == 0 {
-		c.NumSymbols = 128
-	}
 	if c.BasebandPower == 0 {
 		c.BasebandPower = 0.5
 	}
@@ -145,17 +141,8 @@ func (c Config) withDefaults() Config {
 	if c.CaptureLen == 0 {
 		c.CaptureLen = 2200
 	}
-	if c.HalfTaps == 0 {
-		c.HalfTaps = 30
-	}
-	if c.KaiserBeta == 0 {
-		c.KaiserBeta = 8
-	}
 	if c.NTimes == 0 {
 		c.NTimes = 300
-	}
-	if c.D0 == 0 {
-		c.D0 = c.NominalD
 	}
 	if c.PSDLen == 0 {
 		c.PSDLen = 2048
@@ -168,7 +155,7 @@ func (c Config) withDefaults() Config {
 	}
 	// The PSD grid must fit inside the reconstruction's valid range
 	// (capture minus the filter half-support on each side).
-	if maxPSD := c.CaptureLen - 2*c.HalfTaps - 8; c.PSDLen > maxPSD {
+	if maxPSD := c.CaptureLen - 2*halfTaps - 8; c.PSDLen > maxPSD {
 		c.PSDLen = maxPSD
 		if c.SegLen > c.PSDLen/2 {
 			c.SegLen = c.PSDLen / 2
@@ -230,7 +217,7 @@ func New(cfg Config) (*BIST, error) {
 		}
 		syms := c.Symbols
 		if syms == nil {
-			syms = cst.RandomSymbols(c.NumSymbols, c.Seed)
+			syms = cst.RandomSymbols(numSymbols, c.Seed)
 		}
 		bb, err = modem.NewShapedEnvelope(syms, pulse)
 		if err != nil {
@@ -294,7 +281,7 @@ func (b *BIST) Transmitter() *rf.Transmitter { return b.tx }
 
 // opt returns the reconstruction options.
 func (b *BIST) opt() pnbs.Options {
-	return pnbs.Options{HalfTaps: b.cfg.HalfTaps, KaiserBeta: b.cfg.KaiserBeta}
+	return pnbs.Options{HalfTaps: halfTaps}
 }
 
 // acquire captures the Tx output at rates B and B/2 with the shared DCDE
@@ -308,8 +295,8 @@ func (b *BIST) acquire() (setB, setB1 skew.SampleSet, actualD float64, err error
 		return setB, setB1, 0, fmt.Errorf("core: rate-B capture: %w", err)
 	}
 	t1 := 2 * t
-	n1 := c.CaptureLen/2 + 2*c.HalfTaps + 4
-	t01 := c.CaptureStart - float64(2*c.HalfTaps)*t1/2
+	n1 := c.CaptureLen/2 + 2*halfTaps + 4
+	t01 := c.CaptureStart - float64(2*halfTaps)*t1/2
 	capB1, err := finiteCapture(b.ti.Capture(out, t1, c.NominalD, t01, n1))
 	if err != nil {
 		return setB, setB1, 0, fmt.Errorf("core: rate-B/2 capture: %w", err)
@@ -371,7 +358,7 @@ func (b *BIST) estimate(tc trace.Ctx, setB, setB1 skew.SampleSet) (skew.LMSResul
 	if err != nil {
 		return skew.LMSResult{}, nil, err
 	}
-	res, err := skew.EstimateLMS(tc, ce.Cost, b.cfg.D0, ce.M())
+	res, err := skew.EstimateLMS(tc, ce.Cost, b.cfg.NominalD, ce.M())
 	if err != nil {
 		return skew.LMSResult{}, nil, err
 	}
@@ -431,26 +418,17 @@ type gainKey struct {
 
 var gainCache sync.Map // gainKey -> float64
 
-// hashSymbols fingerprints an explicit symbol stream (FNV-1a over the IEEE
-// bit patterns) for the normalisation-gain cache key.
+// hashSymbols fingerprints an explicit symbol stream (FNV-1a over the
+// little-endian IEEE bit patterns) for the normalisation-gain cache key.
 func hashSymbols(syms []complex128) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
+	h := fnv.New64a()
+	var buf [16]byte
 	for _, s := range syms {
-		mix(math.Float64bits(real(s)))
-		mix(math.Float64bits(imag(s)))
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(s)))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(s)))
+		h.Write(buf[:])
 	}
-	return h
+	return h.Sum64()
 }
 
 // measurePSD produces the RF-referred Welch PSD from a reconstructed

@@ -266,12 +266,12 @@ func TestPaperScenarioDefaults(t *testing.T) {
 	if c.B != 90e6 || c.Fc != 1e9 || c.NTimes != 300 {
 		t.Error("paper parameters")
 	}
-	if c.HalfTaps != 30 {
-		t.Error("61-tap filter default")
-	}
 	b, err := New(PaperScenario())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o := b.opt(); o.HalfTaps != 30 || o.KaiserBeta != 0 {
+		t.Errorf("reconstruction options %+v, want the paper's 61-tap β = 8 default", o)
 	}
 	if b.Band().Fc() != 1e9 {
 		t.Error("band centre")
@@ -281,25 +281,53 @@ func TestPaperScenarioDefaults(t *testing.T) {
 	}
 }
 
+// hashSymbols is FNV-1a over the little-endian bit patterns: pinned values
+// keep the gain-cache key stable across implementations.
+func TestHashSymbolsPinned(t *testing.T) {
+	syms := []complex128{complex(0.7071067811865476, -0.7071067811865476), complex(-1, 0), complex(0, 3.25e-7)}
+	if h := hashSymbols(syms); h != 0x9c94faf7099630f8 {
+		t.Errorf("hashSymbols = %#x, want 0x9c94faf7099630f8", h)
+	}
+	if h := hashSymbols(nil); h != 0xcbf29ce484222325 {
+		t.Errorf("hashSymbols(nil) = %#x, want the FNV-1a offset basis", h)
+	}
+}
+
+// TestComputeBudgetAccounted pins the analytic kernel count: per cost
+// evaluation NTimes instants × 2 reconstructions, plus the mask grid at the
+// scenario's envelope oversampling (4× in the paper band, 6× for 8PSK at
+// 450 MHz with B = 44 MHz), plus the fidelity check's NTimes instants, each
+// touching 2·61 taps.
 func TestComputeBudgetAccounted(t *testing.T) {
-	b, err := New(fastScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Compute.KernelEvals <= 0 || rep.Compute.CostEvals <= 0 {
-		t.Fatalf("compute budget empty: %+v", rep.Compute)
-	}
-	// Order-of-magnitude sanity: cost evals x NTimes x 2 recon x 122 taps.
-	lower := int64(rep.Compute.CostEvals) * 80 * 2 * 122
-	if rep.Compute.KernelEvals < lower {
-		t.Errorf("kernel evals %d below the LMS share %d", rep.Compute.KernelEvals, lower)
-	}
-	if !strings.Contains(rep.Summary(), "compute:") {
-		t.Error("summary missing compute line")
+	psk8 := ScaleAcquisition(MultistandardScenarios()[2], 0.35)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		over int64
+	}{
+		{"paper", fastScenario(), 4},
+		{"8PSK", psk8, 6},
+	} {
+		b, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := b.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Compute.CostEvals <= 0 || rep.Compute.PSDSamples != b.cfg.PSDLen {
+			t.Fatalf("%s: compute budget incomplete: %+v", tc.name, rep.Compute)
+		}
+		const taps = 2 * 61
+		nt := int64(b.cfg.NTimes)
+		want := int64(rep.Compute.CostEvals)*nt*2*taps + int64(b.cfg.PSDLen)*tc.over*taps + nt*taps
+		if rep.Compute.KernelEvals != want {
+			t.Errorf("%s: kernel evals %d, want %d", tc.name, rep.Compute.KernelEvals, want)
+		}
+		if !strings.Contains(rep.Summary(), "compute:") {
+			t.Errorf("%s: summary missing compute line", tc.name)
+		}
 	}
 }
 

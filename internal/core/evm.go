@@ -20,17 +20,15 @@ type EVMOutcome struct {
 	Symbols int
 }
 
-// RunEVMTest demodulates the reconstructed waveform with a matched filter
-// and compares against the known transmitted symbols (reference-aided EVM,
+// RunEVMTest demodulates evmSymbols symbols (fewer when the capture is
+// short) of the reconstructed waveform with a matched filter and compares against the known transmitted symbols (reference-aided EVM,
 // the natural choice inside a BIST where the stimulus is self-generated).
 // Timing is known absolutely — the BIST generated the waveform — so no
 // timing recovery is required; a common complex gain (chain gain and
 // static phase) is removed by least squares before the comparison.
-func (b *BIST) RunEVMTest(rec *pnbs.Reconstructor, nSym int) (*EVMOutcome, error) {
+func (b *BIST) RunEVMTest(rec *pnbs.Reconstructor) (*EVMOutcome, error) {
 	c := b.cfg
-	if nSym <= 0 {
-		nSym = 48
-	}
+	nSym := evmSymbols
 	// Reconstructed envelope on a uniform grid; needs enough span for the
 	// requested symbols plus the pulse tails.
 	ts := 1 / c.SymbolRate

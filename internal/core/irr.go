@@ -32,7 +32,7 @@ func (b *BIST) RunIRRTest(dHat float64) (irrDB, loLeakDBc float64, err error) {
 		return 0, 0, fmt.Errorf("core: IRR test transmitter: %w", err)
 	}
 	gridN := 1024
-	capLen := gridN + 2*c.HalfTaps + 16
+	capLen := gridN + 2*halfTaps + 16
 	cap0, err := finiteCapture(b.ti.Capture(tx.Output(), 1/c.B, c.NominalD, c.CaptureStart, capLen))
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: IRR capture at rate B: %w", err)

@@ -91,7 +91,6 @@ func TestGMSKThroughFullBIST(t *testing.T) {
 	c.B = 32e6
 	c.SymbolRate = 2e6
 	c.NominalD = 0
-	c.D0 = 0
 	c.TI.DCDE.Max = 0.35 / c.Fc
 	c.Baseband = sig.ScaleEnv(gmsk, 0.7)
 	c.Mask = mask.WidebandOFDMLike()

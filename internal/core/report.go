@@ -284,7 +284,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 
 	// 6. Modulation quality through the reconstruction path.
 	if c.EVMTest {
-		evm, err := b.RunEVMTest(rec, evmSymbols)
+		evm, err := b.RunEVMTest(rec)
 		if err != nil {
 			return nil, err
 		}
@@ -317,12 +317,15 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 
 	// Analytic compute accounting: every reconstruction evaluation touches
 	// 2*(2h+1) kernel terms (both channels across the filter support).
-	taps := int64(2 * (2*c.HalfTaps + 1))
+	taps := int64(2 * (2*halfTaps + 1))
 	rep.Compute.CostEvals = res.CostEvals
 	rep.Compute.KernelEvals = int64(res.CostEvals) * int64(c.NTimes) * 2 * taps
 	if c.Mask != nil {
+		// The grid runs at envelopeGrid's oversampling factor; envelopeGrid
+		// has already refused a carrier with none.
+		over, _ := dsp.EnvelopeOversampling(c.Fc, c.B)
 		rep.Compute.PSDSamples = c.PSDLen
-		rep.Compute.KernelEvals += int64(c.PSDLen) * 4 * taps // 4x oversampled grid
+		rep.Compute.KernelEvals += int64(c.PSDLen) * int64(over) * taps
 	}
 	rep.Compute.KernelEvals += int64(len(ce.Times())) * taps // fidelity check
 

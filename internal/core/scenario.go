@@ -18,7 +18,6 @@ func PaperScenario() Config {
 		Constellation: "QPSK",
 		SymbolRate:    10e6,
 		RollOff:       0.5,
-		NumSymbols:    128,
 		Seed:          2014,
 		BasebandPower: 0.5,
 
@@ -69,7 +68,6 @@ func MultistandardScenarios() []Config {
 		c.Fc = fc
 		c.B = b
 		c.NominalD = 0 // re-derive the optimal delay for the new carrier
-		c.D0 = 0
 		// Scale the DCDE range with the carrier (optimal D = 1/(4 fc)).
 		c.TI.DCDE.Max = 0.35 / fc
 		// Hold the clock's PHASE jitter constant across carriers (3 ps at
