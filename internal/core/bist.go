@@ -65,7 +65,7 @@ type Config struct {
 	// B is the per-channel capture rate and reconstruction bandwidth
 	// (paper: 90 MHz).
 	B float64
-	// NominalD is the DCDE setting (0 = optimal 1/(4 Fc)).
+	// NominalD is the DCDE setting and the LMS start (0 = 1/(4 Fc)).
 	NominalD float64
 	// TI configures the BP-TIADC (channels, DCDE, clock jitter).
 	TI tiadc.Config
@@ -78,8 +78,6 @@ type Config struct {
 	CalibrateMismatch bool
 
 	// --- Delay estimation -------------------------------------------------
-	// (LMS from NominalD; the paper's 61-tap, Kaiser β = 8 filter.)
-
 	// NTimes is the cost-function sample count (0 = 300, the paper's N).
 	NTimes int
 	// TimesSeed seeds the random evaluation instants.

@@ -227,10 +227,11 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	recon := startStage(run.Ctx(), hStageRecon, tnReconstruct)
 	rec, err := b.Reconstructor(setB, res.DHat)
 	if err == nil {
-		// Ground-truth fidelity at the evaluation instants.
-		got := rec.AtTimes(ce.Times())
-		want := sig.SampleAt(b.tx.Output(), ce.Times())
-		rep.ReconRelErr = dsp.RelRMSError(got, want)
+		// Ground-truth fidelity at the evaluation instants (cost table).
+		var got []float64
+		if got, err = ce.Reconstruct(res.DHat); err == nil {
+			rep.ReconRelErr = dsp.RelRMSError(got, sig.SampleAt(b.tx.Output(), ce.Times()))
+		}
 	}
 	recon.End()
 	if err != nil {
@@ -321,9 +322,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	rep.Compute.CostEvals = res.CostEvals
 	rep.Compute.KernelEvals = int64(res.CostEvals) * int64(c.NTimes) * 2 * taps
 	if c.Mask != nil {
-		// The grid runs at envelopeGrid's oversampling factor; envelopeGrid
-		// has already refused a carrier with none.
-		over, _ := dsp.EnvelopeOversampling(c.Fc, c.B)
+		over, _ := dsp.EnvelopeOversampling(c.Fc, c.B) // envelopeGrid errs when none exists
 		rep.Compute.PSDSamples = c.PSDLen
 		rep.Compute.KernelEvals += int64(c.PSDLen) * int64(over) * taps
 	}

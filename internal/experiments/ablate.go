@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/obs/trace"
-	"repro/internal/pnbs"
 	"repro/internal/sig"
 	"repro/internal/skew"
 )
@@ -96,17 +95,15 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 			return err
 		}
 		// Reconstruction error with the estimated delay (vs ideal samples).
-		opt := pnbs.Options{HalfTaps: s.HalfTaps, KaiserBeta: s.KaiserBeta}
-		rec, err := pnbs.NewReconstructor(setB.Band, r.DHat, setB.T0, setB.Ch0, setB.Ch1, opt)
+		got, err := ce.Reconstruct(r.DHat)
 		if err != nil {
 			return err
 		}
-		times := ce.Times()
 		res.Rows = append(res.Rows, AblateRow{
 			Param:     param,
 			Value:     value,
 			SkewErrPS: math.Abs(r.DHat-actualD) * 1e12,
-			ReconErr:  dsp.RelRMSError(rec.AtTimes(times), sig.SampleAt(tx.Output(), times)),
+			ReconErr:  dsp.RelRMSError(got, sig.SampleAt(tx.Output(), ce.Times())),
 			CostEvals: r.CostEvals,
 			Iters:     r.Iterations,
 		})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/obs/trace"
 	"repro/internal/par"
-	"repro/internal/pnbs"
 	"repro/internal/rf"
 	"repro/internal/sig"
 	"repro/internal/skew"
@@ -60,15 +59,13 @@ func RunTable1(s PaperSetup, nB int) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	times := ce.Times()
-	truth := sig.SampleAt(out, times)
-	opt := pnbs.Options{HalfTaps: s.HalfTaps}
+	truth := sig.SampleAt(out, ce.Times())
 	reconErr := func(dHat float64) (float64, error) {
-		r, err := pnbs.NewReconstructor(setB.Band, dHat, setB.T0, setB.Ch0, setB.Ch1, opt)
+		got, err := ce.Reconstruct(dHat)
 		if err != nil {
 			return 0, err
 		}
-		return dsp.RelRMSError(r.AtTimes(times), truth), nil
+		return dsp.RelRMSError(got, truth), nil
 	}
 	res := &Table1Result{DTrue: actualD}
 	if res.FloorErr, err = reconErr(actualD); err != nil {

@@ -321,6 +321,25 @@ func CostFused(tB *CostTable, kB *Kernel, tB1 *CostTable, kB1 *Kernel, lo, hi in
 	return acc
 }
 
+// Values returns the reconstruction at every instant of the table with the
+// kernel k of the table's band: CostFused's per-instant values, unfolded.
+// Each value depends only on its row, so the fixed-chunk fan-out is
+// identical at any worker count; it agrees with At within the fused
+// tolerance.
+func (tab *CostTable) Values(k *Kernel) []float64 {
+	e := tab.eval(k)
+	out := make([]float64, len(tab.rows))
+	par.ForChunks(len(out), costTableChunk, func(lo, hi int) {
+		var v [4]float64
+		for i := lo; i < hi; i += 4 {
+			n := min(4, hi-i)
+			e.at4(i, n, &v)
+			copy(out[i:i+n], v[:n])
+		}
+	})
+	return out
+}
+
 // at4 evaluates the n <= 4 instants from i into out: a whole group through
 // the vector tap kernel where it applies, otherwise instant by instant.
 func (e *fusedEval) at4(i, n int, out *[4]float64) {

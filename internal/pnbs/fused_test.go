@@ -18,16 +18,6 @@ func fusedClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
 
-// evalTable evaluates every instant of tab at the candidate kernel k.
-func evalTable(tab *CostTable, k *Kernel) []float64 {
-	e := tab.eval(k)
-	out := make([]float64, len(tab.rows))
-	for i := range out {
-		out[i] = e.at(i)
-	}
-	return out
-}
-
 // TestFusedTableMatchesAt bounds the reassociation error of the fused
 // path — a CostTable evaluated per instant at the reconstructor's own
 // kernel — against the per-instant At path over random bands, delays and
@@ -63,7 +53,7 @@ func TestFusedTableMatchesAt(t *testing.T) {
 			}
 			ts[0] = lo - 400*r.tStep // out of capture: both paths return 0
 			ts[1] = r.t0 + 57*r.tStep
-			got := evalTable(r.CostTable(ts), r.Kernel())
+			got := r.CostTable(ts).Values(r.Kernel())
 			for i, tv := range ts {
 				at := r.At(tv)
 				if i == 0 && (got[i] != 0 || at != 0) {
@@ -117,8 +107,8 @@ func TestFusedTableDelayIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := evalTable(tab, k)
-		want := evalTable(fresh.CostTable(ts), fresh.Kernel())
+		got := tab.Values(k)
+		want := fresh.CostTable(ts).Values(fresh.Kernel())
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("d=%g i=%d: template table %.17g != fresh table %.17g", d, i, got[i], want[i])

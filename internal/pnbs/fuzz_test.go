@@ -59,8 +59,8 @@ func FuzzCostTableDelayIndependence(f *testing.F) {
 		for i := range ts {
 			ts[i] = lo + (hi-lo)*float64(i)/24
 		}
-		got := evalTable(tmpl.CostTable(ts), k2)
-		want := evalTable(fresh.CostTable(ts), fresh.Kernel())
+		got := tmpl.CostTable(ts).Values(k2)
+		want := fresh.CostTable(ts).Values(fresh.Kernel())
 		for i, tv := range ts {
 			if got[i] != want[i] {
 				t.Fatalf("d1=%g d2=%g t=%g: template table %g != fresh table %g", d1, d2, tv, got[i], want[i])

@@ -172,6 +172,18 @@ func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	return foldChunks(partials, n), nil
 }
 
+// Reconstruct returns the rate-B reconstruction at dHat at every evaluation
+// instant, read from the rate-B cost table (the paper's Δε compares it with
+// the true waveform). It fails as pnbs.NewReconstructor does at dHat, and
+// counts no cost evaluation.
+func (c *CostEvaluator) Reconstruct(dHat float64) ([]float64, error) {
+	k, err := pnbs.NewKernel(c.setB.Band, dHat)
+	if err != nil {
+		return nil, err
+	}
+	return c.tB.Values(k), nil
+}
+
 // foldChunks folds the per-chunk partials serially in chunk order — the one
 // fixed association the worker-count-invariance contract pins.
 func foldChunks(partials []float64, n int) float64 {
