@@ -21,8 +21,9 @@ type EVMOutcome struct {
 }
 
 // RunEVMTest demodulates evmSymbols symbols (fewer when the capture is
-// short) of the reconstructed waveform with a matched filter and compares against the known transmitted symbols (reference-aided EVM,
-// the natural choice inside a BIST where the stimulus is self-generated).
+// short) of the reconstructed waveform with a matched filter and compares
+// against the known transmitted symbols (reference-aided EVM, the natural
+// choice inside a BIST where the stimulus is self-generated).
 // Timing is known absolutely — the BIST generated the waveform — so no
 // timing recovery is required; a common complex gain (chain gain and
 // static phase) is removed by least squares before the comparison.
