@@ -34,7 +34,8 @@ func testGrid() campaign.Grid {
 
 // writeShardCheckpoints writes the grid file and one checkpoint per shard
 // of a 2-way split. The cell results are synthetic: merge validates keys,
-// unit counts and coverage, none of which needs a simulated device.
+// unit counts, fault expectations, tally consistency and coverage, none of
+// which needs a simulated device.
 func writeShardCheckpoints(t *testing.T, dir string) (gridPath string, ckpts []string) {
 	t.Helper()
 	g := testGrid()
@@ -61,7 +62,8 @@ func writeShardCheckpoints(t *testing.T, dir string) (gridPath string, ckpts []s
 		}
 		for _, i := range idx {
 			c := p.Cells[i]
-			ck.Add(campaign.CellResult{Stimulus: c.Stimulus.Name, Fault: c.Fault.Name, Units: g.Units})
+			ck.Add(campaign.CellResult{Stimulus: c.Stimulus.Name, Fault: c.Fault.Name,
+				ShouldFail: c.Fault.ShouldFail, Units: g.Units})
 		}
 		b, err := ck.MarshalCanonical()
 		if err != nil {

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/testkit"
 )
 
-// Checkpoint is the durable record of a campaign's completed cells: what a
-// fleet server writes periodically while a campaign runs, loads to resume
-// after a restart, and what two shard processes exchange to merge their
-// partitions. Because every CellResult is a pure function of its cell's
-// content, a checkpoint needs no positional bookkeeping — the cell list IS
-// the state, and replaying the missing cells reproduces the uninterrupted
-// matrix byte for byte.
+// Checkpoint is the record of a campaign's completed cells: what a fleet
+// server keeps as a running campaign's progress and writes periodically,
+// loads to resume after a restart, and what two shard processes exchange
+// to merge their partitions. Because every CellResult is a pure function
+// of its cell's content, a checkpoint needs no positional bookkeeping —
+// the cell list IS the state, and replaying the missing cells reproduces
+// the uninterrupted matrix byte for byte.
 type Checkpoint struct {
 	// GridHash is Plan.GridHash of the campaign the cells belong to; a
 	// resume or merge against a different grid is refused.
@@ -46,28 +46,12 @@ func NewCheckpoint(p *Plan, shardIndex, shardCount int) (*Checkpoint, error) {
 // Add records a completed cell, replacing any earlier result for the same
 // (stimulus, fault) key and keeping the list sorted.
 func (c *Checkpoint) Add(r CellResult) {
-	for i := range c.Cells {
-		if c.Cells[i].Stimulus == r.Stimulus && c.Cells[i].Fault == r.Fault {
-			c.Cells[i] = r
-			return
-		}
+	i, found := slices.BinarySearchFunc(c.Cells, r, compareResults)
+	if found {
+		c.Cells[i] = r
+		return
 	}
-	c.Cells = append(c.Cells, r)
-	sort.Slice(c.Cells, func(i, j int) bool {
-		if c.Cells[i].Stimulus != c.Cells[j].Stimulus {
-			return c.Cells[i].Stimulus < c.Cells[j].Stimulus
-		}
-		return c.Cells[i].Fault < c.Cells[j].Fault
-	})
-}
-
-// Done reports the completed cell keys: what a resume skips.
-func (c *Checkpoint) Done() map[string]CellResult {
-	out := make(map[string]CellResult, len(c.Cells))
-	for _, r := range c.Cells {
-		out[r.Stimulus+"\x00"+r.Fault] = r
-	}
-	return out
+	c.Cells = slices.Insert(c.Cells, i, r)
 }
 
 // MarshalCanonical encodes the checkpoint as canonical JSON — the on-disk
@@ -92,8 +76,11 @@ func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // Validate checks the checkpoint against a plan: hash match, shard in
-// range, every cell a known key with the plan's unit count. Cells from a
-// foreign grid or a stale lot size cannot leak into a resumed matrix.
+// range, every cell a known key with the plan's unit count and fault
+// expectation, and tallies a real run could produce (0 <= Errors <=
+// Rejected <= Units, DetectionRate exactly Rejected/Units as RunCell
+// computes it). Cells from a foreign grid, a stale lot size or a tampered
+// file cannot leak into a resumed or merged matrix.
 func (c *Checkpoint) Validate(p *Plan) error {
 	h, err := p.GridHash()
 	if err != nil {
@@ -105,17 +92,30 @@ func (c *Checkpoint) Validate(p *Plan) error {
 	if c.ShardCount < 1 || c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount {
 		return fmt.Errorf("campaign: checkpoint shard %d/%d invalid", c.ShardIndex, c.ShardCount)
 	}
-	known := make(map[string]bool, len(p.Cells))
+	known := make(map[string]Cell, len(p.Cells))
 	for _, cell := range p.Cells {
-		known[cell.Key()] = true
+		known[cell.Key()] = cell
 	}
 	for _, r := range c.Cells {
-		if !known[r.Stimulus+"\x00"+r.Fault] {
+		cell, ok := known[r.Key()]
+		if !ok {
 			return fmt.Errorf("campaign: checkpoint cell %s/%s not in plan", r.Stimulus, r.Fault)
 		}
 		if r.Units != p.Grid.Units {
 			return fmt.Errorf("campaign: checkpoint cell %s/%s ran %d units, plan wants %d",
 				r.Stimulus, r.Fault, r.Units, p.Grid.Units)
+		}
+		if r.ShouldFail != cell.Fault.ShouldFail {
+			return fmt.Errorf("campaign: checkpoint cell %s/%s has ShouldFail %t, plan fault has %t",
+				r.Stimulus, r.Fault, r.ShouldFail, cell.Fault.ShouldFail)
+		}
+		if r.Rejected < 0 || r.Rejected > r.Units || r.Errors < 0 || r.Errors > r.Rejected {
+			return fmt.Errorf("campaign: checkpoint cell %s/%s tallies rejected=%d errors=%d over %d units are impossible",
+				r.Stimulus, r.Fault, r.Rejected, r.Errors, r.Units)
+		}
+		if r.DetectionRate != float64(r.Rejected)/float64(r.Units) {
+			return fmt.Errorf("campaign: checkpoint cell %s/%s detection rate %g is not %d/%d",
+				r.Stimulus, r.Fault, r.DetectionRate, r.Rejected, r.Units)
 		}
 	}
 	return nil
@@ -138,7 +138,7 @@ func MergeCheckpoints(g Grid, cks ...*Checkpoint) (*DetectionMatrix, error) {
 			return nil, err
 		}
 		for _, r := range ck.Cells {
-			key := r.Stimulus + "\x00" + r.Fault
+			key := r.Key()
 			if seen[key] {
 				return nil, fmt.Errorf("campaign: merge: cell %s/%s covered twice", r.Stimulus, r.Fault)
 			}

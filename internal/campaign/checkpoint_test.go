@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -108,6 +110,130 @@ func TestCheckpointValidateMismatches(t *testing.T) {
 		Cells: []CellResult{{Stimulus: "qpsk-tiny", Fault: healthyName, Units: 99}}}
 	if err := ck.Validate(p); err == nil || !strings.Contains(err.Error(), "units") {
 		t.Errorf("stale unit count accepted: %v", err)
+	}
+}
+
+// TestCheckpointValidateRefusesImpossibleCells: a cell whose tallies no
+// run could produce, or whose fault expectation contradicts the plan, is
+// refused by Validate and so by resume and merge. The tampered cells
+// would otherwise fold straight into the matrix (a healthy cell claiming
+// ShouldFail shows up as an escape).
+func TestCheckpointValidateRefusesImpossibleCells(t *testing.T) {
+	g := planGrid()
+	g.Units = 4
+	p, err := NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := p.GridHash()
+	valid := CellResult{Stimulus: "qpsk-tiny", Fault: healthyName, Units: 4, Rejected: 2, Errors: 1, DetectionRate: 0.5}
+	ck := &Checkpoint{GridHash: h, ShardCount: 1, Cells: []CellResult{valid}}
+	if err := ck.Validate(p); err != nil {
+		t.Fatalf("consistent cell refused: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(r *CellResult)
+		want   string
+	}{
+		{"should_fail_flipped", func(r *CellResult) { r.ShouldFail = true }, "ShouldFail"},
+		{"rejected_above_units", func(r *CellResult) { r.Rejected, r.DetectionRate = 5, 1.25 }, "tallies"},
+		{"rejected_negative", func(r *CellResult) { r.Rejected, r.Errors, r.DetectionRate = -1, 0, -0.25 }, "tallies"},
+		{"errors_above_rejected", func(r *CellResult) { r.Errors = 3 }, "tallies"},
+		{"errors_negative", func(r *CellResult) { r.Errors = -1 }, "tallies"},
+		{"detection_rate_mismatch", func(r *CellResult) { r.DetectionRate = 0.7 }, "detection rate"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := valid
+			tc.mutate(&r)
+			ck := &Checkpoint{GridHash: h, ShardCount: 1, Cells: []CellResult{r}}
+			if err := ck.Validate(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("cell %+v: Validate = %v, want an error naming %q", r, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestMergeRefusesTamperedCheckpoint: the merge path runs the same
+// checks, so a one-cell checkpoint claiming impossible tallies for the
+// healthy cell cannot turn it into an escape in the merged matrix.
+func TestMergeRefusesTamperedCheckpoint(t *testing.T) {
+	g := planGrid()
+	p, err := NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := NewCheckpoint(p, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runPlanCells(t, p, allIndices(p)) {
+		if r.Fault == healthyName {
+			r.Rejected, r.Errors, r.DetectionRate, r.ShouldFail = 5, 9, 0.7, true
+		}
+		ck.Add(r)
+	}
+	if _, err := MergeCheckpoints(g, ck); err == nil {
+		t.Error("merge accepted a checkpoint with an impossible healthy cell")
+	}
+}
+
+// TestCheckpointAddOrderInvariant: however one result set arrives — any
+// insertion order, with earlier results for the same key replaced by the
+// final one — Add leaves Cells sorted and unique, and the checkpoint
+// marshals to the same bytes.
+func TestCheckpointAddOrderInvariant(t *testing.T) {
+	stims := []string{"a", "ab", "b", "b-2", "qpsk"}
+	faults := []string{"dead-gain", "healthy", "iq-skew", "pa", "pa-compression"}
+	var final []CellResult
+	for _, s := range stims {
+		for _, f := range faults {
+			final = append(final, CellResult{Stimulus: s, Fault: f, Units: 3, Rejected: len(final) % 4})
+		}
+	}
+	want, err := (&Checkpoint{GridHash: "x", ShardCount: 1, Cells: final}).MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Per key: zero to two stale results, then the final one. Popping
+		// the head of a random non-empty queue interleaves the keys at
+		// random while each key's final result still lands last.
+		queues := make([][]CellResult, len(final))
+		for i, r := range final {
+			for n := rng.Intn(3); n > 0; n-- {
+				stale := r
+				stale.Rejected, stale.HasMargin = rng.Intn(4), true
+				queues[i] = append(queues[i], stale)
+			}
+			queues[i] = append(queues[i], r)
+		}
+		ck := &Checkpoint{GridHash: "x", ShardCount: 1}
+		for left := len(final); left > 0; {
+			i := rng.Intn(len(queues))
+			if len(queues[i]) == 0 {
+				continue
+			}
+			ck.Add(queues[i][0])
+			if queues[i] = queues[i][1:]; len(queues[i]) == 0 {
+				left--
+			}
+		}
+		for i := 1; i < len(ck.Cells); i++ {
+			if compareResults(ck.Cells[i-1], ck.Cells[i]) >= 0 {
+				t.Fatalf("seed %d: cells %d and %d out of order or duplicated: %s/%s, %s/%s", seed, i-1, i,
+					ck.Cells[i-1].Stimulus, ck.Cells[i-1].Fault, ck.Cells[i].Stimulus, ck.Cells[i].Fault)
+			}
+		}
+		got, err := ck.MarshalCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: checkpoint bytes depend on insertion order", seed)
+		}
 	}
 }
 

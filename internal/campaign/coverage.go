@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -58,6 +59,15 @@ type CellResult struct {
 	// WorstMarginDB is the worst mask margin seen across units (0 when
 	// HasMargin is false).
 	WorstMarginDB float64
+}
+
+// Key names the result's cell: the same identity Cell.Key gives the plan
+// cell it came from.
+func (r CellResult) Key() string { return cellKey(r.Stimulus, r.Fault) }
+
+// compareResults orders results by cell key (see compareKeys).
+func compareResults(a, b CellResult) int {
+	return compareKeys(a.Stimulus, a.Fault, b.Stimulus, b.Fault)
 }
 
 // FaultSummary scores one fault across every stimulus in the grid.
@@ -146,29 +156,16 @@ func (g Grid) Run() (*DetectionMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]CellResult, len(p.Cells))
-	perr := par.ForErr(len(p.Cells), func(i int) error {
-		cell, err := p.RunCell(i, nil)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
-	})
-	if perr != nil {
-		return nil, perr
+	cells, err := par.MapErr(len(p.Cells), func(i int) (CellResult, error) { return p.RunCell(i, nil) })
+	if err != nil {
+		return nil, err
 	}
 	return p.Fold(cells), nil
 }
 
 // fold sorts the cells and computes the two marginals and the escape list.
 func (g Grid) fold(cells []CellResult) *DetectionMatrix {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Stimulus != cells[j].Stimulus {
-			return cells[i].Stimulus < cells[j].Stimulus
-		}
-		return cells[i].Fault < cells[j].Fault
-	})
+	slices.SortFunc(cells, compareResults)
 	m := &DetectionMatrix{
 		Units:          g.Units,
 		Scale:          g.Scale,

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -25,7 +26,20 @@ type Cell struct {
 // Key names the cell uniquely within its grid — the identity checkpoints
 // and shard merges match on. Stimulus names are unique by Validate and
 // fault names are unique in the catalogue, so the pair is collision-free.
-func (c Cell) Key() string { return c.Stimulus.Name + "\x00" + c.Fault.Name }
+func (c Cell) Key() string { return cellKey(c.Stimulus.Name, c.Fault.Name) }
+
+// cellKey joins a (stimulus, fault) name pair into the cell identity both
+// Cell.Key and CellResult.Key return.
+func cellKey(stimulus, fault string) string { return stimulus + "\x00" + fault }
+
+// compareKeys orders (stimulus, fault) name pairs: the one order
+// Plan.Cells, checkpoints and the detection matrix share.
+func compareKeys(stimA, faultA, stimB, faultB string) int {
+	if c := strings.Compare(stimA, stimB); c != 0 {
+		return c
+	}
+	return strings.Compare(faultA, faultB)
+}
 
 // UnitVerdict is the per-device outcome a cell observer sees while a cell
 // executes: what a production floor streams as each DUT comes off the
@@ -50,14 +64,6 @@ type Plan struct {
 	// this list, so every process that builds a Plan from the same grid
 	// sees the same partition.
 	Cells []Cell
-
-	// OnCellDone, when non-nil, observes every completed cell with its
-	// wall-clock duration. It exists for telemetry (rolling windows,
-	// yield tracking); elapsed is deliberately passed alongside the result
-	// rather than stored in it, because CellResult is golden-pinned and
-	// must never carry wall-clock fields. Called on the goroutine that ran
-	// the cell, after the aggregate is final.
-	OnCellDone func(i int, result CellResult, elapsed time.Duration)
 
 	base   core.Config
 	spread core.ProcessSpread
@@ -96,7 +102,9 @@ func NewPlan(g Grid) (*Plan, error) {
 			p.Cells = append(p.Cells, Cell{Stimulus: s, Fault: f, Seed: cellSeed(g.Seed, canon, f.Name)})
 		}
 	}
-	sortCellsByKey(p.Cells)
+	slices.SortFunc(p.Cells, func(a, b Cell) int {
+		return compareKeys(a.Stimulus.Name, a.Fault.Name, b.Stimulus.Name, b.Fault.Name)
+	})
 	return p, nil
 }
 
@@ -160,11 +168,7 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 	cell.HasMargin, cell.WorstMarginDB = t.HasMargin, t.WorstMarginDB
 	cell.DetectionRate = float64(cell.Rejected) / float64(cell.Units)
 	mCells.Inc()
-	elapsed := time.Since(started)
-	mCellSeconds.Observe(elapsed.Seconds())
-	if p.OnCellDone != nil {
-		p.OnCellDone(i, cell, elapsed)
-	}
+	mCellSeconds.Observe(time.Since(started).Seconds())
 	return cell, nil
 }
 
@@ -192,15 +196,4 @@ func (p *Plan) ShardIndices(index, count int) ([]int, error) {
 		out = append(out, i)
 	}
 	return out, nil
-}
-
-// sortCellsByKey orders cells by (stimulus name, fault name) — the same
-// order fold emits, so Plan.Cells, checkpoints and the matrix all agree.
-func sortCellsByKey(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Stimulus.Name != cells[j].Stimulus.Name {
-			return cells[i].Stimulus.Name < cells[j].Stimulus.Name
-		}
-		return cells[i].Fault.Name < cells[j].Fault.Name
-	})
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -246,37 +245,5 @@ func TestCellResultHasMargin(t *testing.T) {
 	}
 	if r.WorstMarginDB != 0 {
 		t.Errorf("cell with no mask verdicts carries margin %g, want 0", r.WorstMarginDB)
-	}
-}
-
-// TestOnCellDoneHook pins the telemetry seam: the hook fires once per
-// completed cell with the final aggregate and a positive duration, and the
-// duration stays out of CellResult (which is golden-pinned).
-func TestOnCellDoneHook(t *testing.T) {
-	p, err := NewPlan(planGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type done struct {
-		i       int
-		result  CellResult
-		elapsed time.Duration
-	}
-	var got []done
-	p.OnCellDone = func(i int, r CellResult, elapsed time.Duration) {
-		got = append(got, done{i, r, elapsed})
-	}
-	r, err := p.RunCell(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(got))
-	}
-	if got[0].i != 1 || got[0].result != r {
-		t.Errorf("hook saw (%d, %+v), cell returned %+v", got[0].i, got[0].result, r)
-	}
-	if got[0].elapsed <= 0 {
-		t.Errorf("hook elapsed = %v, want > 0", got[0].elapsed)
 	}
 }

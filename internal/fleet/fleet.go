@@ -147,7 +147,6 @@ type Campaign struct {
 	Shard Shard
 
 	plan     *campaign.Plan
-	gridHash string
 	shardIDs []int // plan cell indices this process owns
 	events   *eventLog
 	manifest provenance.Manifest
@@ -155,14 +154,14 @@ type Campaign struct {
 	mu        sync.Mutex
 	state     string
 	errMsg    string
-	done      map[string]campaign.CellResult
+	ck        *campaign.Checkpoint // completed cells: the campaign's progress
 	resumed   int
 	units     core.Tally // every unit verdict so far, resumed cells included
 	sinceCkpt int
 	matrix    []byte // canonical DetectionMatrix once done
 	traceRec  *trace.Recording
 
-	tel     *telemetry       // rolling-window SLO view, fed by OnCellDone
+	tel     *telemetry       // rolling-window SLO view, fed by noteTelemetry
 	telSnap *TelemetryReport // frozen at campaign end
 }
 
@@ -202,7 +201,7 @@ func (c *Campaign) status() Status {
 		ShardIndex:    c.Shard.Index,
 		ShardCount:    c.Shard.Count,
 		CellsTotal:    len(c.shardIDs),
-		CellsDone:     len(c.done),
+		CellsDone:     len(c.ck.Cells),
 		CellsResumed:  c.resumed,
 		UnitsRun:      int64(c.units.Units),
 		UnitsRejected: int64(c.units.Rejected),
@@ -283,7 +282,7 @@ func (s *Server) Submit(spec Spec) (*Campaign, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	gridHash, err := p.GridHash()
+	ck, err := campaign.NewCheckpoint(p, s.cfg.Shard.Index, s.cfg.Shard.Count)
 	if err != nil {
 		return nil, false, err
 	}
@@ -306,14 +305,12 @@ func (s *Server) Submit(spec Spec) (*Campaign, bool, error) {
 		Spec:     spec,
 		Shard:    s.cfg.Shard,
 		plan:     p,
-		gridHash: gridHash,
 		shardIDs: shardIDs,
 		events:   newEventLog(),
 		state:    StateQueued,
-		done:     map[string]campaign.CellResult{},
+		ck:       ck,
 		tel:      newTelemetry(),
 	}
-	p.OnCellDone = c.noteTelemetry
 	name := spec.Name
 	if name == "" {
 		name = "campaign-" + id
@@ -472,13 +469,19 @@ func (s *Server) runCampaign(c *Campaign) {
 		}
 	}
 
-	pending := make([]int, 0, len(c.shardIDs))
-	doneKeys := c.doneKeys()
+	// The checkpoint holds only cells of this partition, sorted in plan
+	// order, so one walk over the partition skips the resumed ones.
+	c.mu.Lock()
+	done := c.ck.Cells
+	pending := make([]int, 0, len(c.shardIDs)-len(done))
 	for _, i := range c.shardIDs {
-		if !doneKeys[c.plan.Cells[i].Key()] {
-			pending = append(pending, i)
+		if len(done) > 0 && done[0].Key() == c.plan.Cells[i].Key() {
+			done = done[1:]
+			continue
 		}
+		pending = append(pending, i)
 	}
+	c.mu.Unlock()
 
 	var wg sync.WaitGroup
 	interrupted := false
@@ -491,11 +494,13 @@ func (s *Server) runCampaign(c *Campaign) {
 		wg.Add(1)
 		ok := s.queue.Submit(func() {
 			defer wg.Done()
+			started := time.Now()
 			res, err := c.plan.RunCell(i, c.noteUnit)
 			if err != nil {
 				c.setState(StateFailed, err.Error())
 				return
 			}
+			c.noteTelemetry(res, time.Since(started))
 			mCellsRun.Inc()
 			s.noteCell(c, res)
 		})
@@ -520,7 +525,7 @@ func (s *Server) runCampaign(c *Campaign) {
 
 	c.mu.Lock()
 	state := c.state
-	complete := len(c.done) == len(c.shardIDs)
+	complete := len(c.ck.Cells) == len(c.shardIDs)
 	c.mu.Unlock()
 	switch {
 	case state == StateFailed:
@@ -564,12 +569,8 @@ func (s *Server) finishInterrupted(c *Campaign) {
 // matrix comes from merging the shard checkpoints (bistd -merge).
 func (s *Server) foldMatrix(c *Campaign) error {
 	c.mu.Lock()
-	cells := make([]campaign.CellResult, 0, len(c.done))
-	for _, r := range c.done {
-		cells = append(cells, r)
-	}
+	m := c.plan.Fold(c.ck.Cells)
 	c.mu.Unlock()
-	m := c.plan.Fold(cells)
 	b, err := m.MarshalCanonical()
 	if err != nil {
 		return err
@@ -593,7 +594,7 @@ func (c *Campaign) noteUnit(v campaign.UnitVerdict) {
 // aggregate, and checkpoints on the configured cadence.
 func (s *Server) noteCell(c *Campaign, r campaign.CellResult) {
 	c.mu.Lock()
-	c.done[r.Stimulus+"\x00"+r.Fault] = r
+	c.ck.Add(r)
 	c.sinceCkpt++
 	writeCkpt := c.sinceCkpt >= s.cfg.CheckpointEvery
 	if writeCkpt {
@@ -604,17 +605,6 @@ func (s *Server) noteCell(c *Campaign, r campaign.CellResult) {
 	if writeCkpt {
 		s.writeCheckpoint(c)
 	}
-}
-
-// doneKeys snapshots the completed cell keys.
-func (c *Campaign) doneKeys() map[string]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]bool, len(c.done))
-	for k := range c.done {
-		out[k] = true
-	}
-	return out
 }
 
 func (c *Campaign) setState(state, errMsg string) {
@@ -628,19 +618,14 @@ func (c *Campaign) setState(state, errMsg string) {
 	c.mu.Unlock()
 }
 
-// Checkpoint builds the campaign's current checkpoint value.
+// Checkpoint returns a copy of the campaign's checkpoint, so callers can
+// marshal it without holding the campaign lock.
 func (c *Campaign) Checkpoint() *campaign.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ck := &campaign.Checkpoint{
-		GridHash:   c.gridHash,
-		ShardIndex: c.Shard.Index,
-		ShardCount: c.Shard.Count,
-	}
-	for _, r := range c.done {
-		ck.Add(r)
-	}
-	return ck
+	ck := *c.ck
+	ck.Cells = slices.Clone(c.ck.Cells)
+	return &ck
 }
 
 // checkpointPath is CheckpointDir/<campaign id>.ckpt.json.
@@ -667,7 +652,8 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 			slog.String("stage", stage),
 			slog.String("error", err.Error()))
 	}
-	b, err := c.Checkpoint().MarshalCanonical()
+	ck := c.Checkpoint()
+	b, err := ck.MarshalCanonical()
 	if err != nil {
 		fail("marshal", err)
 		return
@@ -687,17 +673,14 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 	s.lastCkptNanos.Store(time.Now().UnixNano())
 	s.ckptFailing.Store(false)
 	if eventlog.On() {
-		c.mu.Lock()
-		cells := len(c.done)
-		c.mu.Unlock()
 		eventlog.Emit("fleet.checkpoint.write",
 			slog.String("campaign", c.ID),
 			slog.Int("shard_index", c.Shard.Index),
-			slog.Int("cells", cells))
+			slog.Int("cells", len(ck.Cells)))
 	}
 }
 
-// loadCheckpoint seeds a freshly admitted campaign from its checkpoint
+// loadCheckpoint seeds a freshly admitted campaign's checkpoint from its
 // file, validating hash, shard and cell identity before trusting any of
 // it. Completed cells are counted as resumed and will be skipped.
 func (s *Server) loadCheckpoint(c *Campaign) error {
@@ -727,20 +710,21 @@ func (s *Server) loadCheckpoint(c *Campaign) error {
 		owned[c.plan.Cells[i].Key()] = true
 	}
 	c.mu.Lock()
-	for key, r := range ck.Done() {
-		if !owned[key] {
-			c.mu.Unlock()
+	defer c.mu.Unlock()
+	for _, r := range ck.Cells {
+		if !owned[r.Key()] {
 			return fmt.Errorf("fleet: checkpoint carries cell outside this shard's partition")
 		}
-		c.done[key] = r
-		c.resumed++
+		c.ck.Add(r)
+	}
+	// Tally what Add kept, so a cell the file lists twice counts once.
+	for _, r := range c.ck.Cells {
 		c.units.Units += r.Units
 		c.units.Rejected += r.Rejected
 		c.units.Errors += r.Errors
 	}
-	resumed := c.resumed
-	c.mu.Unlock()
-	mCellsResume.Add(int64(resumed))
+	c.resumed = len(c.ck.Cells)
+	mCellsResume.Add(int64(c.resumed))
 	return nil
 }
 

@@ -93,10 +93,12 @@ func (c *Campaign) telemetryReport() TelemetryReport {
 	}
 }
 
-// noteTelemetry is the campaign's OnCellDone hook: it feeds the rolling
-// windows and the fleet yield gauge, and emits the per-cell completion
-// event. Runs on the worker goroutine that finished the cell.
-func (c *Campaign) noteTelemetry(_ int, r campaign.CellResult, elapsed time.Duration) {
+// noteTelemetry observes one completed cell with its wall-clock duration:
+// it feeds the rolling windows and the fleet yield gauge, and emits the
+// per-cell completion event. The duration travels beside the result, never
+// in it, because CellResult is golden-pinned. Runs on the worker goroutine
+// that finished the cell.
+func (c *Campaign) noteTelemetry(r campaign.CellResult, elapsed time.Duration) {
 	sec := elapsed.Seconds()
 	c.tel.cellSeconds.Observe(sec)
 	if sec > 0 && r.Units > 0 {

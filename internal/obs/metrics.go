@@ -101,9 +101,14 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value when collection is enabled.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
+	if enabled.Load() {
+		h.add(v)
 	}
+}
+
+// add records one value unconditionally: the bucket search, the count and
+// the CAS-accumulated sum that Histogram.Observe and each Window slot share.
+func (h *Histogram) add(v float64) {
 	// Binary search for the first bound >= v (hand-rolled: the sort.Search
 	// closure would cost an allocation on a hot path).
 	lo, hi := 0, len(h.bounds)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +16,9 @@ import (
 //
 // The disabled-path contract matches Counter: when collection is off,
 // Observe is one atomic load and returns — 0 allocs, ~1 ns, held by
-// BenchmarkWindowDisabled. Enabled, an observation is the Histogram
-// binary search plus three atomic adds; slot recycling takes a mutex only
-// on the first observation after a slot boundary.
+// BenchmarkWindowDisabled. Enabled, an observation is the slot
+// Histogram's add; slot recycling takes a mutex only on the first
+// observation after a slot boundary.
 //
 // Windows are telemetry, not goldens: which slot an observation lands in
 // depends on the wall clock, so live counts, sums and quantiles are
@@ -41,13 +40,11 @@ type Window struct {
 	nowFn func() int64
 }
 
-// windowSlot is one time bucket of the ring: a fixed-bound histogram plus
-// the slot sequence number it currently holds.
+// windowSlot is one time bucket of the ring: a histogram over the
+// window's bounds plus the slot sequence number it currently holds.
 type windowSlot struct {
-	epoch  atomic.Int64 // slot sequence number (now / slotNanos); -1 = never used
-	counts []atomic.Int64
-	n      atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	epoch atomic.Int64 // slot sequence number (now / slotNanos); -1 = never used
+	h     Histogram
 }
 
 // NewWindow builds a rolling window with the given histogram bucket
@@ -70,7 +67,7 @@ func NewWindow(bounds []float64, slot time.Duration, slots int) *Window {
 	}
 	for i := range w.slots {
 		w.slots[i].epoch.Store(-1)
-		w.slots[i].counts = make([]atomic.Int64, len(b)+1)
+		w.slots[i].h = Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 	}
 	return w
 }
@@ -86,25 +83,7 @@ func (w *Window) Observe(v float64) {
 	if s.epoch.Load() != seq {
 		w.roll(s, seq)
 	}
-	// Same hand-rolled binary search as Histogram.Observe.
-	lo, hi := 0, len(w.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.counts[lo].Add(1)
-	s.n.Add(1)
-	for {
-		old := s.sum.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sum.CompareAndSwap(old, nv) {
-			return
-		}
-	}
+	s.h.add(v)
 }
 
 // roll recycles a slot for a new sequence number: zero its histogram and
@@ -116,11 +95,7 @@ func (w *Window) roll(s *windowSlot, seq int64) {
 	if s.epoch.Load() == seq {
 		return
 	}
-	for i := range s.counts {
-		s.counts[i].Store(0)
-	}
-	s.n.Store(0)
-	s.sum.Store(0)
+	s.h.reset()
 	s.epoch.Store(seq)
 }
 
@@ -137,11 +112,11 @@ func (w *Window) merged() (counts []int64, n int64, sum float64) {
 		if e < min || e > seq {
 			continue
 		}
-		for j := range s.counts {
-			counts[j] += s.counts[j].Load()
+		for j := range s.h.counts {
+			counts[j] += s.h.counts[j].Load()
 		}
-		n += s.n.Load()
-		sum += math.Float64frombits(s.sum.Load())
+		n += s.h.Count()
+		sum += s.h.Sum()
 	}
 	return counts, n, sum
 }

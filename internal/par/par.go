@@ -270,20 +270,6 @@ func MapErrCtx[T any](tc trace.Ctx, n int, fn func(taskCtx trace.Ctx, i int) (T,
 	return out, nil
 }
 
-// ForErr calls fn(i) for every i in [0, n) on the pool and returns the
-// error of the lowest-index failing call (deterministic regardless of
-// scheduling), or nil if all succeed.
-func ForErr(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	For(n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MapErr evaluates fn over [0, n) on the pool. It returns the results in
 // index order, or the error of the lowest-index failing call.
 func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {

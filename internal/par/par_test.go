@@ -108,23 +108,6 @@ func TestForPanicPropagation(t *testing.T) {
 	}
 }
 
-func TestForErrReturnsLowestIndexError(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	err := ForErr(100, func(i int) error {
-		if i == 80 || i == 17 {
-			return fmt.Errorf("fail at %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "fail at 17" {
-		t.Fatalf("got %v, want the index-17 error", err)
-	}
-	if err := ForErr(10, func(int) error { return nil }); err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 func TestMapErr(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -136,6 +119,15 @@ func TestMapErr(t *testing.T) {
 		return i, nil
 	}); !errors.Is(err, want) {
 		t.Fatalf("got %v", err)
+	}
+	// Two failures: the lowest index wins, whatever the scheduling.
+	if _, err := MapErr(100, func(i int) (int, error) {
+		if i == 80 || i == 17 {
+			return 0, fmt.Errorf("fail at %d", i)
+		}
+		return i, nil
+	}); err == nil || err.Error() != "fail at 17" {
+		t.Fatalf("got %v, want the index-17 error", err)
 	}
 	out, err := MapErr(20, func(i int) (int, error) { return 2 * i, nil })
 	if err != nil {

@@ -27,9 +27,9 @@ var (
 // returns, a Queue accepts work for the life of a service — Submit blocks
 // when the buffer is full (backpressure, never unbounded memory), workers
 // drain in arrival order, and Close waits for everything in flight. A
-// panic in a job is recovered, counted, and reported through the optional
-// OnPanic hook rather than killing the worker: one poisonous campaign
-// cell must not take the fleet down.
+// panic in a job is recovered, counted, and reported as a par.queue.panic
+// event rather than killing the worker: one poisonous campaign cell must
+// not take the fleet down.
 type Queue struct {
 	ch      chan func()
 	wg      sync.WaitGroup
@@ -42,10 +42,6 @@ type Queue struct {
 	// the fleet watchdog — sees the truth even when metrics are disabled.
 	active atomic.Int64
 	done   atomic.Int64
-
-	// OnPanic, when non-nil, observes recovered job panics. Set it before
-	// the first Submit; it runs on the worker goroutine.
-	OnPanic func(v any)
 }
 
 // NewQueue starts a queue with the given worker count and buffer depth.
@@ -88,9 +84,7 @@ func (q *Queue) worker() {
 func (q *Queue) runJob(job func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			if q.OnPanic != nil {
-				q.OnPanic(r)
-			} else if !eventlog.Emit("par.queue.panic", slog.String("panic", fmt.Sprint(r))) {
+			if !eventlog.Emit("par.queue.panic", slog.String("panic", fmt.Sprint(r))) {
 				// No event log installed: the report must still reach a
 				// human, so fall back to raw stderr.
 				fmt.Fprintf(os.Stderr, "par: queue job panic (dropped): %v\n", r)

@@ -1,10 +1,15 @@
 package par
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs/eventlog"
 )
 
 // TestParseWorkersEnv pins the env-override contract: valid values apply,
@@ -106,15 +111,19 @@ func TestQueueBackpressureBlocksNotDrops(t *testing.T) {
 }
 
 func TestQueuePanicIsolated(t *testing.T) {
-	var caught atomic.Value
+	var log bytes.Buffer
+	defer eventlog.Set(eventlog.Set(slog.New(slog.NewJSONHandler(&log, nil))))
 	q := NewQueue(1, 1)
-	q.OnPanic = func(v any) { caught.Store(v) }
 	q.Submit(func() { panic("poison cell") })
 	var ok atomic.Bool
 	q.Submit(func() { ok.Store(true) }) // the worker must survive
 	q.Close()
-	if got := caught.Load(); got != "poison cell" {
-		t.Errorf("OnPanic saw %v, want poison cell", got)
+	var ev struct{ Msg, Panic string }
+	if err := json.Unmarshal(log.Bytes(), &ev); err != nil {
+		t.Fatalf("event log %q: %v", log.String(), err)
+	}
+	if ev.Msg != "par.queue.panic" || ev.Panic != "poison cell" {
+		t.Errorf("panic reported as %+v, want a par.queue.panic event carrying poison cell", ev)
 	}
 	if !ok.Load() {
 		t.Error("job after a panicking job did not run")
