@@ -120,15 +120,6 @@ func TestMapErr(t *testing.T) {
 	}); !errors.Is(err, want) {
 		t.Fatalf("got %v", err)
 	}
-	// Two failures: the lowest index wins, whatever the scheduling.
-	if _, err := MapErr(100, func(i int) (int, error) {
-		if i == 80 || i == 17 {
-			return 0, fmt.Errorf("fail at %d", i)
-		}
-		return i, nil
-	}); err == nil || err.Error() != "fail at 17" {
-		t.Fatalf("got %v, want the index-17 error", err)
-	}
 	out, err := MapErr(20, func(i int) (int, error) { return 2 * i, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +128,21 @@ func TestMapErr(t *testing.T) {
 		if v != 2*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
+	}
+}
+
+// With two failures the lowest index wins, whatever the scheduling.
+func TestMapErrReturnsLowestIndexError(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	_, err := MapErr(100, func(i int) (int, error) {
+		if i == 80 || i == 17 {
+			return 0, fmt.Errorf("fail at %d", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "fail at 17" {
+		t.Fatalf("got %v, want the index-17 error", err)
 	}
 }
 
