@@ -24,8 +24,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: vet + race.
-check: vet race
+# check is the CI gate: vet + reach + race.
+check: vet reach race
 
 # reach fails when a declared function is linked by no program (cmd/*,
 # examples/*, perfbench) and is not listed, with its reason, in

@@ -41,6 +41,7 @@ import (
 	rtrace "runtime/trace"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
@@ -318,7 +319,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 	setup := experiments.DefaultPaperSetup()
 	switch name {
 	case "fig3a":
-		return emit(w, experiments.RunFig3a(3, nPts), jsonOut)
+		return emit(w, experiments.RunFig3a(nPts), jsonOut)
 	case "fig3b":
 		r, err := experiments.RunFig3b()
 		if err != nil {
@@ -326,7 +327,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 		}
 		return emit(w, r, jsonOut)
 	case "fig5":
-		r, err := experiments.RunFig5(setup, 0, 0, nPts, 0)
+		r, err := experiments.RunFig5(setup, nPts)
 		if err != nil {
 			return err
 		}
@@ -348,7 +349,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 		}
 		return emit(w, r, jsonOut)
 	case "table1":
-		r, err := experiments.RunTable1(setup, 0)
+		r, err := experiments.RunTable1(setup)
 		if err != nil {
 			return err
 		}
@@ -360,7 +361,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 		}
 		return emit(w, r, jsonOut)
 	case "dsweep":
-		r, err := experiments.RunDSweep(setup.BandB, 0, nPts)
+		r, err := experiments.RunDSweep(core.PaperScenario().Band(), nPts)
 		if err != nil {
 			return err
 		}
@@ -384,7 +385,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 		}
 		return emit(w, r, jsonOut)
 	case "noise":
-		r, err := experiments.RunNoiseFold(0.9e9, 1.9e9, 1e-4)
+		r, err := experiments.RunNoiseFold()
 		if err != nil {
 			return err
 		}
@@ -429,7 +430,7 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 		// -scale < 1 overrides the grid's own scale, mirroring the other
 		// experiments (and letting `make campaign-smoke` shrink a committed
 		// grid without editing it).
-		r, err := experiments.RunCoverage(grid, scale, 0)
+		r, err := experiments.RunCoverage(grid, scale)
 		if err != nil {
 			return err
 		}

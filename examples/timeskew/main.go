@@ -11,7 +11,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs/trace"
 	"repro/internal/skew"
@@ -24,25 +23,13 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	setup := experiments.DefaultPaperSetup()
-
-	// Build the paper's transmitter (10 MHz QPSK at 1 GHz) via the BIST
-	// scenario and capture its output nonuniformly at both rates.
-	cfg := core.PaperScenario()
-	b, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-	setB, setB1, actualD, err := setup.AcquireDualRate(b.Transmitter().Output(), 300)
+	// Capture the paper's transmitter (10 MHz QPSK at 1 GHz) nonuniformly
+	// at both rates and build the cost function over the captures.
+	ce, _, actualD, err := experiments.DefaultPaperSetup().Acquire(300, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "true (hidden) delay: %.3f ps\n", actualD*1e12)
-
-	ce, err := setup.Evaluator(setB, setB1)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "search interval: ]0, %.0f ps[ (m from Section IV-A)\n", ce.M()*1e12)
 
 	// Run Algorithm 1 from wildly wrong starting guesses.

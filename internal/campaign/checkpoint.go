@@ -79,8 +79,9 @@ func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 // range, every cell a known key with the plan's unit count and fault
 // expectation, and tallies a real run could produce (0 <= Errors <=
 // Rejected <= Units, DetectionRate exactly Rejected/Units as RunCell
-// computes it). Cells from a foreign grid, a stale lot size or a tampered
-// file cannot leak into a resumed or merged matrix.
+// computes it, a mask margin those tallies allow). Cells from a foreign
+// grid, a stale lot size or a tampered file cannot leak into a resumed or
+// merged matrix.
 func (c *Checkpoint) Validate(p *Plan) error {
 	h, err := p.GridHash()
 	if err != nil {
@@ -116,6 +117,14 @@ func (c *Checkpoint) Validate(p *Plan) error {
 		if r.DetectionRate != float64(r.Rejected)/float64(r.Units) {
 			return fmt.Errorf("campaign: checkpoint cell %s/%s detection rate %g is not %d/%d",
 				r.Stimulus, r.Fault, r.DetectionRate, r.Rejected, r.Units)
+		}
+		// Tally leaves the margin 0 without a mask verdict, an all-errored
+		// lot has no verdict, and mask.Check fails any negative margin, so
+		// a negative worst margin needs a rejected unit that did not error.
+		if !r.HasMargin && r.WorstMarginDB != 0 ||
+			r.HasMargin && (r.Errors == r.Units || r.WorstMarginDB < 0 && r.Rejected == r.Errors) {
+			return fmt.Errorf("campaign: checkpoint cell %s/%s margin (HasMargin %t, worst %g dB) contradicts rejected=%d errors=%d over %d units",
+				r.Stimulus, r.Fault, r.HasMargin, r.WorstMarginDB, r.Rejected, r.Errors, r.Units)
 		}
 	}
 	return nil

@@ -117,7 +117,7 @@ func TestCheckpointValidateMismatches(t *testing.T) {
 // run could produce, or whose fault expectation contradicts the plan, is
 // refused by Validate and so by resume and merge. The tampered cells
 // would otherwise fold straight into the matrix (a healthy cell claiming
-// ShouldFail shows up as an escape).
+// ShouldFail shows up as an escape, a moved margin shifts WorstMarginDB).
 func TestCheckpointValidateRefusesImpossibleCells(t *testing.T) {
 	g := planGrid()
 	g.Units = 4
@@ -126,7 +126,8 @@ func TestCheckpointValidateRefusesImpossibleCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := p.GridHash()
-	valid := CellResult{Stimulus: "qpsk-tiny", Fault: healthyName, Units: 4, Rejected: 2, Errors: 1, DetectionRate: 0.5}
+	valid := CellResult{Stimulus: "qpsk-tiny", Fault: healthyName, Units: 4, Rejected: 2, Errors: 1, DetectionRate: 0.5,
+		HasMargin: true, WorstMarginDB: -1.5}
 	ck := &Checkpoint{GridHash: h, ShardCount: 1, Cells: []CellResult{valid}}
 	if err := ck.Validate(p); err != nil {
 		t.Fatalf("consistent cell refused: %v", err)
@@ -142,6 +143,9 @@ func TestCheckpointValidateRefusesImpossibleCells(t *testing.T) {
 		{"errors_above_rejected", func(r *CellResult) { r.Errors = 3 }, "tallies"},
 		{"errors_negative", func(r *CellResult) { r.Errors = -1 }, "tallies"},
 		{"detection_rate_mismatch", func(r *CellResult) { r.DetectionRate = 0.7 }, "detection rate"},
+		{"margin_without_verdict", func(r *CellResult) { r.HasMargin = false }, "margin"},
+		{"margin_all_errored", func(r *CellResult) { r.Rejected, r.Errors, r.DetectionRate = 4, 4, 1 }, "margin"},
+		{"negative_margin_nothing_failed", func(r *CellResult) { r.Errors = 2 }, "margin"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,26 +160,46 @@ func TestCheckpointValidateRefusesImpossibleCells(t *testing.T) {
 }
 
 // TestMergeRefusesTamperedCheckpoint: the merge path runs the same
-// checks, so a one-cell checkpoint claiming impossible tallies for the
-// healthy cell cannot turn it into an escape in the merged matrix.
+// checks, so a checkpoint whose healthy cell claims impossible tallies, or
+// a margin without a mask verdict, cannot reach the merged matrix (the
+// first would turn the cell into an escape, the second move its margin).
 func TestMergeRefusesTamperedCheckpoint(t *testing.T) {
 	g := planGrid()
 	p, err := NewPlan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := NewCheckpoint(p, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range runPlanCells(t, p, allIndices(p)) {
-		if r.Fault == healthyName {
-			r.Rejected, r.Errors, r.DetectionRate, r.ShouldFail = 5, 9, 0.7, true
+	cells := runPlanCells(t, p, allIndices(p))
+	for _, r := range cells {
+		if r.Fault == healthyName && (!r.HasMargin || r.WorstMarginDB == 0) {
+			t.Fatalf("healthy cell has no nonzero margin to tamper with: %+v", r)
 		}
-		ck.Add(r)
 	}
-	if _, err := MergeCheckpoints(g, ck); err == nil {
-		t.Error("merge accepted a checkpoint with an impossible healthy cell")
+	cases := []struct {
+		name   string
+		tamper func(r *CellResult)
+	}{
+		{"impossible_tallies", func(r *CellResult) {
+			r.Rejected, r.Errors, r.DetectionRate, r.ShouldFail = 5, 9, 0.7, true
+		}},
+		{"margin_without_verdict", func(r *CellResult) { r.HasMargin = false }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := NewCheckpoint(p, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range cells {
+				if r.Fault == healthyName {
+					tc.tamper(&r)
+				}
+				ck.Add(r)
+			}
+			if _, err := MergeCheckpoints(g, ck); err == nil {
+				t.Error("merge accepted a checkpoint with a tampered healthy cell")
+			}
+		})
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 )
 
 // TestCampaignAllocsFlatAcrossWorkers pins the shared-cache contract end
-// to end: once the stimulus memo and gain cache are warm, the heap growth
-// of one grid run must not scale with the worker count — widening the pool
-// only changes how many units are in flight at once, not how much each
-// allocates. A regression that re-expands the stimulus or re-derives the
-// gain per cell (or per worker) shows up as a worker-proportional or
-// grossly inflated byte count.
+// to end: once the gain cache is warm, the heap growth of one grid run must
+// not scale with the worker count — widening the pool only changes how many
+// units are in flight at once, not how much each allocates. A regression
+// that re-derives the gain per cell (or per worker) shows up as a
+// worker-proportional or grossly inflated byte count.
 func TestCampaignAllocsFlatAcrossWorkers(t *testing.T) {
 	g := tinyGrid()
 	run := func() {

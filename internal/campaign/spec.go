@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mask"
@@ -97,45 +96,17 @@ func (s StimulusSpec) Symbols() ([]complex128, error) {
 	return cst.Map(prbs.Bits(s.BurstLen * cst.BitsPerSymbol()))
 }
 
-// symbolsCache memoizes the expanded clean payload per stimulus, keyed by
-// the spec's canonical JSON — the same content key that seeds the cells.
-// A campaign grid runs (faults x units) cells per stimulus and every cell
-// used to re-run the PRBS expansion and constellation mapping; the clean
-// waveform is a pure function of the spec, so it is computed once and
-// shared. The stream is shared READ-ONLY: faults mutate the Config copy a
-// cell builds (gain, skew, nonlinearity — never the payload), and the
-// waveform generator in core treats the symbol slice as immutable.
-var symbolsCache sync.Map // string (canonical spec JSON) -> []complex128
-
-func (s StimulusSpec) cachedSymbols() ([]complex128, error) {
-	canon, err := s.MarshalCanonical()
-	if err != nil {
-		return nil, err
-	}
-	if v, ok := symbolsCache.Load(string(canon)); ok {
-		return v.([]complex128), nil
-	}
-	syms, err := s.Symbols()
-	if err != nil {
-		return nil, err
-	}
-	v, _ := symbolsCache.LoadOrStore(string(canon), syms)
-	return v.([]complex128), nil
-}
-
 // Configure overlays the stimulus onto a BIST configuration: payload
 // stream, drive level and mask standard. Everything else — the DUT
 // impairments a fault injected, the sub-tests it enabled, the acquisition
 // geometry — is left alone, which is why a campaign applies the fault
 // first and the stimulus last: the stimulus controls what the DUT is
-// driven with, the fault controls what the DUT is. The payload stream is
-// memoized per stimulus content and shared across configurations; treat
-// cfg.Symbols as read-only.
+// driven with, the fault controls what the DUT is.
 func (s StimulusSpec) Configure(base core.Config) (core.Config, error) {
 	if err := s.Validate(); err != nil {
 		return core.Config{}, err
 	}
-	syms, err := s.cachedSymbols()
+	syms, err := s.Symbols()
 	if err != nil {
 		return core.Config{}, err
 	}

@@ -162,6 +162,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Band returns the rate-B capture band: width B centred on the carrier.
+func (c Config) Band() pnbs.Band { return pnbs.Band{FLow: c.Fc - c.B/2, B: c.B} }
+
 // BIST is a configured self-test engine. It is not safe for concurrent
 // use: the measure stage reuses a scratch grid buffer across measurements.
 type BIST struct {
@@ -193,7 +196,7 @@ func New(cfg Config) (*BIST, error) {
 		return nil, fmt.Errorf("core: occupied bandwidth %g exceeds capture bandwidth %g",
 			occupied, c.B)
 	}
-	band := pnbs.Band{FLow: c.Fc - c.B/2, B: c.B}
+	band := c.Band()
 	if err := skew.CheckUniqueness(band, skew.HalfRateBand(band)); err != nil {
 		return nil, fmt.Errorf("core: dual-rate configuration infeasible (pick B with frac(2fc/B) in (0, 0.5]): %w", err)
 	}

@@ -75,18 +75,9 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 			s.NTimes = cfg.BaseNTimes
 		}
 		mutate(&s)
-		tx, err := s.buildTx()
-		if err != nil {
-			return err
-		}
 		// Capture length scales with the filter span so the paper's
 		// evaluation window stays covered for every design point.
-		nB := 2*s.HalfTaps + 170
-		setB, setB1, actualD, err := s.AcquireDualRate(tx.Output(), nB)
-		if err != nil {
-			return err
-		}
-		ce, err := s.Evaluator(setB, setB1)
+		ce, out, actualD, err := s.Acquire(2*s.HalfTaps+170, 0)
 		if err != nil {
 			return err
 		}
@@ -103,7 +94,7 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 			Param:     param,
 			Value:     value,
 			SkewErrPS: math.Abs(r.DHat-actualD) * 1e12,
-			ReconErr:  dsp.RelRMSError(got, sig.SampleAt(tx.Output(), ce.Times())),
+			ReconErr:  dsp.RelRMSError(got, sig.SampleAt(out, ce.Times())),
 			CostEvals: r.CostEvals,
 			Iters:     r.Iterations,
 		})
@@ -142,15 +133,7 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 	if cfg.BaseNTimes > 0 {
 		s.NTimes = cfg.BaseNTimes
 	}
-	tx, err := s.buildTx()
-	if err != nil {
-		return nil, err
-	}
-	setB, setB1, actualD, err := s.AcquireDualRate(tx.Output(), 220)
-	if err != nil {
-		return nil, err
-	}
-	ce, err := s.Evaluator(setB, setB1)
+	ce, _, actualD, err := s.Acquire(220, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +141,7 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := skew.MUpper(s.BandB, s.BandB1)
+	m := ce.M()
 	gold, err := skew.GoldenSection(ce.Cost, m/1000, m*0.999, 0.05e-12)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/obs/trace"
 	"repro/internal/skew"
 )
@@ -34,11 +35,7 @@ func RunAveraging(ks []int) (*AveragingResult, error) {
 		ks = []int{1, 2, 4, 8, 16}
 	}
 	s := DefaultPaperSetup()
-	tx, err := s.buildTx()
-	if err != nil {
-		return nil, err
-	}
-	out := tx.Output()
+	t := core.PaperScenario().Band().T()
 	res := &AveragingResult{}
 	for _, k := range ks {
 		if k < 1 {
@@ -51,16 +48,11 @@ func RunAveraging(ks []int) (*AveragingResult, error) {
 			sj.Seed = s.Seed + int64(j)*101 // independent jitter per capture
 			// Stagger successive captures by an irrational fraction of the
 			// sample period to decorrelate quantization error.
-			stagger := float64(j) * 0.381966 * s.BandB.T()
-			setB, setB1, d, err := sj.AcquireDualRateAt(out, 220, stagger)
+			ce, _, d, err := sj.Acquire(220, float64(j)*0.381966*t)
 			if err != nil {
 				return nil, err
 			}
 			actualD = d
-			ce, err := sj.Evaluator(setB, setB1)
-			if err != nil {
-				return nil, err
-			}
 			evals = append(evals, ce)
 		}
 		mc, err := skew.NewMultiCost(evals)

@@ -11,28 +11,20 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/adc"
 	"repro/internal/core"
 	"repro/internal/pnbs"
-	"repro/internal/rf"
 	"repro/internal/sig"
 	"repro/internal/skew"
 	"repro/internal/tiadc"
 )
 
-// PaperSetup bundles the Section V simulation constants shared by the
-// Fig. 5 / Fig. 6 / Table I experiments.
+// PaperSetup holds the Section V knobs the Fig. 5 / Fig. 6 / Table I
+// experiments and their ablations vary. The fixed rest of the setup — the
+// fc = 1 GHz, B = 90 MHz band, the 180 ps delay, the 10-bit converters and
+// the QPSK transmitter — comes from core.PaperScenario().
 type PaperSetup struct {
-	// BandB is the rate-B capture band (fc = 1 GHz, B = 90 MHz).
-	BandB pnbs.Band
-	// BandB1 is the half-rate band (B1 = 45 MHz).
-	BandB1 pnbs.Band
-	// D is the true channel delay (180 ps).
-	D float64
 	// JitterRMS is the clock time-skew jitter (3 ps rms).
 	JitterRMS float64
-	// Bits is the ADC resolution (10).
-	Bits int
 	// HalfTaps is nw/2 (30 -> 61 taps).
 	HalfTaps int
 	// KaiserBeta shapes the reconstruction window (0 = 8; negative = no
@@ -44,93 +36,75 @@ type PaperSetup struct {
 	Seed int64
 }
 
-// DefaultPaperSetup returns the Section V constants.
+// DefaultPaperSetup returns the Section V values of the knobs.
 func DefaultPaperSetup() PaperSetup {
-	bandB := pnbs.Band{FLow: 955e6, B: 90e6}
+	c := core.PaperScenario()
 	return PaperSetup{
-		BandB:     bandB,
-		BandB1:    skew.HalfRateBand(bandB),
-		D:         180e-12,
-		JitterRMS: 3e-12,
-		Bits:      10,
+		JitterRMS: c.TI.ClockJitterRMS,
 		HalfTaps:  30,
-		NTimes:    300,
-		Seed:      2014,
+		NTimes:    c.NTimes,
+		Seed:      c.Seed,
 	}
 }
 
-// buildTx assembles the paper's homodyne transmitter with the QPSK test
-// signal (10 MHz symbols, SRRC alpha = 0.5, fc = 1 GHz) and no impairments.
-func (s PaperSetup) buildTx() (*rf.Transmitter, error) {
+// sampler builds the paper's two-channel sampler (core.PaperScenario().TI:
+// 10-bit ADCs, ideal gain/offset) with the setup's seeds and clock jitter.
+func (s PaperSetup) sampler() (*tiadc.TIADC, error) {
+	c := core.PaperScenario().TI
+	c.Ch0.Seed, c.Ch1.Seed, c.Seed = s.Seed+1, s.Seed+2, s.Seed+3
+	c.ClockJitterRMS = s.JitterRMS
+	return tiadc.New(c)
+}
+
+// Acquire captures the paper transmitter's output with nB samples at rate B
+// and the matching half-rate capture at B/2, both starts offset by stagger,
+// and builds the cost evaluator over NTimes random instants in
+// [470, 1700] ns. It returns the evaluator, the transmitter output (the
+// ground truth) and the realised delay. A sub-period stagger decorrelates
+// the quantization error between captures, which matters when averaging
+// several acquisitions.
+func (s PaperSetup) Acquire(nB int, stagger float64) (*skew.CostEvaluator, sig.Signal, float64, error) {
 	cfg := core.PaperScenario()
 	b, err := core.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	return b.Transmitter(), nil
-}
-
-// buildTIADC assembles the paper's two-channel sampler: 10-bit ADCs, 3 ps
-// rms clock jitter, ideal gain/offset (Section V assumes no gain/offset
-// mismatch).
-func (s PaperSetup) buildTIADC() (*tiadc.TIADC, error) {
-	return tiadc.New(tiadc.Config{
-		Ch0:            adc.Config{Bits: s.Bits, FullScale: 1.5, Seed: s.Seed + 1},
-		Ch1:            adc.Config{Bits: s.Bits, FullScale: 1.5, Seed: s.Seed + 2},
-		DCDE:           tiadc.DCDE{Min: 0, Max: 480e-12},
-		ClockJitterRMS: s.JitterRMS,
-		Seed:           s.Seed + 3,
-	})
-}
-
-// AcquireDualRate captures the transmitter output at rates B and B1 = B/2
-// with the paper's geometry and returns the two sample sets plus the
-// realised delay.
-func (s PaperSetup) AcquireDualRate(out sig.Signal, nB int) (setB, setB1 skew.SampleSet, actualD float64, err error) {
-	return s.AcquireDualRateAt(out, nB, 0)
-}
-
-// AcquireDualRateAt additionally staggers the capture start by the given
-// offset. Successive hardware captures never begin at the same clock phase;
-// a sub-period stagger decorrelates the quantization error between captures,
-// which matters when averaging several acquisitions.
-func (s PaperSetup) AcquireDualRateAt(out sig.Signal, nB int, stagger float64) (setB, setB1 skew.SampleSet, actualD float64, err error) {
-	ti, err := s.buildTIADC()
+	out := b.Transmitter().Output()
+	ti, err := s.sampler()
 	if err != nil {
-		return setB, setB1, 0, err
+		return nil, nil, 0, err
 	}
-	t := s.BandB.T()
+	band := b.Band()
+	t := band.T()
 	// Start the capture HalfTaps periods early so the valid reconstruction
 	// window begins near t = 0 regardless of the filter length.
-	capB, err := ti.Capture(out, t, s.D, -float64(s.HalfTaps)*t+stagger, nB)
+	capB, err := ti.Capture(out, t, cfg.NominalD, -float64(s.HalfTaps)*t+stagger, nB)
 	if err != nil {
-		return setB, setB1, 0, err
+		return nil, nil, 0, err
 	}
 	t1 := 2 * t
 	n1 := nB/2 + 2*s.HalfTaps + 4
-	capB1, err := ti.Capture(out, t1, s.D, -float64(s.HalfTaps)*t1+stagger, n1)
+	capB1, err := ti.Capture(out, t1, cfg.NominalD, -float64(s.HalfTaps)*t1+stagger, n1)
 	if err != nil {
-		return setB, setB1, 0, err
+		return nil, nil, 0, err
 	}
-	setB = skew.SampleSet{Band: s.BandB, T0: capB.T0, Ch0: capB.Ch0, Ch1: capB.Ch1}
-	setB1 = skew.SampleSet{Band: s.BandB1, T0: capB1.T0, Ch0: capB1.Ch0, Ch1: capB1.Ch1}
-	return setB, setB1, capB.ActualD, nil
-}
-
-// Evaluator builds the paper's cost evaluator over N random instants in
-// [470, 1700] ns.
-func (s PaperSetup) Evaluator(setB, setB1 skew.SampleSet) (*skew.CostEvaluator, error) {
+	setB := skew.SampleSet{Band: band, T0: capB.T0, Ch0: capB.Ch0, Ch1: capB.Ch1}
+	setB1 := skew.SampleSet{Band: skew.HalfRateBand(band), T0: capB1.T0, Ch0: capB1.Ch0, Ch1: capB1.Ch1}
 	opt := pnbs.Options{HalfTaps: s.HalfTaps, KaiserBeta: s.KaiserBeta}
 	lo, hi, err := skew.EvalWindow(setB, setB1, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	tLo, tHi := 470e-9, 1700e-9
 	if tLo < lo || tHi > hi {
-		return nil, fmt.Errorf("experiments: capture window [%g, %g] does not cover the paper's interval", lo, hi)
+		return nil, nil, 0, fmt.Errorf("experiments: capture window [%g, %g] does not cover the paper's interval", lo, hi)
 	}
 	times := skew.RandomTimes(tLo, tHi, s.NTimes, s.Seed+5)
-	return skew.NewCostEvaluator(setB, setB1, times, opt)
+	ce, err := skew.NewCostEvaluator(setB, setB1, times, opt)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return ce, out, capB.ActualD, nil
 }
 
 // writeTable renders an aligned text table.

@@ -8,20 +8,17 @@ import (
 // detection matrix. A nil grid runs the committed default campaign
 // (campaign.DefaultGrid): four stimuli spanning the drive/payload corners
 // crossed with the whole extended fault catalogue. scale (when in (0, 1))
-// and units (when > 0) override the grid's knobs, mirroring how the other
-// experiment runners take -scale; the golden vector pins the default grid
-// at reduced scale, where the matrix — including its documented escapes —
-// is byte-reproducible at any worker count.
-func RunCoverage(g *campaign.Grid, scale float64, units int) (*campaign.DetectionMatrix, error) {
+// overrides the grid's own, mirroring how the other experiment runners take
+// -scale; the golden vector pins the default grid at reduced scale, where
+// the matrix — including its documented escapes — is byte-reproducible at
+// any worker count.
+func RunCoverage(g *campaign.Grid, scale float64) (*campaign.DetectionMatrix, error) {
 	grid := campaign.DefaultGrid()
 	if g != nil {
 		grid = *g
 	}
 	if scale > 0 && scale < 1 {
 		grid.Scale = scale
-	}
-	if units > 0 {
-		grid.Units = units
 	}
 	return grid.Run()
 }

@@ -21,13 +21,12 @@ type DSweepResult struct {
 	BestD     float64
 }
 
-// RunDSweep sweeps D over (0, maxD] with nPts points for the paper band.
-func RunDSweep(band pnbs.Band, maxD float64, nPts int) (*DSweepResult, error) {
+// RunDSweep sweeps D over (0, 520 ps] with nPts points (0 = 104) for the
+// given band.
+func RunDSweep(band pnbs.Band, nPts int) (*DSweepResult, error) {
+	const maxD = 520e-12
 	if _, err := pnbs.NewBand(band.FLow, band.B); err != nil {
 		return nil, err
-	}
-	if maxD == 0 {
-		maxD = 520e-12
 	}
 	if nPts <= 1 {
 		nPts = 104

@@ -6,11 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pnbs"
 )
 
 func TestRunFig3a(t *testing.T) {
-	r := RunFig3a(0, 0)
+	r := RunFig3a(0)
 	if r.NMax != 3 || len(r.FhOverB) != 61 {
 		t.Fatalf("defaults: %d curves, %d pts", r.NMax, len(r.FhOverB))
 	}
@@ -50,7 +51,7 @@ func fastSetup() PaperSetup {
 }
 
 func TestRunFig5UniqueMinimum(t *testing.T) {
-	r, err := RunFig5(fastSetup(), 0, 0, 29, 0)
+	r, err := RunFig5(fastSetup(), 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestRunFig6Convergence(t *testing.T) {
 func TestRunTable1Shape(t *testing.T) {
 	// Full paper N = 300: the LMS accuracy bound below is jitter-variance
 	// limited and needs the full cost-sample count.
-	r, err := RunTable1(DefaultPaperSetup(), 0)
+	r, err := RunTable1(DefaultPaperSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,7 @@ func TestRunEq4BoundTracksMeasurement(t *testing.T) {
 }
 
 func TestRunDSweep(t *testing.T) {
-	band := DefaultPaperSetup().BandB
-	r, err := RunDSweep(band, 0, 0)
+	r, err := RunDSweep(core.PaperScenario().Band(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +205,13 @@ func TestRunDSweep(t *testing.T) {
 	if !strings.Contains(buf.String(), "forbidden") {
 		t.Error("render")
 	}
-	if _, err := RunDSweep(pnbs.Band{}, 0, 0); err == nil {
+	if _, err := RunDSweep(pnbs.Band{}, 0); err == nil {
 		t.Error("bad band must fail")
 	}
 }
 
 func TestRunNoiseFold(t *testing.T) {
-	r, err := RunNoiseFold(0.9e9, 1.9e9, 1e-4)
+	r, err := RunNoiseFold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +231,6 @@ func TestRunNoiseFold(t *testing.T) {
 	r.Render(&buf)
 	if !strings.Contains(buf.String(), "folding") {
 		t.Error("render")
-	}
-	if _, err := RunNoiseFold(0, 1, 1); err == nil {
-		t.Error("bad band must fail")
-	}
-	if _, err := RunNoiseFold(2, 1, 1); err == nil {
-		t.Error("inverted band must fail")
-	}
-	if _, err := RunNoiseFold(1, 2, 0); err == nil {
-		t.Error("zero power must fail")
 	}
 }
 

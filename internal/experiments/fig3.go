@@ -18,11 +18,9 @@ type Fig3aResult struct {
 }
 
 // RunFig3a samples the normalised constraint diagram over fH/B in [1, 7]
-// (the paper's axis) for the wedges n = 1..nMax.
-func RunFig3a(nMax, nPts int) *Fig3aResult {
-	if nMax <= 0 {
-		nMax = 3
-	}
+// (the paper's axis) at nPts points (0 = 61) for the wedges n = 1..3.
+func RunFig3a(nPts int) *Fig3aResult {
+	const nMax = 3
 	if nPts <= 1 {
 		nPts = 61
 	}

@@ -21,31 +21,17 @@ type Fig5Result struct {
 
 // RunFig5 regenerates the Fig. 5 sweep: the paper plots D-hat in
 // [120, 260] ps against the cost computed from N = 300 random instants in
-// [470, 1700] ns. nB is the rate-B capture length (0 = 2000 samples,
-// covering the paper's window with margin).
-func RunFig5(s PaperSetup, dLo, dHi float64, nPts, nB int) (*Fig5Result, error) {
-	if dLo == 0 && dHi == 0 {
-		dLo, dHi = 120e-12, 260e-12
-	}
+// [470, 1700] ns, here over nPts points (0 = 57) of a 220-sample rate-B
+// capture.
+func RunFig5(s PaperSetup, nPts int) (*Fig5Result, error) {
 	if nPts <= 1 {
 		nPts = 57
 	}
-	if nB <= 0 {
-		nB = 220
-	}
-	tx, err := s.buildTx()
+	ce, _, actualD, err := s.Acquire(220, 0)
 	if err != nil {
 		return nil, err
 	}
-	setB, setB1, actualD, err := s.AcquireDualRate(tx.Output(), nB)
-	if err != nil {
-		return nil, err
-	}
-	ce, err := s.Evaluator(setB, setB1)
-	if err != nil {
-		return nil, err
-	}
-	ds, costs := skew.CostCurve(trace.Root, ce, dLo, dHi, nPts)
+	ds, costs := skew.CostCurve(trace.Root, ce, 120e-12, 260e-12, nPts)
 	res := &Fig5Result{DHats: ds, Costs: costs, DTrue: actualD}
 	best := 0
 	for i, c := range costs {

@@ -33,15 +33,7 @@ func RunFig6(s PaperSetup, starts []float64, nB int) (*Fig6Result, error) {
 	if nB <= 0 {
 		nB = 220
 	}
-	tx, err := s.buildTx()
-	if err != nil {
-		return nil, err
-	}
-	setB, setB1, actualD, err := s.AcquireDualRate(tx.Output(), nB)
-	if err != nil {
-		return nil, err
-	}
-	ce, err := s.Evaluator(setB, setB1)
+	ce, _, actualD, err := s.Acquire(nB, 0)
 	if err != nil {
 		return nil, err
 	}

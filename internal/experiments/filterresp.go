@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/pnbs"
 )
@@ -25,8 +26,8 @@ type FilterRespResult struct {
 // RunFilterResp measures the reconstruction transfer function for the paper
 // band at a few tap counts, probing across and beyond the band.
 func RunFilterResp() (*FilterRespResult, error) {
-	band := pnbs.Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
+	paper := core.PaperScenario()
+	band, d := paper.Band(), paper.NominalD
 	inBand := dsp.Linspace(band.FLow+2e6, band.FHigh()-2e6, 13)
 	outBand := []float64{0.80e9, 0.88e9, 0.93e9, 1.07e9, 1.12e9, 1.2e9}
 	probes := append(append([]float64{}, inBand...), outBand...)

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/testkit"
 )
 
@@ -59,7 +60,7 @@ func goldenSetup() PaperSetup {
 }
 
 func TestGoldenFig3a(t *testing.T) {
-	goldenCheck(t, "fig3a", RunFig3a(3, 21))
+	goldenCheck(t, "fig3a", RunFig3a(21))
 }
 
 func TestGoldenFig3b(t *testing.T) {
@@ -71,7 +72,7 @@ func TestGoldenFig3b(t *testing.T) {
 }
 
 func TestGoldenFig5(t *testing.T) {
-	r, err := RunFig5(goldenSetup(), 0, 0, 15, 0)
+	r, err := RunFig5(goldenSetup(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestGoldenFig6(t *testing.T) {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	r, err := RunTable1(goldenSetup(), 0)
+	r, err := RunTable1(goldenSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestGoldenEq4(t *testing.T) {
 }
 
 func TestGoldenDSweep(t *testing.T) {
-	r, err := RunDSweep(DefaultPaperSetup().BandB, 0, 26)
+	r, err := RunDSweep(core.PaperScenario().Band(), 26)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestGoldenAveraging(t *testing.T) {
 }
 
 func TestGoldenNoiseFold(t *testing.T) {
-	r, err := RunNoiseFold(0.9e9, 1.9e9, 1e-4)
+	r, err := RunNoiseFold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestGoldenFilterResp(t *testing.T) {
 // mask — shows up here as a reviewable diff. Every leaf is byte-exact:
 // detection verdicts must not move under any tolerance.
 func TestGoldenCoverage(t *testing.T) {
-	r, err := RunCoverage(nil, 0.3, 0)
+	r, err := RunCoverage(nil, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

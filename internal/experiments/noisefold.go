@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/pnbs"
 	"repro/internal/sig"
 	"repro/internal/skew"
@@ -34,16 +35,13 @@ type NoiseFoldResult struct {
 	SignalErr float64
 }
 
-// RunNoiseFold reconstructs an in-band tone in the presence of wideband
-// noise occupying [noiseLo, noiseHi] with total power noisePower, using
-// ideal converters so the folding effect is isolated.
-func RunNoiseFold(noiseLo, noiseHi, noisePower float64) (*NoiseFoldResult, error) {
-	if noiseLo <= 0 || noiseHi <= noiseLo || noisePower <= 0 {
-		return nil, fmt.Errorf("experiments: noise band [%g, %g] / power %g invalid",
-			noiseLo, noiseHi, noisePower)
-	}
-	band := pnbs.Band{FLow: 955e6, B: 90e6}
-	d := 180e-12
+// RunNoiseFold reconstructs an in-band tone of the paper band in the
+// presence of wideband noise of total power 1e-4 occupying [0.9, 1.9] GHz,
+// using ideal converters so the folding effect is isolated.
+func RunNoiseFold() (*NoiseFoldResult, error) {
+	const noiseLo, noiseHi, noisePower = 0.9e9, 1.9e9, 1e-4
+	paper := core.PaperScenario()
+	band, d := paper.Band(), paper.NominalD
 	tt := band.T()
 	n := 500
 	tone := &sig.Tone{Amp: 1, Freq: 1.004e9, Phase: 0.2}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/obs/trace"
 	"repro/internal/par"
@@ -41,21 +42,10 @@ type Table1Result struct {
 	FloorErr float64
 }
 
-// RunTable1 regenerates Table I.
-func RunTable1(s PaperSetup, nB int) (*Table1Result, error) {
-	if nB <= 0 {
-		nB = 220
-	}
-	tx, err := s.buildTx()
-	if err != nil {
-		return nil, err
-	}
-	out := tx.Output()
-	setB, setB1, actualD, err := s.AcquireDualRate(out, nB)
-	if err != nil {
-		return nil, err
-	}
-	ce, err := s.Evaluator(setB, setB1)
+// RunTable1 regenerates Table I from 220-sample rate-B captures.
+func RunTable1(s PaperSetup) (*Table1Result, error) {
+	const nB = 220
+	ce, out, actualD, err := s.Acquire(nB, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +61,8 @@ func RunTable1(s PaperSetup, nB int) (*Table1Result, error) {
 	if res.FloorErr, err = reconErr(actualD); err != nil {
 		return nil, err
 	}
-	m := skew.MUpper(s.BandB, s.BandB1)
+	paper := core.PaperScenario()
+	band, m := paper.Band(), ce.M()
 
 	// The four estimator evaluations — the sinusoid baseline at omega0 =
 	// 0.4 B and 0.46 B (each with its own tone transmitter and capture)
@@ -105,25 +96,25 @@ func RunTable1(s PaperSetup, nB int) (*Table1Result, error) {
 		}
 		// Sinusoid-based baseline.
 		frac := fracs[i]
-		f0, err := skew.SineTestFrequency(s.BandB, s.BandB.B, frac*s.BandB.B)
+		f0, err := skew.SineTestFrequency(band, band.B, frac*band.B)
 		if err != nil {
 			return unit{}, err
 		}
-		fb := f0 - s.BandB.Fc()
-		toneTx, err := rf.NewTransmitter(rf.TxConfig{Fc: s.BandB.Fc()},
+		fb := f0 - band.Fc()
+		toneTx, err := rf.NewTransmitter(rf.TxConfig{Fc: band.Fc()},
 			&sig.ComplexTone{Amp: 1, Freq: fb})
 		if err != nil {
 			return unit{}, err
 		}
-		ti, err := s.buildTIADC()
+		ti, err := s.sampler()
 		if err != nil {
 			return unit{}, err
 		}
-		cap0, err := ti.Capture(toneTx.Output(), s.BandB.T(), s.D, 0, nB)
+		cap0, err := ti.Capture(toneTx.Output(), band.T(), paper.NominalD, 0, nB)
 		if err != nil {
 			return unit{}, err
 		}
-		scfg := skew.SineEstimateConfig{F0: f0, B: s.BandB.B, T0: cap0.T0, DMax: m}
+		scfg := skew.SineEstimateConfig{F0: f0, B: band.B, T0: cap0.T0, DMax: m}
 		dHat, err := skew.EstimateJamalInterp(scfg, cap0.Ch0, cap0.Ch1)
 		if err != nil {
 			return unit{}, err

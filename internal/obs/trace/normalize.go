@@ -40,23 +40,19 @@ type Normalized struct {
 	Counters []CounterSeries
 }
 
-// DeterministicNames is the default normalization filter: it drops the
-// par.* spans (task-to-worker attribution is scheduling-dependent) and the
-// dsp.* spans and counters (plan-cache traffic depends on process history,
-// not on the run), keeping everything whose structure is fixed by the
-// configuration.
-func DeterministicNames(name string) bool {
+// deterministic is the normalization filter: it drops the par.* spans
+// (task-to-worker attribution is scheduling-dependent) and the dsp.* spans
+// and counters (plan-cache traffic depends on process history, not on the
+// run), keeping everything whose structure is fixed by the configuration.
+func deterministic(name string) bool {
 	return !strings.HasPrefix(name, "par.") && !strings.HasPrefix(name, "dsp.")
 }
 
-// Normalize projects the recording through keep (nil = DeterministicNames).
-// Children of dropped spans are hoisted to their nearest kept ancestor, so
-// filtering par.* leaves the spans that ran *inside* the pool attached to
-// the span that dispatched the work.
-func (rec *Recording) Normalize(keep func(name string) bool) (*Normalized, error) {
-	if keep == nil {
-		keep = DeterministicNames
-	}
+// Normalize projects the recording onto its deterministic spans and
+// counters. Children of dropped spans are hoisted to their nearest kept
+// ancestor, so filtering par.* leaves the spans that ran *inside* the pool
+// attached to the span that dispatched the work.
+func (rec *Recording) Normalize() (*Normalized, error) {
 	byID := make(map[int32]*SpanData, len(rec.Spans))
 	children := make(map[int32][]*SpanData, len(rec.Spans))
 	for i := range rec.Spans {
@@ -74,7 +70,7 @@ func (rec *Recording) Normalize(keep func(name string) bool) (*Normalized, error
 			if !ok {
 				return 0
 			}
-			if keep(p.Name) {
+			if deterministic(p.Name) {
 				return parent
 			}
 			parent = p.Parent
@@ -84,7 +80,7 @@ func (rec *Recording) Normalize(keep func(name string) bool) (*Normalized, error
 	roots := []*SpanData{}
 	for i := range rec.Spans {
 		s := &rec.Spans[i]
-		if !keep(s.Name) {
+		if !deterministic(s.Name) {
 			continue
 		}
 		p := keptParent(s.Parent)
@@ -147,7 +143,7 @@ func (rec *Recording) Normalize(keep func(name string) bool) (*Normalized, error
 	series := map[string]*CounterSeries{}
 	snames := []string{}
 	for _, c := range rec.Counters {
-		if !keep(c.Name) {
+		if !deterministic(c.Name) {
 			continue
 		}
 		cs, ok := series[c.Name]
@@ -166,11 +162,11 @@ func (rec *Recording) Normalize(keep func(name string) bool) (*Normalized, error
 	return norm, nil
 }
 
-// MarshalNormalized is the one-call form: normalize with the default
-// deterministic filter and encode canonically. The output of two runs of
+// MarshalNormalized is the one-call form: normalize and encode
+// canonically. The output of two runs of
 // the same configuration is byte-identical at any worker count.
 func (rec *Recording) MarshalNormalized() ([]byte, error) {
-	n, err := rec.Normalize(nil)
+	n, err := rec.Normalize()
 	if err != nil {
 		return nil, err
 	}

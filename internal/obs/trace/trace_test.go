@@ -217,7 +217,7 @@ func TestNormalizeMergesFiltersAndSorts(t *testing.T) {
 	Counter(Root, "test.series", 10)
 	Counter(Root, "test.series", 20)
 	rec := StopRecording()
-	norm, err := rec.Normalize(nil)
+	norm, err := rec.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
