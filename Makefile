@@ -27,9 +27,9 @@ race:
 # check is the CI gate: vet + reach + race.
 check: vet reach race
 
-# reach fails when a declared function is linked by no program (cmd/*,
-# examples/*, perfbench) and is not listed, with its reason, in
-# scripts/reach_allow.txt: dead API cannot regrow unnoticed.
+# reach fails when a declared function or package-level var is linked by
+# no program (cmd/*, examples/*, perfbench) and is not listed, with its
+# reason, in scripts/reach_allow.txt: dead API cannot regrow unnoticed.
 reach:
 	python3 scripts/reach.py
 

@@ -76,12 +76,13 @@ func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // Validate checks the checkpoint against a plan: hash match, shard in
-// range, every cell a known key with the plan's unit count and fault
-// expectation, and tallies a real run could produce (0 <= Errors <=
+// range, every cell a known key in the shard's strided partition
+// (Plan.ShardIndices) with the plan's unit count and fault expectation,
+// and tallies a real run could produce (0 <= Errors <=
 // Rejected <= Units, DetectionRate exactly Rejected/Units as RunCell
 // computes it, a mask margin those tallies allow). Cells from a foreign
-// grid, a stale lot size or a tampered file cannot leak into a resumed or
-// merged matrix.
+// grid, another shard, a stale lot size or a tampered file cannot leak
+// into a resumed or merged matrix.
 func (c *Checkpoint) Validate(p *Plan) error {
 	h, err := p.GridHash()
 	if err != nil {
@@ -93,15 +94,20 @@ func (c *Checkpoint) Validate(p *Plan) error {
 	if c.ShardCount < 1 || c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount {
 		return fmt.Errorf("campaign: checkpoint shard %d/%d invalid", c.ShardIndex, c.ShardCount)
 	}
-	known := make(map[string]Cell, len(p.Cells))
-	for _, cell := range p.Cells {
-		known[cell.Key()] = cell
+	index := make(map[string]int, len(p.Cells))
+	for i, cell := range p.Cells {
+		index[cell.Key()] = i
 	}
 	for _, r := range c.Cells {
-		cell, ok := known[r.Key()]
+		i, ok := index[r.Key()]
 		if !ok {
 			return fmt.Errorf("campaign: checkpoint cell %s/%s not in plan", r.Stimulus, r.Fault)
 		}
+		if i%c.ShardCount != c.ShardIndex {
+			return fmt.Errorf("campaign: checkpoint cell %s/%s is outside shard %d/%d",
+				r.Stimulus, r.Fault, c.ShardIndex, c.ShardCount)
+		}
+		cell := p.Cells[i]
 		if r.Units != p.Grid.Units {
 			return fmt.Errorf("campaign: checkpoint cell %s/%s ran %d units, plan wants %d",
 				r.Stimulus, r.Fault, r.Units, p.Grid.Units)

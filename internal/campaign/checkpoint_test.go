@@ -273,6 +273,28 @@ func TestMergeCheckpointsEqualsSingleProcess(t *testing.T) {
 	}
 	wantB, _ := want.MarshalCanonical()
 
+	cks := shardCheckpoints(t, g)
+	m, err := MergeCheckpoints(g, cks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, _ := m.MarshalCanonical()
+	if string(gotB) != string(wantB) {
+		t.Error("merged shard matrices differ from the single-process run")
+	}
+
+	if _, err := MergeCheckpoints(g, cks[0]); err == nil {
+		t.Error("merge with a missing shard accepted")
+	}
+	if _, err := MergeCheckpoints(g, cks[0], cks[0], cks[1]); err == nil {
+		t.Error("merge with duplicate coverage accepted")
+	}
+}
+
+// shardCheckpoints runs the grid as shards 0/2 and 1/2 and returns their
+// checkpoints.
+func shardCheckpoints(t *testing.T, g Grid) []*Checkpoint {
+	t.Helper()
 	p, err := NewPlan(g)
 	if err != nil {
 		t.Fatal(err)
@@ -292,19 +314,22 @@ func TestMergeCheckpointsEqualsSingleProcess(t *testing.T) {
 		}
 		cks = append(cks, ck)
 	}
-	m, err := MergeCheckpoints(g, cks...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, _ := m.MarshalCanonical()
-	if string(gotB) != string(wantB) {
-		t.Error("merged shard matrices differ from the single-process run")
-	}
+	return cks
+}
 
-	if _, err := MergeCheckpoints(g, cks[0]); err == nil {
-		t.Error("merge with a missing shard accepted")
-	}
-	if _, err := MergeCheckpoints(g, cks[0], cks[0], cks[1]); err == nil {
-		t.Error("merge with duplicate coverage accepted")
+// TestMergeRefusesCellOutsideShard: a cell moved from shard 1's checkpoint
+// into shard 0's still covers every plan cell exactly once, but shard 0's
+// strided partition does not own it, so Validate (and with it the merge)
+// refuses the moved cell.
+func TestMergeRefusesCellOutsideShard(t *testing.T) {
+	g := planGrid()
+	cks := shardCheckpoints(t, g)
+	moved := cks[1].Cells[0]
+	cks[1].Cells = cks[1].Cells[1:]
+	cks[0].Add(moved)
+	_, err := MergeCheckpoints(g, cks...)
+	if want := "outside shard 0/2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("merge of a checkpoint carrying shard 1's cell %s/%s: err %v, want %q",
+			moved.Stimulus, moved.Fault, err, want)
 	}
 }

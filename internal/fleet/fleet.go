@@ -705,16 +705,9 @@ func (s *Server) loadCheckpoint(c *Campaign) error {
 		return fmt.Errorf("fleet: checkpoint shard %d/%d does not match process shard %d/%d",
 			ck.ShardIndex, ck.ShardCount, c.Shard.Index, c.Shard.Count)
 	}
-	owned := make(map[string]bool, len(c.shardIDs))
-	for _, i := range c.shardIDs {
-		owned[c.plan.Cells[i].Key()] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range ck.Cells {
-		if !owned[r.Key()] {
-			return fmt.Errorf("fleet: checkpoint carries cell outside this shard's partition")
-		}
 		c.ck.Add(r)
 	}
 	// Tally what Add kept, so a cell the file lists twice counts once.

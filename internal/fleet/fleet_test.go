@@ -581,6 +581,47 @@ func TestSubmitRejectsBadGridAndPoisonCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesCellOutsideShard: a shard 0/2 checkpoint file that
+// carries a cell of shard 1's strided partition, with tallies a real run
+// could produce, is refused on resume by the checkpoint's own validation.
+func TestResumeRefusesCellOutsideShard(t *testing.T) {
+	g := fleetGrid()
+	spec := Spec{Name: "foreign-cell", Grid: g}
+	shard := Shard{Index: 0, Count: 2}
+	p, err := campaign.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := campaign.NewCheckpoint(p, shard.Index, shard.Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := p.Cells[1] // plan index 1 belongs to shard 1/2
+	ck.Add(campaign.CellResult{
+		Stimulus:   foreign.Stimulus.Name,
+		Fault:      foreign.Fault.Name,
+		ShouldFail: foreign.Fault.ShouldFail,
+		Units:      g.Units,
+	})
+	data, err := ck.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := campaignID(spec, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, id+".ckpt.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{CheckpointDir: dir, Shard: shard})
+	_, _, err = s.Submit(spec)
+	if want := "outside shard 0/2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume from a checkpoint carrying shard 1's cell: err %v, want %q", err, want)
+	}
+}
+
 // TestAdmissionQueueBounded pins the 503 path: the admission queue is a
 // fixed buffer, and overflow refuses rather than queues unboundedly.
 func TestAdmissionQueueBounded(t *testing.T) {

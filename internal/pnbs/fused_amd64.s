@@ -172,9 +172,9 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 
 // TAPER evaluates the Kaiser taper of Reconstructor.window on four lanes
 // at tap offset Y0, in windowLUT.at's order: x = dt·winScale, ax = x²,
-// p = ax·lutInv, fr = p − int(p) on segment int(p) (clamped to lutSize−1
+// p = ax·lutInv, fr = p − int(p) on cell int(p) (clamped to lutSize−1
 // first, which only lanes with ax >= 1 reach), then
-// w = ((c3·fr + c2)·fr + c1)·fr + c0 from the segment's 32 bytes of coef
+// w = ((c3·fr + c2)·fr + c1)·fr + c0 from the cell's 32 bytes of coef
 // at SI, four loads transposed. The frame slots ws, li and lutmax hold
 // winScale, lutInv and lutSize−1 in four lanes; idx is 16 bytes of
 // scratch. Leaves w in Y6 and in Y7 the lanes that contribute, ax < 1 and
@@ -246,7 +246,7 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VSUBPD      pB1, Y2, pB1; \
 	ADDQ        $8, R12
 
-// LUTMAX stores lutSize−1 in four lanes at slot(SP): the segment index
+// LUTMAX stores lutSize−1 in four lanes at slot(SP): the cell index
 // clamp, which only lanes the mask drops can reach.
 #define LUTMAX(slot) \
 	MOVQ         $(const_lutSize-1), AX; \
@@ -260,7 +260,7 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VMOVUPD      Y2, slot(SP)
 
 // Frame of fusedTaps4: the per-candidate scalars broadcast once, the
-// per-tap segment byte offsets, and the index clamp.
+// per-tap cell byte offsets, and the index clamp.
 #define F_WS 0
 #define F_LI 32
 #define F_TS 64
@@ -337,12 +337,16 @@ outside:
 	MOVB $0, ret+8(FP)
 	RET
 
-// Frame of costRows4: the taper scalars broadcast once, the index clamp
-// and the per-tap segment byte offsets.
+// Frame of costRows4: the per-row scalars broadcast once, the index clamp
+// and the per-tap cell byte offsets.
 #define R_WS 0
 #define R_LI 32
-#define R_LUTMAX 64
-#define R_IDX 96
+#define R_A0 64
+#define R_B0 96
+#define R_A1 128
+#define R_TS 160
+#define R_LUTMAX 192
+#define R_IDX 224
 
 // ACCUM adds (u − v)·inv to acc in the lanes that contribute, with inv in
 // Y6 and the lane mask in Y7.
@@ -357,7 +361,7 @@ outside:
 // The Kaiser-window tap fold of CostTable on four rows of equal tap
 // count: the taper (TAPER), inv = ch0·w / dt0, and three Sincos per tap
 // (b1 == a0).
-TEXT ·costRows4(SB), 0, $112-8
+TEXT ·costRows4(SB), 0, $240-8
 	MOVQ    l+0(FP), DI
 	VMOVUPD rowLanes_dt0(DI), Y0
 	VXORPD  Y12, Y12, Y12
@@ -374,6 +378,10 @@ TEXT ·costRows4(SB), 0, $112-8
 	XORQ    R12, R12
 	BC(rowLanes_winScale(DI), R_WS)
 	BC(rowLanes_lutInv(DI), R_LI)
+	BC(rowLanes_a0(DI), R_A0)
+	BC(rowLanes_b0(DI), R_B0)
+	BC(rowLanes_a1(DI), R_A1)
+	BC(rowLanes_tStep(DI), R_TS)
 	LUTMAX(R_LUTMAX)
 
 row:
@@ -389,25 +397,21 @@ row:
 	VDIVPD      Y0, Y2, Y6
 
 	// The (a0, b0) pair, then (a1, b1) with b1 = a0.
-	VBROADCASTSD rowLanes_a0(DI), Y1
-	VMULPD       Y0, Y1, Y1
+	VMULPD R_A0(SP), Y0, Y1
 	SINCOS(Y1, Y8, Y9, Y2, Y3, Y4, X3, X4)
-	VBROADCASTSD rowLanes_b0(DI), Y1
-	VMULPD       Y0, Y1, Y1
+	VMULPD R_B0(SP), Y0, Y1
 	SINCOS(Y1, Y10, Y11, Y2, Y3, Y4, X3, X4)
 	ACCUM(Y9, Y11, Y12)
 	ACCUM(Y8, Y10, Y13)
-	VBROADCASTSD rowLanes_a1(DI), Y1
-	VMULPD       Y0, Y1, Y1
+	VMULPD R_A1(SP), Y0, Y1
 	SINCOS(Y1, Y10, Y11, Y2, Y3, Y4, X3, X4)
 	ACCUM(Y11, Y9, Y14)
 	ACCUM(Y10, Y8, Y15)
 
-	VBROADCASTSD rowLanes_tStep(DI), Y1
-	VSUBPD       Y1, Y0, Y0
-	ADDQ         $8, R12
-	CMPQ         R12, R13
-	JLT          row
+	VSUBPD R_TS(SP), Y0, Y0
+	ADDQ   $8, R12
+	CMPQ   R12, R13
+	JLT    row
 
 	VMOVUPD Y12, (rowLanes_out+0)(DI)
 	VMOVUPD Y13, (rowLanes_out+32)(DI)

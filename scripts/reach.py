@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Reachability gate: every declared function must be linked by a program.
+"""Reachability gate: every declared function and package-level variable
+must be linked by a program.
 
 Builds the module's programs (cmd/*, examples/* and the perfbench module)
 with inlining off (-gcflags=all=-l, so no reachable function vanishes from
-the symbol table), reads their text symbols with `go tool nm`, and diffs
-them against the func declarations of the module's non-test files for the
-host GOOS/GOARCH (`go list` picks the files, so build tags are honoured).
-Bodyless declarations (assembly) are skipped.
+the symbol table), reads their text and data symbols with `go tool nm`,
+and diffs them against the func and package-level var declarations of the
+module's non-test files for the host GOOS/GOARCH (`go list` picks the
+files, so build tags are honoured). Bodyless declarations (assembly) and
+blank (`_`) vars are skipped.
 
 The linker keeps whatever an interface or reflection could reach, so the
-method can only under-report dead code: a function it lists is linked by
-no program at all.
+method can only under-report dead code: a symbol it lists is linked by no
+program at all. For vars it under-reports more: a var whose initialiser
+runs code (a call, a map, a closure) is written by its package's init and
+so stays linked even when nothing reads it; only a var with static data
+that nothing references is dropped. Consts and types without methods have
+no symbol of their own, so the gate cannot see them.
 
 A declaration no program reaches must be listed in scripts/reach_allow.txt
 as `symbol  # reason`, where the reason starts with one of the kinds in
@@ -41,6 +47,11 @@ MODULE = "repro"
 FUNC_RE = re.compile(
     r"^func\s+(?:\(\s*(?:\w+\s+)?(\*?)\s*(\w+)(?:\[[^\]]*\])?\s*\)\s*)?(\w+)"
 )
+# A var spec's names: after `var ` on a top-level line, or at one tab of
+# indentation inside a `var (` block.
+VAR_RE = re.compile(r"^(?:var\s+|\t)(\w+(?:\s*,\s*\w+)*)(?:\s|=|$)")
+TEXT_SYMS = ("T", "t")
+DATA_SYMS = ("D", "d", "B", "b", "R", "r")
 
 
 def run(cmd, cwd=ROOT):
@@ -78,32 +89,67 @@ def packages():
         yield pkg["ImportPath"], pkg["Dir"], pkg.get("GoFiles", [])
 
 
+def balance(lines, i, opens, closes):
+    """Returns (j, code): the first line j >= i at which the brackets in
+    opens/closes counted from line i balance, and that line's code with
+    any comment stripped."""
+    depth, j, code = 0, i, ""
+    while j < len(lines):
+        code = lines[j].split("//")[0].rstrip()
+        for ch in code:
+            if ch in opens:
+                depth += 1
+            elif ch in closes:
+                depth -= 1
+        if depth == 0:
+            break
+        j += 1
+    return j, code
+
+
+def doc_start(lines, i):
+    """Returns the first line of the comment block directly above line i."""
+    while i > 0 and lines[i - 1].lstrip().startswith("//"):
+        i -= 1
+    return i
+
+
+def var_specs(lines, i):
+    """Yields (name, line number, line count incl. doc comment) for the
+    named vars of the spec at line i and returns the spec's last line."""
+    m = VAR_RE.match(lines[i])
+    end, _ = balance(lines, i, "([{", ")]}")
+    if m:
+        for name in re.split(r"\s*,\s*", m.group(1)):
+            if name != "_":
+                yield name, i + 1, end - doc_start(lines, i) + 1
+    return end
+
+
 def declarations(lines):
     """Yields (name, line number, line count incl. doc comment) per func
-    declaration with a body."""
+    declaration with a body and per named package-level var."""
     i = 0
     while i < len(lines):
+        if lines[i].rstrip() == "var (":
+            i += 1
+            while i < len(lines) and lines[i].rstrip() != ")":
+                if lines[i].startswith("\t") and not lines[i].startswith("\t\t"):
+                    i = yield from var_specs(lines, i)
+                i += 1
+            continue
+        if lines[i].startswith("var "):
+            i = (yield from var_specs(lines, i)) + 1
+            continue
         m = FUNC_RE.match(lines[i])
         if not m:
             i += 1
             continue
         star, recv, name = m.groups()
-        start = i
-        while start > 0 and lines[start - 1].startswith("//"):
-            start -= 1
+        start = doc_start(lines, i)
         # Walk the signature to its end: the body opens with a `{` at
         # bracket depth 0; a bodyless (assembly) declaration ends without.
-        depth, j, code = 0, i, ""
-        while j < len(lines):
-            code = lines[j].split("//")[0].rstrip()
-            for ch in code:
-                if ch in "([":
-                    depth += 1
-                elif ch in ")]":
-                    depth -= 1
-            if depth == 0:
-                break
-            j += 1
+        j, code = balance(lines, i, "([", ")]")
         if code.endswith("{"):
             end = j + 1
             while end < len(lines) and lines[end].rstrip() != "}":
@@ -138,7 +184,7 @@ def reached(tmp):
         run(["go", "build", "-gcflags=all=-l", "-o", out, "."], cwd=d)
         for line in run(["go", "tool", "nm", out]).splitlines():
             parts = line.split(None, 2)
-            if len(parts) != 3 or parts[1] not in ("T", "t"):
+            if len(parts) != 3 or parts[1] not in TEXT_SYMS + DATA_SYMS:
                 continue
             sym = strip_brackets(parts[2])
             if sym.startswith("main."):
