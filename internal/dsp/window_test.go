@@ -2,31 +2,66 @@ package dsp
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
 
+// besselI0Big is the test's independent I0 reference: the defining series
+// sum_k ((x/2)^k / k!)^2 in 256-bit math/big arithmetic, rounded once.
+func besselI0Big(x float64) float64 {
+	const prec = 256
+	half := new(big.Float).SetPrec(prec).SetFloat64(x / 2) // x/2 is exact
+	sum := new(big.Float).SetPrec(prec).SetInt64(1)
+	r := new(big.Float).SetPrec(prec).SetInt64(1) // (x/2)^k / k!
+	sq := new(big.Float).SetPrec(prec)
+	eps := new(big.Float).SetPrec(prec).SetMantExp(big.NewFloat(1), -prec)
+	for k := int64(1); ; k++ {
+		r.Mul(r, half)
+		r.Quo(r, new(big.Float).SetPrec(prec).SetInt64(k))
+		sq.Mul(r, r)
+		sum.Add(sum, sq)
+		if sq.Cmp(new(big.Float).Mul(sum, eps)) < 0 {
+			break
+		}
+	}
+	v, _ := sum.Float64()
+	return v
+}
+
+// TestBesselI0AgainstSeries checks BesselI0 against the math/big series:
+// within 1.2e-15 relative up to |x| = 13, the largest Kaiser beta used
+// here, and within 3e-15 out to 50 (the float recurrence's rounding grows
+// with the number of terms).
 func TestBesselI0AgainstSeries(t *testing.T) {
-	for _, x := range []float64{0, 0.1, 1, 3, 3.75, 5, 10, 20, 50} {
-		fast := BesselI0(x)
-		ref := BesselI0Series(x)
-		if rel := math.Abs(fast-ref) / ref; rel > 3e-7 {
-			t.Errorf("I0(%g): fast %g vs series %g (rel %g)", x, fast, ref, rel)
+	for _, x := range []float64{0, 1e-3, 0.1, 0.5, 1, 2, 3, 3.75, 4, 5, 6, 8, 10, 12, 12.57, 13, -7.5, 16, 20, 30, 47.54, 50} {
+		got, want := BesselI0(x), besselI0Big(x)
+		bound := 1.2e-15
+		if math.Abs(x) > 13 {
+			bound = 3e-15
+		}
+		if rel := math.Abs(got-want) / want; rel > bound {
+			t.Errorf("I0(%g) = %.17g, big series %.17g (rel %.2g)", x, got, want, rel)
 		}
 	}
 }
 
 func TestBesselI0KnownValues(t *testing.T) {
-	// Abramowitz & Stegun table values.
+	// I0 at integer arguments, correctly rounded from 60-digit values:
+	// I0(1) = 1.26606587775200833559824462521, I0(2) =
+	// 2.27958530233606726743720444081, I0(5) =
+	// 27.2398718236044468945442320759 and I0(13) =
+	// 49444.4895822175729992545976986.
 	cases := []struct{ x, want float64 }{
 		{0, 1},
 		{1, 1.2660658777520084},
 		{2, 2.2795853023360673},
-		{5, 27.239871823604442},
+		{5, 27.239871823604446},
+		{13, 49444.489582217575},
 	}
 	for _, c := range cases {
-		if got := BesselI0(c.x); math.Abs(got-c.want)/c.want > 1e-6 {
-			t.Errorf("I0(%g) = %g, want %g", c.x, got, c.want)
+		if got := BesselI0(c.x); math.Abs(got-c.want)/c.want > 1e-15 {
+			t.Errorf("I0(%g) = %.17g, want %.17g", c.x, got, c.want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package modem
 
 import (
-	"math"
 	"sync"
+
+	"repro/internal/dsp"
 )
 
 const (
@@ -43,46 +44,12 @@ func tableFor(p *SRRC) pulseTable {
 // buildTable fits every cell from the analytic pulse p.atX.
 func buildTable(p *SRRC) pulseTable {
 	const n = tableDeg + 1
-	// Chebyshev nodes s_i, the values T_k(s_i) and the monomial
-	// coefficients of T_k.
-	var node [n]float64
-	var cheb [n][n]float64 // cheb[k][i]: T_k(s_i)
-	for i := range node {
-		node[i] = math.Cos(math.Pi * (2*float64(i) + 1) / (2 * n))
-		for k := 0; k < n; k++ {
-			cheb[k][i] = math.Cos(math.Pi * float64(k) * (2*float64(i) + 1) / (2 * n))
-		}
-	}
-	var mono [n][n]float64 // mono[k][j]: coefficient of s^j in T_k
-	mono[0][0] = 1
-	mono[1][1] = 1
-	for k := 2; k < n; k++ {
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				mono[k][j] = 2 * mono[k-1][j-1]
-			}
-			mono[k][j] -= mono[k-2][j]
-		}
-	}
+	coef := dsp.FitCells(p.Span*tableCells, tableDeg, func(c int, s float64) float64 {
+		return p.atX((float64(c) + (s+1)/2) / tableCells)
+	})
 	tab := make(pulseTable, p.Span*tableCells)
-	var v [n]float64
 	for c := range tab {
-		for i, s := range node {
-			v[i] = p.atX((float64(c) + (s+1)/2) / tableCells)
-		}
-		for k := 0; k < n; k++ {
-			a := 0.0
-			for i := range v {
-				a += v[i] * cheb[k][i]
-			}
-			a *= 2.0 / n
-			if k == 0 {
-				a /= 2
-			}
-			for j := 0; j <= k; j++ {
-				tab[c][j] += a * mono[k][j]
-			}
-		}
+		copy(tab[c][:], coef[c*n:])
 	}
 	return tab
 }

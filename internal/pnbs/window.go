@@ -1,6 +1,11 @@
 package pnbs
 
-import "sync"
+import (
+	"math"
+	"sync"
+
+	"repro/internal/dsp"
+)
 
 // The Kaiser taper applied to the truncated interpolation series is
 // independent of the candidate delay D-hat: w(x) = I0(beta sqrt(1-x^2)) /
@@ -11,76 +16,41 @@ import "sync"
 // beta and interpolates; the table is shared process-wide across all
 // reconstructors and all candidate delays.
 //
-// The taper is sampled in the y = x^2 domain, where it is an entire
+// The taper is tabulated in the y = x^2 domain, where it is an entire
 // function of y (I0's power series contains only even powers of its
-// argument, so w = sum_k (beta^2 (1-y)/4)^k / (k!)^2 / I0(beta)); sampling
+// argument, so w = sum_k (beta^2 (1-y)/4)^k / (k!)^2 / I0(beta)); fitting
 // in y avoids the square-root singularity of d/dx sqrt(1-x^2) at the band
-// edge and lets a cubic fit reach ~1e-13 absolute accuracy with a modest
-// table. Catmull-Rom ghost points one step outside [0, 1] come from the
-// same series, which converges for negative arguments too.
+// edge, so a cubic per cell reaches ~1e-14 absolute accuracy with a table
+// that fits in L1.
 type windowLUT struct {
 	inv float64 // lutSize, as a float: 1/step
-	// coef[4i:4i+4] are segment i's Catmull-Rom coefficients in monomial
-	// form, w = c0 + fr(c1 + fr(c2 + fr c3)): the cubic through the four
-	// samples bracketing the segment, with the sample combination folded
-	// out at build time so a lookup is a three-step Horner over one cache
-	// line.
+	// coef[4i:4i+4] are cell i's cubic in the cell fraction fr in [0, 1),
+	// w = c0 + fr(c1 + fr(c2 + fr c3)): one cache line per lookup.
 	coef []float64
 }
 
-// lutSize is the number of interpolation segments spanning y in [0, 1].
-const lutSize = 1 << 15
+// lutSize is the number of cells spanning y in [0, 1]: 2048 cells of 32
+// bytes, 64 KiB per beta.
+const lutSize = 1 << 11
 
-// i0EvenSeries evaluates I0 as a function of the SQUARED argument:
-// i0EvenSeries(u*u) = I0(u). Unlike the asymptotic approximation in dsp,
-// the series accepts negative w (the analytic continuation used for the
-// ghost points) and is exact to machine precision, so the tabulated taper
-// is at least as accurate as the seed's per-tap evaluation.
-func i0EvenSeries(w float64) float64 {
-	sum, term := 1.0, 1.0
-	for k := 1; k < 400; k++ {
-		term *= w / (4 * float64(k) * float64(k))
-		sum += term
-		if term < 1e-17*sum && term > -1e-17*sum {
-			break
-		}
-	}
-	return sum
-}
-
+// newWindowLUT fits each cell at four Chebyshev nodes (dsp.FitCells, in
+// s = 2 fr - 1) and rewrites the cubic in fr, the variable at reads.
 func newWindowLUT(beta float64) *windowLUT {
-	// vals[k] = w(y) at y = (k-1)*step for k in [0, lutSize+2]: one ghost
-	// point on each side of [0, 1] for the cubic end segments.
-	vals := make([]float64, lutSize+3)
-	den := i0EvenSeries(beta * beta)
-	step := 1 / float64(lutSize)
-	for k := range vals {
-		y := (float64(k) - 1) * step
-		vals[k] = i0EvenSeries(beta*beta*(1-y)) / den
+	den := dsp.BesselI0(beta)
+	coef := dsp.FitCells(lutSize, 3, func(c int, s float64) float64 {
+		y := (float64(c) + (s+1)/2) / lutSize
+		return dsp.BesselI0(beta*math.Sqrt(1-y)) / den
+	})
+	for i := 0; i < len(coef); i += 4 {
+		a := coef[i : i+4 : i+4]
+		a[0], a[1], a[2], a[3] = a[0]-a[1]+a[2]-a[3], 2*a[1]-4*a[2]+6*a[3], 4*a[2]-12*a[3], 8*a[3]
 	}
-	l := &windowLUT{inv: float64(lutSize), coef: make([]float64, 4*lutSize)}
-	for i := 0; i < lutSize; i++ {
-		v0, v1, v2, v3 := vals[i], vals[i+1], vals[i+2], vals[i+3]
-		c := l.coef[4*i : 4*i+4]
-		c[0] = v1
-		c[1] = 0.5 * (v2 - v0)
-		c[2] = 0.5 * (2*v0 - 5*v1 + 4*v2 - v3)
-		c[3] = 0.5 * (3*(v1-v2) + v3 - v0)
-	}
-	return l
+	return &windowLUT{inv: float64(lutSize), coef: coef}
 }
 
-// at interpolates the taper at y = x^2, 0 <= y < 1, on the segment's
-// monomial cubic. Each coefficient is exactly half the matching
-// sub-expression of the Catmull-Rom form
-//
-//	v1 + 0.5*fr*(v2-v0+fr*(2*v0-5*v1+4*v2-v3+fr*(3*(v1-v2)+v3-v0)))
-//
-// built in the same order, and halving is exact short of subnormals, so
-// every Horner step equals the matching step of that form and the value
-// is bit-identical to it (TestWindowLUTHornerMatchesCatmullRom). This is
-// the hottest leaf of the LMS loop (one call per tap per instant per
-// candidate delay); it is small enough to inline.
+// at interpolates the taper at y = x^2, 0 <= y < 1, on the cell's
+// monomial cubic. This is the hottest leaf of the LMS loop (one call per
+// tap per instant per candidate delay); it is small enough to inline.
 func (l *windowLUT) at(y float64) float64 {
 	p := y * l.inv
 	i := int(p)

@@ -2,7 +2,6 @@ package pnbs
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -18,52 +17,45 @@ func toneCapture(band Band, d float64, n int) (ch0, ch1 []float64) {
 	return ch0, ch1
 }
 
+// i0OfSquare is the test's exact reference for the taper: I0 as a
+// function of its squared argument, i0OfSquare(u*u) = I0(u), summed from
+// the series in w = u^2 so no square root enters. Every term is positive.
+func i0OfSquare(w float64) float64 {
+	sum, term := 1.0, 1.0
+	for k := 1; k < 400; k++ {
+		term *= w / (4 * float64(k) * float64(k))
+		sum += term
+		if term < 1e-17*sum {
+			break
+		}
+	}
+	return sum
+}
+
+// TestWindowLUTMatchesExactSeries is the taper table's accuracy contract:
+// over a dense off-grid sweep of y = x^2, the max absolute error of at
+// against the exact squared-argument series stays within, per beta, the
+// error of the 32,768-segment Catmull-Rom table the 2048-cell fit
+// replaced (2.0e-15 at beta 4 rising to 6.8e-14 at beta 12, measured over
+// 2 M points). The fit itself reaches 1.4e-15 to 1.5e-14.
 func TestWindowLUTMatchesExactSeries(t *testing.T) {
-	for _, beta := range []float64{2, 8, 12} {
-		lut := lutFor(beta)
-		den := i0EvenSeries(beta * beta)
+	bounds := []struct{ beta, max float64 }{
+		{4, 2.0e-15}, {6, 6.7e-15}, {8, 1.7e-14}, {10, 3.7e-14}, {12, 6.8e-14},
+	}
+	const n = 200000
+	for _, b := range bounds {
+		lut := lutFor(b.beta)
+		den := i0OfSquare(b.beta * b.beta)
 		worst := 0.0
-		// Dense off-grid sweep of y = x^2 across the support.
-		for i := 0; i < 20000; i++ {
-			y := (float64(i) + 0.37) / 20000
-			exact := i0EvenSeries(beta*beta*(1-y)) / den
+		for i := 0; i < n; i++ {
+			y := (float64(i) + 0.37) / n
+			exact := i0OfSquare(b.beta*b.beta*(1-y)) / den
 			if e := math.Abs(lut.at(y) - exact); e > worst {
 				worst = e
 			}
 		}
-		if worst > 1e-12 {
-			t.Errorf("beta %g: LUT error %g exceeds 1e-12", beta, worst)
-		}
-	}
-}
-
-// TestWindowLUTHornerMatchesCatmullRom pins the identity windowLUT.at
-// rests on: its Horner cubic on coef equals, bit for bit, the Catmull-Rom
-// form on the four samples bracketing each segment, rebuilt here from
-// i0EvenSeries, at fr = 0, 1/2 and one seeded random fr per segment.
-func TestWindowLUTHornerMatchesCatmullRom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, beta := range []float64{8, 2} {
-		lut := lutFor(beta)
-		den := i0EvenSeries(beta * beta)
-		step := 1 / float64(lutSize)
-		sample := func(k int) float64 {
-			y := (float64(k) - 1) * step
-			return i0EvenSeries(beta*beta*(1-y)) / den
-		}
-		v0, v1, v2 := sample(0), sample(1), sample(2)
-		for i := 0; i < lutSize; i++ {
-			v3 := sample(i + 3)
-			for _, f := range []float64{0, 0.5, rng.Float64()} {
-				// y = p/lutSize is exact, so at() sees p and fr = p - i.
-				p := float64(i) + f
-				fr := p - float64(i)
-				want := v1 + 0.5*fr*(v2-v0+fr*(2*v0-5*v1+4*v2-v3+fr*(3*(v1-v2)+v3-v0)))
-				if got := lut.at(p * step); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("beta %g segment %d fr %v: at() = %v, Catmull-Rom %v", beta, i, fr, got, want)
-				}
-			}
-			v0, v1, v2 = v1, v2, v3
+		if worst > b.max {
+			t.Errorf("beta %g: LUT error %.3g exceeds %.2g", b.beta, worst, b.max)
 		}
 	}
 }
