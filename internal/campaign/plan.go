@@ -138,13 +138,9 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 	}
 	var t core.Tally
 	for u := 0; u < p.Grid.Units; u++ {
-		cfg := core.UnitConfig(p.base, p.spread, job.Seed, u)
-		if job.Fault.Apply != nil {
-			job.Fault.Apply(&cfg)
-		}
-		cfg, err := job.Stimulus.Configure(cfg)
+		cfg, err := p.UnitConfig(i, u)
 		if err != nil {
-			return CellResult{}, fmt.Errorf("campaign: cell %s/%s: %w", job.Stimulus.Name, job.Fault.Name, err)
+			return CellResult{}, err
 		}
 		var rep *core.Report
 		b, runErr := core.New(cfg)
@@ -170,6 +166,21 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 	mCells.Inc()
 	mCellSeconds.Observe(time.Since(started).Seconds())
 	return cell, nil
+}
+
+// UnitConfig returns the BIST configuration of device u in cell i's lot:
+// drawn under the cell seed, with the cell's fault and stimulus applied.
+func (p *Plan) UnitConfig(i, u int) (core.Config, error) {
+	job := p.Cells[i]
+	cfg := core.UnitConfig(p.base, p.spread, job.Seed, u)
+	if job.Fault.Apply != nil {
+		job.Fault.Apply(&cfg)
+	}
+	cfg, err := job.Stimulus.Configure(cfg)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("campaign: cell %s/%s: %w", job.Stimulus.Name, job.Fault.Name, err)
+	}
+	return cfg, nil
 }
 
 // Fold aggregates cell results into the detection matrix. Results may

@@ -18,7 +18,6 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/mask"
 	"repro/internal/modem"
-	"repro/internal/obs/trace"
 	"repro/internal/pnbs"
 	"repro/internal/rf"
 	"repro/internal/sig"
@@ -345,25 +344,17 @@ func calibrated(c *tiadc.Capture) (*tiadc.Capture, error) {
 	return m.Corrected(c)
 }
 
-// estimate runs Algorithm 1 on the acquired sets under the estimate
-// stage's trace context, so the LMS spans nest inside the pipeline tree.
-func (b *BIST) estimate(tc trace.Ctx, setB, setB1 skew.SampleSet) (skew.LMSResult, *skew.CostEvaluator, error) {
+// costEvaluator builds the dual-rate cost (Eqs. 7-8) Algorithm 1 descends,
+// summed over NTimes random instants drawn inside the sets' common
+// evaluation window with a guard band kept away from its edges.
+func (b *BIST) costEvaluator(setB, setB1 skew.SampleSet) (*skew.CostEvaluator, error) {
 	lo, hi, err := skew.EvalWindow(setB, setB1, b.opt())
 	if err != nil {
-		return skew.LMSResult{}, nil, err
+		return nil, err
 	}
-	// Keep a guard band away from the window edges.
 	span := hi - lo
 	times := skew.RandomTimes(lo+0.05*span, hi-0.05*span, b.cfg.NTimes, b.cfg.TimesSeed)
-	ce, err := skew.NewCostEvaluator(setB, setB1, times, b.opt())
-	if err != nil {
-		return skew.LMSResult{}, nil, err
-	}
-	res, err := skew.EstimateLMS(tc, ce.Cost, b.cfg.NominalD, ce.M())
-	if err != nil {
-		return skew.LMSResult{}, nil, err
-	}
-	return res, ce, nil
+	return skew.NewCostEvaluator(setB, setB1, times, b.opt())
 }
 
 // envelopeGrid reconstructs the complex envelope on a uniform grid at rate

@@ -12,19 +12,13 @@ import (
 // the candidate delay and its cost.
 type costProbe struct{ d, cost float64 }
 
-// estimateRecorded runs b's estimate stage on the given captures as
-// BIST.estimate does, with the evaluator's cost wrapped to record every
+// estimateRecorded runs b's estimate stage on the given captures as the
+// BIST pipeline does, with the evaluator's cost wrapped to record every
 // evaluation that reaches it (the descent serves repeated delays from its
 // memo, so those do not).
 func estimateRecorded(t *testing.T, b *BIST, setB, setB1 skew.SampleSet) (skew.LMSResult, []costProbe) {
 	t.Helper()
-	lo, hi, err := skew.EvalWindow(setB, setB1, b.opt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	span := hi - lo
-	times := skew.RandomTimes(lo+0.05*span, hi-0.05*span, b.cfg.NTimes, b.cfg.TimesSeed)
-	ce, err := skew.NewCostEvaluator(setB, setB1, times, b.opt())
+	ce, err := b.costEvaluator(setB, setB1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,50 +78,6 @@ func minDecisionGap(t *testing.T, res skew.LMSResult, probes []costProbe) float6
 		t.Fatalf("walked %d of %d history points", h, len(res.DHistory))
 	}
 	return gap
-}
-
-// TestLMSDecisionGaps pins why a kernel change inside the estimate-stage
-// cost tier (1e-9 relative, DESIGN §5f) cannot move CostEvals, DHistory,
-// DHat or a verdict of the mask-BIST golden lot: every accept/halve
-// comparison of Algorithm 1 on it is decided by a relative cost gap of at
-// least twice that tier, so no in-tier change flips one.
-func TestLMSDecisionGaps(t *testing.T) {
-	const costTier = 1e-9
-	lot := []struct {
-		name   string
-		mutate func(*Config)
-	}{{"healthy", nil}}
-	for _, f := range Catalog() {
-		lot = append(lot, struct {
-			name   string
-			mutate func(*Config)
-		}{f.Name, f.Apply})
-	}
-	worst, at, comparisons := math.Inf(1), "", 0
-	for _, u := range lot {
-		cfg := ScaleAcquisition(PaperScenario(), 0.3) // the mask-BIST golden's scale
-		if u.mutate != nil {
-			u.mutate(&cfg)
-		}
-		b, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		setB, setB1, _, err := b.acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, probes := estimateRecorded(t, b, setB, setB1)
-		comparisons += res.CostEvals - 2
-		if g := minDecisionGap(t, res, probes); g < worst {
-			worst, at = g, u.name
-		}
-	}
-	t.Logf("smallest decision gap %.3g (%s) over %d comparisons", worst, at, comparisons)
-	if worst < 2*costTier {
-		t.Errorf("unit %s: a comparison is decided by a relative cost gap of %.3g, under 2 × the %g cost tier",
-			at, worst, costTier)
-	}
 }
 
 // TestEstimateAmplitudeScaleInvariant: scaling both captures by a power of

@@ -213,9 +213,14 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	}
 	rep.DActual = actualD
 
-	// 3. Identify the channel delay (Algorithm 1).
+	// 3. Identify the channel delay (Algorithm 1); the LMS spans nest
+	// inside the estimate stage.
 	est := startStage(run.Ctx(), hStageEstim, tnEstimate)
-	res, ce, err := b.estimate(est.Ctx(), setB, setB1)
+	var res skew.LMSResult
+	ce, err := b.costEvaluator(setB, setB1)
+	if err == nil {
+		res, err = skew.EstimateLMS(est.Ctx(), ce.Cost, b.cfg.NominalD, ce.M())
+	}
 	est.End()
 	if err != nil {
 		return nil, err

@@ -16,18 +16,19 @@ type YieldResult struct {
 	Units    int
 }
 
-// RunYieldExperiment simulates two lots of nUnits devices: one drawn from
-// the typical (in-spec) process spread, one from a marginal lot whose IQ
-// quadrature spread straddles the IRR limit. A healthy test program shows
-// ~100 % yield on the first and a meaningful fallout on the second with no
-// measurement-induced (false-alarm) loss.
-func RunYieldExperiment(nUnits int, scale float64) (*YieldResult, error) {
-	if nUnits <= 0 {
-		nUnits = 12
-	}
-	if scale <= 0 || scale > 1 {
-		scale = 0.5
-	}
+// YieldLot is one Monte-Carlo lot of the yield experiment: the process
+// spread its units are drawn from and the seed they are drawn under.
+type YieldLot struct {
+	Name   string
+	Spread core.ProcessSpread
+	Seed   int64
+}
+
+// YieldSetup returns the yield experiment's base configuration at the
+// given acquisition scale and its two lots: one drawn from the typical
+// (in-spec) process spread, one marginal lot whose IQ quadrature spread
+// straddles the IRR limit.
+func YieldSetup(scale float64) (core.Config, []YieldLot) {
 	base := core.ScaleAcquisition(core.PaperScenario(), scale)
 	base.CaptureLen = max(base.CaptureLen, 900)
 	base.NTimes = 150
@@ -36,20 +37,30 @@ func RunYieldExperiment(nUnits int, scale float64) (*YieldResult, error) {
 	marginal := core.TypicalSpread()
 	marginal.IQPhaseSigmaDeg = 2.5
 	marginal.IQGainSigmaDB = 0.4
-	// The two lots are independent Monte-Carlo runs (RunYield itself fans
-	// its units over the same pool), so they proceed concurrently.
-	lots := []struct {
-		name   string
-		spread core.ProcessSpread
-		seed   int64
-	}{
+	return base, []YieldLot{
 		{"in-spec lot", core.TypicalSpread(), 1001},
 		{"marginal lot", marginal, 1002},
 	}
+}
+
+// RunYieldExperiment simulates the two YieldSetup lots of nUnits devices
+// each through the full BIST. A healthy test program shows ~100 % yield
+// on the in-spec lot and a meaningful fallout on the marginal one with no
+// measurement-induced (false-alarm) loss.
+func RunYieldExperiment(nUnits int, scale float64) (*YieldResult, error) {
+	if nUnits <= 0 {
+		nUnits = 12
+	}
+	if scale <= 0 || scale > 1 {
+		scale = 0.5
+	}
+	base, lots := YieldSetup(scale)
+	// The two lots are independent Monte-Carlo runs (RunYield itself fans
+	// its units over the same pool), so they proceed concurrently.
 	reps, err := par.MapErr(len(lots), func(i int) (*core.YieldReport, error) {
-		rep, err := core.RunYield(base, lots[i].spread, nUnits, lots[i].seed)
+		rep, err := core.RunYield(base, lots[i].Spread, nUnits, lots[i].Seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", lots[i].name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", lots[i].Name, err)
 		}
 		return rep, nil
 	})

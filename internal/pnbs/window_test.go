@@ -37,10 +37,12 @@ func i0OfSquare(w float64) float64 {
 // against the exact squared-argument series stays within, per beta, the
 // error of the 32,768-segment Catmull-Rom table the 2048-cell fit
 // replaced (2.0e-15 at beta 4 rising to 6.8e-14 at beta 12, measured over
-// 2 M points). The fit itself reaches 1.4e-15 to 1.5e-14.
+// 2 M points). The fit itself reaches 1.4e-15 to 1.5e-14. At beta 2 both
+// tables sit at the rounding floor (1.1e-15 before, 1.3e-15 now), so that
+// beta is held to 2e-15 rather than to the old table's figure.
 func TestWindowLUTMatchesExactSeries(t *testing.T) {
 	bounds := []struct{ beta, max float64 }{
-		{4, 2.0e-15}, {6, 6.7e-15}, {8, 1.7e-14}, {10, 3.7e-14}, {12, 6.8e-14},
+		{2, 2.0e-15}, {4, 2.0e-15}, {6, 6.7e-15}, {8, 1.7e-14}, {10, 3.7e-14}, {12, 6.8e-14},
 	}
 	const n = 200000
 	for _, b := range bounds {
