@@ -109,14 +109,7 @@ func run(args []string, out, diag io.Writer) error {
 		if err != nil {
 			return err
 		}
-		got := mf.Demod(env, 4, 64)
-		ref := make([]complex128, 64)
-		copy(ref, symsAt(syms, 4, 64))
-		norm, err := modem.NormalizeScaleAndPhase(got, ref)
-		if err != nil {
-			return err
-		}
-		res, err := modem.EVM(norm, ref)
+		res, err := mf.EVM(env, syms, 4, 64)
 		if err != nil {
 			return err
 		}
@@ -134,13 +127,4 @@ func sampleEnvelope(env sig.Envelope, fs float64, out []complex128) {
 	par.For(len(out), func(i int) {
 		out[i] = env.At(float64(i) / fs)
 	})
-}
-
-// symsAt returns n symbols from the cyclic stream starting at k0.
-func symsAt(syms []complex128, k0, n int) []complex128 {
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = syms[(k0+i)%len(syms)]
-	}
-	return out
 }

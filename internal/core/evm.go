@@ -61,19 +61,9 @@ func (b *BIST) RunEVMTest(rec *pnbs.Reconstructor) (*EVMOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	got := mf.Demod(cont, k0, nSym)
-	// Reference symbols from the cyclic stream (gain applied by the
-	// shaper is part of the common complex gain removed below).
-	ref := make([]complex128, nSym)
-	nStream := len(b.bb.Symbols)
-	for i := range ref {
-		ref[i] = b.bb.Symbols[((k0+i)%nStream+nStream)%nStream]
-	}
-	norm, err := modem.NormalizeScaleAndPhase(got, ref)
-	if err != nil {
-		return nil, err
-	}
-	res, err := modem.EVM(norm, ref)
+	// Reference symbols come from the cyclic stream; the shaper's gain is
+	// part of the common complex gain mf.EVM removes.
+	res, err := mf.EVM(cont, b.bb.Symbols, k0, nSym)
 	if err != nil {
 		return nil, err
 	}

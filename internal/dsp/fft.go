@@ -108,19 +108,12 @@ func fftRadix2(a []complex128, inverse bool) {
 
 // RealFFTHalf computes the one-sided spectrum of a real sequence: bins
 // 0..n/2 inclusive (length n/2+1). For real input the remaining bins are
-// the conjugate mirror, so this is the whole information content. Even
-// lengths take the half-size complex-transform split (RealPlan), roughly
-// twice as fast as widening to []complex128; odd lengths widen and run the
-// complex plan.
+// the conjugate mirror, so this is the whole information content. The
+// input widens to []complex128 and runs through the shared complex plan.
 func RealFFTHalf(x []float64) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
-	}
-	if n%2 == 0 {
-		out := make([]complex128, n/2+1)
-		PlanRealFFT(n).HalfSpectrum(out, x)
-		return out
 	}
 	out := make([]complex128, n)
 	for i, v := range x {

@@ -67,99 +67,71 @@ func DefaultWelch(segmentLen int) WelchConfig {
 	return WelchConfig{SegmentLen: segmentLen}
 }
 
-// welchParams validates a Welch configuration against the input length and
-// returns the window, its power, the hop and the segment count.
-func welchParams(inputLen int, cfg WelchConfig) (win []float64, winPow float64, step, segs int, err error) {
-	n := cfg.SegmentLen
-	if n <= 0 {
-		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: SegmentLen %d <= 0", n)
-	}
-	if inputLen < n {
-		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: input length %d < segment %d", inputLen, n)
-	}
-	win = Window(Hann, n, 0)
-	for _, w := range win {
-		winPow += w * w
-	}
-	step = n - n/2
-	segs = (inputLen-n)/step + 1
-	if segs == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("dsp: Welch: no complete segments")
-	}
-	return win, winPow, step, segs, nil
-}
-
-// welchAverage fans the segment periodograms out over the par pool and
-// folds them into the averaged two-sided PSD.
-//
-// Determinism contract: every segment writes its |X|^2 into its own row of
-// a per-segment partial matrix, and the rows are summed serially in
-// segment-index order afterwards. The float reduction tree is therefore a
-// fixed left fold independent of scheduling, so the averaged PSD is
-// bit-identical at any worker count — the same invariance the cost path
-// established in PR 1 — and also bit-identical to the historical serial
-// loop (which accumulated segments in the same order).
-//
-// periodogram must fill pow (length n) with the segment's |X[k]|^2; it is
-// called concurrently for distinct segments.
-func welchAverage(n, segs int, fs, winPow float64, periodogram func(seg int, pow []float64)) []float64 {
-	backing := make([]float64, segs*n)
+// segmentPowers returns the segs×n matrix of Hann-windowed segment
+// periodograms in natural bin order: row s holds |X[k]|² of the n = len(win)
+// samples starting at s·hop, transformed through one cached Plan. Segments
+// fan out over the par pool, each writing only its own row, so every row is
+// bit-identical at any worker count. Welch and the STFT both call it.
+func segmentPowers(x []complex128, win []float64, hop, segs int) []float64 {
+	n := len(win)
+	plan := PlanFFT(n)
+	rows := make([]float64, segs*n)
 	par.For(segs, func(s int) {
-		periodogram(s, backing[s*n:(s+1)*n])
-	})
-	acc := make([]float64, n)
-	for s := 0; s < segs; s++ {
-		row := backing[s*n : (s+1)*n]
-		for i, v := range row {
-			acc[i] += v
+		buf := make([]complex128, n)
+		start := s * hop
+		for i := 0; i < n; i++ {
+			buf[i] = x[start+i] * complex(win[i], 0)
 		}
-	}
-	// PSD normalisation: |X|^2 / (fs * sum(w^2)), averaged over segments.
-	norm := 1 / (fs * winPow * float64(segs))
-	for i := range acc {
-		acc[i] *= norm
-	}
-	return acc
-}
-
-// spectrumFromPSD shifts the natural-order two-sided PSD and builds the
-// ascending frequency axis around centre.
-func spectrumFromPSD(psd []float64, fs, centre float64) *Spectrum {
-	n := len(psd)
-	psd = FFTShiftFloat(psd)
-	freqs := make([]float64, n)
-	df := fs / float64(n)
-	for i := range freqs {
-		freqs[i] = centre + (float64(i)-float64(n)/2)*df
-	}
-	return &Spectrum{Freqs: freqs, PSD: psd, BinWidth: df}
+		plan.Execute(buf)
+		row := rows[s*n : (s+1)*n]
+		for i, v := range buf {
+			re, im := real(v), imag(v)
+			row[i] = re*re + im*im
+		}
+	})
+	return rows
 }
 
 // WelchComplex estimates the two-sided PSD of a complex baseband sequence
 // sampled at fs. centre shifts the frequency axis (pass the carrier to plot
 // an RF-referred spectrum). The result is fftshifted so frequencies ascend.
 //
-// Segments transform through a cached Plan, each in its own buffer, and
-// fan out over the par worker pool; the estimate is bit-identical at any
-// worker count (see welchAverage).
+// Determinism contract: the segment periodograms (segmentPowers) are
+// summed serially in segment-index order, a fixed left fold independent of
+// scheduling, so the averaged PSD is bit-identical at any worker count and
+// to a serial loop that accumulates segments in the same order.
 func WelchComplex(x []complex128, fs, centre float64, cfg WelchConfig) (*Spectrum, error) {
-	win, winPow, step, segs, err := welchParams(len(x), cfg)
-	if err != nil {
-		return nil, err
-	}
 	n := cfg.SegmentLen
-	plan := PlanFFT(n)
-	psd := welchAverage(n, segs, fs, winPow, func(s int, pow []float64) {
-		buf := make([]complex128, n)
-		start := s * step
-		for i := 0; i < n; i++ {
-			buf[i] = x[start+i] * complex(win[i], 0)
+	if n <= 0 {
+		return nil, fmt.Errorf("dsp: Welch: SegmentLen %d <= 0", n)
+	}
+	if len(x) < n {
+		return nil, fmt.Errorf("dsp: Welch: input length %d < segment %d", len(x), n)
+	}
+	win := Window(Hann, n, 0)
+	winPow := 0.0
+	for _, w := range win {
+		winPow += w * w
+	}
+	step := n - n/2
+	segs := (len(x)-n)/step + 1
+	rows := segmentPowers(x, win, step, segs)
+	psd := make([]float64, n)
+	for s := 0; s < segs; s++ {
+		for i, v := range rows[s*n : (s+1)*n] {
+			psd[i] += v
 		}
-		plan.Execute(buf)
-		for i, v := range buf {
-			re, im := real(v), imag(v)
-			pow[i] = re*re + im*im
-		}
-	})
-	return spectrumFromPSD(psd, fs, centre), nil
+	}
+	// PSD normalisation: |X|^2 / (fs * sum(w^2)), averaged over segments,
+	// then shifted onto the ascending axis around centre.
+	norm := 1 / (fs * winPow * float64(segs))
+	for i := range psd {
+		psd[i] *= norm
+	}
+	freqs := make([]float64, n)
+	df := fs / float64(n)
+	for i := range freqs {
+		freqs[i] = centre + (float64(i)-float64(n)/2)*df
+	}
+	return &Spectrum{Freqs: freqs, PSD: FFTShiftFloat(psd), BinWidth: df}, nil
 }

@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-
-	"repro/internal/par"
-)
+import "fmt"
 
 // Spectrogram is a short-time Fourier transform magnitude map, used to
 // inspect transient behaviour (burst edges, settling, hopping) of captured
@@ -20,9 +16,10 @@ type Spectrogram struct {
 
 // STFT computes a spectrogram of a complex sequence sampled at fs with the
 // given segment length and hop. A Hann window is applied per segment.
-// Columns are independent, so they transform through one cached Plan and
-// fan out over the par worker pool; each column's numbers depend only on
-// its own samples, so the spectrogram is identical at any worker count.
+// Columns are the segment periodograms Welch averages (segmentPowers),
+// here turned into dB on the centred axis; each column's numbers depend
+// only on its own samples, so the spectrogram is identical at any worker
+// count.
 func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 	if segLen < 4 {
 		return nil, fmt.Errorf("dsp: STFT segment %d too short", segLen)
@@ -33,8 +30,8 @@ func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 	if len(x) < segLen {
 		return nil, fmt.Errorf("dsp: STFT input %d shorter than segment %d", len(x), segLen)
 	}
-	win := Window(Hann, segLen, 0)
 	nCols := (len(x)-segLen)/hop + 1
+	pow := segmentPowers(x, Window(Hann, segLen, 0), hop, nCols)
 	sg := &Spectrogram{
 		Times:   make([]float64, nCols),
 		Freqs:   make([]float64, segLen),
@@ -44,28 +41,19 @@ func STFT(x []complex128, fs float64, segLen, hop int) (*Spectrogram, error) {
 	for i := range sg.Freqs {
 		sg.Freqs[i] = (float64(i) - float64(segLen)/2) * df
 	}
-	plan := PlanFFT(segLen)
-	rows := make([]float64, nCols*segLen)
 	// shift maps the natural bin order to the centred axis: row[i] is the
-	// power of spectrum bin (shift+i) mod segLen, the in-place equivalent
-	// of FFTShiftFloat.
+	// power of spectrum bin (shift+i) mod segLen, as FFTShiftFloat orders it.
 	shift := (segLen + 1) / 2
-	par.For(nCols, func(c int) {
-		buf := make([]complex128, segLen)
-		start := c * hop
-		sg.Times[c] = (float64(start) + float64(segLen)/2) / fs
-		for i := 0; i < segLen; i++ {
-			buf[i] = x[start+i] * complex(win[i], 0)
-		}
-		plan.Execute(buf)
+	rows := make([]float64, nCols*segLen)
+	for c := range sg.PowerDB {
+		sg.Times[c] = (float64(c*hop) + float64(segLen)/2) / fs
+		p := pow[c*segLen : (c+1)*segLen]
 		row := rows[c*segLen : (c+1)*segLen]
 		for i := range row {
-			v := buf[(shift+i)%segLen]
-			re, im := real(v), imag(v)
-			row[i] = PowerDB(re*re + im*im)
+			row[i] = PowerDB(p[(shift+i)%segLen])
 		}
 		sg.PowerDB[c] = row
-	})
+	}
 	return sg, nil
 }
 

@@ -59,35 +59,13 @@ func RunLoopback() (*LoopbackResult, error) {
 	}
 
 	// Ground truth: demodulate the Tx envelope directly.
-	pulse, err := modem.NewSRRC(1/cfg.SymbolRate, cfg.RollOff, 8)
+	mf, err := modem.NewMatchedFilter(b.Baseband().Pulse, 8)
 	if err != nil {
 		return nil, err
-	}
-	mf, err := modem.NewMatchedFilter(pulse, 8)
-	if err != nil {
-		return nil, err
-	}
-	refSyms := func(k0, n int) []complex128 {
-		out := make([]complex128, n)
-		syms := b.Baseband().Symbols
-		m := len(syms)
-		for i := range out {
-			out[i] = syms[((k0+i)%m+m)%m]
-		}
-		return out
 	}
 	evmOf := func(env sig.Envelope, k0, n int) (float64, error) {
-		got := mf.Demod(env, k0, n)
-		ref := refSyms(k0, n)
-		norm, err := modem.NormalizeScaleAndPhase(got, ref)
-		if err != nil {
-			return 0, err
-		}
-		r, err := modem.EVM(norm, ref)
-		if err != nil {
-			return 0, err
-		}
-		return r.RMSPercent, nil
+		r, err := mf.EVM(env, b.Baseband().Symbols, k0, n)
+		return r.RMSPercent, err
 	}
 	truth, err := evmOf(b.Transmitter().OutputEnvelope(), 4, 48)
 	if err != nil {

@@ -61,3 +61,24 @@ func (m *MatchedFilter) Demod(env sig.Envelope, k0, nSym int) []complex128 {
 	}
 	return out
 }
+
+// EVM measures the reference-aided EVM of n symbols of env starting at
+// symbol index k0: Demod recovers them, the cyclic stream syms supplies the
+// reference (index (k0+k) mod len(syms), safe for negative k0), and
+// NormalizeScaleAndPhase removes the common complex gain before the
+// comparison.
+func (m *MatchedFilter) EVM(env sig.Envelope, syms []complex128, k0, n int) (EVMResult, error) {
+	if len(syms) == 0 {
+		return EVMResult{}, fmt.Errorf("modem: EVM: no reference symbols")
+	}
+	got := m.Demod(env, k0, n)
+	ref := make([]complex128, n)
+	for i := range ref {
+		ref[i] = syms[((k0+i)%len(syms)+len(syms))%len(syms)]
+	}
+	norm, err := NormalizeScaleAndPhase(got, ref)
+	if err != nil {
+		return EVMResult{}, err
+	}
+	return EVM(norm, ref)
+}
