@@ -39,6 +39,7 @@ import (
 	"os"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -82,7 +83,7 @@ func run(w io.Writer, args []string) error {
 	runtimetrace := fs.String("runtimetrace", "", "write a runtime/trace execution trace (go tool trace) to this file; scheduler-level, unlike -trace's pipeline spans")
 	logJSON := fs.Bool("log-json", false, "emit lifecycle events as slog JSON lines on stderr instead of text")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bistlab <fig3a|fig3b|fig5|fig6|table1|eq4|dsweep|mask|flex|ablate|noise|yield|avg|loop|resp|all> [flags]")
+		fmt.Fprintf(os.Stderr, "usage: bistlab <%s|all> [flags]\n", strings.Join(allExperiments(), "|"))
 		fs.PrintDefaults()
 	}
 	if len(args) == 0 {
@@ -191,7 +192,7 @@ func run(w io.Writer, args []string) error {
 	}
 	runErr := func() error {
 		if name == "all" {
-			for _, n := range []string{"fig3a", "fig3b", "fig5", "fig6", "table1", "eq4", "dsweep", "mask", "flex", "ablate", "noise", "yield", "avg", "loop", "resp"} {
+			for _, n := range allExperiments() {
 				fmt.Fprintf(w, "==== %s ====\n", n)
 				if err := runOne(w, n, *scale, *nPts, *jsonOut, *campaignPath); err != nil {
 					return fmt.Errorf("%s: %w", n, err)
@@ -309,6 +310,91 @@ func emit(w io.Writer, v renderer, jsonOut bool) error {
 	return err
 }
 
+// options carries the flags an experiment may read.
+type options struct {
+	scale        float64
+	nPts         int
+	campaignPath string
+}
+
+// experiment is one bistlab experiment: its name, whether "all" runs it,
+// and how it builds its result.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(o options) (renderer, error)
+}
+
+// result adapts an experiment's typed (result, error) pair to run's
+// signature.
+func result[T renderer](r T, err error) (renderer, error) { return r, err }
+
+// experimentTable lists every experiment in usage and "all" order; the
+// usage string, the "all" sequence and runOne all read it.
+var experimentTable = []experiment{
+	{"fig3a", true, func(o options) (renderer, error) { return experiments.RunFig3a(o.nPts), nil }},
+	{"fig3b", true, func(options) (renderer, error) { return result(experiments.RunFig3b()) }},
+	{"fig5", true, func(o options) (renderer, error) {
+		return result(experiments.RunFig5(experiments.DefaultPaperSetup(), o.nPts))
+	}},
+	{"fig6", true, func(o options) (renderer, error) {
+		// -scale shrinks the cost-function point count and -points the
+		// rate-B capture length, which is what lets `make trace-smoke`
+		// capture a reduced Fig. 6 trace in seconds.
+		setup := experiments.DefaultPaperSetup()
+		if o.scale > 0 && o.scale < 1 {
+			setup.NTimes = max(int(float64(setup.NTimes)*o.scale), 16)
+		}
+		return result(experiments.RunFig6(setup, nil, o.nPts))
+	}},
+	{"table1", true, func(options) (renderer, error) {
+		return result(experiments.RunTable1(experiments.DefaultPaperSetup()))
+	}},
+	{"eq4", true, func(options) (renderer, error) { return result(experiments.RunEq4(nil)) }},
+	{"dsweep", true, func(o options) (renderer, error) {
+		return result(experiments.RunDSweep(core.PaperScenario().Band(), o.nPts))
+	}},
+	{"mask", true, func(o options) (renderer, error) { return result(experiments.RunMaskBIST(o.scale)) }},
+	{"flex", true, func(o options) (renderer, error) { return result(experiments.RunFlex(o.scale)) }},
+	{"ablate", true, func(options) (renderer, error) { return result(experiments.RunAblate()) }},
+	{"noise", true, func(options) (renderer, error) { return result(experiments.RunNoiseFold()) }},
+	{"yield", true, func(o options) (renderer, error) {
+		return result(experiments.RunYieldExperiment(o.nPts, o.scale))
+	}},
+	{"avg", true, func(options) (renderer, error) { return result(experiments.RunAveraging(nil)) }},
+	{"loop", true, func(options) (renderer, error) { return result(experiments.RunLoopback()) }},
+	{"resp", true, func(options) (renderer, error) { return result(experiments.RunFilterResp()) }},
+	{"campaign", false, func(o options) (renderer, error) {
+		var grid *campaign.Grid
+		if o.campaignPath != "" && o.campaignPath != "default" {
+			data, err := os.ReadFile(o.campaignPath)
+			if err != nil {
+				return nil, err
+			}
+			g, err := campaign.ParseGrid(data)
+			if err != nil {
+				return nil, err
+			}
+			grid = &g
+		}
+		// -scale < 1 overrides the grid's own scale, mirroring the other
+		// experiments (and letting `make campaign-smoke` shrink a committed
+		// grid without editing it).
+		return result(experiments.RunCoverage(grid, o.scale))
+	}},
+}
+
+// allExperiments returns the names "all" runs, in order.
+func allExperiments() []string {
+	var names []string
+	for _, e := range experimentTable {
+		if e.inAll {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
 func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, campaignPath string) error {
 	obs.C("bistlab.runs." + name).Inc()
 	sp := hExperiment.Start()
@@ -316,126 +402,14 @@ func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, cam
 	tsp := trace.Start(trace.Root, tnBistlabRun)
 	tsp.SetAttr("experiment", name)
 	defer tsp.End()
-	setup := experiments.DefaultPaperSetup()
-	switch name {
-	case "fig3a":
-		return emit(w, experiments.RunFig3a(nPts), jsonOut)
-	case "fig3b":
-		r, err := experiments.RunFig3b()
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "fig5":
-		r, err := experiments.RunFig5(setup, nPts)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "fig6":
-		// -scale shrinks the cost-function point count and -points the
-		// rate-B capture length, which is what lets `make trace-smoke`
-		// capture a reduced Fig. 6 trace in seconds.
-		if scale > 0 && scale < 1 {
-			if n := int(float64(setup.NTimes) * scale); n >= 16 {
-				setup.NTimes = n
-			} else {
-				setup.NTimes = 16
-			}
-		}
-		r, err := experiments.RunFig6(setup, nil, nPts)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "table1":
-		r, err := experiments.RunTable1(setup)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "eq4":
-		r, err := experiments.RunEq4(nil)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "dsweep":
-		r, err := experiments.RunDSweep(core.PaperScenario().Band(), nPts)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "mask":
-		r, err := experiments.RunMaskBIST(scale)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "flex":
-		r, err := experiments.RunFlex(scale)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "ablate":
-		r, err := experiments.RunAblate()
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "noise":
-		r, err := experiments.RunNoiseFold()
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "yield":
-		r, err := experiments.RunYieldExperiment(nPts, scale)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "avg":
-		r, err := experiments.RunAveraging(nil)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "loop":
-		r, err := experiments.RunLoopback()
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "resp":
-		r, err := experiments.RunFilterResp()
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	case "campaign":
-		var grid *campaign.Grid
-		if campaignPath != "" && campaignPath != "default" {
-			data, err := os.ReadFile(campaignPath)
+	for _, e := range experimentTable {
+		if e.name == name {
+			r, err := e.run(options{scale: scale, nPts: nPts, campaignPath: campaignPath})
 			if err != nil {
 				return err
 			}
-			g, err := campaign.ParseGrid(data)
-			if err != nil {
-				return err
-			}
-			grid = &g
+			return emit(w, r, jsonOut)
 		}
-		// -scale < 1 overrides the grid's own scale, mirroring the other
-		// experiments (and letting `make campaign-smoke` shrink a committed
-		// grid without editing it).
-		r, err := experiments.RunCoverage(grid, scale)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, jsonOut)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
+	return fmt.Errorf("unknown experiment %q", name)
 }

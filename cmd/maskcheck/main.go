@@ -1,7 +1,8 @@
 // Command maskcheck runs one complete BIST execution described by a JSON
 // configuration file (or the built-in paper scenario) and prints the
 // structured report. Exit status 0 = unit passes, 2 = unit fails, 1 =
-// execution error.
+// execution error; an unknown key, a negative quantity or a scale above 1
+// in the configuration is an execution error.
 //
 // Example configuration:
 //
@@ -18,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,6 +48,40 @@ type fileConfig struct {
 	EVMTest    bool        `json:"evmTest"`
 	Seed       int64       `json:"seed"`
 	Scale      float64     `json:"scale"`
+}
+
+// parse decodes data strictly: an unknown key, trailing data, a negative
+// rate, roll-off, carrier or delay, or a scale above 1 is an error rather
+// than a silently different unit. Zero (or an absent key) still means the
+// paper scenario's value.
+func (fc *fileConfig) parse(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(fc); err != nil {
+		return err
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data")
+	}
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"symbolRateHz", fc.SymbolRateHz},
+		{"rollOff", fc.RollOff},
+		{"carrierHz", fc.CarrierHz},
+		{"captureRateHz", fc.CaptureRateHz},
+		{"nominalDelayPs", fc.NominalDelayPs},
+		{"scale", fc.Scale},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %g is negative", f.key, f.v)
+		}
+	}
+	if fc.Scale > 1 {
+		return fmt.Errorf("scale %g is above 1", fc.Scale)
+	}
+	return nil
 }
 
 // customMask mirrors mask.Mask with JSON-friendly field names.
@@ -98,7 +134,7 @@ func run(args []string, out io.Writer) (int, error) {
 		if err != nil {
 			return 1, err
 		}
-		if err := json.Unmarshal(data, &fc); err != nil {
+		if err := fc.parse(data); err != nil {
 			return 1, fmt.Errorf("parsing %s: %w", *path, err)
 		}
 		if fc.Constellation != "" {

@@ -120,3 +120,44 @@ func TestScaleUsesSharedRule(t *testing.T) {
 		t.Errorf("PSDSamples = %d at scale 0.1, want 512", rep.Compute.PSDSamples)
 	}
 }
+
+// TestRefusesUnknownKeys: a misspelled key is an error (exit 1), not a
+// healthy paper unit graded in place of the one the file describes.
+func TestRefusesUnknownKeys(t *testing.T) {
+	for _, body := range []string{
+		`{"fualt": "pa-compression"}`,
+		`{"scale": 0.35} {"fault": "pa-compression"}`,
+	} {
+		var out bytes.Buffer
+		code, err := run([]string{"-config", writeConfig(t, body)}, &out)
+		if err == nil || code != 1 {
+			t.Errorf("%s: exit %d, err %v; want exit 1 and an error", body, code, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a refused config printed a report:\n%s", body, out.String())
+		}
+	}
+}
+
+// TestRefusesOutOfRangeValues: a negative quantity or a scale above 1 is
+// refused with exit 1 instead of being dropped for the default.
+func TestRefusesOutOfRangeValues(t *testing.T) {
+	for _, body := range []string{
+		`{"scale": -3}`,
+		`{"scale": 1.5}`,
+		`{"rollOff": -0.5}`,
+		`{"nominalDelayPs": -50}`,
+		`{"symbolRateHz": -10e6}`,
+		`{"carrierHz": -1e9}`,
+		`{"captureRateHz": -90e6}`,
+	} {
+		var out bytes.Buffer
+		code, err := run([]string{"-config", writeConfig(t, body)}, &out)
+		if err == nil || code != 1 {
+			t.Errorf("%s: exit %d, err %v; want exit 1 and an error", body, code, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a refused config printed a report:\n%s", body, out.String())
+		}
+	}
+}

@@ -69,6 +69,25 @@ func TestStopbandRejection(t *testing.T) {
 	}
 }
 
+// sineTestReconstructor builds a 200-sample reconstructor at t0 = 100 ns and
+// D = 0.9·OptimalD over two fixed sums of sinusoids, the capture the At
+// oracle tests share.
+func sineTestReconstructor(t *testing.T, band Band) *Reconstructor {
+	t.Helper()
+	n := 200
+	ch0 := make([]float64, n)
+	ch1 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ch0[i] = math.Sin(0.7*float64(i)) + 0.3*math.Cos(0.11*float64(i))
+		ch1[i] = math.Sin(0.7*float64(i)+0.2) - 0.2*math.Cos(0.13*float64(i))
+	}
+	rec, err := NewReconstructor(band, band.OptimalD()*0.9, 1e-7, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func TestAtMatchesReferenceImplementation(t *testing.T) {
 	// The phasor-recurrence fast path must agree with the direct kernel
 	// evaluation to near machine precision, across bands including the
@@ -78,19 +97,8 @@ func TestAtMatchesReferenceImplementation(t *testing.T) {
 		{FLow: 900e6, B: 90e6}, // integer positioned
 		{FLow: 2.164e9, B: 72e6},
 	} {
-		d := band.OptimalD() * 0.9
 		tt := band.T()
-		n := 200
-		ch0 := make([]float64, n)
-		ch1 := make([]float64, n)
-		for i := 0; i < n; i++ {
-			ch0[i] = math.Sin(0.7*float64(i)) + 0.3*math.Cos(0.11*float64(i))
-			ch1[i] = math.Sin(0.7*float64(i)+0.2) - 0.2*math.Cos(0.13*float64(i))
-		}
-		rec, err := NewReconstructor(band, d, 1e-7, ch0, ch1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := sineTestReconstructor(t, band)
 		lo, hi := rec.ValidRange()
 		for i := 0; i <= 200; i++ {
 			tv := lo + (hi-lo)*float64(i)/200
