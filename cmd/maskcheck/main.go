@@ -51,8 +51,8 @@ type fileConfig struct {
 }
 
 // parse decodes data strictly: an unknown key, trailing data, a negative
-// rate, roll-off, carrier or delay, or a scale above 1 is an error rather
-// than a silently different unit. Zero (or an absent key) still means the
+// rate, roll-off, carrier, delay or scale, or a scale above 1 is an error
+// rather than a silently different unit. Zero (or an absent key) still means the
 // paper scenario's value.
 func (fc *fileConfig) parse(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))

@@ -68,9 +68,6 @@ func (m *MatchedFilter) Demod(env sig.Envelope, k0, nSym int) []complex128 {
 // NormalizeScaleAndPhase removes the common complex gain before the
 // comparison.
 func (m *MatchedFilter) EVM(env sig.Envelope, syms []complex128, k0, n int) (EVMResult, error) {
-	if len(syms) == 0 {
-		return EVMResult{}, fmt.Errorf("modem: EVM: no reference symbols")
-	}
 	got := m.Demod(env, k0, n)
 	ref := make([]complex128, n)
 	for i := range ref {

@@ -118,6 +118,21 @@ func TestMatchedFilterRecoversQPSK(t *testing.T) {
 	if err != nil || ser != 0 {
 		t.Errorf("SER %g, err %v", ser, err)
 	}
+	// (*MatchedFilter).EVM runs the same chain in one call, and its cyclic
+	// reference index is safe for a negative start: k0 = 8 − 48 names the
+	// same symbols one stream period earlier.
+	for _, k0 := range []int{8, 8 - len(syms)} {
+		r, err := mf.EVM(env, syms, k0, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k0 == 8 && r != res {
+			t.Errorf("mf.EVM %+v, want the spelled-out chain's %+v", r, res)
+		}
+		if r.RMSPercent > 3 {
+			t.Errorf("k0=%d: mf.EVM %.2f%%, want < 3%%", k0, r.RMSPercent)
+		}
+	}
 }
 
 // recordingEnv is a constant envelope that records every instant it is
