@@ -3,6 +3,7 @@ package adc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dsp"
 )
@@ -26,7 +27,8 @@ type DynamicResult struct {
 
 // DynamicTest runs the standard single-tone FFT test on a captured record:
 // samples of a (nearly) coherent sinusoid at normalised frequency nu
-// (cycles/sample). A Hann window handles residual non-coherence.
+// (cycles/sample). A Kaiser window (beta 13) handles residual
+// non-coherence.
 func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 	n := len(samples)
 	if n < 64 {
@@ -35,17 +37,15 @@ func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 	if nu <= 0 || nu >= 0.5 {
 		return nil, fmt.Errorf("adc: dynamic test frequency %g outside ]0, 0.5[", nu)
 	}
-	// Kaiser beta = 13 keeps window sidelobes near -90 dB so leakage does
-	// not masquerade as noise in high-resolution SNDR measurements.
-	win := dsp.Window(dsp.KaiserWin, n, 13)
+	win := dynamicWindow(n)
 	buf := make([]float64, n)
 	mean := dsp.Mean(samples)
 	for i, v := range samples {
 		buf[i] = (v - mean) * win[i]
 	}
-	// One-sided spectrum via the half-size real-FFT plan: bins above n/2
-	// are the conjugate mirror and carry no extra information for the
-	// power analysis below.
+	// One-sided spectrum (the complex plan on the widened record): bins
+	// above n/2 are the conjugate mirror and carry no extra information for
+	// the power analysis below.
 	spec := dsp.RealFFTHalf(buf)
 	half := n / 2
 	power := make([]float64, half)
@@ -116,6 +116,21 @@ func DynamicTest(samples []float64, nu float64) (*DynamicResult, error) {
 	}
 	return res, nil
 }
+
+// dynamicWindow returns the Kaiser window (beta 13) of length n. Beta 13
+// keeps window sidelobes near -90 dB so leakage does not masquerade as
+// noise in high-resolution SNDR measurements. The window depends only on
+// n, so one per length is built process-wide and shared read-only
+// (DynamicTest never mutates it), as DecimationLowpass shares its filters.
+func dynamicWindow(n int) []float64 {
+	if v, ok := dynamicWindows.Load(n); ok {
+		return v.([]float64)
+	}
+	v, _ := dynamicWindows.LoadOrStore(n, dsp.Window(dsp.KaiserWin, n, 13))
+	return v.([]float64)
+}
+
+var dynamicWindows sync.Map // int (record length) -> []float64
 
 // foldBin maps an arbitrary harmonic bin into the first Nyquist zone.
 func foldBin(k, n int) int {

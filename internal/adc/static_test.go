@@ -225,6 +225,24 @@ func TestDynamicTestDetectsDistortion(t *testing.T) {
 	}
 }
 
+// TestDynamicWindowShared: the memoised window of a record length is the
+// Kaiser(13) window dsp.Window designs, bit for bit, and every call for that
+// length returns the one shared slice.
+func TestDynamicWindowShared(t *testing.T) {
+	for _, n := range []int{64, 1000, 1 << 13} {
+		w := dynamicWindow(n)
+		want := dsp.Window(dsp.KaiserWin, n, 13)
+		for i := range want {
+			if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d i=%d: shared window %g != designed %g", n, i, w[i], want[i])
+			}
+		}
+		if &dynamicWindow(n)[0] != &w[0] {
+			t.Fatalf("n=%d: second call built a new window", n)
+		}
+	}
+}
+
 func TestDynamicTestValidation(t *testing.T) {
 	if _, err := DynamicTest(make([]float64, 10), 0.1); err == nil {
 		t.Error("too short must fail")
