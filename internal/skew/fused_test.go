@@ -57,7 +57,9 @@ func fusedCases() []fusedCase {
 	}
 }
 
-func caseEvaluator(t *testing.T, fc fusedCase) *CostEvaluator {
+// caseEvaluator builds the case's noisy captures and an evaluator over n
+// random instants of their common window.
+func caseEvaluator(t *testing.T, fc fusedCase, n int) *CostEvaluator {
 	t.Helper()
 	opt := pnbs.Options{HalfTaps: fc.halfTaps}
 	bandB1 := HalfRateBand(fc.band)
@@ -78,7 +80,7 @@ func caseEvaluator(t *testing.T, fc fusedCase) *CostEvaluator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := RandomTimes(lo, hi, 120, 7)
+	times := RandomTimes(lo, hi, n, 7)
 	ce, err := NewCostEvaluator(setB, setB1, times, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestCostFusedErrorBoundSweep(t *testing.T) {
 	for _, fc := range fusedCases() {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
-			ce := caseEvaluator(t, fc)
+			ce := caseEvaluator(t, fc, 120)
 			for _, dHat := range fc.dHats {
 				got, err := ce.Cost(dHat)
 				if err != nil {
