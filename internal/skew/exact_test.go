@@ -262,3 +262,36 @@ const costEps = 1e-15
 func withinCostTier(a, b, scale float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+costEps*scale
 }
+
+// costScale returns the contract's scale mean(rB² + rB1²) at dHat, from
+// reconstructors built as costSerial builds them.
+func (c *CostEvaluator) costScale(dHat float64) (float64, error) {
+	rB, err := pnbs.NewReconstructor(c.setB.Band, dHat, c.setB.T0, c.setB.Ch0, c.setB.Ch1, c.opt)
+	if err != nil {
+		return 0, err
+	}
+	rB1, err := pnbs.NewReconstructor(c.setB1.Band, dHat, c.setB1.T0, c.setB1.Ch0, c.setB1.Ch1, c.opt)
+	if err != nil {
+		return 0, err
+	}
+	acc := 0.0
+	for _, tv := range c.times {
+		vB, vB1 := rB.At(tv), rB1.At(tv)
+		acc += vB*vB + vB1*vB1
+	}
+	return acc / float64(len(c.times)), nil
+}
+
+// serialRef returns the serial oracle's cost at dHat with the contract's
+// scale there.
+func serialRef(t *testing.T, c *CostEvaluator, dHat float64) (cost, scale float64) {
+	t.Helper()
+	cost, err := c.costSerial(dHat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scale, err = c.costScale(dHat); err != nil {
+		t.Fatal(err)
+	}
+	return cost, scale
+}
