@@ -25,11 +25,10 @@ import (
 //
 // per phase pair (a0,b0) and (a1,b1), and the per-candidate evaluation is
 // just (pc·cot φ + ps)/(2πB) — only cot φ0 and cot φ1 depend on the delay,
-// and they come from the candidate's Kernel. Taps with
-// |dt0| below the dsp.DiffCosOverT Taylor threshold contribute their series
-// limit (pc term dt·(b²−a²)/2, ps term (a−b)), which is linear in cot φ in
-// exactly the same way, so the contraction survives the removable
-// singularity.
+// and they come from the candidate's Kernel. Taps within fusedTaylorEps of
+// their sample, where the differences cancel, take exact product forms
+// instead (nearSample), which are linear in cot φ in exactly the same way,
+// so the contraction survives the removable singularity.
 //
 // The delayed channel's offsets dt1 = nT + D − t move with the candidate, so
 // each candidate runs a tap loop per instant — but over four real Chebyshev
@@ -50,7 +49,7 @@ import (
 // chunk order — blocked summation, which also bounds rounding growth.
 
 // fusedTaylorEps matches the |t| threshold below which dsp.DiffCosOverT
-// switches to its series expansion; the prepared tables use the same branch
+// leaves the direct difference; the prepared tables use the same branch
 // point so the fused values track the serial kernel across it.
 const fusedTaylorEps = 1e-13
 
@@ -142,13 +141,8 @@ func (r *Reconstructor) costRowFold(row *fusedRow, t float64) {
 		if w := r.window(dt0); w != 0 {
 			cw := c * w
 			if math.Abs(dt0) < fusedTaylorEps {
-				// Series limit of (cos(a·dt)−cos(b·dt))/dt and
-				// (sin(a·dt)−sin(b·dt))/dt, matching DiffCosOverT's
-				// expansion to the same order.
-				row.pc0 += cw * dt0 * 0.5 * (k.b0*k.b0 - k.a0*k.a0)
-				row.ps0 += cw * (k.a0 - k.b0)
-				row.pc1 += cw * dt0 * 0.5 * (k.b1*k.b1 - k.a1*k.a1)
-				row.ps1 += cw * (k.a1 - k.b1)
+				nearSample(&row.pc0, &row.ps0, cw, k.a0, k.b0, dt0)
+				nearSample(&row.pc1, &row.ps1, cw, k.a1, k.b1, dt0)
 			} else {
 				inv := cw / dt0
 				sA0, cA0 := math.Sincos(k.a0 * dt0)
@@ -162,6 +156,24 @@ func (r *Reconstructor) costRowFold(row *fusedRow, t float64) {
 		}
 		dt0 -= r.tStep
 	}
+}
+
+// nearSample adds cw·(cos(a·dt) − cos(b·dt))/dt to pc and
+// cw·(sin(a·dt) − sin(b·dt))/dt to ps for a tap within fusedTaylorEps of
+// its sample, where the differences cancel. It takes the exact product
+// forms −2 sin(κ·dt)·sin(β·dt)/dt and 2 cos(κ·dt)·sin(β·dt)/dt, with
+// κ = (a+b)/2 and β = (a−b)/2, and below 1e-18 their first-order limits
+// dt·(b²−a²)/2 and a − b, with dsp.DiffCosOverT's branch points.
+func nearSample(pc, ps *float64, cw, a, b, dt float64) {
+	if math.Abs(dt) < 1e-18 {
+		*pc += cw * dt * 0.5 * (b*b - a*a)
+		*ps += cw * (a - b)
+		return
+	}
+	s, c := math.Sincos((a + b) / 2 * dt)
+	h := cw * math.Sin((a-b)/2*dt) / dt
+	*pc += -2 * s * h
+	*ps += 2 * c * h
 }
 
 // fusedEval is the per-candidate evaluation context: a table, the

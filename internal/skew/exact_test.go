@@ -195,12 +195,14 @@ type exactCase struct {
 	dHat float64
 }
 
-// exactCases covers the four regimes of the cost contract: the noiseless
+// exactCases covers the regimes of the cost contract: the noiseless
 // minimum (the paper captures at their true 180 ps, cost ~1e-9 of scale),
 // a noisy minimum (the short-filter case at its true 250 ps), a far point
 // (the paper captures at 400 ps) and the s0Zero half-rate band at its
 // capture delay, where the three-tone signal's top tone lies outside the
-// 40 MHz half-rate band, so the cost stays far from zero. The paper cases use the first 40 of paperEvaluator's instants
+// 40 MHz half-rate band, so the cost stays far from zero, and an instant
+// within 1e-13 s of a sample, where the kernel's differences cancel. The
+// paper cases use the first 40 of paperEvaluator's instants
 // to keep the big-float work to seconds.
 func exactCases(t *testing.T) []exactCase {
 	t.Helper()
@@ -212,11 +214,18 @@ func exactCases(t *testing.T) []exactCase {
 		t.Fatal(err)
 	}
 	fc := fusedCases()
+	// FuzzCostFusedVsSerial's seed efca8980626a2f67 puts a rate-B instant
+	// 4e-14 s from a delayed-channel sample.
+	near, dNear, _, ok := noiseEvaluator(-143.64, 77, 0x1e)
+	if !ok {
+		t.Fatal("near-sample case refused")
+	}
 	return []exactCase{
 		{"noiseless-min", paper, 180e-12},
 		{"noisy-min/short-filter", caseEvaluator(t, fc[1], 120), 250e-12},
 		{"far/400ps", paper, 400e-12},
 		{"s0zero-halfrate/180ps", caseEvaluator(t, fc[3], 32), 180e-12},
+		{"near-sample/noise", near, dNear},
 	}
 }
 

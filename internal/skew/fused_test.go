@@ -112,6 +112,35 @@ func TestCostFusedErrorBoundSweep(t *testing.T) {
 	}
 }
 
+// noiseEvaluator builds FuzzCostFusedVsSerial's case: uniform-noise
+// captures of the paper bands from seed, 4 + taps%28 half-taps, 50 random
+// instants, and dFrac folded into ]0, m[ away from the endpoints. ok is
+// false when the captures or instants are refused.
+func noiseEvaluator(dFrac float64, seed int64, taps uint8) (ce *CostEvaluator, dHat float64, halfTaps int, ok bool) {
+	bandB, bandB1 := paperBands()
+	dHat = (0.02 + 0.96*math.Abs(math.Remainder(dFrac, 1))) * MUpper(bandB, bandB1)
+	halfTaps = 4 + int(taps)%28
+	opt := pnbs.Options{HalfTaps: halfTaps}
+	rng := rand.New(rand.NewSource(seed))
+	mk := func(band pnbs.Band, t0 float64, n int) SampleSet {
+		ch0 := make([]float64, n)
+		ch1 := make([]float64, n)
+		for i := range ch0 {
+			ch0[i] = 2*rng.Float64() - 1
+			ch1[i] = 2*rng.Float64() - 1
+		}
+		return SampleSet{Band: band, T0: t0, Ch0: ch0, Ch1: ch1}
+	}
+	setB := mk(bandB, 0, 160)
+	setB1 := mk(bandB1, -300e-9, 100)
+	lo, hi, err := EvalWindow(setB, setB1, opt)
+	if err != nil {
+		return nil, 0, 0, false
+	}
+	ce, err = NewCostEvaluator(setB, setB1, RandomTimes(lo, hi, 50, seed), opt)
+	return ce, dHat, halfTaps, err == nil
+}
+
 // FuzzCostFusedVsSerial fuzzes the fused-vs-serial agreement over random
 // captures, candidate delays, and filter lengths: for every candidate both
 // paths accept, the fused cost must agree with the per-instant serial
@@ -128,32 +157,8 @@ func FuzzCostFusedVsSerial(f *testing.F) {
 		if math.IsNaN(dFrac) || math.IsInf(dFrac, 0) {
 			t.Skip()
 		}
-		bandB, bandB1 := pnbs.Band{FLow: 955e6, B: 90e6}, HalfRateBand(pnbs.Band{FLow: 955e6, B: 90e6})
-		m := MUpper(bandB, bandB1)
-		// Fold the fuzzed fraction into ]0, m[ away from the endpoints.
-		dHat := (0.02 + 0.96*math.Abs(math.Remainder(dFrac, 1))) * m
-		halfTaps := 4 + int(taps)%28
-		opt := pnbs.Options{HalfTaps: halfTaps}
-
-		rng := rand.New(rand.NewSource(seed))
-		mk := func(band pnbs.Band, t0 float64, n int) SampleSet {
-			ch0 := make([]float64, n)
-			ch1 := make([]float64, n)
-			for i := range ch0 {
-				ch0[i] = 2*rng.Float64() - 1
-				ch1[i] = 2*rng.Float64() - 1
-			}
-			return SampleSet{Band: band, T0: t0, Ch0: ch0, Ch1: ch1}
-		}
-		setB := mk(bandB, 0, 160)
-		setB1 := mk(bandB1, -300e-9, 100)
-		lo, hi, err := EvalWindow(setB, setB1, opt)
-		if err != nil {
-			t.Skip()
-		}
-		times := RandomTimes(lo, hi, 50, seed)
-		ce, err := NewCostEvaluator(setB, setB1, times, opt)
-		if err != nil {
+		ce, dHat, halfTaps, ok := noiseEvaluator(dFrac, seed, taps)
+		if !ok {
 			t.Skip()
 		}
 		got, gotErr := ce.Cost(dHat)
