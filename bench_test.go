@@ -153,17 +153,21 @@ func BenchmarkCostEvaluation(b *testing.B) {
 }
 
 // BenchmarkCostTable times the per-capture prep of the fused cost: the
-// prompt-channel tables of the rate-B capture over the 300 LMS instants.
+// prompt-channel tables and delayed-channel series of the rate-B capture
+// over the 300 LMS instants and Algorithm 1's search interval.
 func BenchmarkCostTable(b *testing.B) {
-	setB, _, times := costSets()
+	setB, setB1, times := costSets()
 	r, err := pnbs.NewReconstructor(setB.Band, setB.Band.OptimalD(), setB.T0, setB.Ch0, setB.Ch1, pnbs.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	dLo, dHi := skew.SearchInterval(skew.MUpper(setB.Band, setB1.Band))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.CostTable(times)
+		if _, err := r.CostTable(times, dLo, dHi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -142,7 +142,8 @@ func RunAblateSweep(cfg AblateSweep) (*AblateResult, error) {
 		return nil, err
 	}
 	m := ce.M()
-	gold, err := skew.GoldenSection(ce.Cost, m/1000, m*0.999, 0.05e-12)
+	lo, hi := skew.SearchInterval(m)
+	gold, err := skew.GoldenSection(ce.Cost, lo, hi, 0.05e-12)
 	if err != nil {
 		return nil, err
 	}

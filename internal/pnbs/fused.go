@@ -1,22 +1,22 @@
 package pnbs
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/par"
 )
 
-// This file implements the reassociated fused evaluation path of the Eq. (6)
+// This file implements the fused evaluation path of the Eq. (6)
 // reconstructor: the estimate-stage hot kernel behind skew.Cost. Unlike
 // At, whose per-tap operation sequence is the reference, the fused path is
-// allowed to reassociate — its contract is numerical equivalence within
-// tolerance (|fused − serial|/serial <= 1e-9 on the cost), the same contract
-// real-time TIADC correction hardware applies when it pipelines these FIR
-// folds. That freedom is what lets the prompt-channel tap fold collapse to
-// O(1) work per instant per candidate delay:
+// held to the estimate-stage cost contract (skew: 1e-9 relative plus 1e-15
+// of the un-cancelled scale mean(rB² + rB1²), against exact arithmetic).
+// That freedom takes both tap folds of an instant out of the per-candidate
+// loop.
 //
-// Write the kernel phase terms as cos(a·dt − φ) = cos(a·dt)cos φ +
-// sin(a·dt)sin φ. For the prompt channel the offsets dt0 = t − nT are
+// Prompt channel. Write the kernel phase terms as cos(a·dt − φ) =
+// cos(a·dt)cos φ + sin(a·dt)sin φ. The offsets dt0 = t − nT are
 // delay-independent, so each instant's whole tap fold contracts to four
 // scalars built once per instant block (CostTable),
 //
@@ -24,22 +24,30 @@ import (
 //	ps = Σ_j ch0[j]·w(dt0_j)·(sin(a·dt0_j) − sin(b·dt0_j))/dt0_j
 //
 // per phase pair (a0,b0) and (a1,b1), and the per-candidate evaluation is
-// just (pc·cot φ + ps)/(2πB) — only cot φ0 and cot φ1 depend on the delay,
-// and they come from the candidate's Kernel. Taps within fusedTaylorEps of
-// their sample, where the differences cancel, take exact product forms
-// instead (nearSample), which are linear in cot φ in exactly the same way,
-// so the contraction survives the removable singularity.
+// just (pc·cot φ + ps)/(2πB): only cot φ0 and cot φ1 depend on the delay.
+// Taps within fusedTaylorEps of their sample, where the differences
+// cancel, take exact product forms instead (nearSample), which are linear
+// in cot φ in exactly the same way.
 //
-// The delayed channel's offsets dt1 = nT + D − t move with the candidate, so
-// each candidate runs a tap loop per instant — but over four real Chebyshev
-// cosine recurrences in place of At's eight complex phasors (the prompt
-// ones are gone, and only real parts are consumed), with the two kernel
-// divisions merged into one: s(dt1) = ((cA0 − cB0)·inv0 + (cA1 − cB1)·inv1)/dt1
-// with inv = 1/(2πB·sin φ) hoisted per candidate.
+// Delayed channel. Its offsets dt1 = dtd + D, with dtd = t0 + nT − t, move
+// with the candidate delay D. Let κ_q = (a_q + b_q)/2, which is kπB and
+// (k+1)πB, so that φ_q = κ_q·D, and β_q = (a_q − b_q)/2. Each kernel term
+// then factorises exactly,
 //
-// On AVX2 hosts both tap loops — this one and CostTable's — run four
-// instants per instruction, bit-identical to the Go loops below
-// (fusedvec.go, fused_amd64.s).
+//	cos(a·dt1 − φ) − cos(b·dt1 − φ) = −2·sin(κ·dtd)·sin(β·dt1),
+//
+// and the instant's delayed fold is inv0(D)·F0(D) + inv1(D)·F1(D), with
+// inv_q = 1/(2πB sin φ_q) and
+//
+//	F_q(D) = Σ_j ch1[j]·w(dtd_j + D)·(−2 sin(κ_q·dtd_j))·sin(β_q·(dtd_j + D))/(dtd_j + D).
+//
+// F_q is entire in D: sin(βx)/x → β at x = 0, so there is no removable
+// singularity, and while |D| < T/2 no tap crosses the taper's support edge.
+// It has no GHz oscillation and varies on the scale 1/β ≥ T/π. CostTable
+// therefore fits F0 and F1 once per instant as Chebyshev series over the
+// delay interval the table serves (seriesDegree picks the degree from a
+// truncation bound), and a candidate costs the prompt contraction plus one
+// 2(p+1)-term dot product per instant, in place of a 2h+1 tap loop.
 //
 // CostFused fuses the residual-power fold of skew.Cost into the same pass:
 // both reconstructions of an instant are produced back to back and only the
@@ -48,21 +56,35 @@ import (
 // fixed-size chunks (par.ForChunks) and folding the per-chunk partials in
 // chunk order — blocked summation, which also bounds rounding growth.
 
-// fusedTaylorEps matches the |t| threshold below which dsp.DiffCosOverT
-// leaves the direct difference; the prepared tables use the same branch
-// point so the fused values track the serial kernel across it.
+// fusedTaylorEps is the |dt0| below which the prompt-channel fold takes
+// nearSample instead of the direct differences, and within whose margin
+// (taylorGuard) a group leaves the vector fold.
 const fusedTaylorEps = 1e-13
 
+// seriesTol is the truncation target of the delayed-channel series,
+// relative to the bound M_q = β_q·Σ_j |2·ch1[j]·sin(κ_q·dtd_j)| on |F_q|.
+// It sits at the float64 floor of the row itself: At and the direct sum
+// both differ from the exact Eq. (6) sum by ~1e-12 of its un-cancelled
+// scale (TestAtMatchesExactEq6), because a tap phase a·dt of ~1e3 rad
+// carries a rounding of ~1e-13 rad. The bound is far from tight: on the
+// paper's tables the first dropped coefficient is ~1e-15 of M_q.
+const seriesTol = 2e-12
+
+// maxSeriesDeg caps the series degree. The paper's two tables need 5; the
+// widest interval a table accepts (±0.499 T) needs 14 at the paper's taper
+// and 18 with HalfTaps 4 and a Kaiser β of 20. A table whose bound asks for
+// more is refused.
+const maxSeriesDeg = 24
+
 // fusedRow is the per-instant state of the fused path: the prompt-channel
-// fold contracted to four delay-independent scalars plus the delayed-channel
-// tap-span geometry.
+// fold contracted to four delay-independent scalars plus the tap-span
+// geometry the table build uses.
 type fusedRow struct {
 	// nLo is the first capture index of the tap span (clamped like At);
 	// cnt is the tap count, zero for instants outside the capture.
 	nLo, cnt int32
-	// dtdStart is t0 + nLo·T − t: the first delayed-channel offset at eval
-	// time is dt1 = dtdStart + D, associating the delay in last so the
-	// prepared part stays delay-independent.
+	// dtdStart is t0 + nLo·T − t, the delayed-channel offset of the first
+	// tap without the delay: dt1 = dtd + D.
 	dtdStart float64
 	// pc0/ps0 and pc1/ps1 are the contracted prompt-channel folds for the
 	// (a0,b0) and (a1,b1) phase pairs.
@@ -71,35 +93,57 @@ type fusedRow struct {
 
 // CostTable is the immutable prepared form of one reconstructor over one
 // instant block for the fused cost path: the prompt-channel tap folds
-// contracted to delay-independent scalars, plus the delayed-channel tap
-// geometry. The candidate delay enters only at evaluation, as a *Kernel of
-// the same band (CostFused), so one table serves every candidate delay of
-// the LMS search and concurrent evaluations share nothing mutable.
+// contracted to delay-independent scalars, and the delayed-channel folds
+// F0, F1 as Chebyshev series over a delay interval. A candidate delay
+// enters only at evaluation (Eval), so one table serves every candidate of
+// the LMS search in its interval, and concurrent evaluations share nothing
+// mutable.
 type CostTable struct {
 	r    *Reconstructor
 	rows []fusedRow
+	// dLo and dHi bound the delays the table serves; mid and rad map a
+	// delay to the series variable u = (D − mid)/rad in [−1, 1].
+	dLo, dHi, mid, rad float64
+	// deg is the series degree. ser holds, per row, the deg+1 Chebyshev
+	// coefficients of F0 and then those of F1 (F0's are zero on an
+	// integer-positioned band, where the s0 term vanishes).
+	deg int
+	ser []float64
 }
 
 // costTableChunk is the instant count per pool task of CostTable. A row
-// costs ~60 taps of four Sincos pairs, so a cost block of a few hundred
-// instants still splits into enough tasks to balance the pool.
+// costs ~60 taps of three Sincos pairs plus the series fit, so a cost
+// block of a few hundred instants still splits into enough tasks to
+// balance the pool.
 const costTableChunk = 16
 
-// CostTable contracts the prompt-channel tap folds of r over the instants
-// ts. The rows are independent per instant, so they are built over the par
-// pool; each row's tap fold stays serial, so the table is identical at any
-// worker count. The tap geometry (span, dt0 accumulation by repeated
-// subtraction) is At's; the trig is evaluated by direct Sincos
-// per tap — the table is built once per (capture, instants) and its
-// accuracy feeds every candidate, where the cost fold's cancellation
-// amplifies table error by ~1e6: a phasor recurrence here (tried) costs
-// ~4e-9 on the cost and busts the 1e-9 oracle contract. The angular rates
-// used here depend only on the band, so the table does not depend on r's
-// delay. Groups of four full-span rows go to the vector encoding of the
+// CostTable prepares r's fused cost path over the instants ts for the
+// candidate delays of [dLo, dHi], which must lie inside (−T/2, T/2) with a
+// margin: there no tap's offset dt1 = dtd + D crosses the edge of the
+// taper's support, so each F_q is smooth over the interval. The rows are
+// independent per instant, so they are built over the par pool; each row's
+// folds stay serial, so the table is identical at any worker count. The
+// tap geometry (span, dt0 accumulation by repeated subtraction) is At's;
+// the prompt trig is evaluated by direct Sincos per tap, because the cost
+// fold's cancellation amplifies row error by ~1e6. The angular rates used
+// depend only on the band, so the table does not depend on r's delay.
+// Groups of four full-span rows go to the vector encoding of the prompt
 // fold where the CPU has one (costRowsVector); it is bit-identical to
 // costRowFold, so the table does not depend on the CPU either.
-func (r *Reconstructor) CostTable(ts []float64) *CostTable {
-	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts))}
+func (r *Reconstructor) CostTable(ts []float64, dLo, dHi float64) (*CostTable, error) {
+	if lim := 0.499 * r.tStep; !(dLo <= dHi) || dLo <= -lim || dHi >= lim {
+		return nil, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.499 T)", dLo, dHi, lim)
+	}
+	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts)),
+		dLo: dLo, dHi: dHi, mid: dLo + (dHi-dLo)/2, rad: (dHi - dLo) / 2}
+	deg, err := r.seriesDegree(tab.rad)
+	if err != nil {
+		return nil, err
+	}
+	tab.deg = deg
+	fit := r.newSeriesFit(tab)
+	stride := 2 * (deg + 1)
+	tab.ser = make([]float64, len(ts)*stride)
 	vec := r.costRowsVectorOK()
 	par.ForChunks(len(ts), costTableChunk, func(lo, hi int) {
 		rows, ts := tab.rows[lo:hi], ts[lo:hi]
@@ -115,8 +159,11 @@ func (r *Reconstructor) CostTable(ts []float64) *CostTable {
 				r.costRowFold(&g[j], ts[i+j])
 			}
 		}
+		for i := range rows {
+			fit.row(&rows[i], tab.ser[(lo+i)*stride:][:stride])
+		}
 	})
-	return tab
+	return tab, nil
 }
 
 // costRowSpan sets the tap-span geometry of the row of instant t; an
@@ -176,132 +223,234 @@ func nearSample(pc, ps *float64, cw, a, b, dt float64) {
 	*ps += 2 * c * h
 }
 
-// fusedEval is the per-candidate evaluation context: a table, the
-// candidate's kernel and the handful of delay-dependent scalars hoisted
-// out of the instant loop.
-type fusedEval struct {
-	r       *Reconstructor
-	rows    []fusedRow
-	k       *Kernel
-	inv2piB float64
-	// cot0/cot1 contract the prompt-channel tables; inv0/inv1 merge the
-	// delayed-channel kernel denominators into one division per tap.
-	cot0, cot1 float64
-	inv0, inv1 float64
-	// vec holds the candidate's scalars for the vector tap kernel; vec.n,
-	// the full tap span it runs, is 0 when this candidate stays on the Go
-	// loop (no AVX2, an s0Zero band or no taper).
-	vec tapConst
+// seriesDegree returns the smallest degree p whose interpolation bound on
+// the delayed-channel series, over an interval of half-width rad, is
+// within seriesTol:
+//
+//	2·(τ·rad/2)^(p+1)/(p+1)! <= seriesTol,  τ = max_q β_q + βk/((h+1)T).
+//
+// On the interval each F_q equals the entire function that continues the
+// Kaiser taper I0(βk√(1 − x²))/I0(βk) beyond its support (there it is
+// J0(βk√(x² − 1))/I0(βk)), and that function is bounded on the real line
+// by M_q = β_q·Σ_j |2·ch1[j]·sin(κ_q·dtd_j)| (taper <= 1, |sin(βx)/x| <= β)
+// and is of exponential type τ_q: β_q from sin(β_q x)/x and βk/((h+1)T)
+// from the taper (0 for the rectangular window). Bernstein's inequality
+// gives |F_q^(p+1)| <= τ_q^(p+1)·M_q, and interpolation at the p+1
+// first-kind Chebyshev nodes errs by at most
+// 2·(rad/2)^(p+1)·max|F_q^(p+1)|/(p+1)!.
+func (r *Reconstructor) seriesDegree(rad float64) (int, error) {
+	k := r.kern
+	tau := math.Abs(k.a1-k.b1) / 2
+	if !k.s0Zero {
+		tau = math.Max(tau, math.Abs(k.a0-k.b0)/2)
+	}
+	if r.win != nil {
+		tau += r.opt.KaiserBeta * r.winScale
+	}
+	x := tau * rad / 2
+	bound := 2 * x
+	for p := 0; p <= maxSeriesDeg; p++ {
+		if bound <= seriesTol {
+			return p, nil
+		}
+		bound *= x / float64(p+2)
+	}
+	return 0, fmt.Errorf("pnbs: delayed-channel series needs a degree above %d over a delay interval of half-width %g", maxSeriesDeg, rad)
 }
 
-// eval hoists the scalars of candidate kernel k, which must be of the
-// table's band, out of the instant loop.
-func (tab *CostTable) eval(k *Kernel) fusedEval {
-	r := tab.r
-	e := fusedEval{r: r, rows: tab.rows, k: k, inv2piB: 1 / (2 * math.Pi * k.band.B)}
-	e.cot1 = math.Cos(k.phi1) / k.sin1
-	e.inv1 = e.inv2piB / k.sin1
-	if !k.s0Zero {
-		e.cot0 = math.Cos(k.phi0) / k.sin0
-		e.inv0 = e.inv2piB / k.sin0
+// seriesFit holds what the row fits of one table share: the Chebyshev
+// nodes, the trig of β_q at each node and per tap step, and the
+// node-to-coefficient matrix.
+type seriesFit struct {
+	r   *Reconstructor
+	deg int
+	// s0Zero marks an integer-positioned band, whose s0 term vanishes:
+	// F0 is not fitted and its coefficients stay 0.
+	s0Zero      bool
+	kappa, beta [2]float64
+	// flip is (−1)^k and (−1)^(k+1): κ_q·T is kπ and (k+1)π, so
+	// sin(κ_q·dtd) changes by that factor from tap to tap.
+	flip [2]float64
+	// sinT, cosT rotate β_q·dtd by one tap step.
+	sinT, cosT [2]float64
+	node       [maxSeriesDeg + 1]float64
+	sinD, cosD [2][maxSeriesDeg + 1]float64
+	// cheb[m][i] maps node values to coefficient m:
+	// (2/(p+1))·cos(m·π(i+½)/(p+1)), halved for m = 0.
+	cheb [maxSeriesDeg + 1][maxSeriesDeg + 1]float64
+}
+
+func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
+	k := r.kern
+	f := &seriesFit{r: r, deg: tab.deg, s0Zero: k.s0Zero, flip: [2]float64{1, -1}}
+	if k.k%2 == 1 {
+		f.flip = [2]float64{-1, 1}
 	}
-	if useAVX2 && !k.s0Zero && r.win != nil {
-		e.vec = tapConst{
-			seed: [4][4]float64{
-				{k.a0, k.phi0, real(r.cjA0), imag(r.cjA0)},
-				{k.b0, k.phi0, real(r.cjB0), imag(r.cjB0)},
-				{k.a1, k.phi1, real(r.cjA1), imag(r.cjA1)},
-				{k.b1, k.phi1, real(r.cjB1), imag(r.cjB1)},
-			},
-			rec:      [4]float64{2 * real(r.cjA0), 2 * real(r.cjB0), 2 * real(r.cjA1), 2 * real(r.cjB1)},
-			winScale: r.winScale,
-			lutInv:   r.win.inv,
-			tStep:    r.tStep,
-			inv0:     e.inv0,
-			inv1:     e.inv1,
-			coef:     &r.win.coef[0],
-			n:        2*r.opt.HalfTaps + 1,
+	f.kappa = [2]float64{(k.a0 + k.b0) / 2, (k.a1 + k.b1) / 2}
+	f.beta = [2]float64{(k.a0 - k.b0) / 2, (k.a1 - k.b1) / 2}
+	n := tab.deg + 1
+	for q, b := range f.beta {
+		f.sinT[q], f.cosT[q] = math.Sincos(b * r.tStep)
+	}
+	for i := 0; i < n; i++ {
+		f.node[i] = tab.mid + tab.rad*math.Cos(math.Pi*(float64(i)+0.5)/float64(n))
+		for q, b := range f.beta {
+			f.sinD[q][i], f.cosD[q][i] = math.Sincos(b * f.node[i])
 		}
 	}
-	return e
+	for m := 0; m < n; m++ {
+		for i := 0; i < n; i++ {
+			f.cheb[m][i] = 2 / float64(n) * math.Cos(float64(m)*math.Pi*(float64(i)+0.5)/float64(n))
+		}
+	}
+	for i := 0; i < n; i++ {
+		f.cheb[0][i] /= 2
+	}
+	return f
+}
+
+// row fits F0 and F1 of one row at the nodes and writes their Chebyshev
+// coefficients to out (F0's deg+1, then F1's). A tap's node-independent
+// parts come from its predecessor's: −2·sin(κ_q·dtd) by the exact sign
+// flip, and (sin, cos)(β_q·dtd) by one rotation, both seeded at the first
+// tap. sin(β·(dtd + D_i)) then follows by angle addition, whose rounding is
+// relative to |β·dtd|, not to |β·x| with x = dtd + D_i; so the few offsets
+// with |x| < T/8 take sin(β·x)/x directly, with its limit β at x = 0. On
+// an integer-positioned band the F0 seed is 0, so F0's values stay 0.
+func (f *seriesFit) row(row *fusedRow, out []float64) {
+	if row.cnt == 0 {
+		return
+	}
+	r := f.r
+	n := f.deg + 1
+	var vals [2][maxSeriesDeg + 1]float64
+	v0, v1 := vals[0][:n], vals[1][:n]
+	sinD0, cosD0 := f.sinD[0][:n], f.cosD[0][:n]
+	sinD1, cosD1 := f.sinD[1][:n], f.cosD[1][:n]
+	beta0, beta1 := f.beta[0], f.beta[1]
+	win, ws, near := r.win, r.winScale, r.tStep/8
+	dtd := row.dtdStart
+	var g0 float64
+	if !f.s0Zero {
+		g0 = -2 * math.Sin(f.kappa[0]*dtd)
+	}
+	g1 := -2 * math.Sin(f.kappa[1]*dtd)
+	s0, c0 := math.Sincos(beta0 * dtd)
+	s1, c1 := math.Sincos(beta1 * dtd)
+	for _, c := range r.ch1[row.nLo:][:row.cnt] {
+		gc0, gc1 := g0*c, g1*c
+		for i, d := range f.node[:n] {
+			x := dtd + d
+			xs := x * ws
+			y := xs * xs
+			if y >= 1 {
+				continue
+			}
+			w := 1.0
+			if win != nil {
+				w = win.at(y)
+			}
+			var h0, h1 float64
+			switch {
+			case math.Abs(x) >= near:
+				wx := w / x
+				h0 = (s0*cosD0[i] + c0*sinD0[i]) * wx
+				h1 = (s1*cosD1[i] + c1*sinD1[i]) * wx
+			case x == 0:
+				h0, h1 = w*beta0, w*beta1
+			default:
+				h0, h1 = w*math.Sin(beta0*x)/x, w*math.Sin(beta1*x)/x
+			}
+			v0[i] += gc0 * h0
+			v1[i] += gc1 * h1
+		}
+		g0 *= f.flip[0]
+		g1 *= f.flip[1]
+		s0, c0 = s0*f.cosT[0]+c0*f.sinT[0], c0*f.cosT[0]-s0*f.sinT[0]
+		s1, c1 = s1*f.cosT[1]+c1*f.sinT[1], c1*f.cosT[1]-s1*f.sinT[1]
+		dtd += r.tStep
+	}
+	for q := range vals {
+		v, c := vals[q][:n], out[q*n:][:n]
+		for m := range c {
+			acc := 0.0
+			for i, cm := range f.cheb[m][:n] {
+				acc += cm * v[i]
+			}
+			c[m] = acc
+		}
+	}
+}
+
+// CostEval is a CostTable prepared at one candidate delay: the kernel's
+// delay-dependent scalars, hoisted out of the instant loop.
+type CostEval struct {
+	tab    *CostTable
+	s0Zero bool
+	// cot0/cot1 contract the prompt-channel scalars.
+	cot0, cot1, inv2piB float64
+	// basis holds inv_q·T_m(u), the series' Chebyshev basis at the
+	// candidate's u scaled by the kernel denominators, laid out like a
+	// row's coefficients: term 0's deg+1 values, then term 1's.
+	basis [2 * (maxSeriesDeg + 1)]float64
+}
+
+// Eval prepares the table at candidate delay d. It fails as NewKernel does
+// when d violates Eq. (3), and when d lies outside the table's interval:
+// the series are never extrapolated.
+func (tab *CostTable) Eval(d float64) (CostEval, error) {
+	k, err := newKernel(tab.r.kern.band, d)
+	if err != nil {
+		return CostEval{}, err
+	}
+	if !(d >= tab.dLo && d <= tab.dHi) {
+		return CostEval{}, fmt.Errorf("pnbs: delay %g outside the cost table's interval [%g, %g]", d, tab.dLo, tab.dHi)
+	}
+	e := CostEval{tab: tab, s0Zero: k.s0Zero, inv2piB: 1 / (2 * math.Pi * k.band.B)}
+	e.cot1 = math.Cos(k.phi1) / k.sin1
+	inv1, inv0 := e.inv2piB/k.sin1, 0.0
+	if !k.s0Zero {
+		e.cot0 = math.Cos(k.phi0) / k.sin0
+		inv0 = e.inv2piB / k.sin0
+	}
+	u := 0.0
+	if tab.rad > 0 {
+		u = (d - tab.mid) / tab.rad
+	}
+	// T_{m+1} = 2u·T_m − T_{m−1}, started from T_0 = 1 and T_{−1} = T_1 = u.
+	n := tab.deg + 1
+	tm, tPrev := 1.0, u
+	for m := 0; m < n; m++ {
+		e.basis[m], e.basis[n+m] = inv0*tm, inv1*tm
+		tm, tPrev = 2*u*tm-tPrev, tm
+	}
+	return e, nil
 }
 
 // prompt is the prompt-channel value of a row: the whole tap fold is the
 // prepared contraction against the two delay-dependent cotangents.
-func (e *fusedEval) prompt(row *fusedRow) float64 {
-	if e.k.s0Zero {
+func (e *CostEval) prompt(row *fusedRow) float64 {
+	if e.s0Zero {
 		return (row.pc1*e.cot1 + row.ps1) * e.inv2piB
 	}
 	return ((row.pc0*e.cot0 + row.ps0) + (row.pc1*e.cot1 + row.ps1)) * e.inv2piB
 }
 
-// at evaluates instant i of the table at the candidate kernel.
-func (e *fusedEval) at(i int) float64 {
-	row := &e.rows[i]
+// at evaluates instant i of the table at the candidate: the prompt
+// contraction plus the delayed channel's series, inv0·F0 + inv1·F1.
+func (e *CostEval) at(i int) float64 {
+	tab := e.tab
+	row := &tab.rows[i]
 	if row.cnt == 0 {
 		return 0
 	}
-	r := e.r
-	k := e.k
-	acc := e.prompt(row)
-	// Delayed channel: only the REAL parts of At's phasors are ever
-	// consumed here, so the per-tap state is four Chebyshev cosine
-	// recurrences (cos(θ+δ) = 2 cos δ · cos θ − cos(θ−δ)) — one multiply
-	// per angle per tap in place of a complex multiply — with the two
-	// kernel divisions merged. An integer-positioned band (s0Zero) keeps
-	// inv0 = 0, so its (a0,b0) term adds ±0 to num: that can flip only the
-	// sign of a zero num, and a zero tap term leaves dAcc, which starts at
-	// +0 and so never holds −0, unchanged — the same bits as dropping the
-	// pair. The j = 0 seeds are the same Sincos arguments the serial
-	// kernel evaluates — a factored seed (cis(a·dtdStart)·cis(a·D − φ),
-	// tried) decorrelates the trig rounding from the oracle's and the cost
-	// fold's ~1e6 cancellation amplification turns that into ~1e-8, past
-	// the 1e-9 contract. The j = −1 values follow from the angle-difference
-	// identity on the Sincos components, so the second seed per angle is
-	// free.
-	dt1 := row.dtdStart + k.d
-	sv, cv := math.Sincos(k.a0*dt1 - k.phi0)
-	tA0 := 2 * real(r.cjA0)
-	cA0, pA0 := cv, cv*real(r.cjA0)+sv*imag(r.cjA0)
-	sv, cv = math.Sincos(k.b0*dt1 - k.phi0)
-	tB0 := 2 * real(r.cjB0)
-	cB0, pB0 := cv, cv*real(r.cjB0)+sv*imag(r.cjB0)
-	sv, cv = math.Sincos(k.a1*dt1 - k.phi1)
-	tA1 := 2 * real(r.cjA1)
-	cA1, pA1 := cv, cv*real(r.cjA1)+sv*imag(r.cjA1)
-	sv, cv = math.Sincos(k.b1*dt1 - k.phi1)
-	tB1 := 2 * real(r.cjB1)
-	cB1, pB1 := cv, cv*real(r.cjB1)+sv*imag(r.cjB1)
-	ch1 := r.ch1[row.nLo:][:row.cnt]
-	win, winScale := r.win, r.winScale
-	tStep, inv0, inv1 := r.tStep, e.inv0, e.inv1
-	dAcc := 0.0
-	for j := range ch1 {
-		x := dt1 * winScale
-		if ax := x * x; ax < 1 {
-			w := 1.0
-			if win != nil {
-				w = win.at(ax)
-			}
-			if w != 0 {
-				var sv float64
-				if math.Abs(dt1) < 1e-12 {
-					sv = k.S(dt1)
-				} else {
-					num := (cA1 - cB1) * inv1
-					num += (cA0 - cB0) * inv0
-					sv = num / dt1
-				}
-				dAcc += ch1[j] * sv * w
-			}
-		}
-		dt1 += tStep
-		cA0, pA0 = tA0*cA0-pA0, cA0
-		cB0, pB0 = tB0*cB0-pB0, cB0
-		cA1, pA1 = tA1*cA1-pA1, cA1
-		cB1, pB1 = tB1*cB1-pB1, cB1
+	n := 2 * (tab.deg + 1)
+	c, b := tab.ser[i*n:][:n], e.basis[:n]
+	acc := 0.0
+	for m, v := range c {
+		acc += v * b[m]
 	}
-	return acc + dAcc
+	return e.prompt(row) + acc
 }
 
 // CostFused returns the fused residual-power partial
@@ -309,56 +458,37 @@ func (e *fusedEval) at(i int) float64 {
 //	Σ_{i in [lo,hi)} (rB(ts[i]) − rB1(ts[i]))²
 //
 // for one chunk of the skew.Cost objective, where ts are the instants of
-// both tables and rB, rB1 are the reconstructions of tB, tB1 at the
-// candidate kernels kB, kB1 (each of its table's band, at one delay). Both reconstructions of each instant are produced back to back and only
-// the squared difference is accumulated, so the values never round-trip
-// through memory. The partial is a pure function of (tables, candidate
-// kernels, lo, hi) — independent of how the caller chunks [0, n) or how
-// many workers evaluate the chunks — so folding fixed-size chunk partials
-// in chunk order is bit-identical at any worker count.
-func CostFused(tB *CostTable, kB *Kernel, tB1 *CostTable, kB1 *Kernel, lo, hi int) float64 {
-	eB := tB.eval(kB)
-	eB1 := tB1.eval(kB1)
-	var vB, vB1 [4]float64
+// both tables and rB, rB1 are the reconstructions prepared by eB and eB1
+// (each at one candidate delay). Both reconstructions of each instant are
+// produced back to back and only the squared difference is accumulated.
+// The partial is a pure function of (evaluations, lo, hi) — independent of
+// how the caller chunks [0, n) or how many workers evaluate the chunks —
+// so folding fixed-size chunk partials in chunk order is bit-identical at
+// any worker count.
+func CostFused(eB, eB1 *CostEval, lo, hi int) float64 {
 	acc := 0.0
-	for i := lo; i < hi; i += 4 {
-		n := min(4, hi-i)
-		eB.at4(i, n, &vB)
-		eB1.at4(i, n, &vB1)
-		for l := range n {
-			d := vB[l] - vB1[l]
-			acc += d * d
-		}
+	for i := lo; i < hi; i++ {
+		d := eB.at(i) - eB1.at(i)
+		acc += d * d
 	}
 	return acc
 }
 
-// Values returns the reconstruction at every instant of the table with the
-// kernel k of the table's band: CostFused's per-instant values, unfolded.
-// Each value depends only on its row, so the fixed-chunk fan-out is
-// identical at any worker count; it agrees with At within the fused
-// tolerance.
-func (tab *CostTable) Values(k *Kernel) []float64 {
-	e := tab.eval(k)
+// Values returns the reconstruction at every instant of the table at the
+// candidate delay d: CostFused's per-instant values, unfolded. It fails as
+// Eval does. Each value depends only on its row, so the fixed-chunk
+// fan-out is identical at any worker count; it agrees with At within the
+// fused tolerance.
+func (tab *CostTable) Values(d float64) ([]float64, error) {
+	e, err := tab.Eval(d)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(tab.rows))
 	par.ForChunks(len(out), costTableChunk, func(lo, hi int) {
-		var v [4]float64
-		for i := lo; i < hi; i += 4 {
-			n := min(4, hi-i)
-			e.at4(i, n, &v)
-			copy(out[i:i+n], v[:n])
+		for i := lo; i < hi; i++ {
+			out[i] = e.at(i)
 		}
 	})
-	return out
-}
-
-// at4 evaluates the n <= 4 instants from i into out: a whole group through
-// the vector tap kernel where it applies, otherwise instant by instant.
-func (e *fusedEval) at4(i, n int, out *[4]float64) {
-	if n == 4 && e.vec.n != 0 && e.taps4(i, out) {
-		return
-	}
-	for l := range n {
-		out[l] = e.at(i + l)
-	}
+	return out, nil
 }

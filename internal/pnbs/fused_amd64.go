@@ -6,13 +6,6 @@ package pnbs
 // (CPUID and XGETBV).
 func cpuHasAVX2() bool
 
-// fusedTaps4 runs the delayed-channel tap loop of fusedEval.at on four rows,
-// seeds included. It reports false, leaving l.acc untouched, when a seed
-// argument lies outside the vector Sincos' domain.
-//
-//go:noescape
-func fusedTaps4(l *tapLanes) bool
-
 // costRows4 runs costRowFold's tap loop on four rows.
 //
 //go:noescape

@@ -1,14 +1,15 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 encodings of the fused cost kernels (fusedvec.go). Every lane runs
-// exactly the IEEE operation sequence of the Go loop it replaces, one
-// packed instruction per scalar one, so results are bit-identical: packed
-// add, sub, mul, div and the conversions are correctly rounded like their
-// scalar forms, no FMA is used (the Go compiler never contracts x*y + z on
-// amd64, at any GOAMD64 level), and a lane the Go loop would skip adds +0.0
-// instead. Commuted operands of a single add or multiply are exact. Both
-// kernels read the taper from windowLUT.coef through one macro, TAPER.
+// AVX2 encoding of the cost table's prompt-channel fold (fusedvec.go).
+// Every lane runs exactly the IEEE operation sequence of the Go loop it
+// replaces, one packed instruction per scalar one, so results are
+// bit-identical: packed add, sub, mul, div and the conversions are
+// correctly rounded like their scalar forms, no FMA is used (the Go
+// compiler never contracts x*y + z on amd64, at any GOAMD64 level), and a
+// lane the Go loop would skip adds +0.0 instead. Commuted operands of a
+// single add or multiply are exact. The taper comes from windowLUT.coef
+// through the TAPER macro.
 
 // BCAST4 declares a 32-byte read-only constant holding bits four times.
 #define BCAST4(name, bits) \
@@ -23,7 +24,6 @@ BCAST4(signmask, 0x8000000000000000)
 BCAST4(absmask, 0x7fffffffffffffff)
 BCAST4(one, 0x3ff0000000000000)
 BCAST4(half, 0x3fe0000000000000)
-BCAST4(two29, 0x41c0000000000000)  // 2^29: math.Sincos' reduceThreshold
 BCAST4(fouropi, 0x3ff45f306dc9c883) // 4/Pi
 BCAST4(pi4a, 0x3fe921fb40000000)
 BCAST4(pi4b, 0x3e64442d00000000)
@@ -147,29 +147,6 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VZEROUPPER
 	RET
 
-// SEED computes one delayed-channel Chebyshev seed pair on four lanes:
-// x = rate·dt1 − phase, (s, c) = Sincos(x), then state c and previous
-// value p = c·Re(cj) + s·Im(cj), exactly as fusedEval.at. off is the
-// angle's row in tapConst.seed (rate, phase, Re cj, Im cj). Y1
-// accumulates the lanes whose x is in SINCOS' domain.
-#define SEED(off, C, P) \
-	VBROADCASTSD (off+0)(SI), Y2; \
-	VMULPD       Y0, Y2, Y2; \
-	VBROADCASTSD (off+8)(SI), Y3; \
-	VSUBPD       Y3, Y2, Y2; \
-	VANDPD       absmask<>(SB), Y2, Y3; \
-	VCMPPD       $4, zero<>(SB), Y3, Y4; \
-	VCMPPD       $1, two29<>(SB), Y3, Y3; \
-	VANDPD       Y4, Y3, Y3; \
-	VANDPD       Y3, Y1, Y1; \
-	SINCOS(Y2, Y3, Y4, Y5, Y6, Y7, X6, X7); \
-	VBROADCASTSD (off+16)(SI), Y5; \
-	VMULPD       Y4, Y5, Y5; \
-	VBROADCASTSD (off+24)(SI), Y6; \
-	VMULPD       Y3, Y6, Y6; \
-	VADDPD       Y6, Y5, P; \
-	VMOVAPD      Y4, C
-
 // TAPER evaluates the Kaiser taper of Reconstructor.window on four lanes
 // at tap offset Y0, in windowLUT.at's order: x = dt·winScale, ax = x²,
 // p = ax·lutInv, fr = p − int(p) on cell int(p) (clamped to lutSize−1
@@ -215,37 +192,6 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 	VCMPPD      $4, zero<>(SB), Y6, Y4; \
 	VANDPD      Y4, Y7, Y7
 
-// TAP runs one tap of fusedTaps4's loop. Each Chebyshev step writes the
-// new state over the previous value, c, p = t·c − p, c, so consecutive
-// taps swap the roles of each (c, p) register pair.
-#define TAP(cA0, pA0, cB0, pB0, cA1, pA1, cB1, pB1) \
-	TAPER(F_WS, F_LI, F_LUTMAX, F_IDX); \
-	VSUBPD      cB1, cA1, Y2; \
-	VMULPD      F_INV1(SP), Y2, Y2; \
-	VSUBPD      cB0, cA0, Y3; \
-	VMULPD      F_INV0(SP), Y3, Y3; \
-	VADDPD      Y3, Y2, Y2; \
-	VDIVPD      Y0, Y2, Y2; \
-	VMOVSD      (R8)(R12*1), X3; \
-	VMOVHPD     (R9)(R12*1), X3, X3; \
-	VMOVSD      (R10)(R12*1), X5; \
-	VMOVHPD     (R11)(R12*1), X5, X5; \
-	VINSERTF128 $1, X5, Y3, Y3; \
-	VMULPD      Y2, Y3, Y3; \
-	VMULPD      Y6, Y3, Y3; \
-	VANDPD      Y7, Y3, Y3; \
-	VADDPD      Y3, Y1, Y1; \
-	VADDPD      F_TS(SP), Y0, Y0; \
-	VMULPD      F_TA0(SP), cA0, Y2; \
-	VSUBPD      pA0, Y2, pA0; \
-	VMULPD      F_TB0(SP), cB0, Y2; \
-	VSUBPD      pB0, Y2, pB0; \
-	VMULPD      F_TA1(SP), cA1, Y2; \
-	VSUBPD      pA1, Y2, pA1; \
-	VMULPD      F_TB1(SP), cB1, Y2; \
-	VSUBPD      pB1, Y2, pB1; \
-	ADDQ        $8, R12
-
 // LUTMAX stores lutSize−1 in four lanes at slot(SP): the cell index
 // clamp, which only lanes the mask drops can reach.
 #define LUTMAX(slot) \
@@ -258,84 +204,6 @@ TEXT ·sincos4(SB), NOSPLIT, $0-24
 #define BC(src, slot) \
 	VBROADCASTSD src, Y2; \
 	VMOVUPD      Y2, slot(SP)
-
-// Frame of fusedTaps4: the per-candidate scalars broadcast once, the
-// per-tap cell byte offsets, and the index clamp.
-#define F_WS 0
-#define F_LI 32
-#define F_TS 64
-#define F_INV0 96
-#define F_INV1 128
-#define F_TA0 160
-#define F_TB0 192
-#define F_TA1 224
-#define F_TB1 256
-#define F_LUTMAX 288
-#define F_IDX 320
-
-// func fusedTaps4(l *tapLanes) bool
-//
-// The delayed-channel tap loop of fusedEval.at (the Kaiser form) on four
-// rows of equal tap count. It reports false, having done no tap work, when
-// a seed argument is outside SINCOS' domain.
-TEXT ·fusedTaps4(SB), 0, $336-9
-	MOVQ l+0(FP), DI
-	MOVQ tapLanes_c(DI), SI
-	VMOVUPD tapLanes_dt1(DI), Y0
-	VPCMPEQQ Y1, Y1, Y1
-	SEED(tapConst_seed+0, Y8, Y9)
-	SEED(tapConst_seed+32, Y10, Y11)
-	SEED(tapConst_seed+64, Y12, Y13)
-	SEED(tapConst_seed+96, Y14, Y15)
-	VMOVMSKPD Y1, AX
-	CMPQ AX, $15
-	JNE  outside
-
-	BC(tapConst_winScale(SI), F_WS)
-	BC(tapConst_lutInv(SI), F_LI)
-	BC(tapConst_tStep(SI), F_TS)
-	BC(tapConst_inv0(SI), F_INV0)
-	BC(tapConst_inv1(SI), F_INV1)
-	BC((tapConst_rec+0)(SI), F_TA0)
-	BC((tapConst_rec+8)(SI), F_TB0)
-	BC((tapConst_rec+16)(SI), F_TA1)
-	BC((tapConst_rec+24)(SI), F_TB1)
-	LUTMAX(F_LUTMAX)
-
-	MOVQ tapConst_n(SI), R13
-	SHLQ $3, R13
-	MOVQ tapConst_coef(SI), SI
-	MOVQ (tapLanes_ch1+0)(DI), R8
-	MOVQ (tapLanes_ch1+8)(DI), R9
-	MOVQ (tapLanes_ch1+16)(DI), R10
-	MOVQ (tapLanes_ch1+24)(DI), R11
-	XORQ R12, R12
-	VXORPD Y1, Y1, Y1
-
-	// Per tap (TAP): the taper w (TAPER), then
-	// sv = ((cA1 − cB1)·inv1 + (cA0 − cB0)·inv0) / dt1, acc += ch1·sv·w
-	// in the lanes that contribute, dt1 += tStep and the four
-	// recurrences. Two taps per iteration.
-	SUBQ $8, R13
-	JEQ  last
-pair:
-	TAP(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
-	TAP(Y9, Y8, Y11, Y10, Y13, Y12, Y15, Y14)
-	CMPQ R12, R13
-	JLT  pair
-	JNE  done
-last:
-	TAP(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
-done:
-	VMOVUPD Y1, tapLanes_acc(DI)
-	VZEROUPPER
-	MOVB    $1, ret+8(FP)
-	RET
-
-outside:
-	VZEROUPPER
-	MOVB $0, ret+8(FP)
-	RET
 
 // Frame of costRows4: the per-row scalars broadcast once, the index clamp
 // and the per-tap cell byte offsets.

@@ -2,12 +2,10 @@
 
 package pnbs
 
-// Without the amd64 encodings the Go loops are the only path: useAVX2 is
+// Without the amd64 encodings the Go loop is the only path: useAVX2 is
 // always false, so the kernels below are never reached.
 
 func cpuHasAVX2() bool { return false }
-
-func fusedTaps4(*tapLanes) bool { panic("pnbs: no vector tap kernel on this architecture") }
 
 func costRows4(*rowLanes) { panic("pnbs: no vector row kernel on this architecture") }
 

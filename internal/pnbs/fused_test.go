@@ -8,22 +8,53 @@ import (
 	"repro/internal/par"
 )
 
-// fusedTol checks |a-b| against the reassociation budget: 1e-9 relative
-// with a 1e-9 absolute floor (values near a reconstruction zero-crossing
-// have no meaningful relative error).
 // Kernel exposes the underlying interpolation kernel.
 func (r *Reconstructor) Kernel() *Kernel { return r.kern }
 
+// fusedClose checks |a-b| against the fused path's budget: 1e-9 relative
+// with a 1e-9 absolute floor (values near a reconstruction zero-crossing
+// have no meaningful relative error).
 func fusedClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
 
-// TestFusedTableMatchesAt bounds the reassociation error of the fused
-// path — a CostTable evaluated per instant at the reconstructor's own
-// kernel — against the per-instant At path over random bands, delays and
-// instants, including an integer-positioned band (s0 = 0), instants on
-// sample points (the Taylor branch of the contracted tables), and instants
-// outside the capture (fused value must be exactly 0, like At).
+// costTable builds r's cost table over ts for the delays [dLo, dHi].
+func costTable(t testing.TB, r *Reconstructor, ts []float64, dLo, dHi float64) *CostTable {
+	t.Helper()
+	tab, err := r.CostTable(ts, dLo, dHi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// values evaluates tab at every instant at delay d.
+func values(t testing.TB, tab *CostTable, d float64) []float64 {
+	t.Helper()
+	v, err := tab.Values(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// eval prepares tab at delay d.
+func eval(t testing.TB, tab *CostTable, d float64) *CostEval {
+	t.Helper()
+	e, err := tab.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &e
+}
+
+// TestFusedTableMatchesAt bounds the error of the fused path — a
+// CostTable evaluated per instant at the reconstructor's own delay, inside
+// the table's interval — against the per-instant At path over random
+// bands, delays and instants, including an integer-positioned band
+// (s0 = 0), instants on sample points (the Taylor branch of the contracted
+// prompt tables, and dt1 = D on the delayed channel), and instants outside
+// the capture (fused value must be exactly 0, like At).
 func TestFusedTableMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bands := []Band{
@@ -53,7 +84,7 @@ func TestFusedTableMatchesAt(t *testing.T) {
 			}
 			ts[0] = lo - 400*r.tStep // out of capture: both paths return 0
 			ts[1] = r.t0 + 57*r.tStep
-			got := r.CostTable(ts).Values(r.Kernel())
+			got := values(t, costTable(t, r, ts, 0.5*d, 1.5*d), d)
 			for i, tv := range ts {
 				at := r.At(tv)
 				if i == 0 && (got[i] != 0 || at != 0) {
@@ -91,24 +122,21 @@ func delayTemplate(t *testing.T) (Band, []float64, []float64, *Reconstructor, []
 
 // TestFusedTableDelayIndependent: a CostTable does not depend on the
 // delay of the reconstructor it was built from, so a table built from a
-// template at d1 and evaluated with a kernel at d2 must equal, bit for
-// bit, the evaluated table of a reconstructor freshly built at d2. This is
-// what lets skew.CostEvaluator build its tables once and evaluate every
+// template at d1 and evaluated at d2 must equal, bit for bit, the table of
+// a reconstructor freshly built at d2 over the same interval. This is what
+// lets skew.CostEvaluator build its tables once and evaluate every
 // candidate delay against them.
 func TestFusedTableDelayIndependent(t *testing.T) {
 	band, ch0, ch1, tmpl, ts := delayTemplate(t)
-	tab := tmpl.CostTable(ts)
+	const dLo, dHi = -250e-12, 240e-12
+	tab := costTable(t, tmpl, ts, dLo, dHi)
 	for _, d := range []float64{120e-12, 240e-12, -250e-12, 180e-12} {
-		k, err := NewKernel(band, d)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fresh, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := tab.Values(k)
-		want := fresh.CostTable(ts).Values(fresh.Kernel())
+		got := values(t, tab, d)
+		want := values(t, costTable(t, fresh, ts, dLo, dHi), d)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("d=%g i=%d: template table %.17g != fresh table %.17g", d, i, got[i], want[i])
@@ -117,30 +145,44 @@ func TestFusedTableDelayIndependent(t *testing.T) {
 	}
 }
 
+// sameTable reports whether two tables hold the same rows and series
+// coefficients, bit for bit, over the first len(a.rows) instants.
+func sameTable(a, b *CostTable) bool {
+	if a.deg != b.deg || len(a.rows) > len(b.rows) {
+		return false
+	}
+	for i := range a.rows {
+		if a.rows[i] != b.rows[i] {
+			return false
+		}
+	}
+	for i, c := range a.ser {
+		if math.Float64bits(c) != math.Float64bits(b.ser[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestFusedTableRowsSharedAcrossDelays: one CostTable is shared by every candidate
-// delay, so its rows must be the same at any delay and per instant: the
-// template's rows equal, bit for bit, those of a fresh reconstructor at
-// another delay, and a table over a prefix of the instants equals the
-// prefix of the full table. Sharing leaves the template at its own delay,
-// and a kernel at a forbidden delay is refused.
+// delay, so its rows and series must be the same at any template delay
+// and per instant: the template's equal, bit for bit, those of a fresh
+// reconstructor at another delay, and a table over a prefix of the
+// instants equals the prefix of the full table. Sharing leaves the
+// template at its own delay, and a kernel at a forbidden delay is refused.
 func TestFusedTableRowsSharedAcrossDelays(t *testing.T) {
 	band, ch0, ch1, tmpl, ts := delayTemplate(t)
-	tab := tmpl.CostTable(ts)
+	const dLo, dHi = 100e-12, 300e-12
+	tab := costTable(t, tmpl, ts, dLo, dHi)
 	fresh, err := NewReconstructor(band, 240e-12, 0, ch0, ch1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshTab := fresh.CostTable(ts)
-	for i := range tab.rows {
-		if tab.rows[i] != freshTab.rows[i] {
-			t.Fatalf("row %d: template %+v != fresh %+v", i, tab.rows[i], freshTab.rows[i])
-		}
+	if !sameTable(tab, costTable(t, fresh, ts, dLo, dHi)) {
+		t.Fatal("template table differs from the fresh reconstructor's")
 	}
-	prefix := tmpl.CostTable(ts[:20])
-	for i := range prefix.rows {
-		if prefix.rows[i] != tab.rows[i] {
-			t.Fatalf("row %d: prefix table %+v != full table %+v", i, prefix.rows[i], tab.rows[i])
-		}
+	if !sameTable(costTable(t, tmpl, ts[:20], dLo, dHi), tab) {
+		t.Fatal("prefix table differs from the full table's prefix")
 	}
 	if tmpl.Kernel().D() != 180e-12 || fresh.Kernel().D() != 240e-12 {
 		t.Fatalf("delays: template %g, fresh %g", tmpl.Kernel().D(), fresh.Kernel().D())
@@ -175,9 +217,9 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 	for i := range ts {
 		ts[i] = lo + (hi-lo)*rng.Float64()
 	}
-	tB, tB1 := rB.CostTable(ts), rB1.CostTable(ts)
-	kB, kB1 := rB.Kernel(), rB1.Kernel()
-	whole := CostFused(tB, kB, tB1, kB1, 0, len(ts))
+	eB := eval(t, costTable(t, rB, ts, 100e-12, 300e-12), d)
+	eB1 := eval(t, costTable(t, rB1, ts, 100e-12, 300e-12), d)
+	whole := CostFused(eB, eB1, 0, len(ts))
 	for _, chunk := range []int{1, 7, 16, 32, len(ts)} {
 		acc := 0.0
 		for c := 0; c < len(ts); c += chunk {
@@ -185,7 +227,7 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 			if end > len(ts) {
 				end = len(ts)
 			}
-			acc += CostFused(tB, kB, tB1, kB1, c, end)
+			acc += CostFused(eB, eB1, c, end)
 		}
 		// The fold order over chunks differs from the whole-range pass, so
 		// compare to reassociation tolerance; per-chunk partials themselves
@@ -196,10 +238,10 @@ func TestCostFusedChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestFusedPrepWorkerInvariance: the prepared rows are built one instant
-// per task over the pool, each with its own serial tap fold, so the tables
-// are identical at every pool width — including out-of-capture rows and a
-// Taylor-branch instant on a sample point.
+// TestFusedPrepWorkerInvariance: the prepared rows are built in fixed
+// chunks of instants over the pool, each row with its own serial folds and
+// series fit, so the tables are identical at every pool width — including
+// out-of-capture rows and a Taylor-branch instant on a sample point.
 func TestFusedPrepWorkerInvariance(t *testing.T) {
 	band := Band{FLow: 955e6, B: 90e6}
 	d := 180e-12
@@ -218,15 +260,75 @@ func TestFusedPrepWorkerInvariance(t *testing.T) {
 	ts[1] = r.t0 + 57*r.tStep
 	build := func(w int) *CostTable {
 		defer par.SetWorkers(par.SetWorkers(w))
-		return r.CostTable(ts)
+		return costTable(t, r, ts, 1e-12, 480e-12)
 	}
 	ref := build(1)
 	for _, w := range []int{2, 8} {
-		p := build(w)
-		for i := range ref.rows {
-			if p.rows[i] != ref.rows[i] {
-				t.Fatalf("workers=%d row %d: %+v != serial %+v", w, i, p.rows[i], ref.rows[i])
-			}
+		if !sameTable(build(w), ref) {
+			t.Fatalf("workers=%d: table differs from the serial build", w)
+		}
+	}
+}
+
+// TestCostTableInterval: a table serves exactly its delay interval. Its
+// ends evaluate; a delay outside is refused, never extrapolated; a delay
+// violating Eq. (3) fails with NewKernel's error first. An interval that
+// is reversed, not a number, or reaches ±0.499 T (where taps would cross
+// the taper's support edge) is refused at build.
+func TestCostTableInterval(t *testing.T) {
+	band, _, _, tmpl, ts := delayTemplate(t)
+	const dLo, dHi = 100e-12, 300e-12
+	tab := costTable(t, tmpl, ts, dLo, dHi)
+	for _, d := range []float64{dLo, dHi} {
+		if _, err := tab.Eval(d); err != nil {
+			t.Errorf("interval end %g refused: %v", d, err)
+		}
+	}
+	for _, d := range []float64{math.Nextafter(dLo, 0), math.Nextafter(dHi, 1), -200e-12, math.NaN()} {
+		if _, err := tab.Values(d); err == nil {
+			t.Errorf("delay %g outside [%g, %g] accepted", d, dLo, dHi)
+		}
+	}
+	forbidden := band.T() / float64(band.KPlus())
+	_, want := NewKernel(band, forbidden)
+	wide := costTable(t, tmpl, ts, 1e-12, 0.49*band.T())
+	if _, err := wide.Eval(forbidden); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("forbidden delay: Eval error %v, NewKernel error %v", err, want)
+	}
+	lim := 0.499 * band.T()
+	for _, iv := range [][2]float64{{dHi, dLo}, {math.NaN(), dHi}, {dLo, math.NaN()}, {-lim, dHi}, {dLo, lim}, {dLo, band.T()}} {
+		if _, err := tmpl.CostTable(ts, iv[0], iv[1]); err == nil {
+			t.Errorf("interval [%g, %g] accepted", iv[0], iv[1])
+		}
+	}
+}
+
+// TestSeriesDegree pins the degrees the truncation bound picks: 5 for
+// both of the paper's rates over Algorithm 1's search interval, a constant
+// over a single delay, and more terms for a wider interval or a stronger
+// taper.
+func TestSeriesDegree(t *testing.T) {
+	m := 1 / (23 * 90e6) // the paper's searchable-delay limit
+	for _, tc := range []struct {
+		band Band
+		opt  Options
+		rad  float64
+		deg  int
+	}{
+		{Band{FLow: 955e6, B: 90e6}, Options{}, 0.998 * m / 2, 5},
+		{Band{FLow: 977.5e6, B: 45e6}, Options{}, 0.998 * m / 2, 5},
+		{Band{FLow: 955e6, B: 90e6}, Options{}, 0, 0},
+		{Band{FLow: 955e6, B: 90e6}, Options{}, 2e-9, 9},
+		{Band{FLow: 955e6, B: 90e6}, Options{HalfTaps: 4, KaiserBeta: 12}, 0.998 * m / 2, 6},
+	} {
+		ch0, ch1 := toneCapture(tc.band, 180e-12, 80)
+		r, err := NewReconstructor(tc.band, tc.band.OptimalD(), 0, ch0, ch1, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg, err := r.seriesDegree(tc.rad)
+		if err != nil || deg != tc.deg {
+			t.Errorf("band %+v opt %+v half-width %g: degree %d (%v), want %d", tc.band, tc.opt, tc.rad, deg, err, tc.deg)
 		}
 	}
 }

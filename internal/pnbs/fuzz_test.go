@@ -8,10 +8,12 @@ import (
 
 // FuzzCostTableDelayIndependence differentially tests the fused cost
 // table on fuzzed delay pairs: NewKernel and NewReconstructor must agree
-// on which delays are feasible (Eq. 3), and on every feasible pair a table
-// built from a template at d1 and evaluated with a kernel at d2 must equal,
-// bit for bit, the table of a reconstructor built from scratch at d2 — the
-// contract that lets the LMS hot loop build its tables once per capture.
+// on which delays are feasible (Eq. 3); on every feasible pair whose span
+// lies inside ±0.499 T, a table built from a template at d1 over
+// [min(d1, d2), max(d1, d2)] and evaluated at d2 must equal, bit for bit,
+// the table of a reconstructor built from scratch at d2 over the same
+// interval — the contract that lets the LMS hot loop build its tables once
+// per capture — and a wider span must be refused.
 func FuzzCostTableDelayIndependence(f *testing.F) {
 	f.Add(0.36, 0.42, int64(1))  // two nearby valid delays
 	f.Add(0.36, -0.36, int64(2)) // sign flip
@@ -46,7 +48,7 @@ func FuzzCostTableDelayIndependence(f *testing.F) {
 			t.Skip()
 		}
 		fresh, freshErr := NewReconstructor(band, d2, 0, ch0, ch1, opt)
-		k2, kernErr := NewKernel(band, d2)
+		_, kernErr := NewKernel(band, d2)
 		if (freshErr == nil) != (kernErr == nil) {
 			t.Fatalf("feasibility disagreement at d2=%g: reconstructor err %v, kernel err %v",
 				d2, freshErr, kernErr)
@@ -59,8 +61,19 @@ func FuzzCostTableDelayIndependence(f *testing.F) {
 		for i := range ts {
 			ts[i] = lo + (hi-lo)*float64(i)/24
 		}
-		got := tmpl.CostTable(ts).Values(k2)
-		want := fresh.CostTable(ts).Values(fresh.Kernel())
+		dLo, dHi := math.Min(d1, d2), math.Max(d1, d2)
+		tab, err := tmpl.CostTable(ts, dLo, dHi)
+		if lim := 0.499 * band.T(); dLo <= -lim || dHi >= lim {
+			if err == nil {
+				t.Fatalf("interval [%g, %g] beyond ±%g accepted", dLo, dHi, lim)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := values(t, tab, d2)
+		want := values(t, costTable(t, fresh, ts, dLo, dHi), d2)
 		for i, tv := range ts {
 			if got[i] != want[i] {
 				t.Fatalf("d1=%g d2=%g t=%g: template table %g != fresh table %g", d1, d2, tv, got[i], want[i])

@@ -98,15 +98,25 @@ const MinSinMargin = 1e-6
 // NewKernel validates the stability conditions of Eq. (3) and precomputes
 // the kernel terms.
 func NewKernel(band Band, d float64) (*Kernel, error) {
-	if _, err := NewBand(band.FLow, band.B); err != nil {
+	k, err := newKernel(band, d)
+	if err != nil {
 		return nil, err
+	}
+	return &k, nil
+}
+
+// newKernel is NewKernel by value, for callers that keep the kernel on
+// the stack.
+func newKernel(band Band, d float64) (Kernel, error) {
+	if _, err := NewBand(band.FLow, band.B); err != nil {
+		return Kernel{}, err
 	}
 	k := band.K()
 	kp := band.KPlus()
 	fl := band.FLow
 	bw := band.B
 	if d == 0 {
-		return nil, fmt.Errorf("pnbs: delay D must be nonzero")
+		return Kernel{}, fmt.Errorf("pnbs: delay D must be nonzero")
 	}
 	// Only phi0/phi1 and their sines depend on D; the angular rates and the
 	// band geometry do not.
@@ -116,14 +126,14 @@ func NewKernel(band Band, d float64) (*Kernel, error) {
 	sin1 := math.Sin(phi1)
 	s0Zero := band.IntegerPositioned()
 	if !s0Zero && math.Abs(sin0) < MinSinMargin {
-		return nil, fmt.Errorf("pnbs: D = %g violates Eq. (3a): D ~ nT/k (sin(k pi B D) = %g)",
+		return Kernel{}, fmt.Errorf("pnbs: D = %g violates Eq. (3a): D ~ nT/k (sin(k pi B D) = %g)",
 			d, sin0)
 	}
 	if math.Abs(sin1) < MinSinMargin {
-		return nil, fmt.Errorf("pnbs: D = %g violates Eq. (3b): D ~ nT/(k+1) (sin(k+ pi B D) = %g)",
+		return Kernel{}, fmt.Errorf("pnbs: D = %g violates Eq. (3b): D ~ nT/(k+1) (sin(k+ pi B D) = %g)",
 			d, sin1)
 	}
-	return &Kernel{
+	return Kernel{
 		band:   band,
 		d:      d,
 		k:      k,

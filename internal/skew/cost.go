@@ -87,10 +87,11 @@ type CostEvaluator struct {
 	setB1 SampleSet
 	times []float64
 	opt   pnbs.Options
-	// tB/tB1 are the delay-independent fused-path tables of the two
-	// captures over times, built once from template reconstructors at each
-	// band's OptimalD. Every candidate delay evaluates against them with
-	// its own pair of kernels, so concurrent callers share nothing mutable.
+	// tB/tB1 are the fused-path tables of the two captures over times,
+	// built once from template reconstructors at each band's OptimalD and
+	// fitted over Algorithm 1's search interval [m/1000, 0.999·m]. Every
+	// candidate delay in it evaluates against them, so concurrent callers
+	// share nothing mutable.
 	tB, tB1 *pnbs.CostTable
 }
 
@@ -100,8 +101,9 @@ type CostEvaluator struct {
 const costChunk = 16
 
 // NewCostEvaluator validates the two captures and the evaluation instants
-// and builds the fused cost tables of both captures. The instants must lie
-// inside the valid reconstruction range of both sets; use
+// and builds the fused cost tables of both captures over the delays
+// Algorithm 1 searches, [m/1000, 0.999·m] (SearchInterval). The instants
+// must lie inside the valid reconstruction range of both sets; use
 // EvalWindow/RandomTimes to generate them.
 func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) (*CostEvaluator, error) {
 	if err := CheckUniqueness(setB.Band, setB1.Band); err != nil {
@@ -117,9 +119,22 @@ func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) 
 	if err != nil {
 		return nil, err
 	}
-	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt,
-		tB: rB.CostTable(times), tB1: rB1.CostTable(times)}, nil
+	dLo, dHi := SearchInterval(MUpper(setB.Band, setB1.Band))
+	tB, err := rB.CostTable(times, dLo, dHi)
+	if err != nil {
+		return nil, err
+	}
+	tB1, err := rB1.CostTable(times, dLo, dHi)
+	if err != nil {
+		return nil, err
+	}
+	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt, tB: tB, tB1: tB1}, nil
 }
+
+// SearchInterval returns the delay interval [m/1000, 0.999·m] that
+// Algorithm 1 searches for the searchable-delay limit m (MUpper): the
+// interval EstimateLMS clamps its candidates to and the cost tables serve.
+func SearchInterval(m float64) (lo, hi float64) { return m / 1000, m * 0.999 }
 
 // templatePair builds the reconstructor pair of the two captures at each
 // band's OptimalD.
@@ -142,24 +157,24 @@ func (c *CostEvaluator) Times() []float64 { return c.times }
 func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 
 // Cost evaluates the Eq. (7) objective at the candidate delay dHat through
-// the fused reassociated kernel (pnbs.CostFused): the candidate enters as
-// one kernel per rate against the evaluator's prepared tables, fixed-size
-// instant chunks fan out over the par pool, and the per-chunk residual
-// partials are folded serially in chunk order. The chunk boundaries never
-// depend on the worker count, so the result is bit-identical at any pool
-// size — and on any amd64 CPU, since the AVX2 encoding of the kernel
-// reproduces its Go loops bit for bit. Against the per-instant serial
-// oracle (costSerial) the fused value agrees to <= 1e-9 relative —
-// reassociated, not bit-identical (the documented estimate-stage tolerance
-// contract). Cost is safe for concurrent use.
+// the fused kernel (pnbs.CostFused): the candidate enters as one prepared
+// evaluation per rate of the evaluator's tables, fixed-size instant chunks
+// fan out over the par pool, and the per-chunk residual partials are
+// folded serially in chunk order. The chunk boundaries never depend on the
+// worker count, so the result is bit-identical at any pool size — and on
+// any amd64 CPU, since the AVX2 encoding of the table's prompt fold
+// reproduces its Go loop bit for bit. A dHat that violates Eq. (3) or lies
+// outside SearchInterval(M()) is an error. Against exact arithmetic
+// (costExact) and the per-instant serial oracle (costSerial) the value
+// agrees within 1e-9 relative plus 1e-15 of mean(rB² + rB1²), the
+// estimate-stage cost contract. Cost is safe for concurrent use.
 func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	mCostEvals.Inc()
-	kB, err := pnbs.NewKernel(c.setB.Band, dHat)
-	if err != nil {
-		mCostErrors.Inc()
-		return 0, err
+	var ev [2]pnbs.CostEval
+	var err error
+	if ev[0], err = c.tB.Eval(dHat); err == nil {
+		ev[1], err = c.tB1.Eval(dHat)
 	}
-	kB1, err := pnbs.NewKernel(c.setB1.Band, dHat)
 	if err != nil {
 		mCostErrors.Inc()
 		return 0, err
@@ -167,21 +182,18 @@ func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 	n := len(c.times)
 	partials := make([]float64, (n+costChunk-1)/costChunk)
 	par.ForChunks(n, costChunk, func(lo, hi int) {
-		partials[lo/costChunk] = pnbs.CostFused(c.tB, kB, c.tB1, kB1, lo, hi)
+		partials[lo/costChunk] = pnbs.CostFused(&ev[0], &ev[1], lo, hi)
 	})
 	return foldChunks(partials, n), nil
 }
 
 // Reconstruct returns the rate-B reconstruction at dHat at every evaluation
 // instant, read from the rate-B cost table (the paper's Δε compares it with
-// the true waveform). It fails as pnbs.NewReconstructor does at dHat, and
-// counts no cost evaluation.
+// the true waveform). It fails as pnbs.NewReconstructor does at dHat, or
+// when dHat lies outside SearchInterval(M()), and counts no cost
+// evaluation.
 func (c *CostEvaluator) Reconstruct(dHat float64) ([]float64, error) {
-	k, err := pnbs.NewKernel(c.setB.Band, dHat)
-	if err != nil {
-		return nil, err
-	}
-	return c.tB.Values(k), nil
+	return c.tB.Values(dHat)
 }
 
 // foldChunks folds the per-chunk partials serially in chunk order — the one
@@ -196,9 +208,9 @@ func foldChunks(partials []float64, n int) float64 {
 
 // costSerial is the single-threaded, rebuild-everything, per-instant At
 // reference implementation of Cost (the seed code path), kept as the
-// oracle for the differential tests: the fused reassociated path must agree
-// with it to <= 1e-9 relative (the estimate-stage tolerance contract), and
-// must itself be bit-identical at any worker count.
+// oracle for the differential tests: the fused path must agree with it
+// under the estimate-stage cost contract, and must itself be bit-identical
+// at any worker count.
 func (c *CostEvaluator) costSerial(dHat float64) (float64, error) {
 	rB, err := pnbs.NewReconstructor(c.setB.Band, dHat, c.setB.T0, c.setB.Ch0, c.setB.Ch1, c.opt)
 	if err != nil {

@@ -74,7 +74,7 @@ func EstimateLMS(tc trace.Ctx, cost CostFunc, d0, m float64) (LMSResult, error) 
 	if !(m > 0) || math.IsInf(m, 1) {
 		return LMSResult{}, fmt.Errorf("skew: LMS search limit m %g must be finite and positive", m)
 	}
-	dMin, dMax := m/1000, m*0.999
+	dMin, dMax := SearchInterval(m)
 	sp := trace.Start(tc, tnLMS)
 	defer sp.End()
 	var dhatTrack, costTrack string
