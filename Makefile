@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check reach bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update golden-fresh
+.PHONY: all build test vet race check reach leafdiff leafdiff-test bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update golden-fresh
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -24,14 +24,26 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: vet + reach + race.
-check: vet reach race
+# check is the CI gate: vet + reach + race, plus the leafdiff self-test.
+check: vet reach race leafdiff-test
 
 # reach fails when a declared function or package-level var is linked by
 # no program (cmd/*, examples/*, perfbench) and is not listed, with its
 # reason, in scripts/reach_allow.txt: dead API cannot regrow unnoticed.
 reach:
 	python3 scripts/reach.py
+
+# leafdiff compares every committed golden with revision REV (default
+# HEAD) leaf by leaf: per file, the moved leaves and the worst relative
+# float move. It fails on any integer, bool or string change, so a re-pin
+# commit cites `make leafdiff REV=<parent>` instead of a hand check.
+REV ?= HEAD
+leafdiff:
+	python3 scripts/leafdiff.py $(REV)
+
+# leafdiff-test runs leafdiff's self-test on synthetic JSON.
+leafdiff-test:
+	python3 scripts/leafdiff_test.py
 
 # bench runs the slim root benchmark suite with allocation stats: the
 # end-to-end mask BIST and campaign grid plus the kernels behind the
