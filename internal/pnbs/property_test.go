@@ -132,3 +132,65 @@ func TestPBSWindowsPropertyNoOverlapAndCoverMin(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKernelFactorisationProperty checks the identity the fused path's
+// delayed-channel series rests on. With dt1 = dtd + D, κ_q = (a_q + b_q)/2
+// (so that φ_q = κ_q·D) and β_q = (a_q − b_q)/2, each kernel term
+// factorises exactly:
+//
+//	cos(a·dt1 − φ) − cos(b·dt1 − φ) = −2·sin(κ·dtd)·sin(β·dt1).
+//
+// Over random bands (integer-positioned ones included), delays and
+// offsets, and at dt1 = 0, ±1e-18, ±1e-15 and ±5e-14 s, the product form
+// must equal Kernel.S's difference of cosines within rounding: 8 ulps of
+// each term's cancellation scale, (1 + (|a|+|b|)·(|dt1| + |D|)) /
+// (2πB|sin φ|·max(|dt1|, 1/(|a|+|b|))). Offsets in [1e-13, 1e-11) s are
+// left out: there S takes the direct difference, which cancels to
+// ~eps/|dt1|, above that scale.
+func TestKernelFactorisationProperty(t *testing.T) {
+	const eps = 0x1p-52
+	rng := rand.New(rand.NewSource(38))
+	worst := 0.0
+	for trial := 0; trial < 400; trial++ {
+		band, d := randomVectorBand(rng)
+		k, err := NewKernel(band, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := 31 * band.T()
+		offsets := []float64{0, 1e-18, -1e-18, 1e-15, -1e-15, 5e-14, -5e-14}
+		for len(offsets) < 40 {
+			if o := span * (2*rng.Float64() - 1); math.Abs(o) > 1e-11 {
+				offsets = append(offsets, o)
+			}
+		}
+		twoPiB := 2 * math.Pi * band.B
+		for _, dt1 := range offsets {
+			dtd := dt1 - d
+			prod, tol := 0.0, 0.0
+			for q, p := range [][4]float64{{k.a0, k.b0, k.phi0, k.sin0}, {k.a1, k.b1, k.phi1, k.sin1}} {
+				if q == 0 && k.s0Zero {
+					continue
+				}
+				a, b, sinPhi := p[0], p[1], p[3]
+				kappa, beta := (a+b)/2, (a-b)/2
+				h := beta
+				if dt1 != 0 {
+					h = math.Sin(beta*dt1) / dt1
+				}
+				prod += -2 * math.Sin(kappa*dtd) * h / (twoPiB * sinPhi)
+				ab := math.Abs(a) + math.Abs(b)
+				tol += 8 * eps * (1 + ab*(math.Abs(dt1)+math.Abs(d))) /
+					(twoPiB * math.Abs(sinPhi) * math.Max(math.Abs(dt1), 1/ab))
+			}
+			s := k.S(dt1)
+			if e := math.Abs(prod - s); e > tol {
+				t.Fatalf("band %+v D=%g dt1=%g: product form %.17g vs S %.17g (error %.3g > %.3g)",
+					band, d, dt1, prod, s, e, tol)
+			} else {
+				worst = math.Max(worst, e/tol)
+			}
+		}
+	}
+	t.Logf("worst error %.3g of the rounding bound", worst)
+}
