@@ -71,8 +71,8 @@ const fusedTaylorEps = 1e-13
 const seriesTol = 2e-12
 
 // maxSeriesDeg caps the series degree. The paper's two tables need 5; the
-// widest interval a table accepts (±0.499 T) needs 14 at the paper's taper
-// and 18 with HalfTaps 4 and a Kaiser β of 20. A table whose bound asks for
+// widest interval a table accepts (±0.4999 T) needs 14 at the paper's
+// taper and 18 with HalfTaps 4 and a Kaiser β of 20. A table whose bound asks for
 // more is refused.
 const maxSeriesDeg = 24
 
@@ -118,9 +118,11 @@ type CostTable struct {
 const costTableChunk = 16
 
 // CostTable prepares r's fused cost path over the instants ts for the
-// candidate delays of [dLo, dHi], which must lie inside (−T/2, T/2) with a
-// margin: there no tap's offset dt1 = dtd + D crosses the edge of the
-// taper's support, so each F_q is smooth over the interval. The rows are
+// candidate delays of [dLo, dHi], which must lie inside ±0.4999 T: the
+// centre rule keeps every tap of the span within (h + ½)T + 1e-9·T of the
+// instant, so for |D| < (½ − 1e-9)T no offset dt1 = dtd + D reaches the
+// edge (h+1)T of the taper's support, and each F_q is smooth over the
+// interval. Algorithm 1's interval is always inside: m <= T/(k+1) <= T/2. The rows are
 // independent per instant, so they are built over the par pool; each row's
 // folds stay serial, so the table is identical at any worker count. The
 // tap geometry (span, dt0 accumulation by repeated subtraction) is At's;
@@ -131,8 +133,8 @@ const costTableChunk = 16
 // fold where the CPU has one (costRowsVector); it is bit-identical to
 // costRowFold, so the table does not depend on the CPU either.
 func (r *Reconstructor) CostTable(ts []float64, dLo, dHi float64) (*CostTable, error) {
-	if lim := 0.499 * r.tStep; !(dLo <= dHi) || dLo <= -lim || dHi >= lim {
-		return nil, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.499 T)", dLo, dHi, lim)
+	if lim := 0.4999 * r.tStep; !(dLo <= dHi) || dLo <= -lim || dHi >= lim {
+		return nil, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.4999 T)", dLo, dHi, lim)
 	}
 	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts)),
 		dLo: dLo, dHi: dHi, mid: dLo + (dHi-dLo)/2, rad: (dHi - dLo) / 2}

@@ -272,11 +272,13 @@ func TestFusedPrepWorkerInvariance(t *testing.T) {
 
 // TestCostTableInterval: a table serves exactly its delay interval. Its
 // ends evaluate; a delay outside is refused, never extrapolated; a delay
-// violating Eq. (3) fails with NewKernel's error first. An interval that
-// is reversed, not a number, or reaches ±0.499 T (where taps would cross
-// the taper's support edge) is refused at build.
+// violating Eq. (3) fails with NewKernel's error first. The widest
+// interval Algorithm 1 can ask for, up to 0.999·T/2 (a band with k = 1),
+// builds and matches At at its far end. An interval that is reversed, not
+// a number, or reaches ±0.4999 T (where taps would cross the taper's
+// support edge) is refused at build.
 func TestCostTableInterval(t *testing.T) {
-	band, _, _, tmpl, ts := delayTemplate(t)
+	band, ch0, ch1, tmpl, ts := delayTemplate(t)
 	const dLo, dHi = 100e-12, 300e-12
 	tab := costTable(t, tmpl, ts, dLo, dHi)
 	for _, d := range []float64{dLo, dHi} {
@@ -291,11 +293,21 @@ func TestCostTableInterval(t *testing.T) {
 	}
 	forbidden := band.T() / float64(band.KPlus())
 	_, want := NewKernel(band, forbidden)
-	wide := costTable(t, tmpl, ts, 1e-12, 0.49*band.T())
+	edge := 0.999 * band.T() / 2
+	wide := costTable(t, tmpl, ts, 1e-12, edge)
 	if _, err := wide.Eval(forbidden); err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("forbidden delay: Eval error %v, NewKernel error %v", err, want)
 	}
-	lim := 0.499 * band.T()
+	r, err := NewReconstructor(band, edge, 0, ch0, ch1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values(t, wide, edge) {
+		if at := r.At(ts[i]); !fusedClose(v, at) {
+			t.Fatalf("D = %g, t = %g: series %.17g vs At %.17g", edge, ts[i], v, at)
+		}
+	}
+	lim := 0.4999 * band.T()
 	for _, iv := range [][2]float64{{dHi, dLo}, {math.NaN(), dHi}, {dLo, math.NaN()}, {-lim, dHi}, {dLo, lim}, {dLo, band.T()}} {
 		if _, err := tmpl.CostTable(ts, iv[0], iv[1]); err == nil {
 			t.Errorf("interval [%g, %g] accepted", iv[0], iv[1])

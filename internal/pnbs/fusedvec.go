@@ -7,9 +7,9 @@ import "math"
 // lane runs the IEEE operation sequence of the Go loop for its row, so the
 // results are bit-identical and the Go loop stays the portable path and
 // the oracle. A group qualifies when all four rows span the full 2h+1
-// taps, no tap lies within taylorGuard of dt = 0 (the Go loop's series
-// branch, which the vector code does not encode), and the window is a
-// Kaiser taper. Everything else runs the Go loop. The encoding evaluates
+// taps, no tap lies within taylorGuard of dt = 0 (the Go loop's
+// nearSample branch, which the vector code does not encode), and the
+// window is a Kaiser taper. Everything else runs the Go loop. The encoding evaluates
 // the taper as windowLUT.at does, the Horner cubic on windowLUT.coef.
 
 // useAVX2 is fixed at start-up by CPU capability: AVX2 with the YMM state
@@ -18,7 +18,7 @@ import "math"
 var useAVX2 = cpuHasAVX2()
 
 // taylorGuard is the distance from dt = 0 inside which a group stays on the
-// Go loop: costRowFold switches to its series limit within fusedTaylorEps.
+// Go loop: costRowFold switches to nearSample within fusedTaylorEps.
 // Repeated subtraction drifts a tap's dt by ~1e-20 s from dt − j·T over a
 // span, far inside the margin.
 const taylorGuard = 2e-12

@@ -32,7 +32,7 @@ func sameRow(a, b fusedRow) bool {
 
 // vectorCase is one randomized reconstructor with instants that exercise
 // every dispatch branch: interior instants (vector groups), instants on
-// sample points (series branches), capture edges (partial spans),
+// sample points (near-sample branches), capture edges (partial spans),
 // out-of-capture instants, and counts that are not a multiple of 4.
 type vectorCase struct {
 	r  *Reconstructor

@@ -9,7 +9,7 @@ import (
 // FuzzCostTableDelayIndependence differentially tests the fused cost
 // table on fuzzed delay pairs: NewKernel and NewReconstructor must agree
 // on which delays are feasible (Eq. 3); on every feasible pair whose span
-// lies inside ±0.499 T, a table built from a template at d1 over
+// lies inside ±0.4999 T, a table built from a template at d1 over
 // [min(d1, d2), max(d1, d2)] and evaluated at d2 must equal, bit for bit,
 // the table of a reconstructor built from scratch at d2 over the same
 // interval — the contract that lets the LMS hot loop build its tables once
@@ -63,7 +63,7 @@ func FuzzCostTableDelayIndependence(f *testing.F) {
 		}
 		dLo, dHi := math.Min(d1, d2), math.Max(d1, d2)
 		tab, err := tmpl.CostTable(ts, dLo, dHi)
-		if lim := 0.499 * band.T(); dLo <= -lim || dHi >= lim {
+		if lim := 0.4999 * band.T(); dLo <= -lim || dHi >= lim {
 			if err == nil {
 				t.Fatalf("interval [%g, %g] beyond ±%g accepted", dLo, dHi, lim)
 			}
