@@ -389,12 +389,11 @@ func (f *seriesFit) row(row *fusedRow, out []float64) {
 type CostEval struct {
 	tab    *CostTable
 	s0Zero bool
-	// cot0/cot1 contract the prompt-channel scalars.
+	// cot0/cot1 contract the prompt-channel scalars; inv0/inv1 are the
+	// delayed-channel kernel denominators 1/(2πB sin φ_q), and u the
+	// candidate's series variable (D − mid)/rad.
 	cot0, cot1, inv2piB float64
-	// basis holds inv_q·T_m(u), the series' Chebyshev basis at the
-	// candidate's u scaled by the kernel denominators, laid out like a
-	// row's coefficients: term 0's deg+1 values, then term 1's.
-	basis [2 * (maxSeriesDeg + 1)]float64
+	inv0, inv1, u       float64
 }
 
 // Eval prepares the table at candidate delay d. It fails as NewKernel does
@@ -410,23 +409,33 @@ func (tab *CostTable) Eval(d float64) (CostEval, error) {
 	}
 	e := CostEval{tab: tab, s0Zero: k.s0Zero, inv2piB: 1 / (2 * math.Pi * k.band.B)}
 	e.cot1 = math.Cos(k.phi1) / k.sin1
-	inv1, inv0 := e.inv2piB/k.sin1, 0.0
+	e.inv1 = e.inv2piB / k.sin1
 	if !k.s0Zero {
 		e.cot0 = math.Cos(k.phi0) / k.sin0
-		inv0 = e.inv2piB / k.sin0
+		e.inv0 = e.inv2piB / k.sin0
 	}
-	u := 0.0
 	if tab.rad > 0 {
-		u = (d - tab.mid) / tab.rad
-	}
-	// T_{m+1} = 2u·T_m − T_{m−1}, started from T_0 = 1 and T_{−1} = T_1 = u.
-	n := tab.deg + 1
-	tm, tPrev := 1.0, u
-	for m := 0; m < n; m++ {
-		e.basis[m], e.basis[n+m] = inv0*tm, inv1*tm
-		tm, tPrev = 2*u*tm-tPrev, tm
+		e.u = (d - tab.mid) / tab.rad
 	}
 	return e, nil
+}
+
+// seriesBasis holds inv_q·T_m(u) laid out like a row's coefficients:
+// term 0's deg+1 values, then term 1's.
+type seriesBasis [2 * (maxSeriesDeg + 1)]float64
+
+// basis fills b with the series' Chebyshev basis at the candidate's u,
+// scaled by the kernel denominators, and returns its used part. Callers
+// fill it once per chunk of instants, on the stack.
+func (e *CostEval) basis(b *seriesBasis) []float64 {
+	// T_{m+1} = 2u·T_m − T_{m−1}, started from T_0 = 1 and T_{−1} = T_1 = u.
+	n, u := e.tab.deg+1, e.u
+	tm, tPrev := 1.0, u
+	for m := 0; m < n; m++ {
+		b[m], b[n+m] = e.inv0*tm, e.inv1*tm
+		tm, tPrev = 2*u*tm-tPrev, tm
+	}
+	return b[:2*n]
 }
 
 // prompt is the prompt-channel value of a row: the whole tap fold is the
@@ -439,15 +448,15 @@ func (e *CostEval) prompt(row *fusedRow) float64 {
 }
 
 // at evaluates instant i of the table at the candidate: the prompt
-// contraction plus the delayed channel's series, inv0·F0 + inv1·F1.
-func (e *CostEval) at(i int) float64 {
+// contraction plus the delayed channel's series, inv0·F0 + inv1·F1, as a
+// dot product of the row's coefficients with the basis b.
+func (e *CostEval) at(i int, b []float64) float64 {
 	tab := e.tab
 	row := &tab.rows[i]
 	if row.cnt == 0 {
 		return 0
 	}
-	n := 2 * (tab.deg + 1)
-	c, b := tab.ser[i*n:][:n], e.basis[:n]
+	c := tab.ser[i*len(b):][:len(b)]
 	acc := 0.0
 	for m, v := range c {
 		acc += v * b[m]
@@ -468,9 +477,11 @@ func (e *CostEval) at(i int) float64 {
 // so folding fixed-size chunk partials in chunk order is bit-identical at
 // any worker count.
 func CostFused(eB, eB1 *CostEval, lo, hi int) float64 {
+	var bufB, bufB1 seriesBasis
+	bB, bB1 := eB.basis(&bufB), eB1.basis(&bufB1)
 	acc := 0.0
 	for i := lo; i < hi; i++ {
-		d := eB.at(i) - eB1.at(i)
+		d := eB.at(i, bB) - eB1.at(i, bB1)
 		acc += d * d
 	}
 	return acc
@@ -488,8 +499,10 @@ func (tab *CostTable) Values(d float64) ([]float64, error) {
 	}
 	out := make([]float64, len(tab.rows))
 	par.ForChunks(len(out), costTableChunk, func(lo, hi int) {
+		var buf seriesBasis
+		b := e.basis(&buf)
 		for i := lo; i < hi; i++ {
-			out[i] = e.at(i)
+			out[i] = e.at(i, b)
 		}
 	})
 	return out, nil
