@@ -72,8 +72,8 @@ const seriesTol = 2e-12
 
 // maxSeriesDeg caps the series degree. The paper's two tables need 5; the
 // widest interval a table accepts (±0.4999 T) needs 14 at the paper's
-// taper and 18 with HalfTaps 4 and a Kaiser β of 20. A table whose bound asks for
-// more is refused.
+// taper and 18 with HalfTaps 4 and a Kaiser β of 20. A table whose bound
+// asks for more is refused.
 const maxSeriesDeg = 24
 
 // fusedRow is the per-instant state of the fused path: the prompt-channel
@@ -264,11 +264,8 @@ func (r *Reconstructor) seriesDegree(rad float64) (int, error) {
 // nodes, the trig of β_q at each node and per tap step, and the
 // node-to-coefficient matrix.
 type seriesFit struct {
-	r   *Reconstructor
-	deg int
-	// s0Zero marks an integer-positioned band, whose s0 term vanishes:
-	// F0 is not fitted and its coefficients stay 0.
-	s0Zero      bool
+	r           *Reconstructor
+	deg         int
 	kappa, beta [2]float64
 	// flip is (−1)^k and (−1)^(k+1): κ_q·T is kπ and (k+1)π, so
 	// sin(κ_q·dtd) changes by that factor from tap to tap.
@@ -284,7 +281,7 @@ type seriesFit struct {
 
 func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
 	k := r.kern
-	f := &seriesFit{r: r, deg: tab.deg, s0Zero: k.s0Zero, flip: [2]float64{1, -1}}
+	f := &seriesFit{r: r, deg: tab.deg, flip: [2]float64{1, -1}}
 	if k.k%2 == 1 {
 		f.flip = [2]float64{-1, 1}
 	}
@@ -301,12 +298,13 @@ func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
 		}
 	}
 	for m := 0; m < n; m++ {
-		for i := 0; i < n; i++ {
-			f.cheb[m][i] = 2 / float64(n) * math.Cos(float64(m)*math.Pi*(float64(i)+0.5)/float64(n))
+		w := 2 / float64(n)
+		if m == 0 {
+			w /= 2
 		}
-	}
-	for i := 0; i < n; i++ {
-		f.cheb[0][i] /= 2
+		for i := 0; i < n; i++ {
+			f.cheb[m][i] = w * math.Cos(float64(m)*math.Pi*(float64(i)+0.5)/float64(n))
+		}
 	}
 	return f
 }
@@ -332,8 +330,8 @@ func (f *seriesFit) row(row *fusedRow, out []float64) {
 	beta0, beta1 := f.beta[0], f.beta[1]
 	win, ws, near := r.win, r.winScale, r.tStep/8
 	dtd := row.dtdStart
-	var g0 float64
-	if !f.s0Zero {
+	var g0 float64 // F0 stays 0 on an integer-positioned band
+	if !r.kern.s0Zero {
 		g0 = -2 * math.Sin(f.kappa[0]*dtd)
 	}
 	g1 := -2 * math.Sin(f.kappa[1]*dtd)
