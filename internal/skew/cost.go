@@ -119,16 +119,15 @@ func NewCostEvaluator(setB, setB1 SampleSet, times []float64, opt pnbs.Options) 
 	if err != nil {
 		return nil, err
 	}
-	dLo, dHi := SearchInterval(MUpper(setB.Band, setB1.Band))
-	tB, err := rB.CostTable(times, dLo, dHi)
-	if err != nil {
+	c := &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt}
+	dLo, dHi := SearchInterval(c.M())
+	if c.tB, err = rB.CostTable(times, dLo, dHi); err != nil {
 		return nil, err
 	}
-	tB1, err := rB1.CostTable(times, dLo, dHi)
-	if err != nil {
+	if c.tB1, err = rB1.CostTable(times, dLo, dHi); err != nil {
 		return nil, err
 	}
-	return &CostEvaluator{setB: setB, setB1: setB1, times: times, opt: opt, tB: tB, tB1: tB1}, nil
+	return c, nil
 }
 
 // SearchInterval returns the delay interval [m/1000, 0.999·m] that
