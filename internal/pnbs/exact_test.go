@@ -125,3 +125,44 @@ func TestAtMatchesExactEq6(t *testing.T) {
 		t.Logf("band %+v: worst error relative to scale: At %.3g, atReference %.3g", band, worstAt, worstRef)
 	}
 }
+
+// TestCostTableMatchesExactEq6 holds the fused cost table, evaluated at
+// the reconstructor's delay, to TestAtMatchesExactEq6's bound against the
+// exact sum, on the same bands. Beside the sweep of the valid range, it
+// takes instants whose nearest prompt-channel tap sits 0, 1e-18, 1e-14 and
+// 1e-12 s from its sample and just inside and outside T/8 of it: the
+// offsets at which the row's prompt fold leaves the rotated sine for the
+// direct sin(β·x)/x. An interior instant's accumulated offsets miss 0 by
+// ~1e-22 s, so the limit β is reached at the capture's first sample, where
+// the clamped span starts on the instant and its offset is exactly 0.
+func TestCostTableMatchesExactEq6(t *testing.T) {
+	const bound = 1e-11
+	for _, band := range []Band{
+		{FLow: 955e6, B: 90e6},
+		{FLow: 900e6, B: 90e6}, // integer positioned
+		{FLow: 2.164e9, B: 72e6},
+	} {
+		rec := sineTestReconstructor(t, band)
+		lo, hi := rec.ValidRange()
+		tt := band.T()
+		ts := []float64{rec.t0}
+		for i, x := range []float64{0, 1e-18, -1e-18, 1e-14, -1e-12, tt / 8 * (1 - 1e-9), -tt / 8 * (1 + 1e-9)} {
+			ts = append(ts, 1e-7+float64(50+i)*tt+x)
+		}
+		for i := 0; i < 25; i++ {
+			ts = append(ts, lo+(hi-lo)*float64(i)/24)
+		}
+		d := rec.Kernel().D()
+		got := values(t, costTable(t, rec, ts, 0.5*d, 1.5*d), d)
+		worst := 0.0
+		for i, tv := range ts {
+			exact, scale := exactAt(rec, tv)
+			e := math.Abs(got[i]-exact) / scale
+			if e > bound {
+				t.Errorf("band %+v t=%g: table off by %.3g of scale %g (bound %g)", band, tv, e, scale, bound)
+			}
+			worst = math.Max(worst, e)
+		}
+		t.Logf("band %+v: worst table error relative to scale %.3g", band, worst)
+	}
+}

@@ -15,28 +15,28 @@ import (
 // That freedom takes both tap folds of an instant out of the per-candidate
 // loop.
 //
-// Prompt channel. Write the kernel phase terms as cos(a·dt − φ) =
-// cos(a·dt)cos φ + sin(a·dt)sin φ. The offsets dt0 = t − nT are
-// delay-independent, so each instant's whole tap fold contracts to four
-// scalars built once per instant block (CostTable),
-//
-//	pc = Σ_j ch0[j]·w(dt0_j)·(cos(a·dt0_j) − cos(b·dt0_j))/dt0_j
-//	ps = Σ_j ch0[j]·w(dt0_j)·(sin(a·dt0_j) − sin(b·dt0_j))/dt0_j
-//
-// per phase pair (a0,b0) and (a1,b1), and the per-candidate evaluation is
-// just (pc·cot φ + ps)/(2πB): only cot φ0 and cot φ1 depend on the delay.
-// Taps within fusedTaylorEps of their sample, where the differences
-// cancel, take exact product forms instead (nearSample), which are linear
-// in cot φ in exactly the same way.
-//
-// Delayed channel. Its offsets dt1 = dtd + D, with dtd = t0 + nT − t, move
-// with the candidate delay D. Let κ_q = (a_q + b_q)/2, which is kπB and
-// (k+1)πB, so that φ_q = κ_q·D, and β_q = (a_q − b_q)/2. Each kernel term
+// Both channels ride one tap span, with offsets dtd = t0 + nT − t: the
+// prompt channel's are dt0 = −dtd, the delayed channel's dt1 = dtd + D.
+// Let κ_q = (a_q + b_q)/2, which is kπB and (k+1)πB, so that φ_q = κ_q·D
+// and κ_q·T is a multiple of π, and β_q = (a_q − b_q)/2. Each kernel term
 // then factorises exactly,
 //
-//	cos(a·dt1 − φ) − cos(b·dt1 − φ) = −2·sin(κ·dtd)·sin(β·dt1),
+//	cos(a·dt − φ) − cos(b·dt − φ) = −2·sin(κ·(dt − D))·sin(β·dt),
 //
-// and the instant's delayed fold is inv0(D)·F0(D) + inv1(D)·F1(D), with
+// and sin(κ_q·dtd), cos(κ_q·dtd) only change sign from tap to tap, so one
+// Sincos of κ_q per row serves every tap of both channels.
+//
+// Prompt channel. Its offsets do not move with D, so expanding
+// sin(κ·dt0 − φ) by angle subtraction contracts the instant's fold to two
+// scalars per phase pair, built once per instant block (CostTable),
+//
+//	pc_q = sin(κ_q·dtd_0)·S_q,  ps_q = cos(κ_q·dtd_0)·S_q,
+//	S_q  = Σ_j (±1)^j·2·ch0[j]·w(dtd_j)·sin(β_q·dtd_j)/dtd_j,
+//
+// and the per-candidate evaluation is just (pc·cot φ + ps)/(2πB): only
+// cot φ0 and cot φ1 depend on the delay.
+//
+// Delayed channel. Its fold is inv0(D)·F0(D) + inv1(D)·F1(D), with
 // inv_q = 1/(2πB sin φ_q) and
 //
 //	F_q(D) = Σ_j ch1[j]·w(dtd_j + D)·(−2 sin(κ_q·dtd_j))·sin(β_q·(dtd_j + D))/(dtd_j + D).
@@ -56,11 +56,6 @@ import (
 // fixed-size chunks (par.ForChunks) and folding the per-chunk partials in
 // chunk order — blocked summation, which also bounds rounding growth.
 
-// fusedTaylorEps is the |dt0| below which the prompt-channel fold takes
-// nearSample instead of the direct differences, and within whose margin
-// (taylorGuard) a group leaves the vector fold.
-const fusedTaylorEps = 1e-13
-
 // seriesTol is the truncation target of the delayed-channel series,
 // relative to the bound M_q = β_q·Σ_j |2·ch1[j]·sin(κ_q·dtd_j)| on |F_q|.
 // It sits at the float64 floor of the row itself: At and the direct sum
@@ -76,9 +71,10 @@ const seriesTol = 2e-12
 // asks for more is refused.
 const maxSeriesDeg = 24
 
-// fusedRow is the per-instant state of the fused path: the prompt-channel
-// fold contracted to four delay-independent scalars plus the tap-span
-// geometry the table build uses.
+// fusedRow is the per-instant state of the fused path: the tap-span
+// geometry and the prompt-channel fold contracted to four
+// delay-independent scalars, both set by the row's pass in the series fit
+// (seriesFit.row).
 type fusedRow struct {
 	// nLo is the first capture index of the tap span (clamped like At);
 	// cnt is the tap count, zero for instants outside the capture.
@@ -112,9 +108,9 @@ type CostTable struct {
 }
 
 // costTableChunk is the instant count per pool task of CostTable. A row
-// costs ~60 taps of three Sincos pairs plus the series fit, so a cost
-// block of a few hundred instants still splits into enough tasks to
-// balance the pool.
+// costs ~60 taps of the series fit, each a prompt term and one delayed
+// term per Chebyshev node, so a cost block of a few hundred instants still
+// splits into enough tasks to balance the pool.
 const costTableChunk = 16
 
 // CostTable prepares r's fused cost path over the instants ts for the
@@ -122,16 +118,12 @@ const costTableChunk = 16
 // centre rule keeps every tap of the span within (h + ½)T + 1e-9·T of the
 // instant, so for |D| < (½ − 1e-9)T no offset dt1 = dtd + D reaches the
 // edge (h+1)T of the taper's support, and each F_q is smooth over the
-// interval. Algorithm 1's interval is always inside: m <= T/(k+1) <= T/2. The rows are
-// independent per instant, so they are built over the par pool; each row's
-// folds stay serial, so the table is identical at any worker count. The
-// tap geometry (span, dt0 accumulation by repeated subtraction) is At's;
-// the prompt trig is evaluated by direct Sincos per tap, because the cost
-// fold's cancellation amplifies row error by ~1e6. The angular rates used
-// depend only on the band, so the table does not depend on r's delay.
-// Groups of four full-span rows go to the vector encoding of the prompt
-// fold where the CPU has one (costRowsVector); it is bit-identical to
-// costRowFold, so the table does not depend on the CPU either.
+// interval. Algorithm 1's interval is always inside: m <= T/(k+1) <= T/2.
+// The rows are independent per instant, so they are built over the par
+// pool; each row's folds stay serial, so the table is identical at any
+// worker count. The tap span is At's, and one loop over it (seriesFit.row)
+// folds both channels. The angular rates used depend only on the band, so
+// the table does not depend on r's delay.
 func (r *Reconstructor) CostTable(ts []float64, dLo, dHi float64) (*CostTable, error) {
 	if lim := 0.4999 * r.tStep; !(dLo <= dHi) || dLo <= -lim || dHi >= lim {
 		return nil, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.4999 T)", dLo, dHi, lim)
@@ -146,83 +138,12 @@ func (r *Reconstructor) CostTable(ts []float64, dLo, dHi float64) (*CostTable, e
 	fit := r.newSeriesFit(tab)
 	stride := 2 * (deg + 1)
 	tab.ser = make([]float64, len(ts)*stride)
-	vec := r.costRowsVectorOK()
 	par.ForChunks(len(ts), costTableChunk, func(lo, hi int) {
-		rows, ts := tab.rows[lo:hi], ts[lo:hi]
-		for i := range rows {
-			r.costRowSpan(&rows[i], ts[i])
-		}
-		for i := 0; i < len(rows); i += 4 {
-			g := rows[i:min(i+4, len(rows))]
-			if vec && len(g) == 4 && r.costRowsVector(g, ts[i:i+4]) {
-				continue
-			}
-			for j := range g {
-				r.costRowFold(&g[j], ts[i+j])
-			}
-		}
-		for i := range rows {
-			fit.row(&rows[i], tab.ser[(lo+i)*stride:][:stride])
+		for i := lo; i < hi; i++ {
+			fit.row(&tab.rows[i], ts[i], tab.ser[i*stride:][:stride])
 		}
 	})
 	return tab, nil
-}
-
-// costRowSpan sets the tap-span geometry of the row of instant t; an
-// out-of-capture instant keeps cnt = 0 (its fused value is 0).
-func (r *Reconstructor) costRowSpan(row *fusedRow, t float64) {
-	nLo, nHi := r.span(t)
-	if nLo > nHi {
-		return
-	}
-	row.nLo = int32(nLo)
-	row.cnt = int32(nHi - nLo + 1)
-	row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
-}
-
-// costRowFold contracts the prompt-channel tap fold of the row of instant
-// t. k.b1 == k.a0 bit for bit (NewKernel builds both from one
-// expression), so the (a1, b1) pair reuses the a0 Sincos.
-func (r *Reconstructor) costRowFold(row *fusedRow, t float64) {
-	k := r.kern
-	dt0 := t - r.t0 - float64(row.nLo)*r.tStep
-	for _, c := range r.ch0[row.nLo:][:row.cnt] {
-		if w := r.window(dt0); w != 0 {
-			cw := c * w
-			if math.Abs(dt0) < fusedTaylorEps {
-				nearSample(&row.pc0, &row.ps0, cw, k.a0, k.b0, dt0)
-				nearSample(&row.pc1, &row.ps1, cw, k.a1, k.b1, dt0)
-			} else {
-				inv := cw / dt0
-				sA0, cA0 := math.Sincos(k.a0 * dt0)
-				sB, cB := math.Sincos(k.b0 * dt0)
-				row.pc0 += (cA0 - cB) * inv
-				row.ps0 += (sA0 - sB) * inv
-				sA, cA := math.Sincos(k.a1 * dt0)
-				row.pc1 += (cA - cA0) * inv
-				row.ps1 += (sA - sA0) * inv
-			}
-		}
-		dt0 -= r.tStep
-	}
-}
-
-// nearSample adds cw·(cos(a·dt) − cos(b·dt))/dt to pc and
-// cw·(sin(a·dt) − sin(b·dt))/dt to ps for a tap within fusedTaylorEps of
-// its sample, where the differences cancel. It takes the exact product
-// forms −2 sin(κ·dt)·sin(β·dt)/dt and 2 cos(κ·dt)·sin(β·dt)/dt, with
-// κ = (a+b)/2 and β = (a−b)/2, and below 1e-18 their first-order limits
-// dt·(b²−a²)/2 and a − b, with dsp.DiffCosOverT's branch points.
-func nearSample(pc, ps *float64, cw, a, b, dt float64) {
-	if math.Abs(dt) < 1e-18 {
-		*pc += cw * dt * 0.5 * (b*b - a*a)
-		*ps += cw * (a - b)
-		return
-	}
-	s, c := math.Sincos((a + b) / 2 * dt)
-	h := cw * math.Sin((a-b)/2*dt) / dt
-	*pc += -2 * s * h
-	*ps += 2 * c * h
 }
 
 // seriesDegree returns the smallest degree p whose interpolation bound on
@@ -309,35 +230,57 @@ func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
 	return f
 }
 
-// row fits F0 and F1 of one row at the nodes and writes their Chebyshev
-// coefficients to out (F0's deg+1, then F1's). A tap's node-independent
-// parts come from its predecessor's: −2·sin(κ_q·dtd) by the exact sign
-// flip, and (sin, cos)(β_q·dtd) by one rotation, both seeded at the first
-// tap. sin(β·(dtd + D_i)) then follows by angle addition, whose rounding is
-// relative to |β·dtd|, not to |β·x| with x = dtd + D_i; so the few offsets
-// with |x| < T/8 take sin(β·x)/x directly, with its limit β at x = 0. On
-// an integer-positioned band the F0 seed is 0, so F0's values stay 0.
-func (f *seriesFit) row(row *fusedRow, out []float64) {
-	if row.cnt == 0 {
+// row sets the row of instant t: its tap span, its prompt scalars, and
+// the Chebyshev coefficients of its F0 and F1, written to out (F0's deg+1,
+// then F1's); an out-of-capture instant keeps cnt = 0 (its fused value is
+// 0). A tap's node-independent parts come from its predecessor's: the κ_q
+// trig by the exact sign flip, and (sin, cos)(β_q·dtd) by one rotation,
+// all seeded at the first tap. The prompt term takes sin(β·dtd) from the
+// rotation; the delayed node terms take sin(β·(dtd + D_i)) by angle
+// addition. Either's rounding is relative to |β·dtd|, not to the offset x
+// the sine is divided by, so the few offsets with |x| < T/8 take
+// sin(β·x)/x directly (sincNear). On an integer-positioned band the F0
+// seed is 0, so F0's values stay 0.
+func (f *seriesFit) row(row *fusedRow, t float64, out []float64) {
+	r := f.r
+	nLo, nHi := r.span(t)
+	if nLo > nHi {
 		return
 	}
-	r := f.r
+	row.nLo = int32(nLo)
+	row.cnt = int32(nHi - nLo + 1)
+	row.dtdStart = r.t0 + float64(nLo)*r.tStep - t
 	n := f.deg + 1
 	var vals [2][maxSeriesDeg + 1]float64
 	v0, v1 := vals[0][:n], vals[1][:n]
 	sinD0, cosD0 := f.sinD[0][:n], f.cosD[0][:n]
 	sinD1, cosD1 := f.sinD[1][:n], f.cosD[1][:n]
-	beta0, beta1 := f.beta[0], f.beta[1]
 	win, ws, near := r.win, r.winScale, r.tStep/8
 	dtd := row.dtdStart
+	sk0, ck0 := math.Sincos(f.kappa[0] * dtd)
+	sk1, ck1 := math.Sincos(f.kappa[1] * dtd)
 	var g0 float64 // F0 stays 0 on an integer-positioned band
 	if !r.kern.s0Zero {
-		g0 = -2 * math.Sin(f.kappa[0]*dtd)
+		g0 = -2 * sk0
 	}
-	g1 := -2 * math.Sin(f.kappa[1]*dtd)
-	s0, c0 := math.Sincos(beta0 * dtd)
-	s1, c1 := math.Sincos(beta1 * dtd)
-	for _, c := range r.ch1[row.nLo:][:row.cnt] {
+	g1 := -2 * sk1
+	e0, e1 := 2.0, 2.0 // the prompt's tap sign, 2·(±1)^j
+	var p0, p1 float64 // S_0 and S_1
+	s0, c0 := math.Sincos(f.beta[0] * dtd)
+	s1, c1 := math.Sincos(f.beta[1] * dtd)
+	ch0 := r.ch0[nLo:][:row.cnt]
+	for j, c := range r.ch1[nLo:][:row.cnt] {
+		if w := r.window(dtd); w != 0 {
+			var h0, h1 float64
+			if math.Abs(dtd) >= near {
+				wx := w / dtd
+				h0, h1 = s0*wx, s1*wx
+			} else {
+				h0, h1 = f.sincNear(w, dtd)
+			}
+			p0 += e0 * ch0[j] * h0
+			p1 += e1 * ch0[j] * h1
+		}
 		gc0, gc1 := g0*c, g1*c
 		for i, d := range f.node[:n] {
 			x := dtd + d
@@ -351,25 +294,26 @@ func (f *seriesFit) row(row *fusedRow, out []float64) {
 				w = win.at(y)
 			}
 			var h0, h1 float64
-			switch {
-			case math.Abs(x) >= near:
+			if math.Abs(x) >= near {
 				wx := w / x
 				h0 = (s0*cosD0[i] + c0*sinD0[i]) * wx
 				h1 = (s1*cosD1[i] + c1*sinD1[i]) * wx
-			case x == 0:
-				h0, h1 = w*beta0, w*beta1
-			default:
-				h0, h1 = w*math.Sin(beta0*x)/x, w*math.Sin(beta1*x)/x
+			} else {
+				h0, h1 = f.sincNear(w, x)
 			}
 			v0[i] += gc0 * h0
 			v1[i] += gc1 * h1
 		}
 		g0 *= f.flip[0]
 		g1 *= f.flip[1]
+		e0 *= f.flip[0]
+		e1 *= f.flip[1]
 		s0, c0 = s0*f.cosT[0]+c0*f.sinT[0], c0*f.cosT[0]-s0*f.sinT[0]
 		s1, c1 = s1*f.cosT[1]+c1*f.sinT[1], c1*f.cosT[1]-s1*f.sinT[1]
 		dtd += r.tStep
 	}
+	row.pc0, row.ps0 = sk0*p0, ck0*p0
+	row.pc1, row.ps1 = sk1*p1, ck1*p1
 	for q := range vals {
 		v, c := vals[q][:n], out[q*n:][:n]
 		for m := range c {
@@ -380,6 +324,15 @@ func (f *seriesFit) row(row *fusedRow, out []float64) {
 			c[m] = acc
 		}
 	}
+}
+
+// sincNear returns w·sin(β_q·x)/x for both phase pairs at an offset
+// |x| < T/8, evaluated directly, with its limit w·β_q at x = 0.
+func (f *seriesFit) sincNear(w, x float64) (h0, h1 float64) {
+	if x == 0 {
+		return w * f.beta[0], w * f.beta[1]
+	}
+	return w * math.Sin(f.beta[0]*x) / x, w * math.Sin(f.beta[1]*x) / x
 }
 
 // CostEval is a CostTable prepared at one candidate delay: the kernel's

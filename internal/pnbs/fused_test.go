@@ -99,6 +99,61 @@ func TestFusedTableMatchesAt(t *testing.T) {
 	}
 }
 
+// TestFusedTablePropertyRandomBands holds the table to At, within the
+// fused tolerance, over random bands (integer-positioned ones included),
+// HalfTaps 4–31, Kaiser and rectangular windows, and instants in the
+// interior, on sample points of either channel (the near-sample branches
+// of both folds), at the capture edges (partial spans) and outside the
+// capture. Each table serves ±T/4 and is evaluated at the reconstructor's
+// delay where that lies inside.
+func TestFusedTablePropertyRandomBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		band, d := randomBand(rng)
+		h := 4 + rng.Intn(28)
+		n := 2*h + 2 + rng.Intn(120)
+		ch0 := make([]float64, n)
+		ch1 := make([]float64, n)
+		for i := range ch0 {
+			ch0[i] = 2*rng.Float64() - 1
+			ch1[i] = 2*rng.Float64() - 1
+		}
+		t0 := 1e-7 * rng.Float64()
+		r, err := NewReconstructor(band, d, t0, ch0, ch1, Options{HalfTaps: h, KaiserBeta: randomBeta(rng)})
+		if err != nil {
+			t.Fatalf("band %+v d %g h %d: %v", band, d, h, err)
+		}
+		lo, hi := r.ValidRange()
+		ts := make([]float64, 1+rng.Intn(70))
+		for i := range ts {
+			switch u := rng.Float64(); {
+			case u < 0.6:
+				ts[i] = lo + (hi-lo)*rng.Float64()
+			case u < 0.7:
+				ts[i] = t0 + float64(h+rng.Intn(n-2*h))*r.tStep
+			case u < 0.8:
+				ts[i] = t0 + float64(h+rng.Intn(n-2*h))*r.tStep + d
+			default: // anywhere, edges and outside included
+				ts[i] = t0 + (float64(n)+6)*r.tStep*rng.Float64() - 3*r.tStep
+			}
+		}
+		q := r.tStep / 4
+		if math.Abs(d) > q {
+			continue
+		}
+		for i, v := range values(t, costTable(t, r, ts, -q, q), d) {
+			if at := r.At(ts[i]); !fusedClose(v, at) {
+				t.Fatalf("band %+v d %g h %d t=%g: fused table %.17g vs At %.17g", band, d, h, ts[i], v, at)
+			}
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 200 random tables served their own delay", checked)
+	}
+}
+
 // delayTemplate builds the 180 ps template reconstructor the
 // delay-independence tests share, with its capture and instants (one on a
 // sample point, so the Taylor branch of the contracted tables is covered).

@@ -160,10 +160,10 @@ func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 // evaluation per rate of the evaluator's tables, fixed-size instant chunks
 // fan out over the par pool, and the per-chunk residual partials are
 // folded serially in chunk order. The chunk boundaries never depend on the
-// worker count, so the result is bit-identical at any pool size — and on
-// any amd64 CPU, since the AVX2 encoding of the table's prompt fold
-// reproduces its Go loop bit for bit. A dHat that violates Eq. (3) or lies
-// outside SearchInterval(M()) is an error. Against exact arithmetic
+// worker count, so the result is bit-identical at any pool size, and the
+// tables have one build path, so every amd64 CPU gives the same bits. A
+// dHat that violates Eq. (3) or lies outside SearchInterval(M()) is an
+// error. Against exact arithmetic
 // (costExact) and the per-instant serial oracle (costSerial) the value
 // agrees within 1e-9 relative plus 1e-15 of mean(rB² + rB1²), the
 // estimate-stage cost contract. Cost is safe for concurrent use.
