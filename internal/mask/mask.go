@@ -145,11 +145,27 @@ func Check(m *Mask, spec *dsp.Spectrum, fc float64) (*Report, error) {
 	// Start far enough out that the integration window never overlaps the
 	// occupied channel itself.
 	start := math.Max(m.ChannelBW/2+window/2, m.Points[0].OffsetHz)
+	// outside reports a window beyond the measured span; the walk skips it
+	// silently. A first walk counts the kept offsets to size the traces.
+	outside := func(f float64) bool {
+		return f-window/2 < spec.Freqs[0] || f+window/2 > spec.Freqs[spec.Len()-1]
+	}
+	kept := 0
+	for side := -1; side <= 1; side += 2 {
+		for off := start; off <= m.MaxOffset(); off += step {
+			if !outside(fc + float64(side)*off) {
+				kept++
+			}
+		}
+	}
+	rep.Offsets = make([]float64, 0, kept)
+	rep.LevelsDBc = make([]float64, 0, kept)
+	rep.LimitsDBc = make([]float64, 0, kept)
 	for side := -1; side <= 1; side += 2 {
 		for off := start; off <= m.MaxOffset(); off += step {
 			f := fc + float64(side)*off
-			if f-window/2 < spec.Freqs[0] || f+window/2 > spec.Freqs[spec.Len()-1] {
-				continue // outside the measured span: skip silently
+			if outside(f) {
+				continue
 			}
 			p := spec.PowerInBand(f-window/2, f+window/2) * (m.RefBW / window)
 			level := dsp.PowerDB(p / chanPow)

