@@ -150,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFIRLinearity -fuzztime=10s ./internal/dsp
 	$(GO) test -run='^$$' -fuzz=FuzzCostTableDelayIndependence -fuzztime=10s ./internal/pnbs
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeGridVsAt -fuzztime=10s ./internal/pnbs
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeVsGridDecimate -fuzztime=10s ./internal/pnbs
 	$(GO) test -run='^$$' -fuzz=FuzzCostFusedVsSerial -fuzztime=10s ./internal/skew
 	$(GO) test -run='^$$' -fuzz=FuzzStimulusSpecRoundTrip -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzPulseTableVsAnalytic -fuzztime=10s ./internal/modem

@@ -70,6 +70,38 @@ func BenchmarkEnvelopeGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkEnvelopeRateB measures the measure stage's production envelope
+// at the paper mask grid: pnbs.EnvelopeInto, 2048 outputs at rate B from a
+// 4x grid, computed as one complex FIR over the two channels (ns/op per
+// envelope, its per-phase and composite table builds included). Its oracle
+// is BenchmarkEnvelopeGrid's grid path, run at 4x, followed by
+// BenchmarkDecimate's decimation.
+func BenchmarkEnvelopeRateB(b *testing.B) {
+	band := pnbs.Band{FLow: 955e6, B: 90e6}
+	d := 180e-12
+	tt := band.T()
+	n := 2200
+	ch0 := make([]float64, n)
+	ch1 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ch0[i] = math.Cos(2 * math.Pi * 1e9 * float64(i) * tt)
+		ch1[i] = math.Cos(2 * math.Pi * 1e9 * (float64(i)*tt + d))
+	}
+	r, err := pnbs.NewReconstructor(band, d, 0, ch0, ch1, pnbs.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, _ := r.ValidRange()
+	out := make([]complex128, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.EnvelopeInto(band.Fc(), lo, band.B, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecimate measures the measure stage's anti-image decimation at
 // the paper mask grid: 8192 oversampled envelope points to 2048 with
 // DecimationLowpass(4), each kept output one 91-tap sum.

@@ -71,29 +71,15 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	// Reconstructed complex envelope on a uniform grid: mix at the
-	// oversampling the carrier needs (4x here), lowpass away the 2fc
-	// image, decimate back to B.
+	// Reconstructed complex envelope at rate B across the valid range:
+	// EnvelopeInto mixes at the oversampling the carrier needs (4x here),
+	// lowpasses away the 2fc image and decimates back to B.
 	lo, hi := rec.ValidRange()
 	fs := band.B
-	over, ok := dsp.EnvelopeOversampling(fc, fs)
-	if !ok {
-		return fmt.Errorf("no oversampling factor separates the 2fc image (fc %g, B %g)", fc, fs)
-	}
-	fsHi := fs * float64(over)
-	mHi := int((hi - lo) * fs * float64(over))
-	raw := make([]complex128, mHi)
-	for i := range raw {
-		tv := lo + float64(i)/fsHi
-		v := rec.At(tv)
-		s, c := math.Sincos(2 * math.Pi * fc * tv)
-		raw[i] = complex(2*v*c, -2*v*s)
-	}
-	lpf, err := dsp.DecimationLowpass(over)
-	if err != nil {
+	env := make([]complex128, int((hi-lo)*fs))
+	if err := rec.EnvelopeInto(fc, lo, fs, env); err != nil {
 		return err
 	}
-	env := lpf.Decimate(raw, over)
 	// Spectrogram and hop track.
 	sg, err := dsp.STFT(env, fs, 128, 32)
 	if err != nil {

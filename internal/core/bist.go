@@ -165,16 +165,15 @@ func (c Config) withDefaults() Config {
 func (c Config) Band() pnbs.Band { return pnbs.Band{FLow: c.Fc - c.B/2, B: c.B} }
 
 // BIST is a configured self-test engine. It is not safe for concurrent
-// use: the measure stage reuses a scratch grid buffer across measurements.
+// use: each acquisition advances the TIADC model's capture counter, which
+// seeds that capture's clock jitter. The measure stage keeps no scratch on
+// the BIST; every envelope grid is allocated by its caller.
 type BIST struct {
 	cfg  Config
 	band pnbs.Band
 	tx   *rf.Transmitter
 	ti   *tiadc.TIADC
 	bb   *modem.ShapedEnvelope
-	// gridBuf is the reusable oversampled-envelope scratch of
-	// envelopeGrid (see there).
-	gridBuf []complex128
 }
 
 // New validates the configuration and assembles the test article and
@@ -358,40 +357,21 @@ func (b *BIST) costEvaluator(setB, setB1 skew.SampleSet) (*skew.CostEvaluator, e
 }
 
 // envelopeGrid reconstructs the complex envelope on a uniform grid at rate
-// fsEnv = B: the bandpass reconstruction is evaluated oversampled, mixed to
-// baseband, lowpass filtered to kill the 2 fc image and decimated. The
-// oversampling factor and the filter come from dsp.EnvelopeOversampling
-// and dsp.DecimationLowpass.
+// fsEnv = B from the start of the reconstruction's valid range: the
+// bandpass reconstruction oversampled, mixed to baseband, lowpass filtered
+// to kill the 2 fc image and decimated, which pnbs.EnvelopeInto computes as
+// one complex FIR over the two capture channels.
 func (b *BIST) envelopeGrid(r *pnbs.Reconstructor, n int) (env []complex128, fsEnv, t0 float64, err error) {
 	fsEnv = b.cfg.B
-	over, ok := dsp.EnvelopeOversampling(b.cfg.Fc, fsEnv)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("core: no oversampling factor separates the 2fc image (fc %g, B %g)",
-			b.cfg.Fc, fsEnv)
-	}
-	fsHi := fsEnv * float64(over)
 	lo, hi := r.ValidRange()
-	need := float64(n*over) / fsHi
-	if hi-lo < need {
+	if hi-lo < float64(n)/fsEnv {
 		return nil, 0, 0, fmt.Errorf("core: capture too short for a %d-point PSD grid", n)
 	}
-	t0 = lo
-	// The oversampled evaluation runs through the reconstructor's fused
-	// per-phase grid tables (the delay is fixed after estimation, so the
-	// per-tap window x kernel factors repeat every `over` grid points);
-	// the scratch buffer is reused across the measure stage's grids (mask
-	// PSD, EVM, IRR all land here) so repeated measurements on one BIST
-	// stay allocation-free on the hot path.
-	if cap(b.gridBuf) < n*over {
-		b.gridBuf = make([]complex128, n*over)
+	env = make([]complex128, n)
+	if err := r.EnvelopeInto(b.cfg.Fc, lo, fsEnv, env); err != nil {
+		return nil, 0, 0, fmt.Errorf("core: %w", err)
 	}
-	raw := b.gridBuf[:n*over]
-	r.EnvelopeGridInto(b.cfg.Fc, t0, fsHi, raw)
-	lp, err := dsp.DecimationLowpass(over)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return lp.Decimate(raw, over), fsEnv, t0, nil
+	return env, fsEnv, lo, nil
 }
 
 // gainKey identifies one deterministic test waveform for the normalisation

@@ -66,26 +66,33 @@ func (f *FIR) Decimate(x []complex128, factor int) []complex128 {
 	if factor < 1 {
 		panic("dsp: Decimate factor must be >= 1")
 	}
-	taps := f.Taps
-	d := (len(taps) - 1) / 2
 	out := make([]complex128, (len(x)+factor-1)/factor)
 	par.ForChunks(len(out), decimateChunk, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			// Taps jLo..jHi meet samples n−jLo down to n−jHi; the
-			// reslice tells the compiler the two windows have one length.
-			n := k*factor + d
-			jLo, jHi := max(0, n-len(x)+1), min(len(taps)-1, n)
-			tp := taps[jLo : jHi+1]
-			xs := x[n-jHi : n-jLo+1]
-			xs = xs[:len(tp)]
-			var re, im float64
-			for j, t := range tp {
-				v := xs[len(xs)-1-j]
-				re += t * real(v)
-				im += t * imag(v)
-			}
-			out[k] = complex(re, im)
+			out[k] = f.DecimateAt(x, 0, len(x), factor, k)
 		}
 	})
 	return out
+}
+
+// DecimateAt returns output k of Decimate(·, factor) over a signal of n
+// samples of which x holds samples x0 .. x0+len(x)−1; x must cover every
+// sample of [0, n) that output k's taps meet. It is Decimate's own sum, so
+// a caller that holds only part of the signal gets Decimate's bits.
+func (f *FIR) DecimateAt(x []complex128, x0, n, factor, k int) complex128 {
+	taps := f.Taps
+	// Taps jLo..jHi meet samples c−jLo down to c−jHi; the reslice tells
+	// the compiler the two windows have one length.
+	c := k*factor + (len(taps)-1)/2
+	jLo, jHi := max(0, c-n+1), min(len(taps)-1, c)
+	tp := taps[jLo : jHi+1]
+	xs := x[c-jHi-x0 : c-jLo+1-x0]
+	xs = xs[:len(tp)]
+	var re, im float64
+	for j, t := range tp {
+		v := xs[len(xs)-1-j]
+		re += t * real(v)
+		im += t * imag(v)
+	}
+	return complex(re, im)
 }

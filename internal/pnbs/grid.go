@@ -27,6 +27,9 @@ import (
 // every instant of a phase has the phase's centre, advanced one sample per
 // period, and each phase tabulates one row of 2h+1 taps. Only instants
 // whose tap span is clamped at the capture edges fall back to At.
+//
+// EnvelopeInto (envelope.go) composes these tables with the mixer and the
+// decimation lowpass; EnvelopeGridInto followed by Decimate is its oracle.
 
 // gridPrep holds the fused per-phase coefficient tables for one (t0, fs)
 // uniform grid at the reconstructor's delay.
@@ -77,34 +80,48 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	return g
 }
 
-// taps returns the first capture index and the fused coefficient rows of
-// grid instant i (t = t0 + i/fs). ok is false when the instant must go
-// through At: its tap span is clamped at the capture edges, or its centre
-// is not its phase's (an instant off the uniform pattern).
-func (g *gridPrep) taps(r *Reconstructor, i int, t float64) (nLo int, a0, a1 []float64, ok bool) {
-	nt := 2*r.opt.HalfTaps + 1
+// regular reports whether grid instant i (t = t0 + i/fs) takes its phase's
+// row: its tap span is not clamped at the capture edges and its centre is
+// its phase's, advanced one sample per period. nLo is then the span's
+// first capture index.
+func (g *gridPrep) regular(r *Reconstructor, i int, t float64) (nLo int, ok bool) {
 	nLo, nHi := r.span(t)
-	p := i % g.over
-	if nLo != g.lo[p]+i/g.over || nHi-nLo+1 != nt {
-		return 0, nil, nil, false
-	}
-	return nLo, g.a0[p*nt:][:nt], g.a1[p*nt:][:nt], true
+	return nLo, nLo == g.lo[i%g.over]+i/g.over && nHi-nLo == 2*r.opt.HalfTaps
 }
 
 // at evaluates grid instant i (t = t0 + i/fs) through the phase tables,
-// falling back to At where taps declines the instant.
+// falling back to At where the instant is not regular.
 func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
-	nLo, a0, a1, ok := g.taps(r, i, t)
+	nLo, ok := g.regular(r, i, t)
 	if !ok {
 		return r.At(t)
 	}
-	ch0 := r.ch0[nLo:][:len(a0)]
-	ch1 := r.ch1[nLo:][:len(a1)]
+	nt := 2*r.opt.HalfTaps + 1
+	p := i % g.over
+	a0 := g.a0[p*nt:][:nt]
+	a1 := g.a1[p*nt:][:nt]
+	ch0 := r.ch0[nLo:][:nt]
+	ch1 := r.ch1[nLo:][:nt]
 	acc := 0.0
 	for j := range a0 {
 		acc += a0[j]*ch0[j] + a1[j]*ch1[j]
 	}
 	return acc
+}
+
+// gridMix is grid instant i of EnvelopeGridInto: the reconstruction at
+// t = t0 + i/fs, from the phase tables when g is not nil and from At
+// otherwise, mixed down around fc.
+func (r *Reconstructor) gridMix(g *gridPrep, fc, t0, fs float64, i int) complex128 {
+	t := t0 + float64(i)/fs
+	var v float64
+	if g != nil {
+		v = g.at(r, i, t)
+	} else {
+		v = r.At(t)
+	}
+	s, c := math.Sincos(2 * math.Pi * fc * t)
+	return complex(2*v*c, -2*v*s)
 }
 
 // EnvelopeGridInto evaluates the complex envelope around fc on the uniform
@@ -116,20 +133,18 @@ func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
 // otherwise; the instants fan out over the par pool in fixed-size chunks,
 // each instant computed alone, so out is identical at any worker count.
 // Each call builds its own tables — over·(2h+1) coefficient pairs, small
-// next to the grid — so the reconstructor holds no cache.
+// next to the grid — so the reconstructor holds no cache. Followed by
+// dsp.DecimationLowpass(over).Decimate, it is the oracle of EnvelopeInto.
 func (r *Reconstructor) EnvelopeGridInto(fc, t0, fs float64, out []complex128) {
-	g := r.buildGridPrep(t0, fs)
+	r.gridInto(r.buildGridPrep(t0, fs), fc, t0, fs, out)
+}
+
+// gridInto is EnvelopeGridInto over the tables g (nil: every instant
+// through At).
+func (r *Reconstructor) gridInto(g *gridPrep, fc, t0, fs float64, out []complex128) {
 	par.ForChunks(len(out), gridChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t := t0 + float64(i)/fs
-			var v float64
-			if g != nil {
-				v = g.at(r, i, t)
-			} else {
-				v = r.At(t)
-			}
-			s, c := math.Sincos(2 * math.Pi * fc * t)
-			out[i] = complex(2*v*c, -2*v*s)
+			out[i] = r.gridMix(g, fc, t0, fs, i)
 		}
 	})
 }

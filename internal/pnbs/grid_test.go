@@ -191,7 +191,7 @@ func TestGridTablesNeverFallBack(t *testing.T) {
 			fallbacks, ties := 0, 0
 			for i := range got {
 				tv := t0 + float64(i)/fs
-				if _, _, _, ok := g.taps(r, i, tv); !ok {
+				if _, ok := g.regular(r, i, tv); !ok {
 					fallbacks++
 					continue
 				}
