@@ -240,7 +240,7 @@ func (r *Reconstructor) atReference(t float64) float64 {
 // AtTimes evaluates the reconstruction at each instant. The instants are
 // independent, so they fan out over the par worker pool; element i is
 // always At(ts[i]) regardless of the pool size. (The BIST measure stage evaluates
-// on uniform grids through EnvelopeGridInto instead.)
+// its rate-B envelope through EnvelopeInto instead.)
 func (r *Reconstructor) AtTimes(ts []float64) []float64 {
 	out := make([]float64, len(ts))
 	par.For(len(ts), func(i int) {
