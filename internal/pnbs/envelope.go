@@ -130,7 +130,7 @@ func (r *Reconstructor) EnvelopeInto(fc, t0, fsEnv float64, out []complex128) er
 	g := r.buildGridPrep(t0, fs)
 	if g == nil || g.over != over {
 		raw := make([]complex128, nGrid)
-		r.gridInto(g, fc, t0, fs, raw)
+		r.EnvelopeGridInto(fc, t0, fs, raw)
 		copy(out, lp.Decimate(raw, over))
 		return nil
 	}

@@ -136,12 +136,7 @@ func (r *Reconstructor) gridMix(g *gridPrep, fc, t0, fs float64, i int) complex1
 // next to the grid — so the reconstructor holds no cache. Followed by
 // dsp.DecimationLowpass(over).Decimate, it is the oracle of EnvelopeInto.
 func (r *Reconstructor) EnvelopeGridInto(fc, t0, fs float64, out []complex128) {
-	r.gridInto(r.buildGridPrep(t0, fs), fc, t0, fs, out)
-}
-
-// gridInto is EnvelopeGridInto over the tables g (nil: every instant
-// through At).
-func (r *Reconstructor) gridInto(g *gridPrep, fc, t0, fs float64, out []complex128) {
+	g := r.buildGridPrep(t0, fs)
 	par.ForChunks(len(out), gridChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = r.gridMix(g, fc, t0, fs, i)
