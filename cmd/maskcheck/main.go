@@ -128,6 +128,8 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	cfg := core.PaperScenario()
+	// The report (text or -json) carries the simulator's reference values.
+	cfg.GroundTruth = true
 	var fc fileConfig
 	if *path != "" {
 		data, err := os.ReadFile(*path)

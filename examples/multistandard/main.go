@@ -28,6 +28,7 @@ func run(w io.Writer) error {
 		cfg.NTimes = 400
 		cfg.PSDLen = 768
 		cfg.SegLen = 256
+		cfg.GroundTruth = true // prints the reconstruction error
 
 		b, err := core.New(cfg)
 		if err != nil {

@@ -28,6 +28,7 @@ func run(w io.Writer) error {
 	base.NTimes = 150
 	base.PSDLen = 1024
 	base.SegLen = 256
+	base.GroundTruth = true // the summaries print the reconstruction error
 
 	runUnit := func(label string, mutate func(*core.Config)) error {
 		cfg := base

@@ -26,7 +26,9 @@ func fastPaper() core.Config {
 
 func TestFullPipelineDeterministic(t *testing.T) {
 	run := func() *core.Report {
-		b, err := core.New(fastPaper())
+		c := fastPaper()
+		c.GroundTruth = true
+		b, err := core.New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,6 +41,9 @@ func TestFullPipelineDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.DHat != b.DHat {
 		t.Errorf("DHat not reproducible: %v vs %v", a.DHat, b.DHat)
+	}
+	if a.ReconRelErr <= 0 {
+		t.Errorf("reconstruction error %g not computed with GroundTruth set", a.ReconRelErr)
 	}
 	if a.ReconRelErr != b.ReconRelErr {
 		t.Errorf("reconstruction error not reproducible")

@@ -103,6 +103,15 @@ type Config struct {
 	MaxEVMPercent float64
 	// ADCCheck enables the converter instrument pre-check.
 	ADCCheck bool
+
+	// --- Simulation-only ground truth --------------------------------------
+	// GroundTruth also measures what only a simulator can, from the true
+	// waveform rather than the captures: Report.ReconRelErr (the paper's
+	// Delta-epsilon at the cost instants) and, with a Mask, Report.RefMask
+	// (the mask check on the un-quantised Tx envelope). Both run in their
+	// own "core.stage.truth" stage after the instrument stages and read no
+	// capture, so they never move an estimate, a margin or a verdict.
+	GroundTruth bool
 }
 
 // Fixed test parameters. The thresholds are floats so the failure strings

@@ -53,7 +53,9 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestHealthyUnitPasses(t *testing.T) {
-	b, err := New(fastScenario())
+	c := fastScenario()
+	c.GroundTruth = true
+	b, err := New(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +76,14 @@ func TestHealthyUnitPasses(t *testing.T) {
 	}
 	// Reconstruction error ~ the paper's 0.84 % regime (jitter + 10-bit
 	// quantization floor). Allow a generous envelope.
-	if rep.ReconRelErr > 0.05 {
-		t.Errorf("reconstruction error %.3g", rep.ReconRelErr)
+	if rep.ReconRelErr <= 0 || rep.ReconRelErr > 0.05 {
+		t.Errorf("reconstruction error %.3g, want in (0, 0.05]", rep.ReconRelErr)
 	}
 	if rep.Mask == nil || !rep.Mask.Pass {
 		t.Error("mask check missing or failed")
 	}
-	if rep.RefMask != nil && !rep.RefMask.Pass {
-		t.Error("reference mask must pass for a healthy unit")
+	if rep.RefMask == nil || !rep.RefMask.Pass {
+		t.Error("reference mask missing or failed for a healthy unit")
 	}
 	if rep.LMS.Iterations >= 30 {
 		t.Errorf("LMS took %d iterations", rep.LMS.Iterations)
@@ -124,6 +126,7 @@ func TestDCDEBiasIsAbsorbed(t *testing.T) {
 
 func TestPACompressionFaultDetected(t *testing.T) {
 	c := fastScenario()
+	c.GroundTruth = true
 	f, _ := FaultByName("pa-compression")
 	f.Apply(&c)
 	b, err := New(c)
@@ -141,7 +144,10 @@ func TestPACompressionFaultDetected(t *testing.T) {
 		t.Error("mask should catch spectral regrowth")
 	}
 	// The BIST verdict must agree with the golden reference instrument.
-	if rep.RefMask != nil && rep.RefMask.Pass {
+	if rep.RefMask == nil {
+		t.Fatal("reference mask missing with GroundTruth set")
+	}
+	if rep.RefMask.Pass {
 		t.Error("reference instrument disagrees: fault should be real")
 	}
 }
@@ -308,25 +314,32 @@ func TestComputeBudgetAccounted(t *testing.T) {
 		{"paper", fastScenario(), 4},
 		{"8PSK", psk8, 6},
 	} {
-		b, err := New(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := b.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Compute.CostEvals <= 0 || rep.Compute.PSDSamples != b.cfg.PSDLen {
-			t.Fatalf("%s: compute budget incomplete: %+v", tc.name, rep.Compute)
-		}
-		const taps = 2 * 61
-		nt := int64(b.cfg.NTimes)
-		want := int64(rep.Compute.CostEvals)*nt*2*taps + int64(b.cfg.PSDLen)*tc.over*taps + nt*taps
-		if rep.Compute.KernelEvals != want {
-			t.Errorf("%s: kernel evals %d, want %d", tc.name, rep.Compute.KernelEvals, want)
-		}
-		if !strings.Contains(rep.Summary(), "compute:") {
-			t.Errorf("%s: summary missing compute line", tc.name)
+		for _, truth := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.GroundTruth = truth
+			b, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := b.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Compute.CostEvals <= 0 || rep.Compute.PSDSamples != b.cfg.PSDLen {
+				t.Fatalf("%s truth=%v: compute budget incomplete: %+v", tc.name, truth, rep.Compute)
+			}
+			const taps = 2 * 61
+			nt := int64(b.cfg.NTimes)
+			want := int64(rep.Compute.CostEvals)*nt*2*taps + int64(b.cfg.PSDLen)*tc.over*taps
+			if truth {
+				want += nt * taps // the fidelity check at the cost instants
+			}
+			if rep.Compute.KernelEvals != want {
+				t.Errorf("%s truth=%v: kernel evals %d, want %d", tc.name, truth, rep.Compute.KernelEvals, want)
+			}
+			if !strings.Contains(rep.Summary(), "compute:") {
+				t.Errorf("%s truth=%v: summary missing compute line", tc.name, truth)
+			}
 		}
 	}
 }

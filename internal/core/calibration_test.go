@@ -4,6 +4,7 @@ import "testing"
 
 func TestChannelMismatchAbsorbedByCalibration(t *testing.T) {
 	c := fastScenario()
+	c.GroundTruth = true
 	f, err := FaultByName("channel-mismatch")
 	if err != nil {
 		t.Fatal(err)
@@ -20,8 +21,8 @@ func TestChannelMismatchAbsorbedByCalibration(t *testing.T) {
 	if !rep.Pass {
 		t.Fatalf("calibrated channel mismatch caused a false alarm:\n%s", rep.Summary())
 	}
-	if rep.ReconRelErr > 0.05 {
-		t.Errorf("reconstruction error %.3g with calibration", rep.ReconRelErr)
+	if rep.ReconRelErr <= 0 || rep.ReconRelErr > 0.05 {
+		t.Errorf("reconstruction error %.3g with calibration, want in (0, 0.05]", rep.ReconRelErr)
 	}
 }
 
@@ -34,6 +35,7 @@ func TestChannelMismatchHurtsWithoutCalibration(t *testing.T) {
 		f, _ := FaultByName("channel-mismatch")
 		f.Apply(&c)
 		c.CalibrateMismatch = calibrate
+		c.GroundTruth = true
 		b, err := New(c)
 		if err != nil {
 			t.Fatal(err)
@@ -41,6 +43,9 @@ func TestChannelMismatchHurtsWithoutCalibration(t *testing.T) {
 		rep, err := b.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.ReconRelErr <= 0 {
+			t.Fatalf("calibrate=%v: reconstruction error %g not computed", calibrate, rep.ReconRelErr)
 		}
 		return rep.ReconRelErr
 	}

@@ -79,7 +79,8 @@ func curatedMetrics(s *obs.Snapshot) map[string]int64 {
 	} {
 		out[name] = s.Counters[name]
 	}
-	for _, stage := range []string{"acquire", "estimate", "reconstruct", "measure", "total"} {
+	// The truth stage pins at 0: a default run computes no ground truth.
+	for _, stage := range []string{"acquire", "estimate", "reconstruct", "measure", "truth", "total"} {
 		name := "core.stage." + stage + ".seconds"
 		out[name+".count"] = s.Histograms[name].Count
 	}

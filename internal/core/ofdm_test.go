@@ -24,6 +24,7 @@ func TestOFDMThroughFullBIST(t *testing.T) {
 	// Scale to respect the ADC full scale: OFDM PAPR is ~10 dB.
 	c.Baseband = sig.ScaleEnv(ofdm, 0.5)
 	c.Mask = mask.WidebandMulticarrier10M()
+	c.GroundTruth = true
 	b, err := New(c)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +39,8 @@ func TestOFDMThroughFullBIST(t *testing.T) {
 	if rep.SkewErrPS() > 3 {
 		t.Errorf("skew error %.3f ps on OFDM", rep.SkewErrPS())
 	}
-	if rep.ReconRelErr > 0.06 {
-		t.Errorf("reconstruction error %.3g on OFDM", rep.ReconRelErr)
+	if rep.ReconRelErr <= 0 || rep.ReconRelErr > 0.06 {
+		t.Errorf("reconstruction error %.3g on OFDM, want in (0, 0.06]", rep.ReconRelErr)
 	}
 }
 

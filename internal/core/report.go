@@ -25,6 +25,7 @@ var (
 	hStageEstim   = obs.H("core.stage.estimate.seconds", obs.LatencyBuckets)
 	hStageRecon   = obs.H("core.stage.reconstruct.seconds", obs.LatencyBuckets)
 	hStageMeasure = obs.H("core.stage.measure.seconds", obs.LatencyBuckets)
+	hStageTruth   = obs.H("core.stage.truth.seconds", obs.LatencyBuckets)
 	hRunTotal     = obs.H("core.stage.total.seconds", obs.LatencyBuckets)
 )
 
@@ -38,6 +39,7 @@ var (
 	tnEstimate    = trace.Intern("core.stage.estimate")
 	tnReconstruct = trace.Intern("core.stage.reconstruct")
 	tnMeasure     = trace.Intern("core.stage.measure")
+	tnTruth       = trace.Intern("core.stage.truth")
 	tnADCCheck    = trace.Intern("core.stage.adccheck")
 )
 
@@ -92,6 +94,7 @@ type Report struct {
 
 	// Reconstruction fidelity against the true waveform at the evaluation
 	// instants (simulation-only ground truth, the paper's Delta-epsilon).
+	// Zero unless Config.GroundTruth is set.
 	ReconRelErr float64
 
 	// Spectral measurements through the BIST path.
@@ -102,7 +105,8 @@ type Report struct {
 	OBWHz float64
 
 	// Reference mask check measured directly at the (noiseless) Tx output,
-	// for escape/false-alarm analysis.
+	// for escape/false-alarm analysis. Nil unless Config.GroundTruth is set
+	// and the mask test is enabled.
 	RefMask *mask.Report
 
 	// Modulator health (set when IRRTest is enabled).
@@ -137,7 +141,9 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "  scenario: %s\n", r.Scenario)
 	fmt.Fprintf(&b, "  delay: nominal %.2f ps, actual %.2f ps, estimated %.3f ps (err %.3f ps, %d LMS iters)\n",
 		r.DNominal*1e12, r.DActual*1e12, r.DHat*1e12, r.SkewErrPS(), r.LMS.Iterations)
-	fmt.Fprintf(&b, "  reconstruction error: %.3g %%\n", 100*r.ReconRelErr)
+	if r.ReconRelErr != 0 {
+		fmt.Fprintf(&b, "  reconstruction error: %.3g %%\n", 100*r.ReconRelErr)
+	}
 	if r.Mask != nil {
 		fmt.Fprintf(&b, "  mask %s: %v (worst margin %+.2f dB at %+.2f MHz)\n",
 			r.Mask.MaskName, r.Mask.Pass, r.Mask.WorstMarginDB, r.Mask.WorstOffsetHz/1e6)
@@ -231,34 +237,64 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	// 4. Reconstruct the bandpass waveform with the estimated delay.
 	recon := startStage(run.Ctx(), hStageRecon, tnReconstruct)
 	rec, err := b.Reconstructor(setB, res.DHat)
-	if err == nil {
-		// Ground-truth fidelity at the evaluation instants (cost table).
-		var got []float64
-		if got, err = ce.Reconstruct(res.DHat); err == nil {
-			rep.ReconRelErr = dsp.RelRMSError(got, sig.SampleAt(b.tx.Output(), ce.Times()))
-		}
-	}
 	recon.End()
 	if err != nil {
 		return nil, err
 	}
 
 	meas := startStage(run.Ctx(), hStageMeasure, tnMeasure)
-	defer meas.End()
+	err = b.measure(rep, rec, res.DHat)
+	meas.End()
+	if err != nil {
+		return nil, err
+	}
 
+	// Simulation-only ground truth, after every instrument stage.
+	if c.GroundTruth {
+		truth := startStage(run.Ctx(), hStageTruth, tnTruth)
+		err = b.groundTruth(truth.Ctx(), rep, ce, res.DHat)
+		truth.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: ground truth: %w", err)
+		}
+	}
+
+	// Analytic compute accounting: every reconstruction evaluation touches
+	// 2*(2h+1) kernel terms (both channels across the filter support).
+	taps := int64(2 * (2*halfTaps + 1))
+	rep.Compute.CostEvals = res.CostEvals
+	rep.Compute.KernelEvals = int64(res.CostEvals) * int64(c.NTimes) * 2 * taps
+	if c.Mask != nil {
+		over, _ := dsp.EnvelopeOversampling(c.Fc, c.B) // envelopeGrid errs when none exists
+		rep.Compute.PSDSamples = c.PSDLen
+		rep.Compute.KernelEvals += int64(c.PSDLen) * int64(over) * taps
+	}
+	if c.GroundTruth {
+		rep.Compute.KernelEvals += int64(len(ce.Times())) * taps // fidelity check
+	}
+
+	rep.Pass = len(rep.Failures) == 0
+	return rep, nil
+}
+
+// measure runs the instrument measurements on the reconstruction: the
+// spectral mask, EVM and IRR sub-tests the configuration enables, each
+// recording its values and any failure reason in rep.
+func (b *BIST) measure(rep *Report, rec *pnbs.Reconstructor, dHat float64) error {
+	c := b.cfg
 	// 5. Spectral measurements.
 	if c.Mask != nil {
 		env, fsEnv, _, err := b.envelopeGrid(rec, c.PSDLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		spec, err := b.measurePSD(env, fsEnv)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mrep, err := mask.Check(c.Mask, spec, c.Fc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.Mask = mrep
 		if obw, _, err := mask.OccupiedBandwidth(spec, 0.99); err == nil {
@@ -269,13 +305,6 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 		}
 		if v, err := mask.ACPR(spec, c.Fc, c.Mask.ChannelBW, c.Mask.ChannelBW*1.25); err == nil {
 			rep.ACPRHighDB = v
-		}
-		// Reference: the same measurement directly on the Tx envelope.
-		refSpec, err := b.referencePSD(meas.Ctx())
-		if err == nil {
-			if refRep, err := mask.Check(c.Mask, refSpec, c.Fc); err == nil {
-				rep.RefMask = refRep
-			}
 		}
 		if !mrep.Pass {
 			rep.Failures = append(rep.Failures,
@@ -292,7 +321,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	if c.EVMTest {
 		evm, err := b.RunEVMTest(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.EVMTested = true
 		rep.EVM = evm
@@ -304,9 +333,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 
 	// 7. Modulator health via the SSB tone test.
 	if c.IRRTest {
-		irr, leak, err := b.RunIRRTest(res.DHat)
+		irr, leak, err := b.RunIRRTest(dHat)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.IRRTested = true
 		rep.IRRMeasuredDB = irr
@@ -320,21 +349,28 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 				fmt.Sprintf("LO leakage %.1f dBc above limit %.1f dBc", leak, maxLOLeakDBc))
 		}
 	}
+	return nil
+}
 
-	// Analytic compute accounting: every reconstruction evaluation touches
-	// 2*(2h+1) kernel terms (both channels across the filter support).
-	taps := int64(2 * (2*halfTaps + 1))
-	rep.Compute.CostEvals = res.CostEvals
-	rep.Compute.KernelEvals = int64(res.CostEvals) * int64(c.NTimes) * 2 * taps
-	if c.Mask != nil {
-		over, _ := dsp.EnvelopeOversampling(c.Fc, c.B) // envelopeGrid errs when none exists
-		rep.Compute.PSDSamples = c.PSDLen
-		rep.Compute.KernelEvals += int64(c.PSDLen) * int64(over) * taps
+// groundTruth computes the simulation-only reference values from the true
+// waveform: the reconstruction's relative error at the cost instants
+// (Delta-epsilon) and, with a mask, the mask check on the Tx envelope.
+func (b *BIST) groundTruth(tc trace.Ctx, rep *Report, ce *skew.CostEvaluator, dHat float64) error {
+	c := b.cfg
+	got, err := ce.Reconstruct(dHat)
+	if err != nil {
+		return err
 	}
-	rep.Compute.KernelEvals += int64(len(ce.Times())) * taps // fidelity check
-
-	rep.Pass = len(rep.Failures) == 0
-	return rep, nil
+	rep.ReconRelErr = dsp.RelRMSError(got, sig.SampleAt(b.tx.Output(), ce.Times()))
+	if c.Mask == nil {
+		return nil
+	}
+	refSpec, err := b.referencePSD(tc)
+	if err != nil {
+		return err
+	}
+	rep.RefMask, err = mask.Check(c.Mask, refSpec, c.Fc)
+	return err
 }
 
 // Reconstructor builds the rate-B reconstructor for an acquired set and a
@@ -343,9 +379,14 @@ func (b *BIST) Reconstructor(setB skew.SampleSet, dHat float64) (*pnbs.Reconstru
 	return pnbs.NewReconstructor(setB.Band, dHat, setB.T0, setB.Ch0, setB.Ch1, b.opt())
 }
 
+// refChunk is referencePSD's fan-out grain: an envelope instant costs
+// well under a microsecond, less than a per-item pool claim.
+const refChunk = 64
+
 // referencePSD measures the Welch PSD of the true Tx envelope on a uniform
 // grid (the "golden" instrument the BIST replaces). Envelope evaluations
-// are independent per instant, so they fan out over the par pool; each
+// are independent per instant, so they fan out over the par pool in fixed
+// chunks of refChunk instants (one par.task span each when traced); each
 // grid point's value depends only on its own instant, keeping the result
 // identical at any worker count.
 func (b *BIST) referencePSD(tc trace.Ctx) (*dsp.Spectrum, error) {
@@ -353,8 +394,10 @@ func (b *BIST) referencePSD(tc trace.Ctx) (*dsp.Spectrum, error) {
 	env := b.tx.OutputEnvelope()
 	n := c.PSDLen
 	xs := make([]complex128, n)
-	par.ForCtx(tc, n, func(i int) {
-		xs[i] = env.At(c.CaptureStart + float64(i)/c.B)
+	par.ForCtx(tc, n, refChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] = env.At(c.CaptureStart + float64(i)/c.B)
+		}
 	})
 	return dsp.WelchComplex(xs, c.B, c.Fc, dsp.DefaultWelch(c.SegLen))
 }

@@ -79,7 +79,7 @@ func TestSummaryMinimal(t *testing.T) {
 	if !strings.Contains(s, "BIST PASS") {
 		t.Errorf("expected PASS in:\n%s", s)
 	}
-	for _, banned := range []string{"mask", "IRR", "EVM", "ADC pre-check", "compute:", "failure:"} {
+	for _, banned := range []string{"reconstruction error", "mask", "IRR", "EVM", "ADC pre-check", "compute:", "failure:"} {
 		if strings.Contains(s, banned) {
 			t.Errorf("minimal summary must not contain %q:\n%s", banned, s)
 		}

@@ -47,6 +47,7 @@ func RunFlex(scale float64) (*FlexResult, error) {
 		// carriers are more sensitive (Eq. 4), so never go below the
 		// paper's N = 300 here.
 		cfg.NTimes = 300
+		cfg.GroundTruth = true // the row reports Delta-epsilon
 		b, err := core.New(cfg)
 		if err != nil {
 			return nil, err

@@ -36,6 +36,7 @@ func RunMaskBIST(scale float64) (*MaskBISTResult, error) {
 	res := &MaskBISTResult{}
 	run := func(unit string, shouldFail bool, mutate func(*core.Config)) error {
 		cfg := core.ScaleAcquisition(core.PaperScenario(), scale)
+		cfg.GroundTruth = true // each row carries RefMask and Delta-epsilon
 		if mutate != nil {
 			mutate(&cfg)
 		}

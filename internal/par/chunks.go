@@ -1,5 +1,8 @@
 package par
 
+// defaultChunk is the chunk ForChunks and ForCtx use for chunk <= 0.
+const defaultChunk = 256
+
 // ForChunks calls fn(lo, hi) for consecutive FIXED-SIZE chunks of [0, n):
 // [0,chunk), [chunk,2·chunk), ..., distributed over at most Workers()
 // goroutines by work-stealing. The chunk boundaries are a pure function of
@@ -16,7 +19,7 @@ package par
 // is re-raised in the caller after the remaining workers drain.
 func ForChunks(n, chunk int, fn func(lo, hi int)) {
 	if chunk <= 0 {
-		chunk = 256
+		chunk = defaultChunk
 	}
 	nc := (n + chunk - 1) / chunk
 	w := account(n, nc)

@@ -108,6 +108,14 @@ func SetWorkers(n int) int {
 // goroutines and returns when all calls complete. With one worker (or one
 // item) it runs inline with no goroutine overhead. A panic in any fn is
 // re-raised in the caller after the remaining workers drain.
+//
+// Grain rule: For claims each item with its own atomic add, so it pays
+// only when an item costs well above the claim (several µs: a cost
+// evaluation, a Welch segment, a BIST unit). For sub-µs items (one
+// envelope or reconstruction instant) the contended claim costs more than
+// the second worker saves, and a per-item fan-out can run slower than a
+// serial loop; dispatch those through ForChunks with a chunk of tens of
+// items instead.
 func For(n int, fn func(i int)) {
 	w := account(n, n)
 	if w <= 1 {
@@ -203,50 +211,56 @@ var (
 	tnTask   = trace.Intern("par.task")
 )
 
-// ForCtx is For with trace attribution: while a recording is active each
-// pool slot runs under a "par.worker" span on its own display row and each
-// item under a "par.task" child span carrying its index. With tracing
-// disabled it is exactly For — same pool, same counters, no added
-// allocations — so hot paths can adopt it without a benchmark penalty.
+// ForCtx is ForChunks with trace attribution: while a recording is active
+// each pool slot runs under a "par.worker" span on its own display row and
+// each chunk under a "par.task" child span carrying its first index, so a
+// chunked fan-out opens one span per chunk, never one per item. chunk 1
+// traces every item. With tracing disabled it is exactly ForChunks — same
+// pool, same counters, no added allocations — so hot paths can adopt it
+// without a benchmark penalty.
 //
 // Task-to-worker assignment is scheduling-dependent, which is why par.*
 // spans are excluded from the normalized (golden-pinned) trace form and
 // exist only for the timeline view.
-func ForCtx(tc trace.Ctx, n int, fn func(i int)) {
+func ForCtx(tc trace.Ctx, n, chunk int, fn func(lo, hi int)) {
 	if !trace.Enabled() {
-		For(n, fn)
+		ForChunks(n, chunk, fn)
 		return
 	}
-	forTraced(tc, n, func(_ trace.Ctx, i int) { fn(i) })
+	forTraced(tc, n, chunk, func(_ trace.Ctx, lo, hi int) { fn(lo, hi) })
 }
 
-// forTraced is For with span instrumentation; fn receives the "par.task"
-// span's context so callees can nest their own spans on the worker's
-// display row. It is a separate entry (rather than a hook inside For) so
-// the untraced path keeps its exact allocation profile.
-func forTraced(tc trace.Ctx, n int, fn func(taskCtx trace.Ctx, i int)) {
-	runTask := func(wc trace.Ctx, i int) {
-		sp := trace.Start(wc, tnTask)
-		sp.SetInt("i", int64(i))
-		defer sp.End()
-		fn(sp.Ctx(), i)
+// forTraced is ForChunks with span instrumentation; fn receives the
+// "par.task" span's context so callees can nest their own spans on the
+// worker's display row. It is a separate entry (rather than a hook inside
+// ForChunks) so the untraced path keeps its exact allocation profile.
+func forTraced(tc trace.Ctx, n, chunk int, fn func(taskCtx trace.Ctx, lo, hi int)) {
+	if chunk <= 0 {
+		chunk = defaultChunk
 	}
-	w := account(n, n)
+	runTask := func(wc trace.Ctx, lo int) {
+		sp := trace.Start(wc, tnTask)
+		sp.SetInt("i", int64(lo))
+		defer sp.End()
+		fn(sp.Ctx(), lo, min(lo+chunk, n))
+	}
+	nc := (n + chunk - 1) / chunk
+	w := account(n, nc)
 	if w <= 1 {
 		ws := trace.StartOnTrack("par.worker.00", tc, tnWorker)
 		wc := ws.Ctx()
-		for i := 0; i < n; i++ {
-			runTask(wc, i)
+		for lo := 0; lo < n; lo += chunk {
+			runTask(wc, lo)
 		}
 		ws.End()
 		return
 	}
-	run(n, w, func(slot int, p *pool) {
+	run(nc, w, func(slot int, p *pool) {
 		ws := trace.StartOnTrack(fmt.Sprintf("par.worker.%02d", slot), tc, tnWorker)
 		defer ws.End()
 		wc := ws.Ctx()
-		for i, ok := p.claim(); ok; i, ok = p.claim() {
-			runTask(wc, i)
+		for ci, ok := p.claim(); ok; ci, ok = p.claim() {
+			runTask(wc, ci*chunk)
 		}
 	})
 }
@@ -260,7 +274,7 @@ func MapErrCtx[T any](tc trace.Ctx, n int, fn func(taskCtx trace.Ctx, i int) (T,
 	if !trace.Enabled() {
 		For(n, func(i int) { out[i], errs[i] = fn(trace.Root, i) })
 	} else {
-		forTraced(tc, n, func(taskCtx trace.Ctx, i int) { out[i], errs[i] = fn(taskCtx, i) })
+		forTraced(tc, n, 1, func(taskCtx trace.Ctx, i, _ int) { out[i], errs[i] = fn(taskCtx, i) })
 	}
 	for _, err := range errs {
 		if err != nil {

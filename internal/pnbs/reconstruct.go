@@ -237,14 +237,21 @@ func (r *Reconstructor) atReference(t float64) float64 {
 	return acc
 }
 
+// atTimesChunk is AtTimes' fan-out grain: one At costs 1–2 µs, so a chunk
+// of 16 instants amortises the pool's per-claim cost.
+const atTimesChunk = 16
+
 // AtTimes evaluates the reconstruction at each instant. The instants are
-// independent, so they fan out over the par worker pool; element i is
-// always At(ts[i]) regardless of the pool size. (The BIST measure stage evaluates
-// its rate-B envelope through EnvelopeInto instead.)
+// independent, so they fan out over the par worker pool in fixed chunks of
+// atTimesChunk; element i is always At(ts[i]) regardless of the pool size.
+// (The BIST measure stage evaluates its rate-B envelope through
+// EnvelopeInto instead.)
 func (r *Reconstructor) AtTimes(ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	par.For(len(ts), func(i int) {
-		out[i] = r.At(ts[i])
+	par.ForChunks(len(ts), atTimesChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = r.At(ts[i])
+		}
 	})
 	return out
 }

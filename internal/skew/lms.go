@@ -217,8 +217,9 @@ var tnCostCurve = trace.Intern("skew.costcurve")
 
 // CostCurve samples the cost function over nPts delays spanning [dLo, dHi]
 // (Fig. 5 data) inside a "skew.costcurve" span under tc. The sweep points
-// are independent and fan out through par.ForCtx, so a capture shows the
-// per-point evaluations on worker rows. Errors at individual points (e.g. kernel instability) are recorded
+// are independent and each costs a full evaluation, so they fan out through
+// par.ForCtx one point per chunk, and a capture shows the per-point
+// evaluations on worker rows. Errors at individual points (e.g. kernel instability) are recorded
 // as NaN. nPts <= 0 returns empty slices; nPts == 1 samples the interval
 // midpoint (the float64(nPts-1) grid denominator would otherwise divide by
 // zero and return a NaN delay).
@@ -239,7 +240,7 @@ func CostCurve(tc trace.Ctx, ce *CostEvaluator, dLo, dHi float64, nPts int) (ds,
 	}
 	ds = make([]float64, nPts)
 	costs = make([]float64, nPts)
-	par.ForCtx(sp.Ctx(), nPts, func(i int) {
+	par.ForCtx(sp.Ctx(), nPts, 1, func(i, _ int) {
 		d := dLo + (dHi-dLo)*float64(i)/float64(nPts-1)
 		ds[i] = d
 		v, err := ce.Cost(d)
