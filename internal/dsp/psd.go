@@ -38,7 +38,12 @@ func (s *Spectrum) PowerInBand(f1, f2 float64) float64 {
 	if f1 > f2 {
 		f1, f2 = f2, f1
 	}
-	lo, hi := s.binRange(f1, f2)
+	return s.PowerInBins(s.binRange(f1, f2))
+}
+
+// PowerInBins integrates the PSD over the bins [lo, hi), summed in index
+// order: PowerInBand's sum for a bin range the caller already located.
+func (s *Spectrum) PowerInBins(lo, hi int) float64 {
 	p := 0.0
 	for i := lo; i < hi; i++ {
 		p += s.PSD[i] * s.BinWidth

@@ -57,21 +57,49 @@ func (m *Mask) Validate() error {
 	return nil
 }
 
-// LimitAt returns the mask limit (dBc) at the absolute offset |f - fc|.
-// Offsets before the first breakpoint return the first limit.
-func (m *Mask) LimitAt(offset float64) float64 {
-	offset = math.Abs(offset)
+// limitFrom returns the mask limit (dBc) at the offset |f - fc|: the first
+// limit up to the first breakpoint, the linear interpolation between
+// breakpoints, the last limit beyond the last. It scans the breakpoints
+// from index k, which must not lie past the first breakpoint at or beyond
+// offset (0 always qualifies), and also returns that breakpoint's index
+// (len(Points) when none), so a walk over increasing offsets resumes where
+// the last call stopped.
+func (m *Mask) limitFrom(k int, offset float64) (limit float64, next int) {
 	pts := m.Points
-	if offset <= pts[0].OffsetHz {
-		return pts[0].LimitDBc
+	for k < len(pts) && !(offset <= pts[k].OffsetHz) {
+		k++
 	}
-	for i := 1; i < len(pts); i++ {
-		if offset <= pts[i].OffsetHz {
-			w := (offset - pts[i-1].OffsetHz) / (pts[i].OffsetHz - pts[i-1].OffsetHz)
-			return pts[i-1].LimitDBc + w*(pts[i].LimitDBc-pts[i-1].LimitDBc)
-		}
+	switch k {
+	case 0:
+		return pts[0].LimitDBc, k
+	case len(pts):
+		return pts[len(pts)-1].LimitDBc, k
 	}
-	return pts[len(pts)-1].LimitDBc
+	w := (offset - pts[k-1].OffsetHz) / (pts[k].OffsetHz - pts[k-1].OffsetHz)
+	return pts[k-1].LimitDBc + w*(pts[k].LimitDBc-pts[k-1].LimitDBc), k
+}
+
+// binCursor holds the bin range [lo, hi) of bins whose centre lies in a
+// window [f1, f2] (the range Spectrum.PowerInBand integrates). seek steps
+// both bounds from where the previous window left them, so a window that
+// walks along the frequency axis costs amortised O(1) per step instead of
+// two binary searches; from any start it lands on the same bounds.
+type binCursor struct{ lo, hi int }
+
+func (c *binCursor) seek(freqs []float64, f1, f2 float64) (lo, hi int) {
+	for c.lo > 0 && freqs[c.lo-1] >= f1 {
+		c.lo--
+	}
+	for c.lo < len(freqs) && freqs[c.lo] < f1 {
+		c.lo++
+	}
+	for c.hi > 0 && freqs[c.hi-1] > f2 {
+		c.hi--
+	}
+	for c.hi < len(freqs) && freqs[c.hi] <= f2 {
+		c.hi++
+	}
+	return c.lo, c.hi
 }
 
 // MaxOffset returns the largest breakpoint offset (the mask evaluation
@@ -161,15 +189,22 @@ func Check(m *Mask, spec *dsp.Spectrum, fc float64) (*Report, error) {
 	rep.Offsets = make([]float64, 0, kept)
 	rep.LevelsDBc = make([]float64, 0, kept)
 	rep.LimitsDBc = make([]float64, 0, kept)
+	// On each side the window moves away from the carrier as off grows, so
+	// its bins and its mask segment move one way only: a bin cursor and a
+	// breakpoint index replace a binary search per bound and a breakpoint
+	// scan per offset, with the same bins summed in the same order.
+	var bins binCursor
 	for side := -1; side <= 1; side += 2 {
+		seg := 0
 		for off := start; off <= m.MaxOffset(); off += step {
 			f := fc + float64(side)*off
 			if outside(f) {
 				continue
 			}
-			p := spec.PowerInBand(f-window/2, f+window/2) * (m.RefBW / window)
+			p := spec.PowerInBins(bins.seek(spec.Freqs, f-window/2, f+window/2)) * (m.RefBW / window)
 			level := dsp.PowerDB(p / chanPow)
-			limit := m.LimitAt(off)
+			var limit float64
+			limit, seg = m.limitFrom(seg, off)
 			margin := limit - level
 			rep.Offsets = append(rep.Offsets, float64(side)*off)
 			rep.LevelsDBc = append(rep.LevelsDBc, level)

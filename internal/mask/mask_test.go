@@ -55,19 +55,19 @@ func TestMaskValidate(t *testing.T) {
 func TestLimitAtInterpolation(t *testing.T) {
 	m := &Mask{Name: "t", ChannelBW: 1e6, RefBW: 1e4,
 		Points: []Point{{1e6, -20}, {2e6, -40}, {4e6, -40}}}
-	if v := m.LimitAt(0.5e6); v != -20 {
+	if v := limitAt(m, 0.5e6); v != -20 {
 		t.Errorf("before first point: %g", v)
 	}
-	if v := m.LimitAt(1.5e6); math.Abs(v-(-30)) > 1e-12 {
+	if v := limitAt(m, 1.5e6); math.Abs(v-(-30)) > 1e-12 {
 		t.Errorf("midpoint: %g, want -30", v)
 	}
-	if v := m.LimitAt(3e6); v != -40 {
+	if v := limitAt(m, 3e6); v != -40 {
 		t.Errorf("flat segment: %g", v)
 	}
-	if v := m.LimitAt(9e6); v != -40 {
+	if v := limitAt(m, 9e6); v != -40 {
 		t.Errorf("beyond last point: %g", v)
 	}
-	if v := m.LimitAt(-1.5e6); math.Abs(v-(-30)) > 1e-12 {
+	if v := limitAt(m, -1.5e6); math.Abs(v-(-30)) > 1e-12 {
 		t.Error("negative offsets must use |offset|")
 	}
 	if m.MaxOffset() != 4e6 {
