@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check reach leafdiff leafdiff-test bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update golden-fresh
+.PHONY: all build test vet race check reach reach-test leafdiff leafdiff-test bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update golden-fresh
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -24,14 +24,22 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: vet + reach + race, plus the leafdiff self-test.
-check: vet reach race leafdiff-test
+# check is the CI gate: vet + reach + race, plus the reach and leafdiff
+# self-tests.
+check: vet reach reach-test race leafdiff-test
 
 # reach fails when a declared function or package-level var is linked by
 # no program (cmd/*, examples/*, perfbench) and is not listed, with its
 # reason, in scripts/reach_allow.txt: dead API cannot regrow unnoticed.
+# A package-level var no code reads counts as unreached even when linked
+# (scripts/varreads.go).
 reach:
 	python3 scripts/reach.py
+
+# reach-test runs scripts/varreads.go's self-test on a generated fixture
+# module (a dead map var, write-only vars, cross-package reads).
+reach-test:
+	$(GO) run scripts/varreads.go -selftest
 
 # leafdiff compares every committed golden with revision REV (default
 # HEAD) leaf by leaf: per file, the moved leaves and the worst relative

@@ -12,10 +12,13 @@ blank (`_`) vars are skipped.
 
 The linker keeps whatever an interface or reflection could reach, so the
 method can only under-report dead code: a symbol it lists is linked by no
-program at all. For vars it under-reports more: a var whose initialiser
-runs code (a call, a map, a closure) is written by its package's init and
-so stays linked even when nothing reads it; only a var with static data
-that nothing references is dropped. Consts and types without methods have
+program at all. For vars the linker under-reports more: a var whose
+initialiser runs code (a call, a map, a closure) is written by its
+package's init and so stays linked even when nothing reads it. So vars get
+a second test: scripts/varreads.go type-checks the module and the
+perfbench module from source and lists every package-level var no code
+reads (its own initialiser and writes to it do not count), and such a var
+is unreachable too, linked or not. Consts and types without methods have
 no symbol of their own, so the gate cannot see them.
 
 A declaration no program reaches must be listed in scripts/reach_allow.txt
@@ -197,6 +200,13 @@ def reached(tmp):
     return seen
 
 
+def unread_vars():
+    """Returns the set of package-level vars scripts/varreads.go finds no
+    code reads."""
+    out = run(["go", "run", os.path.join("scripts", "varreads.go"), ".", "perfbench"])
+    return {line.split("\t", 1)[0] for line in out.splitlines() if line.strip()}
+
+
 def load_allow():
     """Returns ({symbol: line number}, [format problems])."""
     entries, bad = {}, []
@@ -232,6 +242,7 @@ def main():
                     decls.append(("%s.%s" % (imp, sym), os.path.relpath(path, ROOT), line, count))
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         seen = reached(tmp)
+    seen -= unread_vars()
     allow, problems = load_allow()
     used, dead, allowed = set(), [], 0
     for sym, fn, line, count in decls:
