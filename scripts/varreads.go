@@ -153,7 +153,7 @@ func check(fset *token.FileSet, imp types.Importer, lp listed, declared map[varK
 		files = append(files, f)
 	}
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: imp.(types.ImporterFrom)}
+	conf := types.Config{Importer: imp}
 	if _, err := conf.Check(lp.ImportPath, fset, files, info); err != nil {
 		return fmt.Errorf("type-checking %s: %w", lp.ImportPath, err)
 	}
