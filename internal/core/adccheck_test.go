@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 func TestADCCheckHealthyPasses(t *testing.T) {
 	c := fastScenario()
@@ -9,12 +13,19 @@ func TestADCCheckHealthyPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := obs.SetEnabled(true)
+	obs.Reset()
 	rep, err := b.Run()
+	obs.SetEnabled(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ADCChecked || rep.ADC == nil {
 		t.Fatal("pre-check did not run")
+	}
+	// The pre-check is timed as a stage, like the four instrument stages.
+	if hv := obs.Default().Snapshot().Histograms["core.stage.adccheck.seconds"]; hv.Count != 1 || hv.Sum <= 0 {
+		t.Errorf("core.stage.adccheck.seconds: count %d sum %g", hv.Count, hv.Sum)
 	}
 	if !rep.Pass {
 		t.Fatalf("healthy unit failed the instrument check:\n%s", rep.Summary())

@@ -26,6 +26,7 @@ var (
 	hStageRecon   = obs.H("core.stage.reconstruct.seconds", obs.LatencyBuckets)
 	hStageMeasure = obs.H("core.stage.measure.seconds", obs.LatencyBuckets)
 	hStageTruth   = obs.H("core.stage.truth.seconds", obs.LatencyBuckets)
+	hStageADCChk  = obs.H("core.stage.adccheck.seconds", obs.LatencyBuckets)
 	hRunTotal     = obs.H("core.stage.total.seconds", obs.LatencyBuckets)
 )
 
@@ -193,9 +194,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	}
 	// 0. Instrument pre-check: do not trust a broken converter.
 	if c.ADCCheck {
-		spChk := trace.Start(run.Ctx(), tnADCCheck)
+		adcChk := startStage(run.Ctx(), hStageADCChk, tnADCCheck)
 		chk, err := b.RunADCCheck()
-		spChk.End()
+		adcChk.End()
 		if err != nil {
 			return nil, err
 		}

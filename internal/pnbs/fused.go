@@ -120,29 +120,77 @@ const costTableChunk = 16
 // interval. Algorithm 1's interval is always inside: m <= T/(k+1) <= T/2.
 // The rows are independent per instant, so they are built over the par
 // pool; each row's folds stay serial, so the table is identical at any
-// worker count. The tap span is At's, and one loop over it (seriesFit.row)
-// folds both channels. The angular rates used depend only on the band, so
-// the table does not depend on r's delay.
+// worker count. The tap span is At's. The angular rates used depend only
+// on the band, so the table does not depend on r's delay.
+//
+// A row is built in two passes: the geometry pass (seriesFit.geomSpan,
+// geomTaps), which reads only the capture geometry and the instant, and
+// the fold over the samples (seriesFit.fold). The process-wide geometry
+// cache (geomcache.go) keeps a whole table's geometry once its key has
+// been seen twice, and a later table over the same key runs only the
+// folds. Either way the table is bit-identical to the single-pass oracle
+// seriesFit.rowReference.
 func (r *Reconstructor) CostTable(ts []float64, dLo, dHi float64) (*CostTable, error) {
+	tab, _, err := r.costTable(ts, dLo, dHi, &costGeoms)
+	return tab, err
+}
+
+// geomStackVals sizes the stack buffer of an uncached row's tap values:
+// 61 taps of 7 values (the paper's filter at degree 5) fit.
+const geomStackVals = 512
+
+// costTable is CostTable over the geometry cache c; it also reports how
+// the cache served the table.
+func (r *Reconstructor) costTable(ts []float64, dLo, dHi float64, c *geomCache) (*CostTable, geomUse, error) {
 	if lim := 0.4999 * r.tStep; !(dLo <= dHi) || dLo <= -lim || dHi >= lim {
-		return nil, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.4999 T)", dLo, dHi, lim)
+		return nil, 0, fmt.Errorf("pnbs: cost table delay interval [%g, %g] must lie inside ±%g (0.4999 T)", dLo, dHi, lim)
 	}
 	tab := &CostTable{r: r, rows: make([]fusedRow, len(ts)),
 		dLo: dLo, dHi: dHi, mid: dLo + (dHi-dLo)/2, rad: (dHi - dLo) / 2}
 	deg, err := r.seriesDegree(tab.rad)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	tab.deg = deg
 	fit := r.newSeriesFit(tab)
 	stride := 2 * (deg + 1)
 	tab.ser = make([]float64, len(ts)*stride)
+	key := r.geomKey(ts, tab)
+	geo, use := c.lookup(key, ts, fit.geomBound(len(ts)))
+	if use == geomAdmit {
+		geo = fit.newTableGeom(key, ts)
+	}
+	m := fit.deg + 2
 	par.ForChunks(len(ts), costTableChunk, func(lo, hi int) {
+		var stack [geomStackVals]float64
+		var nearBuf [maxSeriesDeg + 2]nearTerm
+		var g geomRow
 		for i := lo; i < hi; i++ {
-			fit.row(&tab.rows[i], ts[i], tab.ser[i*stride:][:stride])
+			out := tab.ser[i*stride:][:stride]
+			switch use {
+			case geomHit:
+				gr := &geo.rows[i]
+				fit.fold(&tab.rows[i], gr, geo.vals(gr, m), geo.near[i*m:][:gr.nNear], out)
+			case geomAdmit:
+				gr := &geo.rows[i]
+				wx, near := geo.vals(gr, m), geo.near[i*m:][:m]
+				gr.nNear = fit.geomTaps(gr, wx, near)
+				fit.fold(&tab.rows[i], gr, wx, near[:gr.nNear], out)
+			default:
+				fit.geomSpan(&g, ts[i])
+				wx := stack[:]
+				if need := int(g.cnt) * m; need > len(wx) {
+					wx = make([]float64, need)
+				}
+				n := fit.geomTaps(&g, wx, nearBuf[:m])
+				fit.fold(&tab.rows[i], &g, wx, nearBuf[:n], out)
+			}
 		}
 	})
-	return tab, nil
+	if use == geomAdmit {
+		c.admit(geo)
+	}
+	return tab, use, nil
 }
 
 // seriesDegree returns the smallest degree p whose interpolation bound on
@@ -229,18 +277,20 @@ func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
 	return f
 }
 
-// row sets the row of instant t: its tap span, its prompt scalars, and
-// the Chebyshev coefficients of its F0 and F1, written to out (F0's deg+1,
-// then F1's); an out-of-capture instant keeps cnt = 0 (its fused value is
-// 0). A tap's node-independent parts come from its predecessor's: the κ_q
-// trig by the exact sign flip, and (sin, cos)(β_q·dtd) by one rotation,
-// all seeded at the first tap. The prompt term takes sin(β·dtd) from the
-// rotation; the delayed node terms take sin(β·(dtd + D_i)) by angle
-// addition. Either's rounding is relative to |β·dtd|, not to the offset x
-// the sine is divided by, so the few offsets with |x| < T/8 take
-// sin(β·x)/x directly (sincNear). On an integer-positioned band the F0
-// seed is 0, so F0's values stay 0.
-func (f *seriesFit) row(row *fusedRow, t float64, out []float64) {
+// rowReference is the single-pass form of a row, kept as the oracle the
+// two-pass build (geomSpan, geomTaps, fold) is checked against bit for
+// bit: it sets the row of instant t, its tap span, its prompt scalars,
+// and the Chebyshev coefficients of its F0 and F1, written to out (F0's
+// deg+1, then F1's); an out-of-capture instant keeps cnt = 0 (its fused
+// value is 0). A tap's node-independent parts come from its predecessor's:
+// the κ_q trig by the exact sign flip, and (sin, cos)(β_q·dtd) by one
+// rotation, all seeded at the first tap. The prompt term takes
+// sin(β·dtd) from the rotation; the delayed node terms take
+// sin(β·(dtd + D_i)) by angle addition. Either's rounding is relative to
+// |β·dtd|, not to the offset x the sine is divided by, so the few offsets
+// with |x| < T/8 take sin(β·x)/x directly (sincNear). On an
+// integer-positioned band the F0 seed is 0, so F0's values stay 0.
+func (f *seriesFit) rowReference(row *fusedRow, t float64, out []float64) {
 	r := f.r
 	nLo, nHi := r.span(t)
 	if nLo > nHi {
@@ -313,6 +363,13 @@ func (f *seriesFit) row(row *fusedRow, t float64, out []float64) {
 	}
 	row.pc0, row.ps0 = sk0*p0, ck0*p0
 	row.pc1, row.ps1 = sk1*p1, ck1*p1
+	f.coeffs(&vals, out)
+}
+
+// coeffs maps a row's node values of F0 and F1 to their Chebyshev
+// coefficients, written to out (F0's deg+1, then F1's).
+func (f *seriesFit) coeffs(vals *[2][maxSeriesDeg + 1]float64, out []float64) {
+	n := f.deg + 1
 	for q := range vals {
 		v, c := vals[q][:n], out[q*n:][:n]
 		for m := range c {
@@ -323,6 +380,170 @@ func (f *seriesFit) row(row *fusedRow, t float64, out []float64) {
 			c[m] = acc
 		}
 	}
+}
+
+// geomRow is the sample-independent part of one row: its tap span and
+// the trig seeds of its first tap. A row's tap values (w(x)/x per tap,
+// deg+2 of them) and near-offset terms live beside it, in the table
+// geometry or in a build's scratch.
+type geomRow struct {
+	// nLo, cnt and dtdStart are fusedRow's; cnt is 0 for an instant
+	// outside the capture. nNear counts the row's near-offset terms.
+	nLo, cnt, nNear int32
+	// off is the index of the row's first tap value in tableGeom.wx.
+	off      int
+	dtdStart float64
+	// sk, ck are sin, cos of κ_q·dtdStart; sb, cb those of β_q·dtdStart.
+	sk, ck, sb, cb [2]float64
+}
+
+// nearTerm is w·sin(β_q·x)/x for both phase pairs (sincNear) at one tap
+// offset |x| < T/8, which the fold takes as is: node −1 is the prompt
+// offset dtd, node i ≥ 0 the delayed offset dtd + D_i. A row's terms are
+// in (tap, node) order; each node, and the prompt, has at most one, since
+// the taps lie T apart.
+type nearTerm struct {
+	tap, node int32
+	h0, h1    float64
+}
+
+// geomSpan sets g to instant t's tap span (At's) and trig seeds. An
+// instant outside the capture gets the zero row.
+func (f *seriesFit) geomSpan(g *geomRow, t float64) {
+	r := f.r
+	*g = geomRow{}
+	nLo, nHi := r.span(t)
+	if nLo > nHi {
+		return
+	}
+	g.nLo = int32(nLo)
+	g.cnt = int32(nHi - nLo + 1)
+	g.dtdStart = r.t0 + float64(nLo)*r.tStep - t
+	for q := range g.sk {
+		g.sk[q], g.ck[q] = math.Sincos(f.kappa[q] * g.dtdStart)
+		g.sb[q], g.cb[q] = math.Sincos(f.beta[q] * g.dtdStart)
+	}
+}
+
+// geomTaps writes row g's tap values to wx, deg+2 per tap: w(dtd)/dtd for
+// the prompt offset, then w(x)/x at each node's delayed offset
+// x = dtd + D_i, 0 where the taper vanishes. An offset with |x| < T/8
+// goes to near as a nearTerm instead (its wx slot stays 0); geomTaps
+// returns their count. wx needs cnt·(deg+2) values and near deg+2 slots.
+func (f *seriesFit) geomTaps(g *geomRow, wx []float64, near []nearTerm) int32 {
+	r := f.r
+	n := f.deg + 1
+	win, ws, lim := r.win, r.winScale, r.tStep/8
+	dtd := g.dtdStart
+	k := 0
+	for j := range int(g.cnt) {
+		v := wx[j*(n+1):][:n+1]
+		v[0] = 0
+		if w := r.window(dtd); w != 0 {
+			if math.Abs(dtd) >= lim {
+				v[0] = w / dtd
+			} else {
+				near[k] = nearTerm{tap: int32(j), node: -1}
+				near[k].h0, near[k].h1 = f.sincNear(w, dtd)
+				k++
+			}
+		}
+		for i, d := range f.node[:n] {
+			v[1+i] = 0
+			x := dtd + d
+			xs := x * ws
+			y := xs * xs
+			if y >= 1 {
+				continue
+			}
+			w := 1.0
+			if win != nil {
+				w = win.at(y)
+			}
+			if math.Abs(x) >= lim {
+				v[1+i] = w / x
+			} else {
+				near[k] = nearTerm{tap: int32(j), node: int32(i)}
+				near[k].h0, near[k].h1 = f.sincNear(w, x)
+				k++
+			}
+		}
+		dtd += r.tStep
+	}
+	return int32(k)
+}
+
+// fold sets row from its geometry (g, the tap values wx, the near terms)
+// and the samples: its span, its prompt scalars, and the Chebyshev
+// coefficients of its F0 and F1, written to out. It evaluates
+// rowReference's expressions in rowReference's order, so the row is
+// bit-identical to it: an offset rowReference skips (the taper vanishes)
+// has wx = 0 and adds an exact ±0 to a sum that starts at +0 and so is
+// never −0.
+func (f *seriesFit) fold(row *fusedRow, g *geomRow, wx []float64, near []nearTerm, out []float64) {
+	if g.cnt == 0 {
+		return
+	}
+	r := f.r
+	row.nLo, row.cnt, row.dtdStart = g.nLo, g.cnt, g.dtdStart
+	n := f.deg + 1
+	var vals [2][maxSeriesDeg + 1]float64
+	v0, v1 := vals[0][:n], vals[1][:n]
+	sinD0, cosD0 := f.sinD[0][:n], f.cosD[0][:n]
+	sinD1, cosD1 := f.sinD[1][:n], f.cosD[1][:n]
+	var g0 float64 // F0 stays 0 on an integer-positioned band
+	if !r.kern.s0Zero {
+		g0 = -2 * g.sk[0]
+	}
+	g1 := -2 * g.sk[1]
+	e0, e1 := 2.0, 2.0 // the prompt's tap sign, 2·(±1)^j
+	var p0, p1 float64 // S_0 and S_1
+	s0, c0, s1, c1 := g.sb[0], g.cb[0], g.sb[1], g.cb[1]
+	ch0 := r.ch0[g.nLo:][:g.cnt]
+	k := 0
+	for j, c := range r.ch1[g.nLo:][:g.cnt] {
+		v := wx[j*(n+1):][:n+1]
+		nearTap := k < len(near) && int(near[k].tap) == j
+		var h0, h1 float64
+		if nearTap && near[k].node < 0 {
+			h0, h1 = near[k].h0, near[k].h1
+			k++
+		} else {
+			h0, h1 = s0*v[0], s1*v[0]
+		}
+		p0 += e0 * ch0[j] * h0
+		p1 += e1 * ch0[j] * h1
+		gc0, gc1 := g0*c, g1*c
+		if nearTap {
+			for i := range v0 {
+				if k < len(near) && int(near[k].tap) == j && int(near[k].node) == i {
+					h0, h1 = near[k].h0, near[k].h1
+					k++
+				} else {
+					h0 = (s0*cosD0[i] + c0*sinD0[i]) * v[1+i]
+					h1 = (s1*cosD1[i] + c1*sinD1[i]) * v[1+i]
+				}
+				v0[i] += gc0 * h0
+				v1[i] += gc1 * h1
+			}
+		} else {
+			for i, wi := range v[1:] {
+				h0 = (s0*cosD0[i] + c0*sinD0[i]) * wi
+				h1 = (s1*cosD1[i] + c1*sinD1[i]) * wi
+				v0[i] += gc0 * h0
+				v1[i] += gc1 * h1
+			}
+		}
+		g0 *= f.flip[0]
+		g1 *= f.flip[1]
+		e0 *= f.flip[0]
+		e1 *= f.flip[1]
+		s0, c0 = s0*f.cosT[0]+c0*f.sinT[0], c0*f.cosT[0]-s0*f.sinT[0]
+		s1, c1 = s1*f.cosT[1]+c1*f.sinT[1], c1*f.cosT[1]-s1*f.sinT[1]
+	}
+	row.pc0, row.ps0 = g.sk[0]*p0, g.ck[0]*p0
+	row.pc1, row.ps1 = g.sk[1]*p1, g.ck[1]*p1
+	f.coeffs(&vals, out)
 }
 
 // sincNear returns w·sin(β_q·x)/x for both phase pairs at an offset
@@ -401,15 +622,20 @@ func (e *CostEval) prompt(row *fusedRow) float64 {
 // contraction plus the delayed channel's series, inv0·F0 + inv1·F1, as a
 // dot product of the row's coefficients with the basis b.
 func (e *CostEval) at(i int, b []float64) float64 {
-	tab := e.tab
-	row := &tab.rows[i]
-	if row.cnt == 0 {
-		return 0
-	}
-	c := tab.ser[i*len(b):][:len(b)]
+	c := e.tab.ser[i*len(b):][:len(b)]
 	acc := 0.0
 	for m, v := range c {
 		acc += v * b[m]
+	}
+	return e.value(i, acc)
+}
+
+// value completes instant i from its series dot product acc: 0 for an
+// instant outside the capture, else the prompt contraction plus acc.
+func (e *CostEval) value(i int, acc float64) float64 {
+	row := &e.tab.rows[i]
+	if row.cnt == 0 {
+		return 0
 	}
 	return e.prompt(row) + acc
 }
@@ -422,19 +648,49 @@ func (e *CostEval) at(i int, b []float64) float64 {
 // both tables and rB, rB1 are the reconstructions prepared by eB and eB1
 // (each at one candidate delay). Both reconstructions of each instant are
 // produced back to back and only the squared difference is accumulated.
-// The partial is a pure function of (evaluations, lo, hi) — independent of
-// how the caller chunks [0, n) or how many workers evaluate the chunks —
-// so folding fixed-size chunk partials in chunk order is bit-identical at
-// any worker count.
+// When the two series have one degree, instants go in pairs (costPair),
+// whose four dot products run as independent chains; every value keeps
+// at's operation order, so the partial is the per-instant loop's bit for
+// bit. The partial is a pure function of (evaluations, lo, hi) —
+// independent of how the caller chunks [0, n) or how many workers evaluate
+// the chunks — so folding fixed-size chunk partials in chunk order is
+// bit-identical at any worker count.
 func CostFused(eB, eB1 *CostEval, lo, hi int) float64 {
 	var bufB, bufB1 seriesBasis
 	bB, bB1 := eB.basis(&bufB), eB1.basis(&bufB1)
 	acc := 0.0
-	for i := lo; i < hi; i++ {
+	i := lo
+	if len(bB) == len(bB1) {
+		for ; i+1 < hi; i += 2 {
+			d0, d1 := costPair(eB, eB1, i, bB, bB1)
+			acc += d0 * d0
+			acc += d1 * d1
+		}
+	}
+	for ; i < hi; i++ {
 		d := eB.at(i, bB) - eB1.at(i, bB1)
 		acc += d * d
 	}
 	return acc
+}
+
+// costPair returns the residuals rB − rB1 of instants i and i+1 from one
+// pass over the series: four independent dot-product chains, each in
+// at's order. bB and bB1 must have one length.
+func costPair(eB, eB1 *CostEval, i int, bB, bB1 []float64) (d0, d1 float64) {
+	n := len(bB)
+	x := eB.tab.ser[i*n:][:2*n]
+	y := eB1.tab.ser[i*n:][:2*n]
+	x0, x1, y0, y1 := x[:n], x[n:], y[:n], y[n:]
+	bB1 = bB1[:n]
+	var a0, a1, a2, a3 float64
+	for m, b := range bB {
+		a0 += x0[m] * b
+		a1 += x1[m] * b
+		a2 += y0[m] * bB1[m]
+		a3 += y1[m] * bB1[m]
+	}
+	return eB.value(i, a0) - eB1.value(i, a2), eB.value(i+1, a1) - eB1.value(i+1, a3)
 }
 
 // Values returns the reconstruction at every instant of the table at the

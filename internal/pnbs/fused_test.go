@@ -399,3 +399,74 @@ func TestSeriesDegree(t *testing.T) {
 		}
 	}
 }
+
+// costFusedSerial is CostFused as one instant per pass: the order of
+// operations every value and the partial must keep.
+func costFusedSerial(eB, eB1 *CostEval, lo, hi int) float64 {
+	var bufB, bufB1 seriesBasis
+	bB, bB1 := eB.basis(&bufB), eB1.basis(&bufB1)
+	acc := 0.0
+	for i := lo; i < hi; i++ {
+		d := eB.at(i, bB) - eB1.at(i, bB1)
+		acc += d * d
+	}
+	return acc
+}
+
+// TestCostFusedPairsMatchPerInstant: CostFused, which folds instants in
+// pairs, is bit-equal to the one-instant-per-pass loop on 19,000 chunks of
+// random bounds (odd tails and empty chunks included), over tables with
+// out-of-capture rows (cnt = 0), noisy captures, and both equal series
+// degrees (the paired path) and unequal ones (the per-instant path).
+func TestCostFusedPairsMatchPerInstant(t *testing.T) {
+	band := Band{FLow: 955e6, B: 90e6}
+	band1 := Band{FLow: 977.5e6, B: 45e6}
+	rng := rand.New(rand.NewSource(19))
+	noisy := func(b Band, n int) *Reconstructor {
+		ch0, ch1 := toneCapture(b, 180e-12, n)
+		for i := range ch0 {
+			ch0[i] += 0.1 * (2*rng.Float64() - 1)
+			ch1[i] += 0.1 * (2*rng.Float64() - 1)
+		}
+		r, err := NewReconstructor(b, 180e-12, 0, ch0, ch1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rB, rB1 := noisy(band, 220), noisy(band1, 130)
+	lo0, hi0 := rB.ValidRange()
+	lo1, hi1 := rB1.ValidRange()
+	lo, hi := math.Max(lo0, lo1), math.Min(hi0, hi1)
+	ts := make([]float64, 151)
+	for i := range ts {
+		ts[i] = lo + (hi-lo)*rng.Float64()
+		if rng.Intn(10) == 0 {
+			ts[i] = -1e-6 // both spans miss their captures
+		}
+	}
+	tB := costTable(t, rB, ts, 100e-12, 300e-12)
+	checked, paired := 0, 0
+	for _, dHi1 := range []float64{300e-12, 580e-12} { // degrees 4 and 5 against rate B's 5
+		tB1 := costTable(t, rB1, ts, 100e-12, dHi1)
+		for k := 0; k < 10; k++ {
+			d := 100e-12 + 200e-12*rng.Float64()
+			eB, eB1 := eval(t, tB, d), eval(t, tB1, d)
+			if eB.tab.deg == eB1.tab.deg {
+				paired++
+			}
+			for range 950 {
+				a := rng.Intn(len(ts) + 1)
+				b := a + rng.Intn(len(ts)+1-a)
+				got, want := CostFused(eB, eB1, a, b), costFusedSerial(eB, eB1, a, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%g [%d, %d): paired %.17g, per instant %.17g", d, a, b, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 19000 || paired != 10 {
+		t.Fatalf("%d chunks checked, %d evaluations on the paired path", checked, paired)
+	}
+}
