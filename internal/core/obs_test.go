@@ -79,8 +79,9 @@ func curatedMetrics(s *obs.Snapshot) map[string]int64 {
 	} {
 		out[name] = s.Counters[name]
 	}
-	// The truth stage pins at 0: a default run computes no ground truth.
-	for _, stage := range []string{"acquire", "estimate", "reconstruct", "measure", "truth", "total"} {
+	// The adccheck and truth stages pin at 0: a default run neither checks
+	// its converters nor computes ground truth.
+	for _, stage := range []string{"adccheck", "acquire", "estimate", "reconstruct", "measure", "truth", "total"} {
 		name := "core.stage." + stage + ".seconds"
 		out[name+".count"] = s.Histograms[name].Count
 	}
