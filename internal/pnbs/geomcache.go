@@ -30,11 +30,13 @@ import (
 // instead of thrashing.
 
 // geomCacheBytes bounds the cached geometry. A scale-0.35 table (105
-// instants, 61 taps of 7 values) is ~0.37 MiB, a paper-size one (300
-// instants) ~1.05 MiB. The process's live heap is well under the runtime's
-// 4 MiB minimum GC goal, so above ~1.5 MiB of cache every cached MiB costs
-// ~2 MiB of RSS; 4 MiB holds a 3-unit scale-0.35 campaign's six tables.
-const geomCacheBytes = 4 << 20
+// instants, 61 taps of 7 values) takes ~0.37 MiB, a paper-size one (300
+// instants) ~1.1 MiB. The budget is set by RSS, not by hit rate: the
+// process's live heap is ~0.55 MB, under the runtime's 4 MiB minimum GC
+// goal, so above ~1.5 MiB of cache every cached MiB costs ~2 MiB of RSS.
+// 1.5 MiB holds a 2-unit scale-0.35 campaign's four tables (1.48 MiB by
+// geomBound) and four of a 3-unit campaign's six.
+const geomCacheBytes = 3 << 19
 
 // geomIdleLookups is how many lookups an entry must go unused before it
 // may be evicted.

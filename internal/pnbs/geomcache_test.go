@@ -227,7 +227,7 @@ func TestGeometryCacheBudget(t *testing.T) {
 	lo, hi := r.ValidRange()
 	rng := rand.New(rand.NewSource(8))
 	instants := func() []float64 {
-		ts := make([]float64, 300)
+		ts := make([]float64, 60) // ~0.2 MiB a table: several fit the budget
 		for i := range ts {
 			ts[i] = lo + (hi-lo)*rng.Float64()
 		}
@@ -235,7 +235,7 @@ func TestGeometryCacheBudget(t *testing.T) {
 	}
 	var c geomCache
 	var sets [][]float64
-	for len(c.ents) == len(sets) {
+	for len(c.ents) == len(sets) && len(sets) < 100 {
 		ts := instants()
 		sets = append(sets, ts)
 		for range 2 {
@@ -246,6 +246,9 @@ func TestGeometryCacheBudget(t *testing.T) {
 		}
 	}
 	// The last set was refused: every entry is live.
+	if len(sets) < 4 {
+		t.Fatalf("the budget held %d tables of 60 instants", len(sets)-1)
+	}
 	if use := buildWith(t, &c, r, sets[len(sets)-1], 100e-12, 300e-12); use == geomHit {
 		t.Fatal("refused candidate was served from the cache")
 	}
