@@ -72,8 +72,8 @@ const maxSeriesDeg = 24
 
 // fusedRow is the per-instant state of the fused path: the tap-span
 // geometry and the prompt-channel fold contracted to four
-// delay-independent scalars, both set by the row's pass in the series fit
-// (seriesFit.row).
+// delay-independent scalars, both set by the row's fold in the series fit
+// (seriesFit.fold).
 type fusedRow struct {
 	// nLo is the first capture index of the tap span (clamped like At);
 	// cnt is the tap count, zero for instants outside the capture.
