@@ -178,48 +178,3 @@ func TestSincValues(t *testing.T) {
 		t.Error("Sinc discontinuous near 0")
 	}
 }
-
-func TestDiffCosOverTLimit(t *testing.T) {
-	a, b := 2*math.Pi*1e9, 2*math.Pi*0.7e9
-	p := 0.4
-	want := -a*math.Sin(p) + b*math.Sin(p)
-	got := DiffCosOverT(a, p, b, p, 0)
-	if math.Abs(got-want)/math.Abs(want) > 1e-12 {
-		t.Errorf("limit = %g, want %g", got, want)
-	}
-	// Accuracy on both sides of each branch point, against the Taylor
-	// series Σ_{n=1..10} t^(n-1)/n!·(a^n − b^n)·cos(p + nπ/2), whose terms
-	// fall by ≥ 60x here (|a·t| ≤ 0.063). Below 1e-13 both branches must be
-	// within 1e-13 relative; the first-order expansion alone lost ~1e-7
-	// there. Above it the direct difference adds its cancellation, 2 ulps
-	// of its cosines over |t|.
-	series := func(tv float64) float64 {
-		sum, an, bn, f := 0.0, 1.0, 1.0, 1.0
-		for n := 1; n <= 10; n++ {
-			an, bn, f = an*a, bn*b, f*float64(n)
-			var c float64 // cos(p + nπ/2)
-			switch n % 4 {
-			case 0:
-				c = math.Cos(p)
-			case 1:
-				c = -math.Sin(p)
-			case 2:
-				c = -math.Cos(p)
-			case 3:
-				c = math.Sin(p)
-			}
-			sum += math.Pow(tv, float64(n-1)) / f * (an - bn) * c
-		}
-		return sum
-	}
-	for _, tv := range []float64{1e-19, 2e-18, -5e-16, 5e-14, 9.9e-14, -1.1e-13, 1e-12, 1e-11, -1e-11} {
-		want := series(tv)
-		tol := 1e-13 * math.Abs(want)
-		if math.Abs(tv) >= 1e-13 {
-			tol += 0x1p-51 / math.Abs(tv)
-		}
-		if got := DiffCosOverT(a, p, b, p, tv); math.Abs(got-want) > tol {
-			t.Errorf("t=%g: %.17g, series %.17g (relative error %.3g)", tv, got, want, math.Abs(got-want)/math.Abs(want))
-		}
-	}
-}

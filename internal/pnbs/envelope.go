@@ -214,3 +214,9 @@ func (r *Reconstructor) EnvelopeInto(fc, t0, fsEnv float64, out []complex128) er
 	})
 	return nil
 }
+
+// cis returns exp(i theta).
+func cis(theta float64) complex128 {
+	s, c := math.Sincos(theta)
+	return complex(c, s)
+}

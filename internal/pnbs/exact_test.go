@@ -39,27 +39,33 @@ func bigCos(x *big.Float) *big.Float {
 	}
 }
 
+// bigSin returns sin(x) as cos(x − π/2).
+func bigSin(x *big.Float) *big.Float {
+	return bigCos(bigSub(x, new(big.Float).SetPrec(exactPrec).Quo(exactPi, bigF(2))))
+}
+
 // exactS evaluates the kernel s(dt) of Eq. (2) in exactPrec arithmetic from
-// the kernel's float64 constants: each term is
-// [cos(a dt − φ) − cos(b dt − φ)] / (2π B dt sin φ_f), with φ_f the
-// kernel's float64 sine, and dt = 0 takes the limit (a − b) sin φ / (2π B sin φ_f).
+// the kernel's own float64 κ_q, β_q, φ_q and sin φ_q: each term is the exact
+// product −2·sin(κ dt − φ)·sin(β dt) / (2π B dt sin φ_f), with φ_f the
+// kernel's float64 sine, and dt = 0 takes the limit
+// −2·sin(−φ)·β / (2π B sin φ_f).
 func exactS(k *Kernel, dt *big.Float) *big.Float {
 	twoPiB := bigMul(bigMul(exactPi, bigF(2)), bigF(k.band.B))
-	term := func(a, b, phi, sinF float64) *big.Float {
-		ba, bb, bphi := bigF(a), bigF(b), bigF(phi)
-		den := bigMul(twoPiB, bigF(sinF))
-		if dt.Sign() == 0 {
-			halfPi := new(big.Float).SetPrec(exactPrec).Quo(exactPi, bigF(2))
-			sinPhi := bigCos(bigSub(bphi, halfPi))
-			num := bigMul(bigSub(ba, bb), sinPhi)
-			return new(big.Float).SetPrec(exactPrec).Quo(num, den)
+	s := bigF(0)
+	for q := range k.phi {
+		if q == 0 && k.s0Zero {
+			continue
 		}
-		num := bigSub(bigCos(bigSub(bigMul(ba, dt), bphi)), bigCos(bigSub(bigMul(bb, dt), bphi)))
-		return new(big.Float).SetPrec(exactPrec).Quo(num, bigMul(den, dt))
-	}
-	s := term(k.a1, k.b1, k.phi1, k.sin1)
-	if !k.s0Zero {
-		s.Add(s, term(k.a0, k.b0, k.phi0, k.sin0))
+		arg := bigSub(bigMul(bigF(k.kappa[q]), dt), bigF(k.phi[q]))
+		num := bigMul(bigF(-2), bigSin(arg))
+		den := bigMul(twoPiB, bigF(k.sin[q]))
+		if dt.Sign() == 0 {
+			num = bigMul(num, bigF(k.beta[q]))
+		} else {
+			num = bigMul(num, bigSin(bigMul(bigF(k.beta[q]), dt)))
+			den = bigMul(den, dt)
+		}
+		s.Add(s, new(big.Float).SetPrec(exactPrec).Quo(num, den))
 	}
 	return s
 }
@@ -93,11 +99,26 @@ func exactAt(r *Reconstructor, t float64) (sum, scale float64) {
 	return sum, scale
 }
 
-// TestAtMatchesExactEq6 checks both float64 evaluators of Eq. (6), the
-// phasor-recurrence At and the direct atReference, against the exact sum
-// on the bands of TestAtMatchesReferenceImplementation: each must be within
+// nearSampleTimes returns instants whose nearest prompt-channel tap sits
+// 0, 1e-18, 1e-14, 5e-13 and 1e-12 s and just inside and outside T/8 from
+// its sample (either sign), and the capture's first sample, where the
+// clamped span starts on the instant. An interior instant's accumulated
+// offsets miss 0 by ~1e-22 s, so only the first sample reaches an offset
+// of exactly 0.
+func nearSampleTimes(rec *Reconstructor, band Band) []float64 {
+	tt := band.T()
+	ts := []float64{rec.t0}
+	for i, x := range []float64{0, 1e-18, -1e-18, 1e-14, 5e-13, -1e-12, tt / 8 * (1 - 1e-9), -tt / 8 * (1 + 1e-9)} {
+		ts = append(ts, 1e-7+float64(50+i)*tt+x)
+	}
+	return ts
+}
+
+// TestAtMatchesExactEq6 checks At against the exact sum: it must be within
 // 1e-11 of the un-cancelled scale Σ |ch·w·s|, at 25 instants across the
-// valid range and on a sample instant.
+// valid range and at the near-sample instants of nearSampleTimes, where a
+// tap's kernel value is taken within 1e-18–1e-12 s of its removable
+// singularity.
 func TestAtMatchesExactEq6(t *testing.T) {
 	const bound = 1e-11
 	for _, band := range []Band{
@@ -107,34 +128,29 @@ func TestAtMatchesExactEq6(t *testing.T) {
 	} {
 		rec := sineTestReconstructor(t, band)
 		lo, hi := rec.ValidRange()
-		ts := []float64{1e-7 + 50*band.T()} // on a sample instant
+		ts := nearSampleTimes(rec, band)
 		for i := 0; i < 25; i++ {
 			ts = append(ts, lo+(hi-lo)*float64(i)/24)
 		}
-		worstAt, worstRef := 0.0, 0.0
+		worst := 0.0
 		for _, tv := range ts {
 			exact, scale := exactAt(rec, tv)
-			eAt := math.Abs(rec.At(tv)-exact) / scale
-			eRef := math.Abs(rec.atReference(tv)-exact) / scale
-			if eAt > bound || eRef > bound {
-				t.Errorf("band %+v t=%g: At off by %.3g, atReference by %.3g of scale %g (bound %g)",
-					band, tv, eAt, eRef, scale, bound)
+			e := math.Abs(rec.At(tv)-exact) / scale
+			if e > bound {
+				t.Errorf("band %+v t=%g: At off by %.3g of scale %g (bound %g)", band, tv, e, scale, bound)
 			}
-			worstAt, worstRef = math.Max(worstAt, eAt), math.Max(worstRef, eRef)
+			worst = math.Max(worst, e)
 		}
-		t.Logf("band %+v: worst error relative to scale: At %.3g, atReference %.3g", band, worstAt, worstRef)
+		t.Logf("band %+v: worst At error relative to scale %.3g", band, worst)
 	}
 }
 
 // TestCostTableMatchesExactEq6 holds the fused cost table, evaluated at
 // the reconstructor's delay, to TestAtMatchesExactEq6's bound against the
-// exact sum, on the same bands. Beside the sweep of the valid range, it
-// takes instants whose nearest prompt-channel tap sits 0, 1e-18, 1e-14 and
-// 1e-12 s from its sample and just inside and outside T/8 of it: the
-// offsets at which the row's prompt fold leaves the rotated sine for the
-// direct sin(β·x)/x. An interior instant's accumulated offsets miss 0 by
-// ~1e-22 s, so the limit β is reached at the capture's first sample, where
-// the clamped span starts on the instant and its offset is exactly 0.
+// exact sum, on the same bands and instants. The near-sample instants
+// straddle the offsets at which the row's prompt fold leaves the rotated
+// sine for the direct sin(β·x)/x (T/8), and the capture's first sample
+// reaches its limit β.
 func TestCostTableMatchesExactEq6(t *testing.T) {
 	const bound = 1e-11
 	for _, band := range []Band{
@@ -144,11 +160,7 @@ func TestCostTableMatchesExactEq6(t *testing.T) {
 	} {
 		rec := sineTestReconstructor(t, band)
 		lo, hi := rec.ValidRange()
-		tt := band.T()
-		ts := []float64{rec.t0}
-		for i, x := range []float64{0, 1e-18, -1e-18, 1e-14, -1e-12, tt / 8 * (1 - 1e-9), -tt / 8 * (1 + 1e-9)} {
-			ts = append(ts, 1e-7+float64(50+i)*tt+x)
-		}
+		ts := nearSampleTimes(rec, band)
 		for i := 0; i < 25; i++ {
 			ts = append(ts, lo+(hi-lo)*float64(i)/24)
 		}

@@ -82,7 +82,7 @@ type fusedRow struct {
 	// tap without the delay: dt1 = dtd + D.
 	dtdStart float64
 	// pc0/ps0 and pc1/ps1 are the contracted prompt-channel folds for the
-	// (a0,b0) and (a1,b1) phase pairs.
+	// kernel's two terms, q = 0 and q = 1.
 	pc0, ps0, pc1, ps1 float64
 }
 
@@ -210,9 +210,9 @@ func (r *Reconstructor) costTable(ts []float64, dLo, dHi float64, c *geomCache) 
 // 2·(rad/2)^(p+1)·max|F_q^(p+1)|/(p+1)!.
 func (r *Reconstructor) seriesDegree(rad float64) (int, error) {
 	k := r.kern
-	tau := math.Abs(k.a1-k.b1) / 2
+	tau := math.Abs(k.beta[1])
 	if !k.s0Zero {
-		tau = math.Max(tau, math.Abs(k.a0-k.b0)/2)
+		tau = math.Max(tau, math.Abs(k.beta[0]))
 	}
 	if r.win != nil {
 		tau += r.opt.KaiserBeta * r.winScale
@@ -249,12 +249,10 @@ type seriesFit struct {
 
 func (r *Reconstructor) newSeriesFit(tab *CostTable) *seriesFit {
 	k := r.kern
-	f := &seriesFit{r: r, deg: tab.deg, flip: [2]float64{1, -1}}
+	f := &seriesFit{r: r, deg: tab.deg, kappa: k.kappa, beta: k.beta, flip: [2]float64{1, -1}}
 	if k.k%2 == 1 {
 		f.flip = [2]float64{-1, 1}
 	}
-	f.kappa = [2]float64{(k.a0 + k.b0) / 2, (k.a1 + k.b1) / 2}
-	f.beta = [2]float64{(k.a0 - k.b0) / 2, (k.a1 - k.b1) / 2}
 	n := tab.deg + 1
 	for q, b := range f.beta {
 		f.sinT[q], f.cosT[q] = math.Sincos(b * r.tStep)
@@ -579,11 +577,11 @@ func (tab *CostTable) Eval(d float64) (CostEval, error) {
 		return CostEval{}, fmt.Errorf("pnbs: delay %g outside the cost table's interval [%g, %g]", d, tab.dLo, tab.dHi)
 	}
 	e := CostEval{tab: tab, s0Zero: k.s0Zero, inv2piB: 1 / (2 * math.Pi * k.band.B)}
-	e.cot1 = math.Cos(k.phi1) / k.sin1
-	e.inv1 = e.inv2piB / k.sin1
+	e.cot1 = math.Cos(k.phi[1]) / k.sin[1]
+	e.inv1 = e.inv2piB / k.sin[1]
 	if !k.s0Zero {
-		e.cot0 = math.Cos(k.phi0) / k.sin0
-		e.inv0 = e.inv2piB / k.sin0
+		e.cot0 = math.Cos(k.phi[0]) / k.sin[0]
+		e.inv0 = e.inv2piB / k.sin[0]
 	}
 	if tab.rad > 0 {
 		e.u = (d - tab.mid) / tab.rad

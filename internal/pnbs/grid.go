@@ -17,9 +17,9 @@ import (
 // costs a single dot product of the 2h+1 coefficient pairs against the
 // capture, with no window, kernel, or trigonometric work in the loop.
 //
-// The grid path feeds tolerance-checked spectral measurements, so it
-// evaluates the kernel directly through Kernel.S — the atReference form —
-// and agrees with At to reassociated rounding (~1e-12 relative).
+// The grid path feeds tolerance-checked spectral measurements. Its rows
+// take each tap's w(dt)·S(dt) from Kernel.S, as At does, so a grid instant
+// agrees with At to reassociated rounding (~1e-12 relative).
 //
 // An instant's tap centre is At's, Reconstructor.centre. Its tie rule puts
 // an instant within 1e-9·T of a half sample — phase 2 at 4x oversampling

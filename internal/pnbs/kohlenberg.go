@@ -9,8 +9,6 @@ package pnbs
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/dsp"
 )
 
 // Band describes a real bandpass spectral support fl < |v| < fl + B.
@@ -79,16 +77,20 @@ func (b Band) ForbiddenD(maxD float64) []float64 {
 }
 
 // Kernel evaluates the Kohlenberg interpolation function s(t) = s0(t)+s1(t)
-// of Eq. (2) for a band and channel delay D.
+// of Eq. (2) for a band and channel delay D. Each term's cosine pair,
+// cos(a_q t − φ_q) − cos(b_q t − φ_q), is held in its exact product form
+// −2 sin(κ_q t − φ_q) sin(β_q t), with κ_q = (a_q + b_q)/2 and
+// β_q = (a_q − b_q)/2: the difference cancels near a sample, the product
+// does not.
 type Kernel struct {
 	band Band
 	d    float64
-	// precomputed terms
-	k, kp          int
-	phi0, phi1     float64 // k pi B D and k+ pi B D
-	sin0, sin1     float64
-	a0, b0, a1, b1 float64 // angular rates of the cosine differences
-	s0Zero         bool
+	k    int
+	// phi[q] is φ_q = k_q π B D (k_0 = k, k_1 = k+1), sin[q] its sine.
+	phi, sin [2]float64
+	// kappa[q] and beta[q] are κ_q and β_q; they depend only on the band.
+	kappa, beta [2]float64
+	s0Zero      bool
 }
 
 // MinSinMargin is the smallest |sin(k pi B D)| accepted before the kernel is
@@ -133,19 +135,17 @@ func newKernel(band Band, d float64) (Kernel, error) {
 		return Kernel{}, fmt.Errorf("pnbs: D = %g violates Eq. (3b): D ~ nT/(k+1) (sin(k+ pi B D) = %g)",
 			d, sin1)
 	}
+	// The angular rates of Eq. (2b) and (2c): a0, b0 and a1, b1.
+	a0, b0 := 2*math.Pi*(float64(k)*bw-fl), 2*math.Pi*fl
+	a1, b1 := 2*math.Pi*(fl+bw), 2*math.Pi*(float64(k)*bw-fl)
 	return Kernel{
 		band:   band,
 		d:      d,
 		k:      k,
-		kp:     kp,
-		phi0:   phi0,
-		phi1:   phi1,
-		sin0:   sin0,
-		sin1:   sin1,
-		a0:     2 * math.Pi * (float64(k)*bw - fl),
-		b0:     2 * math.Pi * fl,
-		a1:     2 * math.Pi * (fl + bw),
-		b1:     2 * math.Pi * (float64(k)*bw - fl),
+		phi:    [2]float64{phi0, phi1},
+		sin:    [2]float64{sin0, sin1},
+		kappa:  [2]float64{(a0 + b0) / 2, (a1 + b1) / 2},
+		beta:   [2]float64{(a0 - b0) / 2, (a1 - b1) / 2},
 		s0Zero: s0Zero,
 	}, nil
 }
@@ -153,27 +153,28 @@ func newKernel(band Band, d float64) (Kernel, error) {
 // D returns the kernel's delay.
 func (k *Kernel) D() float64 { return k.d }
 
-// S evaluates the interpolation function s(t) of Eq. (2). The removable
-// singularity at t = 0 is handled analytically; the function satisfies
-// s(0) = 1 and s(mT) = 0 for integer m != 0.
+// S evaluates the interpolation function s(t) of Eq. (2), each term in
+// product form: s_q(t) = −2 sin(κ_q t − φ_q)·sin(β_q t)/t / (2π B sin φ_q).
+// The removable singularity at t = 0 takes the limit sin(β_q t)/t → β_q;
+// the function satisfies s(0) = 1 and s(mT) = 0 for integer m != 0.
 func (k *Kernel) S(t float64) float64 {
-	return k.s0(t) + k.s1(t)
-}
-
-// s0 implements Eq. (2b): [cos((a0)t - phi0) - cos((b0)t - phi0)] /
-// (2 pi B t sin(phi0)), with its t -> 0 limit.
-func (k *Kernel) s0(t float64) float64 {
-	if k.s0Zero {
-		return 0
+	s := 0.0
+	for q := range k.phi {
+		if q == 0 && k.s0Zero {
+			continue
+		}
+		s += -2 * math.Sin(k.kappa[q]*t-k.phi[q]) * sinOverT(k.beta[q], t) /
+			(2 * math.Pi * k.band.B * k.sin[q])
 	}
-	num := dsp.DiffCosOverT(k.a0, -k.phi0, k.b0, -k.phi0, t)
-	return num / (2 * math.Pi * k.band.B * k.sin0)
+	return s
 }
 
-// s1 implements Eq. (2c) with its t -> 0 limit.
-func (k *Kernel) s1(t float64) float64 {
-	num := dsp.DiffCosOverT(k.a1, -k.phi1, k.b1, -k.phi1, t)
-	return num / (2 * math.Pi * k.band.B * k.sin1)
+// sinOverT returns sin(β·t)/t, with its limit β at t = 0.
+func sinOverT(beta, t float64) float64 {
+	if t == 0 {
+		return beta
+	}
+	return math.Sin(beta*t) / t
 }
 
 // CoefficientMetric quantifies the kernel magnitude growth as D approaches a

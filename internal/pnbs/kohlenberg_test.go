@@ -130,9 +130,10 @@ func TestKernelS0VanishesForIntegerPositionedBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// s0 must vanish identically; s(0) still 1 via s1.
-	if v := k.s0(1.234e-9); v != 0 {
-		t.Errorf("s0 = %g for integer-positioned band", v)
+	// s0 must vanish identically: a0 = b0 there, so β_0 = 0 and the kernel
+	// skips the term; s(0) still 1 via s1.
+	if k.beta[0] != 0 || !k.s0Zero {
+		t.Errorf("β_0 = %g, s0Zero = %v for integer-positioned band", k.beta[0], k.s0Zero)
 	}
 	if v := k.S(0); math.Abs(v-1) > 1e-9 {
 		t.Errorf("s(0) = %g", v)

@@ -161,24 +161,24 @@ func TestPBSWindowsPropertyNoOverlapAndCoverMin(t *testing.T) {
 	}
 }
 
-// TestKernelFactorisationProperty checks the identity the fused path's
-// delayed-channel series rests on. With dt1 = dtd + D, κ_q = (a_q + b_q)/2
-// (so that φ_q = κ_q·D) and β_q = (a_q − b_q)/2, each kernel term
-// factorises exactly:
+// TestKernelFactorisationProperty checks Kernel.S, and the factorisation
+// the fused path's delayed-channel series rests on, against the exact
+// kernel (exactS). With dt1 = dtd + D and φ_q = κ_q·D, each kernel term's
+// numerator takes the fused path's form
 //
-//	cos(a·dt1 − φ) − cos(b·dt1 − φ) = −2·sin(κ·dtd)·sin(β·dt1).
+//	−2·sin(κ·dt1 − φ)·sin(β·dt1) = −2·sin(κ·dtd)·sin(β·dt1).
 //
 // Over random bands (integer-positioned ones included), delays and
-// offsets, and at dt1 = 0, ±1e-18, ±1e-15 and ±5e-14 s, the product form
-// must equal Kernel.S's difference of cosines within rounding: 8 ulps of
-// each term's cancellation scale, (1 + (|a|+|b|)·(|dt1| + |D|)) /
-// (2πB|sin φ|·max(|dt1|, 1/(|a|+|b|))). Offsets in [1e-13, 1e-11) s are
-// left out: there S takes the direct difference, which cancels to
-// ~eps/|dt1|, above that scale.
+// offsets, and at dt1 = 0, ±1e-18, ±1e-15, ±5e-14, ±1.01e-13, ±1e-12,
+// ±5e-12 and ±1e-11 s, S and the dtd form must each lie within rounding
+// of exactS: 8 ulps of each term's cancellation scale,
+// (1 + 2m·(|dt1| + |D|)) / (2πB|sin φ|·max(|dt1|, 1/(2m))), with
+// m = max(|κ|, |β|). The offsets 1e-13–1e-11 s are the ones the kernel's
+// former difference of cosines lost to cancellation (~eps/|dt1|).
 func TestKernelFactorisationProperty(t *testing.T) {
 	const eps = 0x1p-52
 	rng := rand.New(rand.NewSource(38))
-	worst := 0.0
+	worstS, worstProd := 0.0, 0.0
 	for trial := 0; trial < 400; trial++ {
 		band, d := randomBand(rng)
 		k, err := NewKernel(band, d)
@@ -186,39 +186,39 @@ func TestKernelFactorisationProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		span := 31 * band.T()
-		offsets := []float64{0, 1e-18, -1e-18, 1e-15, -1e-15, 5e-14, -5e-14}
+		offsets := []float64{0, 1e-18, -1e-18, 1e-15, -1e-15, 5e-14, -5e-14,
+			1.01e-13, -1.01e-13, 1e-12, -1e-12, 5e-12, -5e-12, 1e-11, -1e-11}
 		for len(offsets) < 40 {
-			if o := span * (2*rng.Float64() - 1); math.Abs(o) > 1e-11 {
-				offsets = append(offsets, o)
-			}
+			offsets = append(offsets, span*(2*rng.Float64()-1))
 		}
 		twoPiB := 2 * math.Pi * band.B
 		for _, dt1 := range offsets {
 			dtd := dt1 - d
 			prod, tol := 0.0, 0.0
-			for q, p := range [][4]float64{{k.a0, k.b0, k.phi0, k.sin0}, {k.a1, k.b1, k.phi1, k.sin1}} {
+			for q := range k.phi {
 				if q == 0 && k.s0Zero {
 					continue
 				}
-				a, b, sinPhi := p[0], p[1], p[3]
-				kappa, beta := (a+b)/2, (a-b)/2
-				h := beta
-				if dt1 != 0 {
-					h = math.Sin(beta*dt1) / dt1
-				}
-				prod += -2 * math.Sin(kappa*dtd) * h / (twoPiB * sinPhi)
-				ab := math.Abs(a) + math.Abs(b)
+				prod += -2 * math.Sin(k.kappa[q]*dtd) * sinOverT(k.beta[q], dt1) / (twoPiB * k.sin[q])
+				ab := 2 * math.Max(math.Abs(k.kappa[q]), math.Abs(k.beta[q]))
 				tol += 8 * eps * (1 + ab*(math.Abs(dt1)+math.Abs(d))) /
-					(twoPiB * math.Abs(sinPhi) * math.Max(math.Abs(dt1), 1/ab))
+					(twoPiB * math.Abs(k.sin[q]) * math.Max(math.Abs(dt1), 1/ab))
 			}
+			exact, _ := exactS(k, bigF(dt1)).Float64()
 			s := k.S(dt1)
-			if e := math.Abs(prod - s); e > tol {
-				t.Fatalf("band %+v D=%g dt1=%g: product form %.17g vs S %.17g (error %.3g > %.3g)",
-					band, d, dt1, prod, s, e, tol)
+			if e := math.Abs(s - exact); e > tol {
+				t.Errorf("band %+v D=%g dt1=%g: S %.17g vs exact %.17g (error %.3g > %.3g)",
+					band, d, dt1, s, exact, e, tol)
 			} else {
-				worst = math.Max(worst, e/tol)
+				worstS = math.Max(worstS, e/tol)
+			}
+			if e := math.Abs(prod - exact); e > tol {
+				t.Errorf("band %+v D=%g dt1=%g: dtd form %.17g vs exact %.17g (error %.3g > %.3g)",
+					band, d, dt1, prod, exact, e, tol)
+			} else {
+				worstProd = math.Max(worstProd, e/tol)
 			}
 		}
 	}
-	t.Logf("worst error %.3g of the rounding bound", worst)
+	t.Logf("worst error of the rounding bound: S %.3g, dtd form %.3g", worstS, worstProd)
 }

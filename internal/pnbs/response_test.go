@@ -87,31 +87,3 @@ func sineTestReconstructor(t *testing.T, band Band) *Reconstructor {
 	}
 	return rec
 }
-
-func TestAtMatchesReferenceImplementation(t *testing.T) {
-	// The phasor-recurrence fast path must agree with the direct kernel
-	// evaluation to near machine precision, across bands including the
-	// integer-positioned (s0 == 0) case.
-	for _, band := range []Band{
-		{FLow: 955e6, B: 90e6},
-		{FLow: 900e6, B: 90e6}, // integer positioned
-		{FLow: 2.164e9, B: 72e6},
-	} {
-		tt := band.T()
-		rec := sineTestReconstructor(t, band)
-		lo, hi := rec.ValidRange()
-		for i := 0; i <= 200; i++ {
-			tv := lo + (hi-lo)*float64(i)/200
-			fast := rec.At(tv)
-			ref := rec.atReference(tv)
-			if math.Abs(fast-ref) > 1e-9*(1+math.Abs(ref)) {
-				t.Fatalf("band %+v t=%g: fast %g vs reference %g", band, tv, fast, ref)
-			}
-		}
-		// Exactly on a sample instant (the dt -> 0 branch).
-		tv := 1e-7 + 50*tt
-		if math.Abs(rec.At(tv)-rec.atReference(tv)) > 1e-9 {
-			t.Error("on-sample branch mismatch")
-		}
-	}
-}
